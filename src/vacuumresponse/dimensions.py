@@ -4,15 +4,35 @@ A :class:`Dimension` is a vector of exact rational exponents over
 (length, mass, time, electric current, temperature, amount of substance,
 luminous intensity).  Multiplication, division and rational powers act
 component-wise on the exponents, so dimensions form an abelian group with
-the dimensionless vector as identity.  Exponents are :class:`~fractions.Fraction`
-values throughout: half-integer exponents occur both in Gaussian
-electromagnetic dimensions and in square-root geometry factors, and storing
-them as floats would silently lose exactness.
+the dimensionless vector as identity.  Exponents stay exact: integral ones
+are stored as ``int`` and the rest as reduced :class:`~fractions.Fraction`
+values, because the unit parser accepts any rational power (``m^1/7``) and
+half-integer exponents occur both in Gaussian electromagnetic dimensions
+and in square-root geometry factors.  Floats, or a fixed common
+denominator, would silently lose exactness.
+
+Dimensions are interned: while a dimension is alive, every vector equal to
+it is the same object, so equality and hashing are by identity and run at
+C speed.  The intern table is a :class:`weakref.WeakValueDictionary` keyed
+on the canonical exponent tuple.  It is weak so that it holds exactly the
+dimensions still in use: a strong table would grow without bound, and a
+strong table that was cleared when full would let two live objects stand
+for one vector and break identity equality.  Pickling and copying go back
+through the constructor and hence through the table.
+
+``*``, ``/``, ``**`` and :meth:`Dimension.inverse` look their results up
+in memo tables keyed on the interned operands, so the exact ``Fraction``
+arithmetic runs once per distinct operation rather than once per use.  The
+memo tables are :func:`functools.lru_cache` tables of fixed size
+(``MEMO_SIZE``): a workload with ever-new dimensions, such as parsing
+unrelated unit expressions, evicts old entries instead of growing the
+process.  Memo entries hold their operands and results strongly, so the
+only dimensions that outlive their last user are those of live entries.
 
 A :class:`Quantity` binds a finite real magnitude to a dimension and a unit
 system.  Arithmetic on quantities enforces dimensional consistency and
-rejects non-finite magnitudes at construction, so errors surface at the
-operation that produced them.
+rejects non-finite magnitudes, including overflow, at the operation that
+produced them.
 
 Gaussian support is a per-:class:`QuantityKind` conversion table rather than
 a second dimensional algebra: Gaussian dimensions are a non-injective image
@@ -23,9 +43,12 @@ dimension), so conversion is only well defined per physical kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 Rational = Union[int, Fraction]
@@ -39,6 +62,9 @@ _BASE_FIELDS = (
     "amount",
     "luminosity",
 )
+
+# Entries per memo table; sweeps use a few dozen distinct dimensions.
+MEMO_SIZE = 512
 
 
 class DimensionMismatchError(ValueError):
@@ -61,73 +87,142 @@ class UnsupportedKindError(ValueError):
     """No conversion entry exists for the requested kind."""
 
 
-def _as_fraction(value: Rational, field: str) -> Fraction:
-    if isinstance(value, Fraction):
+def _exponent(value: Rational, field: str) -> Rational:
+    """Canonical exact exponent: ``int`` when integral, else a ``Fraction``."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(
         f"dimension exponent {field!r} must be int or Fraction, got {type(value).__name__}"
     )
 
 
-@dataclass(frozen=True)
+_INTERNED: weakref.WeakValueDictionary[tuple[Rational, ...], Dimension] = (
+    weakref.WeakValueDictionary()
+)
+# Two threads making the same new vector must get one object.
+_INTERN_LOCK = threading.Lock()
+
+
+def _intern(exponents: tuple[Rational, ...]) -> Dimension:
+    """The live dimension with these canonical exponents, made if there is none."""
+    with _INTERN_LOCK:
+        dim = _INTERNED.get(exponents)
+        if dim is None:
+            dim = object.__new__(Dimension)
+            dim._exponents = exponents
+            _INTERNED[exponents] = dim
+    return dim
+
+
+def _component(index: int) -> property:
+    return property(lambda self: self._exponents[index])
+
+
 class Dimension:
-    """Vector of exact rational exponents over the seven SI base dimensions."""
+    """Interned vector of exact rational exponents over the seven SI base dimensions."""
 
-    length: Fraction = Fraction(0)
-    mass: Fraction = Fraction(0)
-    time: Fraction = Fraction(0)
-    current: Fraction = Fraction(0)
-    temperature: Fraction = Fraction(0)
-    amount: Fraction = Fraction(0)
-    luminosity: Fraction = Fraction(0)
+    __slots__ = ("_exponents", "__weakref__")
 
-    def __post_init__(self) -> None:
-        for field in _BASE_FIELDS:
-            object.__setattr__(self, field, _as_fraction(getattr(self, field), field))
+    def __new__(
+        cls,
+        length: Rational = 0,
+        mass: Rational = 0,
+        time: Rational = 0,
+        current: Rational = 0,
+        temperature: Rational = 0,
+        amount: Rational = 0,
+        luminosity: Rational = 0,
+    ) -> Dimension:
+        values = (length, mass, time, current, temperature, amount, luminosity)
+        return _intern(tuple(map(_exponent, values, _BASE_FIELDS)))
 
-    def as_tuple(self) -> tuple[Fraction, ...]:
-        return tuple(getattr(self, field) for field in _BASE_FIELDS)
+    length = _component(0)
+    mass = _component(1)
+    time = _component(2)
+    current = _component(3)
+    temperature = _component(4)
+    amount = _component(5)
+    luminosity = _component(6)
+
+    def __reduce__(self) -> tuple:
+        return Dimension, self._exponents
+
+    def as_tuple(self) -> tuple[Rational, ...]:
+        return self._exponents
 
     def __mul__(self, other: Dimension) -> Dimension:
         if not isinstance(other, Dimension):
             return NotImplemented
-        return Dimension(*(a + b for a, b in zip(self.as_tuple(), other.as_tuple())))
+        return _product(self, other)
 
     def __truediv__(self, other: Dimension) -> Dimension:
         if not isinstance(other, Dimension):
             return NotImplemented
-        return Dimension(*(a - b for a, b in zip(self.as_tuple(), other.as_tuple())))
+        return _quotient(self, other)
 
     def __pow__(self, exponent: Rational) -> Dimension:
-        p = _as_fraction(exponent, "power")
-        return Dimension(*(a * p for a in self.as_tuple()))
+        p = _exponent(exponent, "power")
+        return _power(self, p.numerator, p.denominator)
 
     def inverse(self) -> Dimension:
-        return Dimension(*(-a for a in self.as_tuple()))
+        return _inverse(self)
 
     @property
     def is_dimensionless(self) -> bool:
-        return all(a == 0 for a in self.as_tuple())
+        return self is DIMENSIONLESS
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={a!r}" for f, a in zip(_BASE_FIELDS, self._exponents))
+        return f"Dimension({fields})"
 
     def __str__(self) -> str:
         # Canonical rendering lives in the unit module; this is a debug form.
         parts = []
-        for field, a in zip(_BASE_FIELDS, self.as_tuple()):
+        for field, a in zip(_BASE_FIELDS, self._exponents):
             if a != 0:
                 parts.append(f"{field}^{a}" if a != 1 else field)
         return " ".join(parts) if parts else "dimensionless"
 
 
+def _reduced(value: Rational) -> Rational:
+    """An arithmetic result in canonical form (an integral ``Fraction`` becomes ``int``)."""
+    return value if type(value) is int or value.denominator != 1 else value.numerator
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _product(a: Dimension, b: Dimension) -> Dimension:
+    return _intern(tuple(_reduced(x + y) for x, y in zip(a._exponents, b._exponents)))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _quotient(a: Dimension, b: Dimension) -> Dimension:
+    return _intern(tuple(_reduced(x - y) for x, y in zip(a._exponents, b._exponents)))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _power(a: Dimension, numerator: int, denominator: int) -> Dimension:
+    # Keyed on the exponent's integer parts, which hash faster than a Fraction.
+    p = numerator if denominator == 1 else Fraction(numerator, denominator)
+    return _intern(tuple(_reduced(x * p) for x in a._exponents))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _inverse(a: Dimension) -> Dimension:
+    return _intern(tuple(-x for x in a._exponents))
+
+
 DIMENSIONLESS = Dimension()
-LENGTH = Dimension(length=Fraction(1))
-MASS = Dimension(mass=Fraction(1))
-TIME = Dimension(time=Fraction(1))
-CURRENT = Dimension(current=Fraction(1))
-TEMPERATURE = Dimension(temperature=Fraction(1))
-AMOUNT = Dimension(amount=Fraction(1))
-LUMINOSITY = Dimension(luminosity=Fraction(1))
+LENGTH = Dimension(length=1)
+MASS = Dimension(mass=1)
+TIME = Dimension(time=1)
+CURRENT = Dimension(current=1)
+TEMPERATURE = Dimension(temperature=1)
+AMOUNT = Dimension(amount=1)
+LUMINOSITY = Dimension(luminosity=1)
 
 FREQUENCY = DIMENSIONLESS / TIME
 SPEED = LENGTH / TIME
@@ -151,28 +246,64 @@ class UnitSystem(Enum):
     GAUSSIAN = "gaussian"
 
 
-@dataclass(frozen=True)
 class Quantity:
     """A finite real magnitude bound to a dimension and a unit system.
 
     Addition and subtraction require identical dimension and system;
     multiplication and division combine dimensions; rational powers scale
-    the exponent vector exactly.  Non-finite magnitudes are rejected at
-    construction so arithmetic overflow surfaces immediately.
+    the exponent vector exactly.  Quantities are immutable, and non-finite
+    magnitudes are rejected at construction, so arithmetic overflow
+    surfaces immediately.
     """
 
-    magnitude: float
-    dimension: Dimension = DIMENSIONLESS
-    system: UnitSystem = UnitSystem.SI
+    __slots__ = ("magnitude", "dimension", "system")
 
-    def __post_init__(self) -> None:
-        value = float(self.magnitude)
+    magnitude: float
+    dimension: Dimension
+    system: UnitSystem
+
+    def __init__(
+        self,
+        magnitude: float,
+        dimension: Dimension = DIMENSIONLESS,
+        system: UnitSystem = UnitSystem.SI,
+    ) -> None:
+        value = float(magnitude)
         if not math.isfinite(value):
             raise NonFiniteError(f"quantity magnitude must be finite, got {value!r}")
-        object.__setattr__(self, "magnitude", value)
+        _set_magnitude(self, value)
+        _set_dimension(self, dimension)
+        _set_system(self, system)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return Quantity, (self.magnitude, self.dimension, self.system)
+
+    def __repr__(self) -> str:
+        return (
+            f"Quantity(magnitude={self.magnitude!r}, dimension={self.dimension!r}, "
+            f"system={self.system!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Quantity:
+            return NotImplemented
+        return (self.magnitude, self.dimension, self.system) == (
+            other.magnitude,
+            other.dimension,
+            other.system,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.magnitude, self.dimension, self.system))
 
     def _check_same(self, other: Quantity, op: str) -> None:
-        if self.dimension != other.dimension:
+        if self.dimension is not other.dimension:
             raise DimensionMismatchError(
                 f"cannot {op} quantities of dimension [{self.dimension}] and [{other.dimension}]"
             )
@@ -232,21 +363,31 @@ class Quantity:
         return lhs.__truediv__(self)
 
     def __pow__(self, exponent: Rational) -> Quantity:
-        p = _as_fraction(exponent, "power")
+        p = _exponent(exponent, "power")
         dim = self.dimension**p
-        if p.denominator == 1:
-            return Quantity(self.magnitude ** int(p), dim, self.system)
-        if self.magnitude < 0:
+        if type(p) is not int and self.magnitude < 0:
             raise NegativeBaseError(
                 f"fractional power {p} of negative magnitude {self.magnitude!r}"
             )
-        return Quantity(self.magnitude ** float(p), dim, self.system)
+        try:
+            magnitude = self.magnitude ** (p if type(p) is int else float(p))
+        except OverflowError:
+            raise NonFiniteError(
+                f"quantity magnitude overflowed: {self.magnitude!r} ** {p}"
+            ) from None
+        return Quantity(magnitude, dim, self.system)
 
     def sqrt(self) -> Quantity:
         return self ** Fraction(1, 2)
 
     def __str__(self) -> str:
         return f"{self.magnitude:.12g} [{self.dimension}]"
+
+
+# The slot setters, which bypass the assignment guard in ``__setattr__``.
+_set_magnitude = Quantity.magnitude.__set__
+_set_dimension = Quantity.dimension.__set__
+_set_system = Quantity.system.__set__
 
 
 class QuantityKind(Enum):
@@ -286,7 +427,7 @@ _H = Fraction(1, 2)  # half-integer exponents of the Gaussian electromagnetic di
 
 
 def _gauss(length: Rational, mass: Rational, time: Rational) -> Dimension:
-    return Dimension(length=Fraction(length), mass=Fraction(mass), time=Fraction(time))
+    return Dimension(length=length, mass=mass, time=time)
 
 
 _KIND_TABLE: dict[QuantityKind, KindEntry] = {
@@ -352,7 +493,7 @@ def kind_dimension(kind: QuantityKind, system: UnitSystem = UnitSystem.SI) -> Di
 
 
 def _validate_kind_table() -> None:
-    seen: dict[tuple[Fraction, ...], QuantityKind] = {}
+    seen: dict[tuple[Rational, ...], QuantityKind] = {}
     for kind, entry in _KIND_TABLE.items():
         key = entry.si_dimension.as_tuple()
         if key in seen:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from io import StringIO
 import csv
+import math
 
 from .constants import ConstantRegistry, default_registry
 from .dimensions import Quantity, QuantityKind, UnitSystem, convert_system
@@ -73,6 +74,9 @@ class SweepConfig:
     g_factors: tuple[float, ...] = (2.0,)
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison, so finiteness is checked first.
+        if not (math.isfinite(self.kappa_min) and math.isfinite(self.kappa_max)):
+            raise ValueError("kappa_min and kappa_max must be finite")
         if self.kappa_min <= 0:
             raise ValueError("kappa_min must be > 0")
         if self.kappa_max < self.kappa_min:
@@ -88,6 +92,9 @@ class SweepConfig:
                 )
         if not self.g_factors:
             raise ValueError("at least one g-factor is required")
+        for g in self.g_factors:
+            if not (math.isfinite(g) and g > 0):
+                raise ValueError(f"g-factors must be finite and > 0, got {g!r}")
 
     def kappas(self) -> list[float]:
         span = self.kappa_max - self.kappa_min

@@ -85,6 +85,13 @@ class TestEstimate:
         result = run_cli("estimate", "--frobnicate")
         assert result.returncode == 2
 
+    def test_overflowing_g_factor_is_model_error(self):
+        result = run_cli("estimate", "--g-factor", "1e-300")
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
 
 class TestSweep:
     def test_csv_two_rows(self):
@@ -99,6 +106,16 @@ class TestSweep:
     def test_empty_conventions_usage_error(self):
         result = run_cli("sweep", "--conventions", "")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--kappa-max", "inf"), ("--kappa-min", "nan"), ("--g-factors", "inf")],
+    )
+    def test_non_finite_bound_is_usage_error(self, flag, value):
+        result = run_cli("sweep", flag, value)
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "must be finite" in result.stderr
 
     def test_unwritable_output_path(self):
         result = run_cli("sweep", "--points", "2", "--out", "/nonexistent/dir/sweep.csv")

@@ -1,16 +1,23 @@
+import copy
+import gc
 import math
+import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vacuumresponse import dimensions
 from vacuumresponse.dimensions import (
     CHARGE,
     DIMENSIONLESS,
     FREQUENCY,
     LENGTH,
     MASS,
+    MEMO_SIZE,
     PERMITTIVITY,
     TIME,
     Dimension,
@@ -83,6 +90,89 @@ class TestDimension:
         assert d.as_tuple() == start
 
 
+class TestInterning:
+    @given(v=st.lists(exponents, min_size=7, max_size=7))
+    def test_equal_vectors_are_one_object(self, v):
+        assert Dimension(*v) is Dimension(*v)
+
+    @given(a=dims, b=dims)
+    def test_quotient_of_product_is_the_operand(self, a, b):
+        assert (a * b) / b is a
+
+    def test_integral_exponents_are_ints(self):
+        half = Dimension(length=Fraction(1, 2))
+        assert type((half * half).length) is int
+        assert Dimension(mass=Fraction(4, 2)) is Dimension(mass=2)
+        assert (half**2).as_tuple() == (1, 0, 0, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "d", [DIMENSIONLESS, PERMITTIVITY, Dimension(length=Fraction(1, 7), time=-3)]
+    )
+    def test_pickle_and_copy_return_the_interned_object(self, d):
+        before = DIMENSIONLESS.as_tuple()
+        assert pickle.loads(pickle.dumps(d)) is d
+        assert copy.copy(d) is d
+        assert copy.deepcopy(d) is d
+        assert copy.deepcopy(Quantity(2.0, d)).dimension is d
+        assert Dimension() is DIMENSIONLESS
+        assert DIMENSIONLESS.as_tuple() == before == (0,) * 7
+
+    def test_float_exponents_rejected_by_every_entry_point(self):
+        with pytest.raises(TypeError):
+            Dimension(time=2.0)  # type: ignore[arg-type]
+        with pytest.raises(TypeError):
+            LENGTH**2.0  # type: ignore[operator]
+        with pytest.raises(TypeError):
+            Quantity(4.0, LENGTH) ** 0.5  # type: ignore[operator]
+
+    def test_threads_making_the_same_vectors_get_one_object(self):
+        vectors = [(Fraction(i, 9_973), 0, Fraction(-1, 11)) for i in range(1, 301)]
+        made: list[list[Dimension]] = [[] for _ in range(6)]
+        barrier = threading.Barrier(len(made), timeout=10)
+
+        def worker(out: list[Dimension]) -> None:
+            barrier.wait()
+            out.extend(Dimension(*v) for v in vectors)
+
+        threads = [threading.Thread(target=worker, args=(out,)) for out in made]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(out) == len(vectors) for out in made)
+        for column in zip(*made):
+            assert all(d is column[0] for d in column)
+
+    def test_memo_and_intern_tables_are_bounded(self):
+        memos = (dimensions._product, dimensions._quotient, dimensions._power, dimensions._inverse)
+        gc.collect()
+        baseline = len(dimensions._INTERNED)
+        step = Dimension(time=Fraction(1, 3))
+        results = []
+        for i in range(1, 10_001):
+            d = Dimension(length=Fraction(i, 10_007))
+            results.append((d * step, d / step, d**2, d.inverse()))
+        assert len(dimensions._INTERNED) - baseline > 30_000
+        for memo in memos:
+            info = memo.cache_info()
+            assert info.maxsize == MEMO_SIZE
+            assert info.currsize <= info.maxsize
+        del results, d
+        gc.collect()
+        # Each memo entry keeps at most its operand and its result alive.
+        assert len(dimensions._INTERNED) <= baseline + 2 * len(memos) * MEMO_SIZE
+        for memo in memos:
+            memo.cache_clear()
+        gc.collect()
+        assert len(dimensions._INTERNED) <= baseline
+
+
 class TestQuantity:
     def test_add(self):
         assert (metres(3) + metres(4)).magnitude == 7.0
@@ -105,6 +195,30 @@ class TestQuantity:
     def test_overflow_surfaces_as_non_finite(self):
         with pytest.raises(NonFiniteError):
             Quantity(1e308) * Quantity(1e308)
+
+    def test_power_overflow_surfaces_as_non_finite(self):
+        with pytest.raises(NonFiniteError):
+            Quantity(1e200) ** 2
+        with pytest.raises(NonFiniteError):
+            Quantity(1e-300) ** -2
+        with pytest.raises(NonFiniteError):
+            Quantity(1e200, LENGTH**2) ** Fraction(5, 2)
+
+    def test_immutable(self):
+        q = metres(1.0)
+        with pytest.raises(AttributeError):
+            q.magnitude = 2.0  # type: ignore[misc]
+        with pytest.raises(AttributeError):
+            del q.dimension
+        with pytest.raises(AttributeError):
+            LENGTH.length = 2  # type: ignore[misc]
+
+    def test_equality_and_hash(self):
+        assert metres(2.0) == Quantity(2.0, Dimension(length=1))
+        assert hash(metres(2.0)) == hash(Quantity(2.0, Dimension(length=1)))
+        assert metres(2.0) != seconds(2.0)
+        assert metres(2.0) != Quantity(2.0, LENGTH, UnitSystem.GAUSSIAN)
+        assert metres(2.0) != 2.0
 
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):

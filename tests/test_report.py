@@ -68,6 +68,23 @@ class TestRows:
         with pytest.raises(ValueError):
             SweepConfig(g_factors=())
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kappa_min": math.nan},
+            {"kappa_max": math.nan},
+            {"kappa_max": math.inf},
+            {"kappa_min": -math.inf},
+            {"g_factors": (2.0, math.inf)},
+            {"g_factors": (math.nan,)},
+            {"g_factors": (0.0,)},
+            {"g_factors": (-1.0,)},
+        ],
+    )
+    def test_config_rejects_non_finite_and_non_positive_bounds(self, kwargs):
+        with pytest.raises(ValueError):
+            SweepConfig(**kwargs)
+
 
 class TestSerialization:
     @pytest.fixture()
