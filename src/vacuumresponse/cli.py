@@ -13,7 +13,6 @@ import sys
 import warnings
 from pathlib import Path
 
-from .checks import render_report, run_dimension_checks
 from .constants import (
     ConstantRegistry,
     MalformedLineError,
@@ -57,7 +56,6 @@ from .species import (
     required_species_count,
     total_permittivity,
 )
-from .svgchart import Series, sweep_chart
 from .units import UnitParseError, format_dimension, parse_unit
 
 GAUSSIAN_NOTE = (
@@ -134,6 +132,8 @@ def _print_row_text(row: ReportRow, extra: list[tuple[str, str]]) -> None:
 def cmd_estimate(
     args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
 ) -> int:
+    if args.format == "text" and args.out is not None:
+        parser.error("--out requires --format csv or json for estimate")
     kappa = _positive_float(parser, "--gap-ratio", args.gap_ratio)
     g = _positive_float(parser, "--g-factor", args.g_factor)
     convention = args.convention
@@ -189,12 +189,8 @@ def cmd_estimate(
         _print_row_text(row, extra)
     elif args.format == "csv":
         _write_output(rows_to_csv([row]), args.out)
-        return 0
     else:
         _write_output(rows_to_json([row]), args.out)
-        return 0
-    if args.out is not None:
-        parser.error("--out requires --format csv or json for estimate")
     return 0
 
 
@@ -228,6 +224,9 @@ def cmd_sweep(
         print(GAUSSIAN_NOTE, file=sys.stderr)
 
     if args.format == "svg":
+        # Imported on use, so that csv/json and other subcommands start faster.
+        from .svgchart import Series, sweep_chart
+
         series = []
         for convention in config.conventions:
             for g in config.g_factors:
@@ -289,15 +288,18 @@ def cmd_species(
                 f"match_gap_{model.value:<9} ratio {format_float(match.gap_ratio)}  "
                 f"energy {_qty_text(match.gap_energy)}"
             )
-    print("\n".join(lines))
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_check_dimensions(
     args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
 ) -> int:
+    # Imported on use, so that the other subcommands start faster.
+    from .checks import render_report, run_dimension_checks
+
     results = run_dimension_checks(registry)
-    print(render_report(results))
+    _write_output(render_report(results) + "\n", args.out)
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -306,13 +308,15 @@ def cmd_constants(
 ) -> int:
     release = registry.codata_release or "unspecified"
     print(f"# codata release: {release}", file=sys.stderr)
+    lines: list[str] = []
     for record in registry.records():
         if record.source == "derived" and not args.derived:
             continue
         line = f"{record.key}\t{format_float(record.magnitude)}\t{record.unit_text}\t{record.source}"
         if record.definition:
             line += f"\t{record.definition}"
-        print(line)
+        lines.append(line + "\n")
+    _write_output("".join(lines), args.out)
     return 0
 
 
@@ -377,28 +381,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    warnings.simplefilter("always")
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    try:
-        registry = load_constants(args.constants) if args.constants else default_registry()
-    except (OSError, MalformedLineError, MissingConstantError, UnitParseError) as exc:
-        target = args.constants or "bundled constants"
-        print(f"error: cannot load constants from {target}: {exc}", file=sys.stderr)
-        return 1
+    # Every model guard warning is shown, but only for the length of this
+    # call: in-process callers keep their own warning filters.
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        try:
+            registry = load_constants(args.constants) if args.constants else default_registry()
+        except (OSError, MalformedLineError, MissingConstantError, UnitParseError) as exc:
+            target = args.constants or "bundled constants"
+            print(f"error: cannot load constants from {target}: {exc}", file=sys.stderr)
+            return 1
 
-    try:
-        return args.func(args, parser, registry)
-    except OSError as exc:
-        path = getattr(exc, "filename", None) or args.out or ""
-        print(f"error: {exc} ({path})", file=sys.stderr)
-        return 1
-    except (ValueError, MissingConstantError) as exc:
-        # Every model and table error derives from ValueError (field too
-        # strong, convention mismatch, malformed rows, unit parse failures).
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        try:
+            return args.func(args, parser, registry)
+        except OSError as exc:
+            path = getattr(exc, "filename", None) or args.out or ""
+            print(f"error: {exc} ({path})", file=sys.stderr)
+            return 1
+        except (ValueError, MissingConstantError) as exc:
+            # Every model and table error derives from ValueError (field too
+            # strong, convention mismatch, malformed rows, unit parse failures).
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ ratio matching a given table.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -98,6 +97,10 @@ def load_species(path: str | Path, registry: ConstantRegistry | None = None) -> 
     with ``#`` comments.  The optional mass column is in MeV and is converted
     to a mass quantity via the registry.
     """
+    # Imported here, not at the top: hashlib loads OpenSSL, which costs every
+    # CLI start that never reads a species table.
+    import hashlib
+
     reg = registry or default_registry()
     raw = Path(path).read_bytes()
     text = raw.decode("utf-8")

@@ -5,8 +5,6 @@ import subprocess
 
 import pytest
 
-from vacuumresponse.constants import bundled_constants_path
-
 from conftest import CLI
 
 
@@ -14,14 +12,6 @@ def run_cli(*args, **kwargs):
     return subprocess.run(
         [*CLI, *args], capture_output=True, text=True, timeout=120, **kwargs
     )
-
-
-@pytest.fixture(scope="module")
-def corrupted_constants(tmp_path_factory):
-    text = bundled_constants_path().read_text(encoding="utf-8")
-    path = tmp_path_factory.mktemp("bad") / "constants.tsv"
-    path.write_text(text.replace("A s / (V m)", "V/m"), encoding="utf-8")
-    return path
 
 
 class TestEstimate:

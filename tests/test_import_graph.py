@@ -1,0 +1,46 @@
+"""Cold start: importing the CLI loads only what every subcommand runs.
+
+Each invocation of ``vacuumresponse`` is a fresh interpreter, so every module
+imported at the top of the CLI is paid for on every start.  The set compared
+is what ``import vacuumresponse.cli`` adds on top of a bare interpreter, so
+modules that site hooks import in both are left out.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Stdlib packages that pull in the network and email stack.
+FORBIDDEN_PACKAGES = ("xml", "http", "email", "ssl", "socket")
+FORBIDDEN_MODULES = {
+    "urllib.request",
+    "hashlib",
+    "vacuumresponse.checks",
+    "vacuumresponse.svgchart",
+}
+
+
+def loaded_modules(statement):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+        check=True,
+    )
+    return set(result.stdout.split())
+
+
+def test_cli_import_skips_network_stack_and_unused_modules():
+    added = loaded_modules("import vacuumresponse.cli") - loaded_modules("pass")
+    assert "vacuumresponse.cli" in added
+    forbidden = {
+        name
+        for name in added
+        if name in FORBIDDEN_MODULES
+        or any(name == p or name.startswith(p + ".") for p in FORBIDDEN_PACKAGES)
+    }
+    assert not forbidden, f"import vacuumresponse.cli loads {sorted(forbidden)}"

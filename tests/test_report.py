@@ -4,6 +4,7 @@ import json
 import math
 import re
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -197,3 +198,22 @@ class TestSvgChart:
     def test_rejects_empty_series(self):
         with pytest.raises(ValueError):
             sweep_chart([], x_label="x", y_label="y")
+
+    def test_labels_escaped_like_saxutils(self):
+        labels = {
+            "x": "x & <gap> \"ratio\" 'k'",
+            "y": "y < 1 && y > 0 \"eps\" 'mu'",
+            "reference": "<ref> & \"measured\" 'value'",
+            "series": "cube & 'g' \"2\" <a>b",
+        }
+        chart = sweep_chart(
+            [Series(labels["series"], [(1.0, 0.5), (2.0, 0.7)])],
+            x_label=labels["x"],
+            y_label=labels["y"],
+            reference_y=1.0,
+            reference_label=labels["reference"],
+        )
+        for label in labels.values():
+            assert f">{escape(label)}</text>" in chart
+        texts = {el.text for el in ET.fromstring(chart).iter() if el.tag.endswith("text")}
+        assert set(labels.values()) <= texts
