@@ -1,90 +1,39 @@
 """Dimension-checked estimates of the vacuum's linear electromagnetic response."""
 
-from .constants import (
-    ConstantRecord,
-    ConstantRegistry,
-    compton_wavelength,
-    default_registry,
-    load_constants,
-    schwinger_field,
-)
-from .dimensions import (
-    Dimension,
-    Quantity,
-    QuantityKind,
-    UnitSystem,
-    convert_system,
-)
-from .model import (
-    FieldProbe,
-    OscillatorParams,
-    RadiusRule,
-    Shape,
-    VacuumResponse,
-    VolumeConvention,
-    effective_radius,
-    effective_volume,
-    fine_structure_form,
-    maxwell_closure,
-    mean_square_orbit_radius,
-    pair_magnetic_moment,
-    permeability_estimate,
-    permittivity_estimate,
-    vacuum_polarization,
-)
-from .species import (
-    ParticleSpecies,
-    SpeciesModel,
-    SpeciesTable,
-    charge_weighted_sum,
-    default_species_table,
-    gap_for_exact_match,
-    load_species,
-    required_species_count,
-    total_permittivity,
-)
-from .units import format_dimension, parse_unit, quantity
+import importlib
+
+# The public names by module.  Each is loaded on first use (PEP 562), so
+# that importing one module of the package does not import all of them.
+_EXPORTS = {
+    "constants": (
+        "ConstantRecord", "ConstantRegistry", "compton_wavelength", "default_registry",
+        "load_constants", "schwinger_field",
+    ),
+    "dimensions": ("Dimension", "Quantity", "QuantityKind", "UnitSystem", "convert_system"),
+    "model": (
+        "FieldProbe", "OscillatorParams", "RadiusRule", "Shape", "VacuumResponse",
+        "VolumeConvention", "effective_radius", "effective_volume", "fine_structure_form",
+        "maxwell_closure", "mean_square_orbit_radius", "pair_magnetic_moment",
+        "permeability_estimate", "permittivity_estimate", "vacuum_polarization",
+    ),
+    "species": (
+        "ParticleSpecies", "SpeciesModel", "SpeciesTable", "charge_weighted_sum",
+        "default_species_table", "gap_for_exact_match", "load_species",
+        "required_species_count", "total_permittivity",
+    ),
+    "units": ("format_dimension", "parse_unit", "quantity"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstantRecord",
-    "ConstantRegistry",
-    "Dimension",
-    "FieldProbe",
-    "OscillatorParams",
-    "ParticleSpecies",
-    "Quantity",
-    "QuantityKind",
-    "RadiusRule",
-    "Shape",
-    "SpeciesModel",
-    "SpeciesTable",
-    "UnitSystem",
-    "VacuumResponse",
-    "VolumeConvention",
-    "charge_weighted_sum",
-    "compton_wavelength",
-    "convert_system",
-    "default_registry",
-    "default_species_table",
-    "effective_radius",
-    "effective_volume",
-    "fine_structure_form",
-    "format_dimension",
-    "gap_for_exact_match",
-    "load_constants",
-    "load_species",
-    "maxwell_closure",
-    "mean_square_orbit_radius",
-    "pair_magnetic_moment",
-    "permeability_estimate",
-    "permittivity_estimate",
-    "parse_unit",
-    "quantity",
-    "required_species_count",
-    "schwinger_field",
-    "total_permittivity",
-    "vacuum_polarization",
-    "__version__",
-]
+__all__ = [*sorted(_HOME), "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -30,6 +30,7 @@ from .dimensions import (
 from .model import (
     FieldProbe,
     OscillatorParams,
+    Shape,
     fine_structure_form,
     induced_dipole_moment,
     maxwell_closure,
@@ -182,7 +183,8 @@ def cmd_estimate(
     if args.units == "gaussian":
         row = to_gaussian(row)
         print(GAUSSIAN_NOTE, file=sys.stderr)
-    print(DEVIATION_NOTE, file=sys.stderr)
+    if params.volume_convention.shape is Shape.CUBE:
+        print(DEVIATION_NOTE, file=sys.stderr)
     print(COUNT_NOTE, file=sys.stderr)
 
     if args.format == "text":
@@ -265,7 +267,8 @@ def cmd_species(
     print(COUNT_NOTE, file=sys.stderr)
 
     lines: list[str] = []
-    lines.append(f"species_file        {table.path}")
+    # The bundled table is named, not located, so stdout is the same in every checkout.
+    lines.append(f"species_file        {args.species or 'bundled:' + path.name}")
     lines.append(f"sha256              {table.sha256}")
     lines.append(f"rows                {len(table)}")
     lines.append(f"charge_weighted_sum {weight} ({format_float(float(weight))})")
@@ -381,6 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # argparse ends a usage error (exit 2) and --help (exit 0) with
+    # SystemExit; in-process callers get that code as the return value.
+    try:
+        return _run(argv)
+    except SystemExit as exc:
+        return 0 if exc.code is None else exc.code
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 

@@ -4,25 +4,35 @@ A :class:`Dimension` is a vector of exact rational exponents over
 (length, mass, time, electric current, temperature, amount of substance,
 luminous intensity).  Multiplication, division and rational powers act
 component-wise on the exponents, so dimensions form an abelian group with
-the dimensionless vector as identity.  Exponents stay exact: integral ones
-are stored as ``int`` and the rest as reduced :class:`~fractions.Fraction`
-values, because the unit parser accepts any rational power (``m^1/7``) and
-half-integer exponents occur both in Gaussian electromagnetic dimensions
-and in square-root geometry factors.  Floats, or a fixed common
-denominator, would silently lose exactness.
+the dimensionless vector as identity.  Exponents stay exact, because the
+unit parser accepts any rational power (``m^1/7``) and half-integer
+exponents occur both in Gaussian electromagnetic dimensions and in
+square-root geometry factors; floats would silently lose exactness.
+
+Each dimension stores one canonical key of plain ints, ``(den, n_length,
+..., n_luminosity)``: exponent i is ``n_i / den``, where ``den`` is a
+common denominator of this one dimension (not a fixed global one, which
+would cap the powers it can hold) and the key is divided by
+``gcd(den, n_1, ..., n_7)``.  So the key is exact and unique per vector,
+and the arithmetic that makes a new dimension adds, multiplies and hashes
+small ints at C speed (``math.lcm`` when denominators differ), with no
+:class:`~fractions.Fraction` on the way.  The public exponents
+(:meth:`Dimension.as_tuple`, ``.length`` and the other components) are
+``int`` when integral and a reduced ``Fraction`` otherwise, built from the
+key when read.
 
 Dimensions are interned: while a dimension is alive, every vector equal to
 it is the same object, so equality and hashing are by identity and run at
 C speed.  The intern table is a :class:`weakref.WeakValueDictionary` keyed
-on the canonical exponent tuple.  It is weak so that it holds exactly the
+on the canonical int key.  It is weak so that it holds exactly the
 dimensions still in use: a strong table would grow without bound, and a
 strong table that was cleared when full would let two live objects stand
 for one vector and break identity equality.  Pickling and copying go back
 through the constructor and hence through the table.
 
 ``*``, ``/``, ``**`` and :meth:`Dimension.inverse` look their results up
-in memo tables keyed on the interned operands, so the exact ``Fraction``
-arithmetic runs once per distinct operation rather than once per use.  The
+in memo tables keyed on the interned operands, so the key arithmetic runs
+once per distinct operation rather than once per use.  The
 memo tables are :func:`functools.lru_cache` tables of fixed size
 (``MEMO_SIZE``): a workload with ever-new dimensions, such as parsing
 unrelated unit expressions, evicts old entries instead of growing the
@@ -45,11 +55,12 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from math import gcd, lcm
+from operator import add, sub
+from typing import Callable, NamedTuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -100,32 +111,51 @@ def _exponent(value: Rational, field: str) -> Rational:
     )
 
 
-_INTERNED: weakref.WeakValueDictionary[tuple[Rational, ...], Dimension] = (
-    weakref.WeakValueDictionary()
-)
+# A dimension's canonical key is ``(den, n_length, ..., n_luminosity)``, all
+# ``int``: exponent i is ``n_i / den``, ``den >= 1`` and
+# ``gcd(den, n_length, ..., n_luminosity) == 1``.
+_Key = tuple[int, ...]
+
+_INTERNED: weakref.WeakValueDictionary[_Key, Dimension] = weakref.WeakValueDictionary()
 # Two threads making the same new vector must get one object.
 _INTERN_LOCK = threading.Lock()
 
 
-def _intern(exponents: tuple[Rational, ...]) -> Dimension:
-    """The live dimension with these canonical exponents, made if there is none."""
+def _intern(key: _Key) -> Dimension:
+    """The live dimension with this canonical key, made if there is none."""
     with _INTERN_LOCK:
-        dim = _INTERNED.get(exponents)
+        dim = _INTERNED.get(key)
         if dim is None:
             dim = object.__new__(Dimension)
-            dim._exponents = exponents
-            _INTERNED[exponents] = dim
+            dim._key = key
+            _INTERNED[key] = dim
     return dim
 
 
+def _intern_reduced(den: int, numerators: list[int]) -> Dimension:
+    """The dimension with exponents ``n / den``, after dividing out their common factor."""
+    g = gcd(den, *numerators)
+    if g != 1:
+        return _intern((den // g, *[n // g for n in numerators]))
+    return _intern((den, *numerators))
+
+
+def _ratio(numerator: int, den: int) -> Rational:
+    """One exponent in canonical form: ``int`` when integral, else a reduced ``Fraction``."""
+    if den == 1:
+        return numerator
+    value = Fraction(numerator, den)
+    return value.numerator if value.denominator == 1 else value
+
+
 def _component(index: int) -> property:
-    return property(lambda self: self._exponents[index])
+    return property(lambda self: _ratio(self._key[index], self._key[0]))
 
 
 class Dimension:
     """Interned vector of exact rational exponents over the seven SI base dimensions."""
 
-    __slots__ = ("_exponents", "__weakref__")
+    __slots__ = ("_key", "__weakref__")
 
     def __new__(
         cls,
@@ -138,21 +168,28 @@ class Dimension:
         luminosity: Rational = 0,
     ) -> Dimension:
         values = (length, mass, time, current, temperature, amount, luminosity)
-        return _intern(tuple(map(_exponent, values, _BASE_FIELDS)))
+        exponents = tuple(map(_exponent, values, _BASE_FIELDS))
+        # The least common denominator of reduced exponents leaves no common factor.
+        den = lcm(*[e.denominator for e in exponents])
+        return _intern((den, *[e.numerator * (den // e.denominator) for e in exponents]))
 
-    length = _component(0)
-    mass = _component(1)
-    time = _component(2)
-    current = _component(3)
-    temperature = _component(4)
-    amount = _component(5)
-    luminosity = _component(6)
+    length = _component(1)
+    mass = _component(2)
+    time = _component(3)
+    current = _component(4)
+    temperature = _component(5)
+    amount = _component(6)
+    luminosity = _component(7)
 
     def __reduce__(self) -> tuple:
-        return Dimension, self._exponents
+        return Dimension, self.as_tuple()
 
     def as_tuple(self) -> tuple[Rational, ...]:
-        return self._exponents
+        key = self._key
+        den = key[0]
+        if den == 1:
+            return key[1:]
+        return tuple([_ratio(n, den) for n in key[1:]])
 
     def __mul__(self, other: Dimension) -> Dimension:
         if not isinstance(other, Dimension):
@@ -176,43 +213,52 @@ class Dimension:
         return self is DIMENSIONLESS
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={a!r}" for f, a in zip(_BASE_FIELDS, self._exponents))
+        fields = ", ".join(f"{f}={a!r}" for f, a in zip(_BASE_FIELDS, self.as_tuple()))
         return f"Dimension({fields})"
 
     def __str__(self) -> str:
         # Canonical rendering lives in the unit module; this is a debug form.
         parts = []
-        for field, a in zip(_BASE_FIELDS, self._exponents):
+        for field, a in zip(_BASE_FIELDS, self.as_tuple()):
             if a != 0:
                 parts.append(f"{field}^{a}" if a != 1 else field)
         return " ".join(parts) if parts else "dimensionless"
 
 
-def _reduced(value: Rational) -> Rational:
-    """An arithmetic result in canonical form (an integral ``Fraction`` becomes ``int``)."""
-    return value if type(value) is int or value.denominator != 1 else value.numerator
+def _sum(a: _Key, b: _Key, op: Callable[[int, int], int]) -> Dimension:
+    """The dimension with exponents ``op(a_i, b_i)``, for ``op`` one of add and sub."""
+    da, db = a[0], b[0]
+    if da == db:
+        numerators = list(map(op, a[1:], b[1:]))
+        if da == 1:
+            return _intern((1, *numerators))
+        return _intern_reduced(da, numerators)
+    den = lcm(da, db)
+    fa, fb = den // da, den // db
+    return _intern_reduced(den, [op(x * fa, y * fb) for x, y in zip(a[1:], b[1:])])
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _product(a: Dimension, b: Dimension) -> Dimension:
-    return _intern(tuple(_reduced(x + y) for x, y in zip(a._exponents, b._exponents)))
+    return _sum(a._key, b._key, add)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _quotient(a: Dimension, b: Dimension) -> Dimension:
-    return _intern(tuple(_reduced(x - y) for x, y in zip(a._exponents, b._exponents)))
+    return _sum(a._key, b._key, sub)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _power(a: Dimension, numerator: int, denominator: int) -> Dimension:
     # Keyed on the exponent's integer parts, which hash faster than a Fraction.
-    p = numerator if denominator == 1 else Fraction(numerator, denominator)
-    return _intern(tuple(_reduced(x * p) for x in a._exponents))
+    key = a._key
+    return _intern_reduced(key[0] * denominator, [n * numerator for n in key[1:]])
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _inverse(a: Dimension) -> Dimension:
-    return _intern(tuple(-x for x in a._exponents))
+    key = a._key
+    return _intern((key[0], *[-n for n in key[1:]]))
 
 
 DIMENSIONLESS = Dimension()
@@ -275,10 +321,16 @@ class Quantity:
         _set_dimension(self, dimension)
         _set_system(self, system)
 
+    # dataclasses is imported on use: it loads inspect and ast, which a
+    # process that only does unit algebra does not otherwise need.
     def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
@@ -409,8 +461,7 @@ class QuantityKind(Enum):
     DIMENSIONLESS = "dimensionless"
 
 
-@dataclass(frozen=True)
-class KindEntry:
+class KindEntry(NamedTuple):
     si_dimension: Dimension
     gaussian_dimension: Dimension
     si_to_gaussian: float

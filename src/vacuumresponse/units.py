@@ -13,13 +13,17 @@ exactly one following factor or parenthesized group, so "a/b c" parses as
 a prefixed reading ("mN" = milli-newton) is used only when the bare symbol
 does not exist; prefixes are matched longest first ("da" before "d").
 The micro sign and Greek mu are accepted as "u".
+
+The parser builds no syntax tree: each rule returns the (scale, dimension)
+of what it has read, and products and quotients combine left to right as
+they are read.  A syntax error anywhere in the text is reported in
+preference to an unknown unit or a scale overflow before it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple
 
 from .dimensions import (
     AMOUNT,
@@ -65,8 +69,7 @@ class UnitSyntaxError(UnitParseError):
         super().__init__(f"syntax error at position {position}: expected {what}")
 
 
-@dataclass(frozen=True)
-class UnitEntry:
+class UnitEntry(NamedTuple):
     symbol: str
     scale: float
     dimension: Dimension
@@ -166,80 +169,15 @@ def _resolve_symbol(symbol: str, position: int) -> tuple[float, Dimension]:
     raise UnknownUnitError(symbol, position)
 
 
-# --- abstract syntax tree ------------------------------------------------
-
-UnitNode = Union["BaseUnit", "Product", "Quotient", "Power", "Group"]
-
-
-@dataclass(frozen=True)
-class BaseUnit:
-    symbol: str
-    position: int
-
-
-@dataclass(frozen=True)
-class Product:
-    left: UnitNode
-    right: UnitNode
-
-
-@dataclass(frozen=True)
-class Quotient:
-    numerator: UnitNode
-    denominator: UnitNode
-
-
-@dataclass(frozen=True)
-class Power:
-    base: UnitNode
-    exponent: Fraction
-
-
-@dataclass(frozen=True)
-class Group:
-    child: UnitNode
-
-
-@dataclass(frozen=True)
-class One:
-    position: int
-
-
-def evaluate(node: UnitNode | One) -> tuple[float, Dimension]:
-    if isinstance(node, BaseUnit):
-        return _resolve_symbol(node.symbol, node.position)
-    if isinstance(node, One):
-        return 1.0, DIMENSIONLESS
-    if isinstance(node, Product):
-        ls, ld = evaluate(node.left)
-        rs, rd = evaluate(node.right)
-        return ls * rs, ld * rd
-    if isinstance(node, Quotient):
-        ls, ld = evaluate(node.numerator)
-        rs, rd = evaluate(node.denominator)
-        return ls / rs, ld / rd
-    if isinstance(node, Power):
-        s, d = evaluate(node.base)
-        return s ** float(node.exponent), d**node.exponent
-    if isinstance(node, Group):
-        return evaluate(node.child)
-    raise TypeError(f"not a unit AST node: {node!r}")
-
-
 # --- tokenizer -----------------------------------------------------------
 
-_SYMBOL_EXTRA = "µμ"  # micro sign, Greek mu
 
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) triples.
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "sym", "int", "op", "end"
-    text: str
-    position: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+    The kind is "sym", "int", "end", or the operator character itself.
+    """
+    tokens: list[tuple[str, str, int]] = []
     i = 0
     n = len(text)
     while i < n:
@@ -248,133 +186,137 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if ch == "·":  # middle dot multiplication
-            tokens.append(_Token("op", "*", i))
+            tokens.append(("*", "*", i))
             i += 1
             continue
-        if ch in "*/^()":
-            tokens.append(_Token("op", ch, i))
+        if ch in "*/^()+-":
+            tokens.append((ch, ch, i))
             i += 1
             continue
         if ch.isdigit():
             start = i
             while i < n and text[i].isdigit():
                 i += 1
-            tokens.append(_Token("int", text[start:i], start))
+            tokens.append(("int", text[start:i], start))
             continue
-        if ch.isalpha() or ch in _SYMBOL_EXTRA:
+        if ch.isalpha():  # the micro sign and Greek mu are letters too
             start = i
-            while i < n and (text[i].isalpha() or text[i] in _SYMBOL_EXTRA):
+            while i < n and text[i].isalpha():
                 i += 1
-            tokens.append(_Token("sym", text[start:i], start))
-            continue
-        if ch in "+-":
-            tokens.append(_Token("op", ch, i))
-            i += 1
+            tokens.append(("sym", text[start:i], start))
             continue
         raise UnitSyntaxError(i, ("unit symbol", "operator"))
-    tokens.append(_Token("end", "", n))
+    tokens.append(("end", "", n))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
+    """Recursive descent that evaluates as it goes: each rule returns (scale, dimension).
+
+    Products and quotients combine left to right, so a scale is the same
+    float, operation for operation, as a left-associative evaluation of the
+    expression.  With ``evaluate`` false, every symbol reads as a
+    dimensionless 1 and powers are skipped, so only the syntax can raise.
+    """
+
+    def __init__(self, tokens: list[tuple[str, str, int]], evaluate: bool) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.evaluate = evaluate
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def parse(self) -> tuple[float, Dimension]:
+        result = self.expr()
+        kind, _, position = self.tokens[self.pos]
+        if kind != "end":
+            raise UnitSyntaxError(position, ("end of input",))
+        return result
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def parse(self) -> UnitNode | One:
-        node = self.parse_expr()
-        tail = self.peek()
-        if tail.kind != "end":
-            raise UnitSyntaxError(tail.position, ("end of input",))
-        return node
-
-    def parse_expr(self) -> UnitNode | One:
-        node: UnitNode | One = self.parse_factor()
+    def expr(self) -> tuple[float, Dimension]:
+        scale, dim = self.factor()
+        tokens = self.tokens
         while True:
-            token = self.peek()
-            if token.kind == "op" and token.text == "*":
-                self.advance()
-                node = Product(node, self.parse_factor())
-            elif token.kind == "op" and token.text == "/":
-                self.advance()
-                node = Quotient(node, self.parse_factor())
-            elif token.kind in ("sym", "int") or (token.kind == "op" and token.text == "("):
-                node = Product(node, self.parse_factor())
+            kind = tokens[self.pos][0]
+            if kind == "/":
+                self.pos += 1
+                s, d = self.factor()
+                scale, dim = scale / s, dim / d
+            elif kind == "*":
+                self.pos += 1
+                s, d = self.factor()
+                scale, dim = scale * s, dim * d
+            elif kind == "sym" or kind == "int" or kind == "(":
+                s, d = self.factor()
+                scale, dim = scale * s, dim * d
             else:
-                break
-        return node
+                return scale, dim
 
-    def parse_factor(self) -> UnitNode | One:
-        node = self.parse_primary()
-        token = self.peek()
-        if token.kind == "op" and token.text == "^":
-            self.advance()
-            exponent = self.parse_exponent()
-            node = Power(node, exponent)
-        return node
+    def factor(self) -> tuple[float, Dimension]:
+        scale, dim = self.primary()
+        if self.tokens[self.pos][0] != "^":
+            return scale, dim
+        self.pos += 1
+        numerator, denominator = self.exponent()
+        if not self.evaluate:
+            return scale, dim
+        power = numerator if denominator == 1 else Fraction(numerator, denominator)
+        return scale ** (numerator / denominator), dim**power
 
-    def parse_primary(self) -> UnitNode | One:
-        token = self.peek()
-        if token.kind == "op" and token.text == "(":
-            self.advance()
-            child = self.parse_expr()
-            closing = self.peek()
-            if not (closing.kind == "op" and closing.text == ")"):
-                raise UnitSyntaxError(closing.position, (")",))
-            self.advance()
-            return Group(child)
-        if token.kind == "sym":
-            self.advance()
-            return BaseUnit(token.text, token.position)
-        if token.kind == "int" and token.text == "1":
-            self.advance()
-            return One(token.position)
-        raise UnitSyntaxError(token.position, ("unit symbol", "("))
+    def primary(self) -> tuple[float, Dimension]:
+        kind, text, position = self.tokens[self.pos]
+        if kind == "(":
+            self.pos += 1
+            result = self.expr()
+            kind, _, position = self.tokens[self.pos]
+            if kind != ")":
+                raise UnitSyntaxError(position, (")",))
+            self.pos += 1
+            return result
+        if kind == "sym":
+            self.pos += 1
+            return _resolve_symbol(text, position) if self.evaluate else (1.0, DIMENSIONLESS)
+        if kind == "int" and text == "1":
+            self.pos += 1
+            return 1.0, DIMENSIONLESS
+        raise UnitSyntaxError(position, ("unit symbol", "("))
 
-    def parse_exponent(self) -> Fraction:
+    def exponent(self) -> tuple[int, int]:
+        """The exponent as (numerator, denominator), signed numerator, denominator > 0."""
         sign = 1
-        token = self.peek()
-        if token.kind == "op" and token.text in "+-":
-            self.advance()
-            if token.text == "-":
+        kind, text, position = self.tokens[self.pos]
+        if kind == "+" or kind == "-":
+            self.pos += 1
+            if kind == "-":
                 sign = -1
-            token = self.peek()
-        if token.kind != "int":
-            raise UnitSyntaxError(token.position, ("integer exponent",))
-        self.advance()
-        numerator = int(token.text)
-        token = self.peek()
-        if token.kind == "op" and token.text == "/":
+            kind, text, position = self.tokens[self.pos]
+        if kind != "int":
+            raise UnitSyntaxError(position, ("integer exponent",))
+        self.pos += 1
+        numerator = sign * int(text)
+        if self.tokens[self.pos][0] == "/":
             # Only a directly following integer makes this a rational exponent;
             # otherwise the slash belongs to the enclosing expression.
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind == "int":
-                denominator = int(nxt.text)
+            kind, text, position = self.tokens[self.pos + 1]
+            if kind == "int":
+                denominator = int(text)
                 if denominator == 0:
-                    raise UnitSyntaxError(nxt.position, ("nonzero exponent denominator",))
-                self.advance()
-                self.advance()
-                return Fraction(sign * numerator, denominator)
-        return Fraction(sign * numerator)
-
-
-def parse_unit_ast(text: str) -> UnitNode | One:
-    if not text or not text.strip():
-        raise EmptyInputError()
-    return _Parser(_tokenize(text)).parse()
+                    raise UnitSyntaxError(position, ("nonzero exponent denominator",))
+                self.pos += 2
+                return numerator, denominator
+        return numerator, 1
 
 
 def parse_unit(text: str) -> tuple[float, Dimension]:
     """Parse a unit expression into (scale to the SI coherent unit, dimension)."""
-    return evaluate(parse_unit_ast(text))
+    if not text or not text.strip():
+        raise EmptyInputError()
+    tokens = _tokenize(text)
+    try:
+        return _Parser(tokens, evaluate=True).parse()
+    except (UnknownUnitError, ArithmeticError):
+        # A syntax error anywhere in the text wins over an unknown unit or a
+        # scale overflow before it, so look for one without evaluating.
+        _Parser(tokens, evaluate=False).parse()
+        raise
 
 
 def quantity(magnitude: float, unit: str) -> Quantity:

@@ -2,10 +2,12 @@
 
 import subprocess
 import warnings
+from pathlib import Path
 
 import pytest
 
-from vacuumresponse.cli import main
+import vacuumresponse
+from vacuumresponse.cli import DEVIATION_NOTE, main
 from vacuumresponse.model import WeakFieldWarning
 
 from conftest import CLI
@@ -13,9 +15,7 @@ from conftest import CLI
 
 def test_estimate_text_rejects_out_before_any_output(tmp_path, capsys):
     out = tmp_path / "estimate.txt"
-    with pytest.raises(SystemExit) as exit_info:
-        main(["estimate", "--out", str(out)])
-    assert exit_info.value.code == 2
+    assert main(["estimate", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--out requires --format csv or json" in captured.err
@@ -62,3 +62,44 @@ def test_main_leaves_warning_filters_unchanged():
     result = subprocess.run([*CLI, *argv], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0
     assert "WeakFieldWarning: field 1.000e+17 V/m exceeds 0.01 of the critical field" in result.stderr
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["sweep", "--g-factors", "2,x"], "--g-factors: bad value 'x'"),
+        (["estimate", "--probe-field", "1 V/m^"], "--probe-field: syntax error"),
+    ],
+    ids=["g-factors", "probe-field"],
+)
+def test_usage_error_returns_two(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_help_prints_and_returns_zero(capsys):
+    assert main(["estimate", "--help"]) == 0
+    assert "--probe-field" in capsys.readouterr().out
+
+
+def test_species_names_the_bundled_table_not_its_path(tmp_path, capsys):
+    assert main(["species"]) == 0
+    printed = capsys.readouterr().out
+    assert "species_file        bundled:species.tsv\n" in printed
+    assert str(Path(vacuumresponse.__file__).parent) not in printed
+
+    table = tmp_path / "electron.tsv"
+    table.write_text("electron\t-1\t1\n", encoding="utf-8")
+    assert main(["species", "--species", str(table)]) == 0
+    assert f"species_file        {table}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    ("convention", "noted"),
+    [("cube", True), ("cube-compton", True), ("cube-half-compton", True), ("sphere", False)],
+)
+def test_deviation_note_only_for_cube_conventions(capsys, convention, noted):
+    assert main(["estimate", "--convention", convention]) == 0
+    assert (DEVIATION_NOTE in capsys.readouterr().err) is noted

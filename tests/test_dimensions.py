@@ -173,6 +173,52 @@ class TestInterning:
         assert len(dimensions._INTERNED) <= baseline
 
 
+FIELDS = ("length", "mass", "time", "current", "temperature", "amount", "luminosity")
+rationals = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+
+
+def canonical(x):
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+class TestRepresentation:
+    @given(v=st.lists(rationals, min_size=7, max_size=7))
+    def test_exponents_are_reduced_with_int_exactly_where_integral(self, v):
+        d = Dimension(*v)
+        got = d.as_tuple()
+        assert got == tuple(canonical(x) for x in v)
+        for x, e in zip(v, got):
+            assert type(e) is (int if Fraction(x).denominator == 1 else Fraction)
+        assert tuple(getattr(d, f) for f in FIELDS) == got
+
+    def test_mixed_denominators_add_exactly(self):
+        a = Dimension(length=Fraction(1, 2), time=Fraction(-1, 4))
+        b = Dimension(length=Fraction(1, 3), mass=Fraction(2, 5))
+        assert (a * b).as_tuple() == (Fraction(5, 6), Fraction(2, 5), Fraction(-1, 4), 0, 0, 0, 0)
+        assert (a / b).as_tuple() == (Fraction(1, 6), Fraction(-2, 5), Fraction(-1, 4), 0, 0, 0, 0)
+
+    def test_sum_reduces_back_to_int(self):
+        d = Dimension(length=Fraction(1, 6)) * Dimension(length=Fraction(5, 6))
+        assert d is LENGTH
+        assert type(d.length) is int
+        assert (Dimension(time=Fraction(2, 3)) * Dimension(time=Fraction(1, 3))).as_tuple() == (
+            0, 0, 1, 0, 0, 0, 0
+        )
+
+    def test_zero_and_negative_rational_powers(self):
+        d = Dimension(length=Fraction(2, 3), mass=-4, current=Fraction(1, 2))
+        assert d**0 is DIMENSIONLESS
+        assert d ** Fraction(0, 5) is DIMENSIONLESS
+        assert (d ** Fraction(-3, 4)).as_tuple() == (
+            Fraction(-1, 2), 3, 0, Fraction(-3, 8), 0, 0, 0
+        )
+        assert type((d ** Fraction(-3, 4)).mass) is int
+        assert (d ** Fraction(-3, 4)) ** Fraction(-4, 3) is d
+
 class TestQuantity:
     def test_add(self):
         assert (metres(3) + metres(4)).magnitude == 7.0

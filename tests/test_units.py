@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from vacuumresponse.dimensions import (
     PERMITTIVITY,
     Dimension,
 )
+from vacuumresponse import units
 from vacuumresponse.units import (
     EmptyInputError,
     UnitSyntaxError,
@@ -19,6 +22,8 @@ from vacuumresponse.units import (
     parse_unit,
     quantity,
 )
+
+DATA = Path(__file__).parent / "data"
 
 exponents = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 dims = st.builds(Dimension, *[exponents] * 7)
@@ -162,3 +167,46 @@ class TestFormat:
             scale, parsed = parse_unit(format_dimension(d))
             assert scale == 1.0
             assert parsed == d
+
+
+def _fixture(name):
+    return json.loads((DATA / name).read_text(encoding="utf-8"))
+
+
+class TestRecordedBehaviour:
+    """Fixtures recorded from the parser that built a syntax tree and then
+    evaluated it; the parser that evaluates while it descends must agree.
+
+    ``unit_parse_corpus.json`` holds 300 seeded expressions (rational powers,
+    groups, prefixes, both micro signs, the middle dot, ``^+2``, ``^1/2/s``)
+    with ``repr(scale)`` and the exponents; ``unit_parse_errors.json`` holds
+    malformed inputs with the error class, ``position`` and ``expected``.
+    """
+
+    @pytest.mark.parametrize("text, scale, exponents", _fixture("unit_parse_corpus.json"))
+    def test_scale_and_exponents_bit_identical(self, text, scale, exponents):
+        got_scale, dim = parse_unit(text)
+        assert repr(got_scale) == scale
+        assert [str(e) for e in dim.as_tuple()] == exponents
+
+    @pytest.mark.parametrize("text, error, position, expected", _fixture("unit_parse_errors.json"))
+    def test_malformed_input_error(self, text, error, position, expected):
+        with pytest.raises(getattr(units, error)) as info:
+            parse_unit(text)
+        assert type(info.value) is getattr(units, error)
+        assert getattr(info.value, "position", None) == position
+        got = getattr(info.value, "expected", None)
+        assert (list(got) if got is not None else None) == expected
+
+    def test_syntax_error_wins_over_earlier_evaluation_errors(self):
+        # "foo" is unknown and 1e24**1000 overflows, but the text does not parse.
+        for text in ("foo (", "Ym^1000 (", "m/ym^1000 ("):
+            with pytest.raises(UnitSyntaxError):
+                parse_unit(text)
+        with pytest.raises(UnknownUnitError):
+            parse_unit("foo m")
+
+    def test_long_flat_product(self):
+        scale, dim = parse_unit(" ".join(["s"] * 3000))
+        assert scale == 1.0
+        assert dim == Dimension(time=3000)
