@@ -9,9 +9,9 @@ _EXPORTS = {
         "ConstantRecord", "ConstantRegistry", "compton_wavelength", "default_registry",
         "load_constants", "schwinger_field",
     ),
-    "dimensions": ("Dimension", "Quantity", "QuantityKind", "UnitSystem", "convert_system"),
+    "dimensions": ("Dimension", "Quantity"),
     "model": (
-        "FieldProbe", "OscillatorParams", "RadiusRule", "Shape", "VacuumResponse",
+        "OscillatorParams", "RadiusRule", "Shape", "VacuumResponse",
         "VolumeConvention", "effective_radius", "effective_volume", "fine_structure_form",
         "maxwell_closure", "mean_square_orbit_radius", "pair_magnetic_moment",
         "permeability_estimate", "permittivity_estimate", "vacuum_polarization",
@@ -21,7 +21,7 @@ _EXPORTS = {
         "default_species_table", "gap_for_exact_match", "load_species",
         "required_species_count", "total_permittivity",
     ),
-    "units": ("format_dimension", "parse_unit", "quantity"),
+    "units": ("format_dimension", "parse_unit", "quantity", "render_quantity"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -20,15 +20,8 @@ from .constants import (
     default_registry,
     load_constants,
 )
-from .dimensions import (
-    ELECTRIC_FIELD,
-    Quantity,
-    QuantityKind,
-    UnitSystem,
-    convert_system,
-)
+from .dimensions import ELECTRIC_FIELD, Quantity
 from .model import (
-    FieldProbe,
     OscillatorParams,
     Shape,
     fine_structure_form,
@@ -46,7 +39,6 @@ from .report import (
     rows_to_csv,
     rows_to_json,
     sweep_rows,
-    to_gaussian,
 )
 from .species import (
     SpeciesModel,
@@ -57,7 +49,7 @@ from .species import (
     required_species_count,
     total_permittivity,
 )
-from .units import UnitParseError, format_dimension, parse_unit
+from .units import UNIT_SYSTEMS, UnitParseError, parse_unit, render_quantity
 
 GAUSSIAN_NOTE = (
     "note: gaussian output selected; permittivity-like values are dimensionless "
@@ -94,7 +86,10 @@ def _parse_quantity_flag(parser: argparse.ArgumentParser, flag: str, text: str) 
         scale, dimension = parse_unit(parts[1])
     except UnitParseError as exc:
         parser.error(f"{flag}: {exc}")
-    return Quantity(magnitude * scale, dimension)
+    value = magnitude * scale
+    if not math.isfinite(value):
+        parser.error(f"{flag}: {text.strip()!r} is not a finite value")
+    return Quantity(value, dimension)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -104,21 +99,21 @@ def _write_output(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _qty_text(q: Quantity) -> str:
-    unit = format_dimension(q.dimension)
+def _qty_text(q: Quantity, units: str) -> str:
+    magnitude, unit = render_quantity(q, units)
     if unit == "1":
-        return format_float(q.magnitude)
-    return f"{format_float(q.magnitude)} {unit}"
+        return format_float(magnitude)
+    return f"{format_float(magnitude)} {unit}"
 
 
-def _print_row_text(row: ReportRow, extra: list[tuple[str, str]]) -> None:
+def _print_row_text(row: ReportRow, extra: list[tuple[str, str]], units: str) -> None:
     pairs: list[tuple[str, str]] = [
         ("kappa", f"{row.kappa:g}"),
         ("convention", row.convention),
         ("g", f"{row.g:g}"),
-        ("eps_tilde", _qty_text(row.eps_tilde)),
-        ("mu_tilde", _qty_text(row.mu_tilde)),
-        ("radius", _qty_text(row.radius)),
+        ("eps_tilde", _qty_text(row.eps_tilde, units)),
+        ("mu_tilde", _qty_text(row.mu_tilde, units)),
+        ("radius", _qty_text(row.radius, units)),
         ("eps_ratio", format_float(row.eps_ratio)),
         ("mu_ratio", format_float(row.mu_ratio)),
         ("count_simple", format_float(row.count_simple)),
@@ -144,7 +139,7 @@ def cmd_estimate(
     response = maxwell_closure(params, registry)
 
     extra: list[tuple[str, str]] = [
-        ("implied_light_speed", _qty_text(response.implied_light_speed))
+        ("implied_light_speed", _qty_text(response.implied_light_speed, args.units))
     ]
     if convention == "cube" and g == 2.0:
         _, deviation = fine_structure_form(params, registry)
@@ -156,43 +151,26 @@ def cmd_estimate(
             parser.error("--probe-field must be an electric field (V/m)")
         if field.magnitude < 0:
             parser.error("--probe-field must be non-negative")
-        probe = FieldProbe(electric_field=field)
         responses = [
-            ("probe_field", probe.electric_field, QuantityKind.ELECTRIC_FIELD),
-            (
-                "probe_displacement",
-                oscillator_displacement(params, probe.electric_field, registry=registry),
-                QuantityKind.LENGTH,
-            ),
-            (
-                "probe_dipole_moment",
-                induced_dipole_moment(params, probe.electric_field, registry=registry),
-                QuantityKind.ELECTRIC_DIPOLE_MOMENT,
-            ),
-            (
-                "probe_polarization",
-                vacuum_polarization(params, probe.electric_field, registry=registry),
-                QuantityKind.POLARIZATION,
-            ),
+            ("probe_field", field),
+            ("probe_displacement", oscillator_displacement(params, field, registry=registry)),
+            ("probe_dipole_moment", induced_dipole_moment(params, field, registry=registry)),
+            ("probe_polarization", vacuum_polarization(params, field, registry=registry)),
         ]
-        for name, value, kind in responses:
-            if args.units == "gaussian":
-                value = convert_system(value, kind, UnitSystem.GAUSSIAN)
-            extra.append((name, _qty_text(value)))
+        extra.extend((name, _qty_text(value, args.units)) for name, value in responses)
 
     if args.units == "gaussian":
-        row = to_gaussian(row)
         print(GAUSSIAN_NOTE, file=sys.stderr)
     if params.volume_convention.shape is Shape.CUBE:
         print(DEVIATION_NOTE, file=sys.stderr)
     print(COUNT_NOTE, file=sys.stderr)
 
     if args.format == "text":
-        _print_row_text(row, extra)
+        _print_row_text(row, extra, args.units)
     elif args.format == "csv":
-        _write_output(rows_to_csv([row]), args.out)
+        _write_output(rows_to_csv([row], args.units), args.out)
     else:
-        _write_output(rows_to_json([row]), args.out)
+        _write_output(rows_to_json([row], args.units), args.out)
     return 0
 
 
@@ -222,7 +200,6 @@ def cmd_sweep(
 
     rows = sweep_rows(config, registry)
     if args.units == "gaussian":
-        rows = [to_gaussian(row) for row in rows]
         print(GAUSSIAN_NOTE, file=sys.stderr)
 
     if args.format == "svg":
@@ -247,9 +224,9 @@ def cmd_sweep(
             reference_label="measured",
         )
     elif args.format == "json":
-        payload = rows_to_json(rows)
+        payload = rows_to_json(rows, args.units)
     else:
-        payload = rows_to_csv(rows)
+        payload = rows_to_csv(rows, args.units)
     _write_output(payload, args.out)
     return 0
 
@@ -274,10 +251,9 @@ def cmd_species(
     lines.append(f"charge_weighted_sum {weight} ({format_float(float(weight))})")
     total = total_permittivity(table, kappa, registry)
     if args.units == "gaussian":
-        total = convert_system(total, QuantityKind.PERMITTIVITY, UnitSystem.GAUSSIAN)
         print(GAUSSIAN_NOTE, file=sys.stderr)
     lines.append(f"gap_ratio           {kappa:g}")
-    lines.append(f"total_permittivity  {_qty_text(total)}")
+    lines.append(f"total_permittivity  {_qty_text(total, args.units)}")
     lines.append(
         f"count_simple        {format_float(required_species_count(kappa, SpeciesModel.SIMPLE, registry))}"
     )
@@ -289,7 +265,7 @@ def cmd_species(
             match = gap_for_exact_match(table, model, registry)
             lines.append(
                 f"match_gap_{model.value:<9} ratio {format_float(match.gap_ratio)}  "
-                f"energy {_qty_text(match.gap_energy)}"
+                f"energy {_qty_text(match.gap_energy, args.units)}"
             )
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
@@ -331,17 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
             "semi-classical virtual-pair oscillator model."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--constants", metavar="PATH", help="constants file (default: bundled)")
-    common.add_argument("--species", metavar="PATH", help="species table (default: bundled)")
-    common.add_argument(
-        "--units", choices=("si", "gaussian"), default="si", help="output unit system"
-    )
-    common.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_est = sub.add_parser("estimate", parents=[common], help="single-point model estimate")
+    def add_subcommand(name, func, summary, units=False) -> argparse.ArgumentParser:
+        # Each subcommand declares only the flags it reads and hands its own
+        # parser to its command, so a usage error prints its own usage.
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--constants", metavar="PATH", help="constants file (default: bundled)")
+        if units:
+            p.add_argument("--units", choices=UNIT_SYSTEMS, default="si", help="output unit system")
+        p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
+        p.set_defaults(func=func, parser=p)
+        return p
+
+    p_est = add_subcommand("estimate", cmd_estimate, "single-point model estimate", units=True)
     p_est.add_argument("--gap-ratio", type=float, default=2.0, help="transition energy / rest energy")
     p_est.add_argument(
         "--convention", choices=tuple(CONVENTION_TOKENS), default="cube", help="volume convention"
@@ -353,9 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="weak probe field, e.g. '1 V/m'; reports the induced response",
     )
     p_est.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_est.set_defaults(func=cmd_estimate)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="parameter sweep over the gap ratio")
+    p_sweep = add_subcommand(
+        "sweep", cmd_sweep, "parameter sweep over the gap ratio", units=True
+    )
     p_sweep.add_argument("--kappa-min", type=float, default=0.5)
     p_sweep.add_argument("--kappa-max", type=float, default=4.0)
     p_sweep.add_argument("--points", type=int, default=64)
@@ -364,21 +344,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--g-factors", default="2", help="comma-separated g-factors")
     p_sweep.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    p_sweep.set_defaults(func=cmd_sweep)
 
-    p_sp = sub.add_parser("species", parents=[common], help="charge-weighted species analysis")
+    p_sp = add_subcommand(
+        "species", cmd_species, "charge-weighted species analysis", units=True
+    )
+    p_sp.add_argument("--species", metavar="PATH", help="species table (default: bundled)")
     p_sp.add_argument("--gap-ratio", type=float, default=2.0)
     p_sp.add_argument("--format", choices=("text",), default="text")
-    p_sp.set_defaults(func=cmd_species)
 
-    p_chk = sub.add_parser(
-        "check-dimensions", parents=[common], help="dimension-check every model relation"
-    )
-    p_chk.set_defaults(func=cmd_check_dimensions)
+    add_subcommand("check-dimensions", cmd_check_dimensions, "dimension-check every model relation")
 
-    p_const = sub.add_parser("constants", parents=[common], help="list the loaded constants")
+    p_const = add_subcommand("constants", cmd_constants, "list the loaded constants")
     p_const.add_argument("--derived", action="store_true", help="include derived records")
-    p_const.set_defaults(func=cmd_constants)
 
     return parser
 
@@ -393,8 +370,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Unknown flags are reported by the subcommand, so that the usage shown
+    # lists the flags it does accept.
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
 
     # Every model guard warning is shown, but only for the length of this
     # call: in-process callers keep their own warning filters.
@@ -408,7 +388,7 @@ def _run(argv: list[str] | None) -> int:
             return 1
 
         try:
-            return args.func(args, parser, registry)
+            return args.func(args, args.parser, registry)
         except OSError as exc:
             path = getattr(exc, "filename", None) or args.out or ""
             print(f"error: {exc} ({path})", file=sys.stderr)

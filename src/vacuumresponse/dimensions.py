@@ -39,15 +39,17 @@ unrelated unit expressions, evicts old entries instead of growing the
 process.  Memo entries hold their operands and results strongly, so the
 only dimensions that outlive their last user are those of live entries.
 
-A :class:`Quantity` binds a finite real magnitude to a dimension and a unit
-system.  Arithmetic on quantities enforces dimensional consistency and
-rejects non-finite magnitudes, including overflow, at the operation that
-produced them.
+A :class:`Quantity` binds a finite real magnitude to a dimension; every
+quantity is in SI units.  Arithmetic on quantities enforces dimensional
+consistency and rejects non-finite magnitudes, including overflow, at the
+operation that produced them.
 
-Gaussian support is a per-:class:`QuantityKind` conversion table rather than
-a second dimensional algebra: Gaussian dimensions are a non-injective image
-of the SI ones (electric and magnetic field collapse onto the same
-dimension), so conversion is only well defined per physical kind.
+Gaussian units are a way of showing a value, not a second dimensional
+algebra: Gaussian dimensions are a non-injective image of the SI ones
+(electric and magnetic field collapse onto the same dimension), so a
+conversion is only well defined per physical kind.  ``GAUSSIAN_UNITS`` maps
+the SI dimension of each supported kind to its Gaussian dimension and
+factor, and the unit module renders a quantity through it.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -79,7 +80,7 @@ MEMO_SIZE = 512
 
 
 class DimensionMismatchError(ValueError):
-    """Operation combined quantities of incompatible dimension or system."""
+    """Operation combined quantities of incompatible dimension."""
 
 
 class NonFiniteError(ValueError):
@@ -90,12 +91,8 @@ class NegativeBaseError(ValueError):
     """Fractional power of a negative magnitude."""
 
 
-class KindMismatchError(ValueError):
-    """Quantity dimension does not match the declared kind."""
-
-
 class UnsupportedKindError(ValueError):
-    """No conversion entry exists for the requested kind."""
+    """No Gaussian conversion exists for the quantity's dimension."""
 
 
 def _exponent(value: Rational, field: str) -> Rational:
@@ -285,41 +282,27 @@ PERMEABILITY = (SPEED**2 * PERMITTIVITY).inverse()
 ANGULAR_MOMENTUM = ENERGY * TIME
 
 
-class UnitSystem(Enum):
-    """The two supported unit-system conventions."""
-
-    SI = "si"
-    GAUSSIAN = "gaussian"
-
-
 class Quantity:
-    """A finite real magnitude bound to a dimension and a unit system.
+    """A finite real magnitude bound to a dimension.
 
-    Addition and subtraction require identical dimension and system;
-    multiplication and division combine dimensions; rational powers scale
-    the exponent vector exactly.  Quantities are immutable, and non-finite
-    magnitudes are rejected at construction, so arithmetic overflow
-    surfaces immediately.
+    Addition and subtraction require identical dimensions; multiplication
+    and division combine dimensions; rational powers scale the exponent
+    vector exactly.  Quantities are immutable, and non-finite magnitudes
+    are rejected at construction, so arithmetic overflow surfaces
+    immediately.
     """
 
-    __slots__ = ("magnitude", "dimension", "system")
+    __slots__ = ("magnitude", "dimension")
 
     magnitude: float
     dimension: Dimension
-    system: UnitSystem
 
-    def __init__(
-        self,
-        magnitude: float,
-        dimension: Dimension = DIMENSIONLESS,
-        system: UnitSystem = UnitSystem.SI,
-    ) -> None:
+    def __init__(self, magnitude: float, dimension: Dimension = DIMENSIONLESS) -> None:
         value = float(magnitude)
         if not math.isfinite(value):
             raise NonFiniteError(f"quantity magnitude must be finite, got {value!r}")
         _set_magnitude(self, value)
         _set_dimension(self, dimension)
-        _set_system(self, system)
 
     # dataclasses is imported on use: it loads inspect and ast, which a
     # process that only does unit algebra does not otherwise need.
@@ -334,69 +317,55 @@ class Quantity:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return Quantity, (self.magnitude, self.dimension, self.system)
+        return Quantity, (self.magnitude, self.dimension)
 
     def __repr__(self) -> str:
-        return (
-            f"Quantity(magnitude={self.magnitude!r}, dimension={self.dimension!r}, "
-            f"system={self.system!r})"
-        )
+        return f"Quantity(magnitude={self.magnitude!r}, dimension={self.dimension!r})"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Quantity:
             return NotImplemented
-        return (self.magnitude, self.dimension, self.system) == (
-            other.magnitude,
-            other.dimension,
-            other.system,
-        )
+        return (self.magnitude, self.dimension) == (other.magnitude, other.dimension)
 
     def __hash__(self) -> int:
-        return hash((self.magnitude, self.dimension, self.system))
+        return hash((self.magnitude, self.dimension))
 
     def _check_same(self, other: Quantity, op: str) -> None:
         if self.dimension is not other.dimension:
             raise DimensionMismatchError(
                 f"cannot {op} quantities of dimension [{self.dimension}] and [{other.dimension}]"
             )
-        if self.system is not other.system:
-            raise DimensionMismatchError(
-                f"cannot {op} quantities from different unit systems "
-                f"({self.system.value} vs {other.system.value})"
-            )
 
     def __add__(self, other: Quantity) -> Quantity:
         if not isinstance(other, Quantity):
             return NotImplemented
         self._check_same(other, "add")
-        return Quantity(self.magnitude + other.magnitude, self.dimension, self.system)
+        return Quantity(self.magnitude + other.magnitude, self.dimension)
 
     def __sub__(self, other: Quantity) -> Quantity:
         if not isinstance(other, Quantity):
             return NotImplemented
         self._check_same(other, "subtract")
-        return Quantity(self.magnitude - other.magnitude, self.dimension, self.system)
+        return Quantity(self.magnitude - other.magnitude, self.dimension)
 
     def __neg__(self) -> Quantity:
-        return Quantity(-self.magnitude, self.dimension, self.system)
+        return Quantity(-self.magnitude, self.dimension)
 
     def __abs__(self) -> Quantity:
-        return Quantity(abs(self.magnitude), self.dimension, self.system)
+        return Quantity(abs(self.magnitude), self.dimension)
 
     def _coerce(self, other: object) -> Quantity | None:
         if isinstance(other, Quantity):
             return other
         if isinstance(other, (int, float)):
-            return Quantity(float(other), DIMENSIONLESS, self.system)
+            return Quantity(float(other))
         return None
 
     def __mul__(self, other: object) -> Quantity:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self.system is not rhs.system:
-            raise DimensionMismatchError("cannot multiply quantities from different unit systems")
-        return Quantity(self.magnitude * rhs.magnitude, self.dimension * rhs.dimension, self.system)
+        return Quantity(self.magnitude * rhs.magnitude, self.dimension * rhs.dimension)
 
     __rmul__ = __mul__
 
@@ -404,9 +373,7 @@ class Quantity:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self.system is not rhs.system:
-            raise DimensionMismatchError("cannot divide quantities from different unit systems")
-        return Quantity(self.magnitude / rhs.magnitude, self.dimension / rhs.dimension, self.system)
+        return Quantity(self.magnitude / rhs.magnitude, self.dimension / rhs.dimension)
 
     def __rtruediv__(self, other: object) -> Quantity:
         lhs = self._coerce(other)
@@ -427,7 +394,7 @@ class Quantity:
             raise NonFiniteError(
                 f"quantity magnitude overflowed: {self.magnitude!r} ** {p}"
             ) from None
-        return Quantity(magnitude, dim, self.system)
+        return Quantity(magnitude, dim)
 
     def sqrt(self) -> Quantity:
         return self ** Fraction(1, 2)
@@ -439,35 +406,13 @@ class Quantity:
 # The slot setters, which bypass the assignment guard in ``__setattr__``.
 _set_magnitude = Quantity.magnitude.__set__
 _set_dimension = Quantity.dimension.__set__
-_set_system = Quantity.system.__set__
 
 
-class QuantityKind(Enum):
-    """Physical kinds with a defined SI <-> Gaussian conversion."""
+class GaussianUnit(NamedTuple):
+    """How a value of one SI dimension is expressed in Gaussian units."""
 
-    CHARGE = "charge"
-    ELECTRIC_FIELD = "electric_field"
-    MAGNETIC_FIELD = "magnetic_field"
-    ELECTRIC_DIPOLE_MOMENT = "electric_dipole_moment"
-    MAGNETIC_DIPOLE_MOMENT = "magnetic_dipole_moment"
-    POLARIZATION = "polarization"
-    MAGNETIZATION = "magnetization"
-    PERMITTIVITY = "permittivity"
-    PERMEABILITY = "permeability"
-    ENERGY = "energy"
-    LENGTH = "length"
-    MASS = "mass"
-    FREQUENCY = "frequency"
-    DIMENSIONLESS = "dimensionless"
-
-
-class KindEntry(NamedTuple):
-    si_dimension: Dimension
-    gaussian_dimension: Dimension
-    si_to_gaussian: float
-
-    def dimension_in(self, system: UnitSystem) -> Dimension:
-        return self.si_dimension if system is UnitSystem.SI else self.gaussian_dimension
+    dimension: Dimension
+    factor: float  # the SI magnitude times this factor is the Gaussian magnitude
 
 
 # The numeral of the defined SI light speed; conversion factors between the
@@ -481,75 +426,23 @@ def _gauss(length: Rational, mass: Rational, time: Rational) -> Dimension:
     return Dimension(length=length, mass=mass, time=time)
 
 
-_KIND_TABLE: dict[QuantityKind, KindEntry] = {
-    QuantityKind.CHARGE: KindEntry(CHARGE, _gauss(3 * _H, _H, -1), 10.0 * _C_NUMERAL),
-    QuantityKind.ELECTRIC_FIELD: KindEntry(
-        ELECTRIC_FIELD, _gauss(-_H, _H, -1), 1.0 / (1e-4 * _C_NUMERAL)
-    ),
-    QuantityKind.MAGNETIC_FIELD: KindEntry(MAGNETIC_FIELD, _gauss(-_H, _H, -1), 1e4),
-    QuantityKind.ELECTRIC_DIPOLE_MOMENT: KindEntry(
-        ELECTRIC_DIPOLE, _gauss(5 * _H, _H, -1), 1e3 * _C_NUMERAL
-    ),
-    QuantityKind.MAGNETIC_DIPOLE_MOMENT: KindEntry(
-        MAGNETIC_DIPOLE, _gauss(5 * _H, _H, -1), 1e3
-    ),
-    QuantityKind.POLARIZATION: KindEntry(
-        POLARIZATION, _gauss(-_H, _H, -1), 1e-3 * _C_NUMERAL
-    ),
-    QuantityKind.MAGNETIZATION: KindEntry(MAGNETIZATION, _gauss(-_H, _H, -1), 1e-3),
-    QuantityKind.PERMITTIVITY: KindEntry(
-        PERMITTIVITY, DIMENSIONLESS, 1e-7 * _C_NUMERAL**2
-    ),
-    QuantityKind.PERMEABILITY: KindEntry(
-        PERMEABILITY, _gauss(-2, 0, 2), 1e3 / _C_NUMERAL**2
-    ),
-    QuantityKind.ENERGY: KindEntry(ENERGY, ENERGY, 1e7),
-    QuantityKind.LENGTH: KindEntry(LENGTH, LENGTH, 1e2),
-    QuantityKind.MASS: KindEntry(MASS, MASS, 1e3),
-    QuantityKind.FREQUENCY: KindEntry(FREQUENCY, FREQUENCY, 1.0),
-    QuantityKind.DIMENSIONLESS: KindEntry(DIMENSIONLESS, DIMENSIONLESS, 1.0),
+# Keyed on the SI dimension, which identifies the physical kind: each kind
+# here has its own SI dimension, while electric and magnetic field (among
+# others) share one Gaussian dimension.
+GAUSSIAN_UNITS: dict[Dimension, GaussianUnit] = {
+    CHARGE: GaussianUnit(_gauss(3 * _H, _H, -1), 10.0 * _C_NUMERAL),
+    ELECTRIC_FIELD: GaussianUnit(_gauss(-_H, _H, -1), 1.0 / (1e-4 * _C_NUMERAL)),
+    MAGNETIC_FIELD: GaussianUnit(_gauss(-_H, _H, -1), 1e4),
+    ELECTRIC_DIPOLE: GaussianUnit(_gauss(5 * _H, _H, -1), 1e3 * _C_NUMERAL),
+    MAGNETIC_DIPOLE: GaussianUnit(_gauss(5 * _H, _H, -1), 1e3),
+    POLARIZATION: GaussianUnit(_gauss(-_H, _H, -1), 1e-3 * _C_NUMERAL),
+    MAGNETIZATION: GaussianUnit(_gauss(-_H, _H, -1), 1e-3),
+    PERMITTIVITY: GaussianUnit(DIMENSIONLESS, 1e-7 * _C_NUMERAL**2),
+    PERMEABILITY: GaussianUnit(_gauss(-2, 0, 2), 1e3 / _C_NUMERAL**2),
+    ENERGY: GaussianUnit(ENERGY, 1e7),
+    LENGTH: GaussianUnit(LENGTH, 1e2),
+    MASS: GaussianUnit(MASS, 1e3),
+    SPEED: GaussianUnit(SPEED, 1e2),
+    FREQUENCY: GaussianUnit(FREQUENCY, 1.0),
+    DIMENSIONLESS: GaussianUnit(DIMENSIONLESS, 1.0),
 }
-
-
-def convert_system(q: Quantity, kind: QuantityKind, target: UnitSystem) -> Quantity:
-    """Re-express ``q`` in ``target`` using the conversion rule for ``kind``.
-
-    The quantity's dimension must match the kind's canonical dimension in its
-    current system.  Converting to the system the quantity is already in is a
-    no-op.
-    """
-    entry = _KIND_TABLE.get(kind)
-    if entry is None:
-        raise UnsupportedKindError(f"no conversion entry for kind {kind!r}")
-    expected = entry.dimension_in(q.system)
-    if q.dimension != expected:
-        raise KindMismatchError(
-            f"quantity dimension [{q.dimension}] does not match "
-            f"{kind.value} in the {q.system.value} system [{expected}]"
-        )
-    if target is q.system:
-        return q
-    if target is UnitSystem.GAUSSIAN:
-        magnitude = q.magnitude * entry.si_to_gaussian
-    else:
-        magnitude = q.magnitude / entry.si_to_gaussian
-    return Quantity(magnitude, entry.dimension_in(target), target)
-
-
-def kind_dimension(kind: QuantityKind, system: UnitSystem = UnitSystem.SI) -> Dimension:
-    entry = _KIND_TABLE.get(kind)
-    if entry is None:
-        raise UnsupportedKindError(f"no conversion entry for kind {kind!r}")
-    return entry.dimension_in(system)
-
-
-def _validate_kind_table() -> None:
-    seen: dict[tuple[Rational, ...], QuantityKind] = {}
-    for kind, entry in _KIND_TABLE.items():
-        key = entry.si_dimension.as_tuple()
-        if key in seen:
-            raise AssertionError(f"duplicate SI dimension for {kind} and {seen[key]}")
-        seen[key] = kind
-
-
-_validate_kind_table()

@@ -178,26 +178,6 @@ class OscillatorParams:
 
 
 @dataclass(frozen=True)
-class FieldProbe:
-    """A weak classical probe: field amplitudes and drive frequency."""
-
-    electric_field: Quantity | None = None
-    magnetic_field: Quantity | None = None
-    drive_frequency: Quantity | None = None
-
-    def __post_init__(self) -> None:
-        if self.electric_field is not None:
-            if self.electric_field.dimension != ELECTRIC_FIELD or self.electric_field.magnitude < 0:
-                raise ValueError("electric field must be a non-negative field amplitude")
-        if self.magnetic_field is not None:
-            if self.magnetic_field.dimension != MAGNETIC_FIELD or self.magnetic_field.magnitude < 0:
-                raise ValueError("magnetic field must be a non-negative field amplitude")
-        if self.drive_frequency is not None:
-            if self.drive_frequency.dimension != FREQUENCY or self.drive_frequency.magnitude < 0:
-                raise ValueError("drive frequency must be non-negative")
-
-
-@dataclass(frozen=True)
 class VacuumResponse:
     """Closed-model outputs: both estimates, the radius, and deviation ratios."""
 

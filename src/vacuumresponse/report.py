@@ -3,19 +3,19 @@
 Output is byte-reproducible: floats are always rendered in scientific
 notation with 12 significant digits, rows are ordered gap-ratio major then
 convention then g-factor, and nothing in the payload depends on wall-clock
-or environment state.
+or environment state.  Rows hold SI quantities; the serializers show the
+dimensioned cells in the unit system they are given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from io import StringIO
 import csv
 import math
 
 from .constants import ConstantRegistry, default_registry
-from .dimensions import Quantity, QuantityKind, UnitSystem, convert_system
+from .dimensions import Quantity
 from .model import (
     OscillatorParams,
     RadiusRule,
@@ -25,6 +25,7 @@ from .model import (
     permittivity_estimate,
 )
 from .species import SpeciesModel, required_species_count
+from .units import render_quantity
 
 # CLI-facing convention tokens.  "cube" and "sphere" use the radius closed on
 # the light-speed constraint; the remaining cubes pin the radius length scale.
@@ -61,8 +62,6 @@ class ReportRow:
     mu_ratio: float
     count_simple: float
     count_sphere: float
-    species_sum: Fraction | None = None
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -144,16 +143,6 @@ def sweep_rows(config: SweepConfig, registry: ConstantRegistry | None = None) ->
     return rows
 
 
-def to_gaussian(row: ReportRow) -> ReportRow:
-    """Re-express the dimensioned cells in Gaussian-system values."""
-    return replace(
-        row,
-        eps_tilde=convert_system(row.eps_tilde, QuantityKind.PERMITTIVITY, UnitSystem.GAUSSIAN),
-        mu_tilde=convert_system(row.mu_tilde, QuantityKind.PERMEABILITY, UnitSystem.GAUSSIAN),
-        radius=convert_system(row.radius, QuantityKind.LENGTH, UnitSystem.GAUSSIAN),
-    )
-
-
 def format_float(value: float) -> str:
     """Scientific notation with 12 significant digits; the one float format."""
     return f"{value:.11e}"
@@ -163,14 +152,21 @@ def _format_g(g: float) -> str:
     return f"{g:g}"
 
 
-def _row_cells(row: ReportRow) -> list[str]:
+def _header(units: str) -> tuple[str, ...]:
+    """``CSV_HEADER`` with the radius column named for the unit it is shown in."""
+    if units == "gaussian":
+        return (*CSV_HEADER[:5], "radius_cm", *CSV_HEADER[6:])
+    return CSV_HEADER
+
+
+def _row_cells(row: ReportRow, units: str) -> list[str]:
     return [
         format_float(row.kappa),
         row.convention,
         _format_g(row.g),
-        format_float(row.eps_tilde.magnitude),
-        format_float(row.mu_tilde.magnitude),
-        format_float(row.radius.magnitude),
+        format_float(render_quantity(row.eps_tilde, units)[0]),
+        format_float(render_quantity(row.mu_tilde, units)[0]),
+        format_float(render_quantity(row.radius, units)[0]),
         format_float(row.eps_ratio),
         format_float(row.mu_ratio),
         format_float(row.count_simple),
@@ -178,22 +174,23 @@ def _row_cells(row: ReportRow) -> list[str]:
     ]
 
 
-def rows_to_csv(rows: list[ReportRow]) -> str:
+def rows_to_csv(rows: list[ReportRow], units: str = "si") -> str:
     buffer = StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(CSV_HEADER)
+    writer.writerow(_header(units))
     for row in rows:
-        writer.writerow(_row_cells(row))
+        writer.writerow(_row_cells(row, units))
     return buffer.getvalue()
 
 
-def rows_to_json(rows: list[ReportRow]) -> str:
+def rows_to_json(rows: list[ReportRow], units: str = "si") -> str:
     # Assembled by hand so numeric cells keep the fixed 12-digit rendering.
+    header = _header(units)
     lines = ["["]
     for index, row in enumerate(rows):
-        cells = _row_cells(row)
+        cells = _row_cells(row, units)
         pairs = []
-        for name, cell in zip(CSV_HEADER, cells):
+        for name, cell in zip(header, cells):
             if name == "convention":
                 pairs.append(f'"{name}": "{cell}"')
             else:

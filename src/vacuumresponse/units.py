@@ -18,11 +18,16 @@ The parser builds no syntax tree: each rule returns the (scale, dimension)
 of what it has read, and products and quotients combine left to right as
 they are read.  A syntax error anywhere in the text is reported in
 preference to an unknown unit or a scale overflow before it.
+
+Every quantity is computed in SI units.  :func:`render_quantity` is the one
+place that decides how a value is shown in a unit system: as it is, with an
+SI label, or scaled by its kind's Gaussian factor, with a cm/g/s label.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .dimensions import (
@@ -33,16 +38,22 @@ from .dimensions import (
     ELECTRIC_FIELD,
     ENERGY,
     FREQUENCY,
+    GAUSSIAN_UNITS,
     LENGTH,
     LUMINOSITY,
     MAGNETIC_FIELD,
     MASS,
+    MEMO_SIZE,
     PERMEABILITY,
     TEMPERATURE,
     TIME,
     Dimension,
     Quantity,
+    UnsupportedKindError,
 )
+
+# The unit systems a quantity can be shown in; the values of the --units flag.
+UNIT_SYSTEMS = ("si", "gaussian")
 
 
 class UnitParseError(ValueError):
@@ -67,6 +78,11 @@ class UnitSyntaxError(UnitParseError):
         self.expected = expected
         what = " or ".join(expected)
         super().__init__(f"syntax error at position {position}: expected {what}")
+
+
+class UnitScaleError(UnitParseError):
+    def __init__(self, text: str) -> None:
+        super().__init__(f"the scale of {text!r} is beyond the float range")
 
 
 class UnitEntry(NamedTuple):
@@ -172,6 +188,11 @@ def _resolve_symbol(symbol: str, position: int) -> tuple[float, Dimension]:
 # --- tokenizer -----------------------------------------------------------
 
 
+# ASCII only: ``str.isdigit`` also accepts superscripts such as "²", which
+# ``int`` rejects.
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, position) triples.
 
@@ -193,9 +214,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             tokens.append(("int", text[start:i], start))
             continue
@@ -310,13 +331,16 @@ def parse_unit(text: str) -> tuple[float, Dimension]:
     if not text or not text.strip():
         raise EmptyInputError()
     tokens = _tokenize(text)
+    # A syntax error anywhere in the text wins over an unknown unit or a
+    # scale overflow before it, so look for one without evaluating.
     try:
         return _Parser(tokens, evaluate=True).parse()
-    except (UnknownUnitError, ArithmeticError):
-        # A syntax error anywhere in the text wins over an unknown unit or a
-        # scale overflow before it, so look for one without evaluating.
+    except UnknownUnitError:
         _Parser(tokens, evaluate=False).parse()
         raise
+    except ArithmeticError:
+        _Parser(tokens, evaluate=False).parse()
+        raise UnitScaleError(text) from None
 
 
 def quantity(magnitude: float, unit: str) -> Quantity:
@@ -339,6 +363,9 @@ _FORMAT_ORDER = (
     ("luminosity", "cd"),
 )
 
+# The same order in cgs symbols; Gaussian dimensions have only these three.
+_GAUSSIAN_ORDER = (("time", "s"), ("mass", "g"), ("length", "cm"))
+
 
 def _format_power(symbol: str, exponent: Fraction) -> str:
     if exponent == 1:
@@ -348,11 +375,14 @@ def _format_power(symbol: str, exponent: Fraction) -> str:
     return f"{symbol}^{exponent.numerator}/{exponent.denominator}"
 
 
-def format_dimension(d: Dimension) -> str:
-    """Render a dimension as a canonical, re-parseable unit string."""
+def format_dimension(d: Dimension, order: tuple[tuple[str, str], ...] = _FORMAT_ORDER) -> str:
+    """Render a dimension as a unit string, each base dimension by ``order``'s symbol.
+
+    In the default SI order the string is canonical and re-parseable.
+    """
     positive: list[str] = []
     negative: list[str] = []
-    for field, symbol in _FORMAT_ORDER:
+    for field, symbol in order:
         exponent: Fraction = getattr(d, field)
         if exponent > 0:
             positive.append(_format_power(symbol, exponent))
@@ -363,3 +393,29 @@ def format_dimension(d: Dimension) -> str:
         return head
     tail = negative[0] if len(negative) == 1 else "(" + " ".join(negative) + ")"
     return f"{head} / {tail}"
+
+
+# Cached because the serializers ask for every dimensioned cell of every row,
+# and a sweep repeats a handful of dimensions.
+@lru_cache(maxsize=MEMO_SIZE)
+def _unit(dimension: Dimension, units: str) -> tuple[float, str]:
+    """The factor and label that show an SI value of ``dimension`` in ``units``."""
+    if units == "si":
+        return 1.0, format_dimension(dimension)
+    if units != "gaussian":
+        raise ValueError(f"unknown unit system {units!r}; choose from {', '.join(UNIT_SYSTEMS)}")
+    entry = GAUSSIAN_UNITS.get(dimension)
+    if entry is None:
+        raise UnsupportedKindError(f"no Gaussian unit for the dimension [{dimension}]")
+    return entry.factor, format_dimension(entry.dimension, _GAUSSIAN_ORDER)
+
+
+def render_quantity(q: Quantity, units: str) -> tuple[float, str]:
+    """The magnitude and unit label of the SI quantity ``q`` shown in ``units``.
+
+    ``units`` is one of ``UNIT_SYSTEMS``.  In SI the magnitude is unchanged
+    (a factor of 1.0 keeps every bit).  A dimension with no row in
+    ``GAUSSIAN_UNITS`` has no Gaussian rendering and raises.
+    """
+    factor, label = _unit(q.dimension, units)
+    return q.magnitude * factor, label

@@ -19,9 +19,6 @@ from vacuumresponse.dimensions import (
     LENGTH,
     Dimension,
     Quantity,
-    QuantityKind,
-    UnitSystem,
-    convert_system,
 )
 from vacuumresponse.model import (
     FieldTooStrongError,
@@ -41,7 +38,7 @@ from vacuumresponse.species import (
     required_species_count,
     total_permittivity,
 )
-from vacuumresponse.units import parse_unit
+from vacuumresponse.units import parse_unit, render_quantity
 
 from conftest import CLI
 
@@ -271,14 +268,10 @@ def test_criterion_12_parser_and_algebra_properties(reg):
             break
 
     alpha_si = reg.value("alpha")
-    e_gauss = convert_system(reg.quantity("e"), QuantityKind.CHARGE, UnitSystem.GAUSSIAN)
-    erg_per_joule = convert_system(
-        Quantity(1.0, parse_unit("J")[1]), QuantityKind.ENERGY, UnitSystem.GAUSSIAN
-    ).magnitude
-    cm_per_metre = convert_system(
-        Quantity(1.0, LENGTH), QuantityKind.LENGTH, UnitSystem.GAUSSIAN
-    ).magnitude
-    alpha_gauss = e_gauss.magnitude**2 / (
+    e_gauss = render_quantity(reg.quantity("e"), "gaussian")[0]
+    erg_per_joule = render_quantity(Quantity(1.0, parse_unit("J")[1]), "gaussian")[0]
+    cm_per_metre = render_quantity(Quantity(1.0, LENGTH), "gaussian")[0]
+    alpha_gauss = e_gauss**2 / (
         (reg.value("hbar") * erg_per_joule) * (reg.value("c") * cm_per_metre)
     )
     alpha_rel = abs(alpha_gauss - alpha_si) / alpha_si

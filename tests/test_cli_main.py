@@ -69,14 +69,60 @@ def test_main_leaves_warning_filters_unchanged():
     [
         (["sweep", "--g-factors", "2,x"], "--g-factors: bad value 'x'"),
         (["estimate", "--probe-field", "1 V/m^"], "--probe-field: syntax error"),
+        (["estimate", "--probe-field", "1 Ym^20"], "beyond the float range"),
+        (["estimate", "--probe-field", "1 m/ym^20"], "beyond the float range"),
+        (["estimate", "--probe-field", "1 m^\u00b2"], "--probe-field: syntax error at position 2"),
+        (["estimate", "--probe-field", "1e300 YV/m"], "is not a finite value"),
+        (["estimate", "--probe-field", "-1 V/m"], "--probe-field must be non-negative"),
+        (["estimate", "--species", "/nonexistent"], "unrecognized arguments: --species"),
+        (["constants", "--units", "gaussian"], "unrecognized arguments: --units"),
+        (["check-dimensions", "--units", "si"], "unrecognized arguments: --units"),
     ],
-    ids=["g-factors", "probe-field"],
+    ids=[
+        "g-factors", "probe-field", "scale-overflow", "scale-underflow", "superscript-digit",
+        "non-finite-field", "negative-field", "species-on-estimate", "units-on-constants",
+        "units-on-check-dimensions",
+    ],
 )
 def test_usage_error_returns_two(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+    assert sum(line.startswith("usage:") for line in captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--g-factors", "2,x"], ["estimate", "--species", "/nonexistent"]],
+    ids=["found-by-the-command", "unknown-flag"],
+)
+def test_usage_error_prints_the_subcommand_usage(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"usage: vacuumresponse {argv[0]} ")
+
+
+def test_gaussian_estimate_labels_every_value_in_cgs(capsys):
+    assert main(["estimate", "--units", "gaussian", "--probe-field", "1 V/m"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    labels = {line.split()[0]: line.split(None, 2)[2] for line in lines if len(line.split()) > 2}
+    assert labels == {
+        "mu_tilde": "s^2 / cm^2",
+        "radius": "cm",
+        "implied_light_speed": "cm / s",
+        "probe_field": "g^1/2 / (s cm^1/2)",
+        "probe_displacement": "cm",
+        "probe_dipole_moment": "g^1/2 cm^5/2 / s",
+        "probe_polarization": "g^1/2 / (s cm^1/2)",
+    }
+    assert "implied_light_speed  2.99792458000e+10 cm / s" in lines
+
+
+def test_gaussian_species_energy_in_erg(capsys):
+    assert main(["species", "--units", "gaussian"]) == 0
+    matches = [line for line in capsys.readouterr().out.splitlines() if "match_gap_" in line]
+    assert len(matches) == 2
+    assert all(line.endswith(" g cm^2 / s^2") for line in matches)
 
 
 def test_help_prints_and_returns_zero(capsys):

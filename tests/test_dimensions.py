@@ -19,20 +19,17 @@ from vacuumresponse.dimensions import (
     MASS,
     MEMO_SIZE,
     PERMITTIVITY,
+    SPEED,
     TIME,
     Dimension,
     DimensionMismatchError,
-    KindMismatchError,
+    GAUSSIAN_UNITS,
     NegativeBaseError,
     NonFiniteError,
     Quantity,
-    QuantityKind,
-    UnitSystem,
     UnsupportedKindError,
-    _KIND_TABLE,
-    convert_system,
-    kind_dimension,
 )
+from vacuumresponse.units import render_quantity
 
 exponents = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 dims = st.builds(Dimension, *[exponents] * 7)
@@ -227,11 +224,6 @@ class TestQuantity:
         with pytest.raises(DimensionMismatchError):
             metres(3) + seconds(4)
 
-    def test_add_mismatched_systems(self):
-        gaussian = Quantity(1.0, LENGTH, UnitSystem.GAUSSIAN)
-        with pytest.raises(DimensionMismatchError):
-            metres(1) + gaussian
-
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
             Quantity(math.nan, LENGTH)
@@ -263,7 +255,6 @@ class TestQuantity:
         assert metres(2.0) == Quantity(2.0, Dimension(length=1))
         assert hash(metres(2.0)) == hash(Quantity(2.0, Dimension(length=1)))
         assert metres(2.0) != seconds(2.0)
-        assert metres(2.0) != Quantity(2.0, LENGTH, UnitSystem.GAUSSIAN)
         assert metres(2.0) != 2.0
 
     def test_divide_by_zero(self):
@@ -313,48 +304,49 @@ class TestQuantity:
 
 
 class TestConvertSystem:
+    """Gaussian rendering through ``GAUSSIAN_UNITS``, keyed on the SI dimension."""
+
     def test_charge_to_statcoulomb(self, registry):
-        e = registry.quantity("e")
-        e_gauss = convert_system(e, QuantityKind.CHARGE, UnitSystem.GAUSSIAN)
+        e_gauss, label = render_quantity(registry.quantity("e"), "gaussian")
         # Oracle: the statcoulomb value of the elementary charge is
         # e * c * 10 numerically.
-        assert e_gauss.magnitude == pytest.approx(4.80320471257e-10, rel=1e-11)
-        assert e_gauss.system is UnitSystem.GAUSSIAN
-        assert e_gauss.dimension == Dimension(
+        assert e_gauss == pytest.approx(4.80320471257e-10, rel=1e-11)
+        assert label == "g^1/2 cm^3/2 / s"
+        assert GAUSSIAN_UNITS[CHARGE].dimension == Dimension(
             length=Fraction(3, 2), mass=Fraction(1, 2), time=Fraction(-1)
         )
 
     def test_dimensionless_unchanged(self):
-        q = Quantity(0.5)
-        out = convert_system(q, QuantityKind.DIMENSIONLESS, UnitSystem.GAUSSIAN)
-        assert out.magnitude == 0.5
+        assert render_quantity(Quantity(0.5), "gaussian") == (0.5, "1")
 
     def test_eps0_maps_to_inverse_four_pi(self, registry):
-        eps0 = registry.quantity("eps0")
-        gauss = convert_system(eps0, QuantityKind.PERMITTIVITY, UnitSystem.GAUSSIAN)
-        assert gauss.magnitude == pytest.approx(1 / (4 * math.pi), rel=1e-9)
-        assert gauss.dimension == DIMENSIONLESS
-
-    def test_kind_mismatch(self):
-        with pytest.raises(KindMismatchError):
-            convert_system(metres(1), QuantityKind.CHARGE, UnitSystem.GAUSSIAN)
+        magnitude, label = render_quantity(registry.quantity("eps0"), "gaussian")
+        assert magnitude == pytest.approx(1 / (4 * math.pi), rel=1e-9)
+        assert label == "1"
 
     def test_unsupported_kind(self):
         with pytest.raises(UnsupportedKindError):
-            convert_system(metres(1), "length", UnitSystem.GAUSSIAN)  # type: ignore[arg-type]
+            render_quantity(Quantity(1.0, LENGTH**3), "gaussian")
+        with pytest.raises(ValueError, match="unknown unit system"):
+            render_quantity(metres(1), "cgs")
 
     @given(
-        kind=st.sampled_from(sorted(QuantityKind, key=lambda k: k.value)),
-        magnitude=st.floats(min_value=1e-30, max_value=1e30, allow_nan=False),
+        row=st.sampled_from(list(GAUSSIAN_UNITS.items())),
+        magnitude=st.floats(allow_nan=False, allow_infinity=False),
     )
-    def test_round_trip(self, kind, magnitude):
-        q = Quantity(magnitude, kind_dimension(kind))
-        back = convert_system(
-            convert_system(q, kind, UnitSystem.GAUSSIAN), kind, UnitSystem.SI
-        )
-        assert back.magnitude == pytest.approx(magnitude, rel=1e-12)
-        assert back.dimension == q.dimension
+    def test_gaussian_magnitude_is_si_times_factor(self, row, magnitude):
+        dimension, entry = row
+        q = Quantity(magnitude, dimension)
+        assert render_quantity(q, "gaussian")[0].hex() == (magnitude * entry.factor).hex()
+        assert render_quantity(q, "si")[0].hex() == magnitude.hex()
 
     def test_si_dimensions_unique(self):
-        seen = {entry.si_dimension.as_tuple() for entry in _KIND_TABLE.values()}
-        assert len(seen) == len(_KIND_TABLE)
+        # A dict literal keeps the last of two rows with one SI dimension, so
+        # a duplicate row would show as a missing one.
+        assert len(GAUSSIAN_UNITS) == 15
+        assert SPEED in GAUSSIAN_UNITS
+
+    def test_gaussian_dimensions_are_mechanical(self):
+        # Gaussian labels are written in cm, g and s alone.
+        for entry in GAUSSIAN_UNITS.values():
+            assert entry.dimension.as_tuple()[3:] == (0, 0, 0, 0)

@@ -44,3 +44,12 @@ def test_cli_import_skips_network_stack_and_unused_modules():
         or any(name == p or name.startswith(p + ".") for p in FORBIDDEN_PACKAGES)
     }
     assert not forbidden, f"import vacuumresponse.cli loads {sorted(forbidden)}"
+
+
+def test_every_public_name_resolves():
+    # The package loads its public names on first use, so a stale entry in
+    # its export table shows only when the name is read.
+    import vacuumresponse
+
+    missing = [name for name in vacuumresponse.__all__ if not hasattr(vacuumresponse, name)]
+    assert not missing, f"vacuumresponse.__all__ names {missing}, which do not resolve"

@@ -14,7 +14,6 @@ from vacuumresponse.dimensions import (
 from vacuumresponse.model import (
     ConventionMismatchError,
     FieldTooStrongError,
-    FieldProbe,
     NotQuasiStaticError,
     OscillatorParams,
     QuasiStaticWarning,
@@ -83,11 +82,14 @@ class TestParams:
         p = electron(kappa=3.5, registry=registry)
         assert p.gap_ratio(registry) == pytest.approx(3.5, rel=1e-14)
 
-    def test_probe_validation(self):
-        with pytest.raises(ValueError):
-            FieldProbe(electric_field=Quantity(-1.0, V_PER_M))
-        with pytest.raises(ValueError):
-            FieldProbe(magnetic_field=Quantity(1.0, LENGTH))
+    def test_probe_validation(self, registry):
+        p = electron(registry=registry)
+        with pytest.raises(ValueError, match="non-negative"):
+            oscillator_displacement(p, unit_field(-1.0), registry=registry)
+        with pytest.raises(ValueError, match="electric-field dimension"):
+            oscillator_displacement(p, Quantity(1.0, LENGTH), registry=registry)
+        with pytest.raises(ValueError, match="magnetic field"):
+            angular_momentum_kick(p, Quantity(1.0, LENGTH), registry)
 
     def test_custom_radius_must_be_positive_length(self):
         with pytest.raises(ValueError):

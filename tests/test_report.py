@@ -15,7 +15,6 @@ from vacuumresponse.report import (
     rows_to_csv,
     rows_to_json,
     sweep_rows,
-    to_gaussian,
 )
 from vacuumresponse.svgchart import Series, sweep_chart
 
@@ -147,14 +146,17 @@ class TestSerialization:
 
     def test_gaussian_conversion_scales_dimensioned_cells(self, registry):
         row = build_row(2.0, "cube", 2.0, registry)
-        gauss = to_gaussian(row)
+        si = json.loads(rows_to_json([row]))[0]
+        gauss = json.loads(rows_to_json([row], "gaussian"))[0]
         c = 299792458.0
-        assert gauss.eps_tilde.magnitude == pytest.approx(
-            row.eps_tilde.magnitude * 1e-7 * c**2, rel=1e-12
-        )
-        assert gauss.radius.magnitude == pytest.approx(row.radius.magnitude * 100, rel=1e-12)
-        assert gauss.eps_ratio == row.eps_ratio
-        assert gauss.count_sphere == row.count_sphere
+        assert gauss["eps_tilde"] == pytest.approx(si["eps_tilde"] * 1e-7 * c**2, rel=1e-11)
+        assert gauss["mu_tilde"] == pytest.approx(si["mu_tilde"] * 1e3 / c**2, rel=1e-11)
+        assert gauss["radius_cm"] == pytest.approx(si["radius_m"] * 100, rel=1e-11)
+        assert "radius_m" not in gauss
+        assert gauss["eps_ratio"] == si["eps_ratio"]
+        assert gauss["count_sphere"] == si["count_sphere"]
+        header = rows_to_csv([row], "gaussian").split("\r\n")[0].split(",")
+        assert header == [*CSV_HEADER[:5], "radius_cm", *CSV_HEADER[6:]]
 
 
 class TestSvgChart:

@@ -16,6 +16,8 @@ from vacuumresponse.dimensions import (
 from vacuumresponse import units
 from vacuumresponse.units import (
     EmptyInputError,
+    UnitParseError,
+    UnitScaleError,
     UnitSyntaxError,
     UnknownUnitError,
     format_dimension,
@@ -205,6 +207,19 @@ class TestRecordedBehaviour:
                 parse_unit(text)
         with pytest.raises(UnknownUnitError):
             parse_unit("foo m")
+
+    @pytest.mark.parametrize("text", ["Ym^20", "m/ym^20"], ids=["overflow", "zero-division"])
+    def test_scale_beyond_the_float_range_is_a_parse_error(self, text):
+        with pytest.raises(UnitScaleError) as info:
+            parse_unit(text)
+        assert isinstance(info.value, UnitParseError)
+        assert repr(text) in str(info.value)
+
+    def test_exponent_digits_are_ascii(self):
+        with pytest.raises(UnitSyntaxError) as info:
+            parse_unit("m^\u00b2")
+        assert info.value.position == 2
+        assert info.value.expected == ("unit symbol", "operator")
 
     def test_long_flat_product(self):
         scale, dim = parse_unit(" ".join(["s"] * 3000))
