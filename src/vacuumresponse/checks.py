@@ -232,35 +232,6 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
     return checks
 
 
-# Stable identifiers of every checked relation, in report order.
-EQUATION_NAMES = (
-    "polarization-density",
-    "electric-displacement",
-    "oscillator-force-balance",
-    "induced-dipole-moment",
-    "vacuum-polarization",
-    "permittivity-estimate",
-    "magnetic-h-field",
-    "magnetization-density",
-    "induced-vortex-field",
-    "angular-momentum-kick",
-    "gyromagnetic-relation",
-    "pair-magnetic-moment",
-    "permeability-estimate",
-    "light-speed-closure",
-    "consistency-radius",
-    "gap-scaled-permittivity",
-    "fine-structure-form",
-    "charge-weighted-total",
-    "species-count-inversion",
-    "orbit-mean-square-radius",
-    "sphere-consistency-radius",
-    "refined-permittivity",
-    "refined-species-count",
-    "critical-field",
-)
-
-
 def render_report(results: list[CheckResult]) -> str:
     lines = []
     for result in results:

@@ -25,10 +25,8 @@ from .model import (
     OscillatorParams,
     Shape,
     fine_structure_form,
-    induced_dipole_moment,
     maxwell_closure,
-    oscillator_displacement,
-    vacuum_polarization,
+    probe_response,
 )
 from .report import (
     CONVENTION_TOKENS,
@@ -151,13 +149,9 @@ def cmd_estimate(
             parser.error("--probe-field must be an electric field (V/m)")
         if field.magnitude < 0:
             parser.error("--probe-field must be non-negative")
-        responses = [
-            ("probe_field", field),
-            ("probe_displacement", oscillator_displacement(params, field, registry=registry)),
-            ("probe_dipole_moment", induced_dipole_moment(params, field, registry=registry)),
-            ("probe_polarization", vacuum_polarization(params, field, registry=registry)),
-        ]
-        extra.extend((name, _qty_text(value, args.units)) for name, value in responses)
+        names = ("probe_field", "probe_displacement", "probe_dipole_moment", "probe_polarization")
+        responses = (field, *probe_response(params, field, registry=registry))
+        extra.extend((name, _qty_text(value, args.units)) for name, value in zip(names, responses))
 
     if args.units == "gaussian":
         print(GAUSSIAN_NOTE, file=sys.stderr)
@@ -363,10 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # argparse ends a usage error (exit 2) and --help (exit 0) with
     # SystemExit; in-process callers get that code as the return value.
+    # Warnings print as one line without their source location, for the
+    # length of this call only (catch_warnings does not restore the format).
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda msg, category, *_: f"warning: {category.__name__}: {msg}\n"
     try:
         return _run(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else exc.code
+    finally:
+        warnings.formatwarning = format_warning
 
 
 def _run(argv: list[str] | None) -> int:

@@ -67,7 +67,6 @@ DERIVED_KEYS = ("alpha", "lambda_c", "E_S")
 @dataclass(frozen=True)
 class ConstantRecord:
     key: str
-    symbol: str
     quantity: Quantity
     unit_text: str
     source: str
@@ -134,7 +133,6 @@ def _parse_lines(lines: list[str], origin: str) -> ConstantRegistry:
             raise UnitParseError(f"{origin} line {number}: {exc}") from exc
         records[key] = ConstantRecord(
             key=key,
-            symbol=key,
             quantity=Quantity(magnitude * scale, dimension),
             unit_text=unit_text,
             source=source,
@@ -164,17 +162,11 @@ def _append_derived(records: dict[str, ConstantRecord]) -> None:
     for key, (value, definition) in derived.items():
         records[key] = ConstantRecord(
             key=key,
-            symbol=key,
             quantity=value,
             unit_text=format_dimension(value.dimension),
             source="derived",
             definition=definition,
         )
-    # Self-check: re-derivation must reproduce the stored magnitudes.
-    for key, (value, _) in derived.items():
-        stored = records[key].quantity.magnitude
-        if not math.isclose(stored, value.magnitude, rel_tol=1e-12):
-            raise AssertionError(f"derived constant {key} failed its load-time self-check")
 
 
 def load_constants(path: str | Path) -> ConstantRegistry:

@@ -87,6 +87,10 @@ class NonFiniteError(ValueError):
     """A quantity magnitude was NaN or infinite."""
 
 
+class DivisionByZeroError(NonFiniteError, ZeroDivisionError):
+    """A magnitude was divided by zero; callers may catch either base."""
+
+
 class NegativeBaseError(ValueError):
     """Fractional power of a negative magnitude."""
 
@@ -373,7 +377,13 @@ class Quantity:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return Quantity(self.magnitude / rhs.magnitude, self.dimension / rhs.dimension)
+        try:
+            magnitude = self.magnitude / rhs.magnitude
+        except ZeroDivisionError:
+            raise DivisionByZeroError(
+                f"quantity magnitude divided by zero: {self.magnitude!r} / 0.0"
+            ) from None
+        return Quantity(magnitude, self.dimension / rhs.dimension)
 
     def __rtruediv__(self, other: object) -> Quantity:
         lhs = self._coerce(other)
@@ -393,6 +403,10 @@ class Quantity:
         except OverflowError:
             raise NonFiniteError(
                 f"quantity magnitude overflowed: {self.magnitude!r} ** {p}"
+            ) from None
+        except ZeroDivisionError:
+            raise DivisionByZeroError(
+                f"quantity magnitude divided by zero: {self.magnitude!r} ** {p}"
             ) from None
         return Quantity(magnitude, dim)
 

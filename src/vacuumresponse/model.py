@@ -179,22 +179,26 @@ class OscillatorParams:
 
 @dataclass(frozen=True)
 class VacuumResponse:
-    """Closed-model outputs: both estimates, the radius, and deviation ratios."""
+    """One evaluation of the model: both estimates, the radius, and deviation ratios."""
 
     eps_tilde: Quantity
     mu_tilde: Quantity
     radius: Quantity
-    implied_light_speed: Quantity
     eps_ratio: float
     mu_ratio: float
 
     def __post_init__(self) -> None:
-        for name in ("eps_tilde", "mu_tilde", "radius", "implied_light_speed"):
+        for name in ("eps_tilde", "mu_tilde", "radius"):
             q: Quantity = getattr(self, name)
             if q.magnitude <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.eps_ratio <= 0 or self.mu_ratio <= 0:
             raise ValueError("deviation ratios must be positive")
+
+    @property
+    def implied_light_speed(self) -> Quantity:
+        """1/sqrt(eps mu): the registry's light speed once the radius is closed."""
+        return (self.eps_tilde * self.mu_tilde) ** Fraction(-1, 2)
 
 
 def critical_field(p: OscillatorParams, registry: ConstantRegistry | None = None) -> Quantity:
@@ -203,12 +207,13 @@ def critical_field(p: OscillatorParams, registry: ConstantRegistry | None = None
     return p.mass**2 * reg.quantity("c") ** 3 / (abs(p.charge) * reg.quantity("hbar"))
 
 
-def _guard_probe(
+def _probe(
     p: OscillatorParams,
     field: Quantity,
     omega: Quantity | None,
     registry: ConstantRegistry,
-) -> None:
+) -> tuple[Quantity, Quantity, Quantity]:
+    """Guard one probe; return w0, the displacement q E / (m w0^2) and the dipole q x."""
     if field.dimension != ELECTRIC_FIELD:
         raise DimensionMismatchError(
             f"probe field must have electric-field dimension, got [{field.dimension}]"
@@ -228,22 +233,39 @@ def _guard_probe(
             WeakFieldWarning,
             stacklevel=3,
         )
+    if omega is not None and (omega.dimension != FREQUENCY or omega.magnitude < 0):
+        raise ValueError("drive frequency must be a non-negative frequency")
+    w0 = p.omega0(registry)
     if omega is not None:
-        if omega.dimension != FREQUENCY or omega.magnitude < 0:
-            raise ValueError("drive frequency must be a non-negative frequency")
-        w0 = p.omega0(registry).magnitude
-        if omega.magnitude >= w0:
+        if omega.magnitude >= w0.magnitude:
             raise NotQuasiStaticError(
                 f"drive frequency {omega.magnitude:.3e} rad/s is at or above the "
-                f"resonance {w0:.3e} rad/s; the quasi-static response does not apply"
+                f"resonance {w0.magnitude:.3e} rad/s; the quasi-static response does not apply"
             )
-        if omega.magnitude > QUASI_STATIC_WARN_FRACTION * w0:
+        if omega.magnitude > QUASI_STATIC_WARN_FRACTION * w0.magnitude:
             warnings.warn(
                 f"drive frequency {omega.magnitude:.3e} rad/s is within a decade of the "
                 "resonance; the zero-frequency response is approximate",
                 QuasiStaticWarning,
                 stacklevel=3,
             )
+    displacement = abs(p.charge) * field / (p.mass * w0**2)
+    return w0, displacement, abs(p.charge) * displacement
+
+
+def probe_response(
+    p: OscillatorParams,
+    field: Quantity,
+    omega: Quantity | None = None,
+    registry: ConstantRegistry | None = None,
+) -> tuple[Quantity, Quantity, Quantity]:
+    """Response to one probe field: displacement x, dipole moment q x, polarization q x / V.
+
+    The guard runs once, so each warning it raises is shown once.
+    """
+    reg = registry or default_registry()
+    w0, displacement, dipole = _probe(p, field, omega, reg)
+    return displacement, dipole, dipole / _volume(p, _radius(p, reg, w0))
 
 
 def oscillator_displacement(
@@ -253,9 +275,7 @@ def oscillator_displacement(
     registry: ConstantRegistry | None = None,
 ) -> Quantity:
     """Static displacement x = q E / (m w0^2) of the bound charge."""
-    reg = registry or default_registry()
-    _guard_probe(p, field, omega, reg)
-    return abs(p.charge) * field / (p.mass * p.omega0(reg) ** 2)
+    return _probe(p, field, omega, registry or default_registry())[1]
 
 
 def induced_dipole_moment(
@@ -265,7 +285,25 @@ def induced_dipole_moment(
     registry: ConstantRegistry | None = None,
 ) -> Quantity:
     """Induced dipole moment q^2 E / (m w0^2); exactly charge times displacement."""
-    return abs(p.charge) * oscillator_displacement(p, field, omega, registry)
+    return _probe(p, field, omega, registry or default_registry())[2]
+
+
+def _radius(
+    p: OscillatorParams, registry: ConstantRegistry, w0: Quantity | None = None
+) -> Quantity:
+    """The convention's radius; w0 is computed here if the rule needs it and none is given."""
+    conv = p.volume_convention
+    rule = conv.radius_rule
+    if rule is RadiusRule.CUSTOM:
+        return conv.custom_radius
+    if rule is RadiusRule.COMPTON:
+        return registry.quantity("hbar") / (p.mass * registry.quantity("c"))
+    if rule is RadiusRule.HALF_COMPTON:
+        return registry.quantity("hbar") / (2 * p.mass * registry.quantity("c"))
+    if w0 is None:
+        w0 = p.omega0(registry)
+    closure = 5.0 if conv.shape is Shape.SPHERE else 2.0
+    return math.sqrt(closure / p.g_factor) * registry.quantity("c") / w0
 
 
 def effective_radius(p: OscillatorParams, registry: ConstantRegistry | None = None) -> Quantity:
@@ -275,27 +313,18 @@ def effective_radius(p: OscillatorParams, registry: ConstantRegistry | None = No
     sqrt(2/g) c/w0 for the cube and sqrt(5/g) c/w0 for the sphere, which
     reduce to c/w0 and sqrt(5/2) c/w0 at the default spin response g = 2.
     """
-    reg = registry or default_registry()
-    conv = p.volume_convention
-    if conv.shape is Shape.SPHERE:
-        return math.sqrt(5.0 / p.g_factor) * reg.quantity("c") / p.omega0(reg)
-    rule = conv.radius_rule
-    if rule is RadiusRule.CUSTOM:
-        assert conv.custom_radius is not None
-        return conv.custom_radius
-    if rule is RadiusRule.COMPTON:
-        return reg.quantity("hbar") / (p.mass * reg.quantity("c"))
-    if rule is RadiusRule.HALF_COMPTON:
-        return reg.quantity("hbar") / (2 * p.mass * reg.quantity("c"))
-    return math.sqrt(2.0 / p.g_factor) * reg.quantity("c") / p.omega0(reg)
+    return _radius(p, registry or default_registry())
+
+
+def _volume(p: OscillatorParams, radius: Quantity) -> Quantity:
+    if p.volume_convention.shape is Shape.SPHERE:
+        return (4.0 * math.pi / 3.0) * radius**3
+    return radius**3
 
 
 def effective_volume(p: OscillatorParams, registry: ConstantRegistry | None = None) -> Quantity:
     """Volume per pair: r^3 for the cube, 4/3 pi R^3 for the uniform sphere."""
-    r = effective_radius(p, registry)
-    if p.volume_convention.shape is Shape.SPHERE:
-        return (4.0 * math.pi / 3.0) * r**3
-    return r**3
+    return _volume(p, effective_radius(p, registry))
 
 
 def mean_square_orbit_radius(radius: Quantity) -> Quantity:
@@ -318,7 +347,11 @@ def vacuum_polarization(
     registry: ConstantRegistry | None = None,
 ) -> Quantity:
     """Induced dipole density: dipole moment over the effective volume."""
-    return induced_dipole_moment(p, field, omega, registry) / effective_volume(p, registry)
+    return probe_response(p, field, omega, registry)[2]
+
+
+def _permittivity(p: OscillatorParams, w0: Quantity, volume: Quantity) -> Quantity:
+    return p.charge**2 / (p.mass * w0**2 * volume)
 
 
 def permittivity_estimate(
@@ -326,7 +359,8 @@ def permittivity_estimate(
 ) -> Quantity:
     """Vacuum permittivity estimate q^2 / (m w0^2 V)."""
     reg = registry or default_registry()
-    return p.charge**2 / (p.mass * p.omega0(reg) ** 2 * effective_volume(p, reg))
+    w0 = p.omega0(reg)
+    return _permittivity(p, w0, _volume(p, _radius(p, reg, w0)))
 
 
 def electric_displacement(
@@ -362,8 +396,7 @@ def angular_momentum_kick(
     """Angular momentum q <rho^2> B / 2 gained while the field is switched on."""
     if b_field.dimension != MAGNETIC_FIELD or b_field.magnitude < 0:
         raise ValueError("magnetic field must be a non-negative field amplitude")
-    reg = registry or default_registry()
-    r = effective_radius(p, reg)
+    r = effective_radius(p, registry)
     return abs(p.charge) * _orbit_mean_square(p, r) * b_field / 2
 
 
@@ -381,6 +414,10 @@ def pair_magnetic_moment(
     return PAIR_FACTOR * (p.g_factor * abs(p.charge) / (2 * p.mass)) * kick
 
 
+def _permeability(p: OscillatorParams, volume: Quantity, mean_square: Quantity) -> Quantity:
+    return 2 * p.mass * volume / (p.g_factor * p.charge**2 * mean_square)
+
+
 def permeability_estimate(
     p: OscillatorParams, registry: ConstantRegistry | None = None
 ) -> Quantity:
@@ -389,11 +426,31 @@ def permeability_estimate(
     Inverting the moment-per-volume chain gives 2 m V / (g q^2 <rho^2>),
     which is m r / q^2 for the cube at g = 2.
     """
+    r = effective_radius(p, registry)
+    return _permeability(p, _volume(p, r), _orbit_mean_square(p, r))
+
+
+def vacuum_response(
+    p: OscillatorParams, registry: ConstantRegistry | None = None
+) -> VacuumResponse:
+    """Evaluate the model once for the params' own convention.
+
+    w0, the radius and the volume are each computed once; every output has
+    the same bits as its per-output function.
+    """
     reg = registry or default_registry()
-    r = effective_radius(p, reg)
-    volume = effective_volume(p, reg)
-    ms = _orbit_mean_square(p, r)
-    return 2 * p.mass * volume / (p.g_factor * p.charge**2 * ms)
+    w0 = p.omega0(reg)
+    radius = _radius(p, reg, w0)
+    volume = _volume(p, radius)
+    eps = _permittivity(p, w0, volume)
+    mu = _permeability(p, volume, _orbit_mean_square(p, radius))
+    return VacuumResponse(
+        eps_tilde=eps,
+        mu_tilde=mu,
+        radius=radius,
+        eps_ratio=(eps / reg.quantity("eps0")).magnitude,
+        mu_ratio=(mu / reg.quantity("mu0")).magnitude,
+    )
 
 
 def maxwell_closure(
@@ -405,24 +462,13 @@ def maxwell_closure(
     to equal 1/c^2 fixes the radius within the chosen convention family.
     The implied light speed then reproduces the registry value identically.
     """
-    reg = registry or default_registry()
     closed = replace(
         p,
         volume_convention=VolumeConvention(
             p.volume_convention.shape, RadiusRule.MAXWELL_CONSISTENT
         ),
     )
-    eps = permittivity_estimate(closed, reg)
-    mu = permeability_estimate(closed, reg)
-    light_speed = (eps * mu) ** Fraction(-1, 2)
-    return VacuumResponse(
-        eps_tilde=eps,
-        mu_tilde=mu,
-        radius=effective_radius(closed, reg),
-        implied_light_speed=light_speed,
-        eps_ratio=(eps / reg.quantity("eps0")).magnitude,
-        mu_ratio=(mu / reg.quantity("mu0")).magnitude,
-    )
+    return vacuum_response(closed, registry)
 
 
 def fine_structure_form(

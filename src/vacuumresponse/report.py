@@ -16,14 +16,7 @@ import math
 
 from .constants import ConstantRegistry, default_registry
 from .dimensions import Quantity
-from .model import (
-    OscillatorParams,
-    RadiusRule,
-    VolumeConvention,
-    effective_radius,
-    permeability_estimate,
-    permittivity_estimate,
-)
+from .model import OscillatorParams, RadiusRule, VolumeConvention, vacuum_response
 from .species import SpeciesModel, required_species_count
 from .units import render_quantity
 
@@ -109,20 +102,17 @@ def build_row(
 ) -> ReportRow:
     """Compute one grid point with electron-scale oscillator parameters."""
     reg = registry or default_registry()
-    conv = CONVENTION_TOKENS[convention]
-    params = OscillatorParams.for_electron(kappa, g, conv, reg)
-    eps = permittivity_estimate(params, reg)
-    mu = permeability_estimate(params, reg)
-    radius = effective_radius(params, reg)
+    params = OscillatorParams.for_electron(kappa, g, CONVENTION_TOKENS[convention], reg)
+    response = vacuum_response(params, reg)
     return ReportRow(
         kappa=kappa,
         convention=convention,
         g=g,
-        eps_tilde=eps,
-        mu_tilde=mu,
-        radius=radius,
-        eps_ratio=(eps / reg.quantity("eps0")).magnitude,
-        mu_ratio=(mu / reg.quantity("mu0")).magnitude,
+        eps_tilde=response.eps_tilde,
+        mu_tilde=response.mu_tilde,
+        radius=response.radius,
+        eps_ratio=response.eps_ratio,
+        mu_ratio=response.mu_ratio,
         count_simple=required_species_count(kappa, SpeciesModel.SIMPLE, reg),
         count_sphere=required_species_count(kappa, SpeciesModel.SPHERE, reg),
     )

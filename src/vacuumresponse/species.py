@@ -214,10 +214,7 @@ def gap_for_exact_match(
     weight = charge_weighted_sum(table)
     if weight == 0:
         raise EmptyTableError("cannot match the measured permittivity with no charged species")
-    alpha = reg.value("alpha")
-    if model is SpeciesModel.SIMPLE:
-        kappa = 1.0 / (4 * math.pi * alpha * float(weight))
-    else:
-        kappa = _SPHERE_GEOMETRY / (3 * alpha * float(weight))
+    # The count formula with the weight in place of the gap ratio.
+    kappa = required_species_count(float(weight), model, reg)
     energy = kappa * reg.quantity("m_e") * reg.quantity("c") ** 2
     return GapMatch(kappa, energy)

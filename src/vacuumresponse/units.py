@@ -86,34 +86,33 @@ class UnitScaleError(UnitParseError):
 
 
 class UnitEntry(NamedTuple):
-    symbol: str
     scale: float
     dimension: Dimension
 
 
 _BASE_UNITS = {
-    "m": UnitEntry("m", 1.0, LENGTH),
-    "kg": UnitEntry("kg", 1.0, MASS),
-    "s": UnitEntry("s", 1.0, TIME),
-    "A": UnitEntry("A", 1.0, CURRENT),
-    "K": UnitEntry("K", 1.0, TEMPERATURE),
-    "mol": UnitEntry("mol", 1.0, AMOUNT),
-    "cd": UnitEntry("cd", 1.0, LUMINOSITY),
+    "m": UnitEntry(1.0, LENGTH),
+    "kg": UnitEntry(1.0, MASS),
+    "s": UnitEntry(1.0, TIME),
+    "A": UnitEntry(1.0, CURRENT),
+    "K": UnitEntry(1.0, TEMPERATURE),
+    "mol": UnitEntry(1.0, AMOUNT),
+    "cd": UnitEntry(1.0, LUMINOSITY),
 }
 
 _DERIVED_UNITS = {
-    "Hz": UnitEntry("Hz", 1.0, FREQUENCY),
-    "N": UnitEntry("N", 1.0, MASS * LENGTH / TIME**2),
-    "J": UnitEntry("J", 1.0, ENERGY),
-    "W": UnitEntry("W", 1.0, ENERGY / TIME),
-    "C": UnitEntry("C", 1.0, CHARGE),
-    "V": UnitEntry("V", 1.0, ELECTRIC_FIELD * LENGTH),
-    "F": UnitEntry("F", 1.0, CHARGE / (ELECTRIC_FIELD * LENGTH)),
-    "T": UnitEntry("T", 1.0, MAGNETIC_FIELD),
-    "H": UnitEntry("H", 1.0, PERMEABILITY * LENGTH),
+    "Hz": UnitEntry(1.0, FREQUENCY),
+    "N": UnitEntry(1.0, MASS * LENGTH / TIME**2),
+    "J": UnitEntry(1.0, ENERGY),
+    "W": UnitEntry(1.0, ENERGY / TIME),
+    "C": UnitEntry(1.0, CHARGE),
+    "V": UnitEntry(1.0, ELECTRIC_FIELD * LENGTH),
+    "F": UnitEntry(1.0, CHARGE / (ELECTRIC_FIELD * LENGTH)),
+    "T": UnitEntry(1.0, MAGNETIC_FIELD),
+    "H": UnitEntry(1.0, PERMEABILITY * LENGTH),
     # Non-coherent entries carry their scale to the SI coherent unit.
-    "eV": UnitEntry("eV", 1.602176634e-19, ENERGY),
-    "g": UnitEntry("g", 1e-3, MASS),
+    "eV": UnitEntry(1.602176634e-19, ENERGY),
+    "g": UnitEntry(1e-3, MASS),
 }
 
 REGISTRY: dict[str, UnitEntry] = {**_BASE_UNITS, **_DERIVED_UNITS}
@@ -140,31 +139,6 @@ SI_PREFIXES: dict[str, float] = {
     "Z": 1e21,
     "Y": 1e24,
 }
-
-
-def _verify_registry() -> None:
-    """Cross-check derived-unit dimensions against explicit exponent tables."""
-    expected = {
-        "Hz": (0, 0, -1, 0),
-        "N": (1, 1, -2, 0),
-        "J": (2, 1, -2, 0),
-        "W": (2, 1, -3, 0),
-        "C": (0, 0, 1, 1),
-        "V": (2, 1, -3, -1),
-        "F": (-2, -1, 4, 2),
-        "T": (0, 1, -2, -1),
-        "H": (2, 1, -2, -2),
-        "eV": (2, 1, -2, 0),
-        "g": (0, 1, 0, 0),
-    }
-    for symbol, (l, m, t, i) in expected.items():
-        want = Dimension(length=Fraction(l), mass=Fraction(m), time=Fraction(t), current=Fraction(i))
-        got = REGISTRY[symbol].dimension
-        if got != want:
-            raise AssertionError(f"registry dimension for {symbol!r} is {got}, expected {want}")
-
-
-_verify_registry()
 
 
 def _normalize_symbol(symbol: str) -> str:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vacuumresponse.checks import EQUATION_NAMES, run_dimension_checks
+from vacuumresponse.checks import run_dimension_checks
 from vacuumresponse.constants import default_registry, schwinger_field
 from vacuumresponse.dimensions import (
     DIMENSIONLESS,
@@ -217,6 +217,35 @@ def test_criterion_10_mass_independence(reg):
     report(10, "deviation ratio is identical for electron- and muon-mass "
                "parameters at equal gap ratio", ok, f"rel dev {rel:.2e}")
     assert ok
+
+
+# Stable identifiers of every checked relation, in report order.
+EQUATION_NAMES = (
+    "polarization-density",
+    "electric-displacement",
+    "oscillator-force-balance",
+    "induced-dipole-moment",
+    "vacuum-polarization",
+    "permittivity-estimate",
+    "magnetic-h-field",
+    "magnetization-density",
+    "induced-vortex-field",
+    "angular-momentum-kick",
+    "gyromagnetic-relation",
+    "pair-magnetic-moment",
+    "permeability-estimate",
+    "light-speed-closure",
+    "consistency-radius",
+    "gap-scaled-permittivity",
+    "fine-structure-form",
+    "charge-weighted-total",
+    "species-count-inversion",
+    "orbit-mean-square-radius",
+    "sphere-consistency-radius",
+    "refined-permittivity",
+    "refined-species-count",
+    "critical-field",
+)
 
 
 def test_criterion_11_dimensional_soundness(reg, tmp_path):

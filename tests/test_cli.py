@@ -76,11 +76,20 @@ class TestEstimate:
         assert result.returncode == 2
 
     def test_overflowing_g_factor_is_model_error(self):
-        result = run_cli("estimate", "--g-factor", "1e-300")
-        assert result.returncode == 1
-        assert "Traceback" not in result.stderr
-        lines = result.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        # A magnitude that overflows, or underflows to zero and is then divided by.
+        for argv in (
+            ["estimate", "--g-factor", "1e-300"],
+            ["estimate", "--g-factor", "1e200"],
+            ["estimate", "--g-factor", "1e300"],
+            ["estimate", "--g-factor", "1e-300", "--convention", "cube-compton"],
+            ["sweep", "--g-factors", "1e200", "--points", "2"],
+            ["estimate", "--gap-ratio", "1e90", "--g-factor", "0.5"],
+        ):
+            result = run_cli(*argv)
+            assert result.returncode == 1, argv
+            assert "Traceback" not in result.stderr
+            lines = result.stderr.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), argv
 
 
 class TestSweep:

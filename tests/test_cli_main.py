@@ -1,6 +1,7 @@
 """In-process checks of ``cli.main``: output routing and process state."""
 
 import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -62,6 +63,25 @@ def test_main_leaves_warning_filters_unchanged():
     result = subprocess.run([*CLI, *argv], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0
     assert "WeakFieldWarning: field 1.000e+17 V/m exceeds 0.01 of the critical field" in result.stderr
+
+
+def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
+    # pytest records warnings instead of printing them; this handler prints
+    # each one the way Python's default handler does.
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    monkeypatch.setattr(warnings, "showwarning", show)
+    before = warnings.formatwarning
+    assert main(["estimate", "--probe-field", "1e17 V/m"]) == 0
+    err = capsys.readouterr().err
+    warned = [line for line in err.splitlines() if line.startswith("warning: ")]
+    assert warned == [
+        "warning: WeakFieldWarning: field 1.000e+17 V/m exceeds 0.01 of the critical field; "
+        "linear response is marginal"
+    ]
+    assert ".py:" not in err
+    assert warnings.formatwarning is before
 
 
 @pytest.mark.parametrize(

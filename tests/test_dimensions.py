@@ -241,6 +241,10 @@ class TestQuantity:
             Quantity(1e-300) ** -2
         with pytest.raises(NonFiniteError):
             Quantity(1e200, LENGTH**2) ** Fraction(5, 2)
+        with pytest.raises(NonFiniteError):
+            Quantity(0.0) ** -1
+        with pytest.raises(NonFiniteError):
+            Quantity(1.0) / Quantity(0.0)
 
     def test_immutable(self):
         q = metres(1.0)

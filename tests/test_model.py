@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vacuumresponse.dimensions import (
     DIMENSIONLESS,
+    FREQUENCY,
     LENGTH,
     Quantity,
 )
@@ -35,7 +36,9 @@ from vacuumresponse.model import (
     pair_magnetic_moment,
     permeability_estimate,
     permittivity_estimate,
+    probe_response,
     vacuum_polarization,
+    vacuum_response,
 )
 from vacuumresponse.units import parse_unit, quantity
 
@@ -157,6 +160,23 @@ class TestInducedDipole:
         x = oscillator_displacement(p, unit_field(2.5), registry=registry)
         d = induced_dipole_moment(p, unit_field(2.5), registry=registry)
         assert d.magnitude == (abs(p.charge) * x).magnitude
+
+
+class TestProbeResponse:
+    def test_items_match_the_per_output_functions(self, registry):
+        p = electron(conv=VolumeConvention.sphere(), registry=registry)
+        x, dipole, polarization = probe_response(p, unit_field(2.5), registry=registry)
+        assert x == oscillator_displacement(p, unit_field(2.5), registry=registry)
+        assert dipole == induced_dipole_moment(p, unit_field(2.5), registry=registry)
+        assert polarization == vacuum_polarization(p, unit_field(2.5), registry=registry)
+
+    def test_guards_and_evaluates_omega0_once(self, registry, omega0_calls):
+        p = electron(registry=registry)
+        field = 0.05 * critical_field(p, registry)
+        with pytest.warns(WeakFieldWarning) as record:
+            probe_response(p, field, omega=Quantity(1e3, FREQUENCY), registry=registry)
+        assert len(record) == 1
+        assert len(omega0_calls) == 1
 
 
 class TestEffectiveVolume:
@@ -422,6 +442,34 @@ class TestMaxwellClosure:
         pinned = maxwell_closure(half_compton(registry, kappa=3.0), registry)
         consistent = maxwell_closure(electron(kappa=3.0, registry=registry), registry)
         assert pinned == consistent
+
+
+class TestVacuumResponse:
+    @pytest.mark.parametrize(
+        "conv",
+        [
+            VolumeConvention.cube(),
+            VolumeConvention.cube(RadiusRule.COMPTON),
+            VolumeConvention.cube(RadiusRule.HALF_COMPTON),
+            VolumeConvention.cube_custom(Quantity(1e-13, LENGTH)),
+            VolumeConvention.sphere(),
+        ],
+        ids=["cube", "compton", "half-compton", "custom", "sphere"],
+    )
+    def test_matches_the_per_output_functions(self, registry, conv):
+        p = electron(kappa=1.3, g=3.7, conv=conv, registry=registry)
+        resp = vacuum_response(p, registry)
+        assert resp.eps_tilde == permittivity_estimate(p, registry)
+        assert resp.mu_tilde == permeability_estimate(p, registry)
+        assert resp.radius == effective_radius(p, registry)
+        assert resp.eps_ratio == (resp.eps_tilde / registry.quantity("eps0")).magnitude
+        assert resp.mu_ratio == (resp.mu_tilde / registry.quantity("mu0")).magnitude
+
+    def test_closure_is_the_response_of_the_consistent_radius(self, registry):
+        p = half_compton(registry, kappa=3.0)
+        assert maxwell_closure(p, registry) == vacuum_response(
+            electron(kappa=3.0, registry=registry), registry
+        )
 
 
 class TestFineStructureForm:

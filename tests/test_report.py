@@ -7,8 +7,13 @@ import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vacuumresponse.constants import default_registry
+from vacuumresponse.dimensions import LENGTH, PERMEABILITY, PERMITTIVITY
 from vacuumresponse.report import (
+    CONVENTION_TOKENS,
     CSV_HEADER,
     SweepConfig,
     build_row,
@@ -84,6 +89,51 @@ class TestRows:
     def test_config_rejects_non_finite_and_non_positive_bounds(self, kwargs):
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
+
+
+    @pytest.mark.parametrize("convention", CONVENTION_TOKENS)
+    def test_row_evaluates_omega0_once(self, registry, omega0_calls, convention):
+        build_row(1.3, convention, 2.0, registry)
+        assert len(omega0_calls) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kappa=st.floats(min_value=0.01, max_value=50.0),
+    convention=st.sampled_from(tuple(CONVENTION_TOKENS)),
+    g=st.sampled_from((0.5, 1.0, 2.0, 3.7)),
+)
+def test_row_columns_match_closed_forms(kappa, convention, g):
+    reg = default_registry()
+    c, hbar, m, q, alpha = (reg.value(k) for k in ("c", "hbar", "m_e", "e", "alpha"))
+    w0 = kappa * m * c**2 / hbar
+    r = {
+        "cube": math.sqrt(2 / g) * c / w0,
+        "cube-compton": hbar / (m * c),
+        "cube-half-compton": hbar / (2 * m * c),
+        "sphere": math.sqrt(5 / g) * c / w0,
+    }[convention]
+    if convention == "sphere":
+        volume, mean_square = 4 * math.pi / 3 * r**3, 2 / 5 * r**2
+    else:
+        volume, mean_square = r**3, r**2
+    eps = q**2 / (m * w0**2 * volume)
+    mu = 2 * m * volume / (g * q**2 * mean_square)
+
+    row = build_row(kappa, convention, g, reg)
+    assert (row.kappa, row.convention, row.g) == (kappa, convention, g)
+    assert (row.eps_tilde.dimension, row.mu_tilde.dimension, row.radius.dimension) == (
+        PERMITTIVITY, PERMEABILITY, LENGTH
+    )
+    assert row.radius.magnitude == pytest.approx(r, rel=1e-12)
+    assert row.eps_tilde.magnitude == pytest.approx(eps, rel=1e-12)
+    assert row.mu_tilde.magnitude == pytest.approx(mu, rel=1e-12)
+    assert row.eps_ratio == pytest.approx(eps / reg.value("eps0"), rel=1e-12)
+    assert row.mu_ratio == pytest.approx(mu / reg.value("mu0"), rel=1e-12)
+    assert row.count_simple == pytest.approx(1 / (4 * math.pi * alpha * kappa), rel=1e-12)
+    assert row.count_sphere == pytest.approx(2.5**1.5 / (3 * alpha * kappa), rel=1e-12)
+    if convention == "cube" and g == 2.0:
+        assert row.eps_ratio == pytest.approx(4 * math.pi * alpha * kappa, rel=1e-12)
 
 
 class TestSerialization:

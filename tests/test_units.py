@@ -78,6 +78,27 @@ class TestParse:
     def test_derived_volt_matches_base_expansion(self):
         assert parse_unit("V")[1] == parse_unit("kg m^2 / (A s^3)")[1]
 
+    @pytest.mark.parametrize(
+        ("symbol", "exponents"),
+        [
+            ("Hz", (0, 0, -1, 0)),
+            ("N", (1, 1, -2, 0)),
+            ("J", (2, 1, -2, 0)),
+            ("W", (2, 1, -3, 0)),
+            ("C", (0, 0, 1, 1)),
+            ("V", (2, 1, -3, -1)),
+            ("F", (-2, -1, 4, 2)),
+            ("T", (0, 1, -2, -1)),
+            ("H", (2, 1, -2, -2)),
+            ("eV", (2, 1, -2, 0)),
+            ("g", (0, 1, 0, 0)),
+        ],
+    )
+    def test_derived_unit_dimension_matches_exponent_table(self, symbol, exponents):
+        length, mass, time, current = exponents
+        want = Dimension(length=length, mass=mass, time=time, current=current)
+        assert units.REGISTRY[symbol].dimension == want
+
     def test_rational_exponents(self):
         _, dim = parse_unit("m^1/2")
         assert dim == LENGTH ** Fraction(1, 2)
