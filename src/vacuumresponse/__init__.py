@@ -14,8 +14,7 @@ _EXPORTS = {
         "OscillatorParams", "RadiusRule", "Shape", "VacuumResponse",
         "VolumeConvention", "effective_radius", "effective_volume", "fine_structure_form",
         "maxwell_closure", "mean_square_orbit_radius", "pair_magnetic_moment",
-        "permeability_estimate", "permittivity_estimate", "probe_response",
-        "vacuum_polarization", "vacuum_response",
+        "probe_response", "vacuum_response",
     ),
     "species": (
         "ParticleSpecies", "SpeciesModel", "SpeciesTable", "charge_weighted_sum",

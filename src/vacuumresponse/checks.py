@@ -19,16 +19,12 @@ from .model import (
     OscillatorParams,
     VolumeConvention,
     angular_momentum_kick,
-    effective_radius,
     effective_volume,
-    induced_dipole_moment,
     induced_vortex_field,
     mean_square_orbit_radius,
-    oscillator_displacement,
     pair_magnetic_moment,
-    permeability_estimate,
-    permittivity_estimate,
-    vacuum_polarization,
+    probe_response,
+    vacuum_response,
 )
 from .species import default_species_table, total_permittivity
 from .units import format_dimension, parse_unit
@@ -71,12 +67,10 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
     B = Quantity(1.0, _dim("T"))
     Bdot = Quantity(1.0, _dim("T/s"))
 
-    r = effective_radius(cube, reg)
+    response = vacuum_response(cube, reg)
+    r, eps_t, mu_t = response.radius, response.eps_tilde, response.mu_tilde
     volume = effective_volume(cube, reg)
-    dipole = induced_dipole_moment(cube, E, registry=reg)
-    pol = vacuum_polarization(cube, E, registry=reg)
-    eps_t = permittivity_estimate(cube, reg)
-    mu_t = permeability_estimate(cube, reg)
+    x, dipole, pol = probe_response(cube, E, registry=reg)
     kick = angular_momentum_kick(cube, B, reg)
     moment = pair_magnetic_moment(cube, B, reg)
     magnetization = moment / volume
@@ -99,7 +93,7 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
         CheckResult(
             "oscillator-force-balance",
             "restoring force m w0^2 x balances the drive q E",
-            (m * w0**2 * oscillator_displacement(cube, E, registry=reg)).dimension,
+            (m * w0**2 * x).dimension,
             (e * E).dimension,
         ),
         CheckResult(
@@ -214,7 +208,7 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
             "refined-permittivity",
             "3 alpha (2/5)^(3/2) kappa eps0 keeps the permittivity dimension",
             (3 * alpha * kappa * eps0 * Quantity(0.4) ** Fraction(3, 2)).dimension,
-            permittivity_estimate(sphere, reg).dimension,
+            vacuum_response(sphere, reg).eps_tilde.dimension,
         ),
         CheckResult(
             "refined-species-count",

@@ -11,6 +11,7 @@ import argparse
 import math
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 from .constants import (
@@ -23,9 +24,9 @@ from .constants import (
 from .dimensions import ELECTRIC_FIELD, Quantity
 from .model import (
     OscillatorParams,
+    RadiusRule,
     Shape,
     fine_structure_form,
-    maxwell_closure,
     probe_response,
 )
 from .report import (
@@ -134,11 +135,14 @@ def cmd_estimate(
 
     row = build_row(kappa, convention, g, registry)
     params = OscillatorParams.for_electron(kappa, g, CONVENTION_TOKENS[convention], registry)
-    response = maxwell_closure(params, registry)
+    # A closed convention's row is its own light-speed closure; a pinned
+    # radius (a cube) is closed by the cube row at the same point.
+    closed = row
+    if params.volume_convention.radius_rule is not RadiusRule.MAXWELL_CONSISTENT:
+        closed = build_row(kappa, "cube", g, registry)
+    light_speed = (closed.eps_tilde * closed.mu_tilde) ** Fraction(-1, 2)  # 1/sqrt(eps mu)
 
-    extra: list[tuple[str, str]] = [
-        ("implied_light_speed", _qty_text(response.implied_light_speed, args.units))
-    ]
+    extra: list[tuple[str, str]] = [("implied_light_speed", _qty_text(light_speed, args.units))]
     if convention == "cube" and g == 2.0:
         _, deviation = fine_structure_form(params, registry)
         extra.append(("deviation_factor", format_float(deviation)))

@@ -93,9 +93,6 @@ class ConstantRegistry:
         except KeyError:
             raise MissingConstantError(key) from None
 
-    def keys(self) -> tuple[str, ...]:
-        return tuple(self._records)
-
     def records(self) -> tuple[ConstantRecord, ...]:
         return tuple(self._records.values())
 

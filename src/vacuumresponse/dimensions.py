@@ -283,7 +283,6 @@ POLARIZATION = CHARGE / LENGTH**2
 MAGNETIZATION = CURRENT / LENGTH
 PERMITTIVITY = CHARGE**2 / (ENERGY * LENGTH)
 PERMEABILITY = (SPEED**2 * PERMITTIVITY).inverse()
-ANGULAR_MOMENTUM = ENERGY * TIME
 
 
 class Quantity:
@@ -409,9 +408,6 @@ class Quantity:
                 f"quantity magnitude divided by zero: {self.magnitude!r} ** {p}"
             ) from None
         return Quantity(magnitude, dim)
-
-    def sqrt(self) -> Quantity:
-        return self ** Fraction(1, 2)
 
     def __str__(self) -> str:
         return f"{self.magnitude:.12g} [{self.dimension}]"

@@ -278,16 +278,6 @@ def oscillator_displacement(
     return _probe(p, field, omega, registry or default_registry())[1]
 
 
-def induced_dipole_moment(
-    p: OscillatorParams,
-    field: Quantity,
-    omega: Quantity | None = None,
-    registry: ConstantRegistry | None = None,
-) -> Quantity:
-    """Induced dipole moment q^2 E / (m w0^2); exactly charge times displacement."""
-    return _probe(p, field, omega, registry or default_registry())[2]
-
-
 def _radius(
     p: OscillatorParams, registry: ConstantRegistry, w0: Quantity | None = None
 ) -> Quantity:
@@ -340,45 +330,6 @@ def _orbit_mean_square(p: OscillatorParams, radius: Quantity) -> Quantity:
     return radius**2
 
 
-def vacuum_polarization(
-    p: OscillatorParams,
-    field: Quantity,
-    omega: Quantity | None = None,
-    registry: ConstantRegistry | None = None,
-) -> Quantity:
-    """Induced dipole density: dipole moment over the effective volume."""
-    return probe_response(p, field, omega, registry)[2]
-
-
-def _permittivity(p: OscillatorParams, w0: Quantity, volume: Quantity) -> Quantity:
-    return p.charge**2 / (p.mass * w0**2 * volume)
-
-
-def permittivity_estimate(
-    p: OscillatorParams, registry: ConstantRegistry | None = None
-) -> Quantity:
-    """Vacuum permittivity estimate q^2 / (m w0^2 V)."""
-    reg = registry or default_registry()
-    w0 = p.omega0(reg)
-    return _permittivity(p, w0, _volume(p, _radius(p, reg, w0)))
-
-
-def electric_displacement(
-    field: Quantity, polarization: Quantity, registry: ConstantRegistry | None = None
-) -> Quantity:
-    """Total displacement field eps0 E + P."""
-    reg = registry or default_registry()
-    return reg.quantity("eps0") * field + polarization
-
-
-def magnetic_h_field(
-    b_field: Quantity, magnetization: Quantity, registry: ConstantRegistry | None = None
-) -> Quantity:
-    """Free-current field H = B/mu0 - M."""
-    reg = registry or default_registry()
-    return b_field / reg.quantity("mu0") - magnetization
-
-
 def induced_vortex_field(radius: Quantity, b_rate: Quantity) -> Quantity:
     """Azimuthal electric field -(r/2) dB/dt on a circular orbit (signed)."""
     if radius.dimension != LENGTH or radius.magnitude <= 0:
@@ -414,36 +365,23 @@ def pair_magnetic_moment(
     return PAIR_FACTOR * (p.g_factor * abs(p.charge) / (2 * p.mass)) * kick
 
 
-def _permeability(p: OscillatorParams, volume: Quantity, mean_square: Quantity) -> Quantity:
-    return 2 * p.mass * volume / (p.g_factor * p.charge**2 * mean_square)
-
-
-def permeability_estimate(
-    p: OscillatorParams, registry: ConstantRegistry | None = None
-) -> Quantity:
-    """Vacuum permeability estimate: applied B over the induced magnetization.
-
-    Inverting the moment-per-volume chain gives 2 m V / (g q^2 <rho^2>),
-    which is m r / q^2 for the cube at g = 2.
-    """
-    r = effective_radius(p, registry)
-    return _permeability(p, _volume(p, r), _orbit_mean_square(p, r))
-
-
 def vacuum_response(
     p: OscillatorParams, registry: ConstantRegistry | None = None
 ) -> VacuumResponse:
     """Evaluate the model once for the params' own convention.
 
-    w0, the radius and the volume are each computed once; every output has
-    the same bits as its per-output function.
+    The permittivity estimate is the induced dipole per unit field over the
+    volume, q^2 / (m w0^2 V).  The permeability estimate is the applied B
+    over the induced magnetization; inverting the moment-per-volume chain
+    gives 2 m V / (g q^2 <rho^2>), which is m r / q^2 for the cube at g = 2.
+    w0, the radius and the volume are each computed once.
     """
     reg = registry or default_registry()
     w0 = p.omega0(reg)
     radius = _radius(p, reg, w0)
     volume = _volume(p, radius)
-    eps = _permittivity(p, w0, volume)
-    mu = _permeability(p, volume, _orbit_mean_square(p, radius))
+    eps = p.charge**2 / (p.mass * w0**2 * volume)
+    mu = 2 * p.mass * volume / (p.g_factor * p.charge**2 * _orbit_mean_square(p, radius))
     return VacuumResponse(
         eps_tilde=eps,
         mu_tilde=mu,

@@ -100,10 +100,17 @@ def build_row(
     g: float,
     registry: ConstantRegistry | None = None,
 ) -> ReportRow:
-    """Compute one grid point with electron-scale oscillator parameters."""
+    """Compute one grid point with electron-scale oscillator parameters.
+
+    An input that takes the model out of the float range raises
+    ``ValueError`` naming the grid point.
+    """
     reg = registry or default_registry()
-    params = OscillatorParams.for_electron(kappa, g, CONVENTION_TOKENS[convention], reg)
-    response = vacuum_response(params, reg)
+    try:
+        params = OscillatorParams.for_electron(kappa, g, CONVENTION_TOKENS[convention], reg)
+        response = vacuum_response(params, reg)
+    except (ArithmeticError, ValueError) as exc:
+        raise ValueError(f"kappa {kappa:g}, convention {convention}, g {g:g}: {exc}") from exc
     return ReportRow(
         kappa=kappa,
         convention=convention,

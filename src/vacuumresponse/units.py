@@ -26,6 +26,7 @@ SI label, or scaled by its kind's Gaussian factor, with a cm/g/s label.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -308,13 +309,18 @@ def parse_unit(text: str) -> tuple[float, Dimension]:
     # A syntax error anywhere in the text wins over an unknown unit or a
     # scale overflow before it, so look for one without evaluating.
     try:
-        return _Parser(tokens, evaluate=True).parse()
+        scale, dimension = _Parser(tokens, evaluate=True).parse()
     except UnknownUnitError:
         _Parser(tokens, evaluate=False).parse()
         raise
     except ArithmeticError:
         _Parser(tokens, evaluate=False).parse()
         raise UnitScaleError(text) from None
+    # A product or quotient that leaves the float range gives inf or 0.0
+    # (or nan from both) where a power raises; all three are one error.
+    if not 0.0 < scale < math.inf:
+        raise UnitScaleError(text)
+    return scale, dimension
 
 
 def quantity(magnitude: float, unit: str) -> Quantity:

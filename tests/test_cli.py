@@ -1,6 +1,7 @@
 """End-to-end exercise of the command-line interface via subprocesses."""
 
 import json
+import re
 import subprocess
 
 import pytest
@@ -83,6 +84,7 @@ class TestEstimate:
             ["estimate", "--g-factor", "1e300"],
             ["estimate", "--g-factor", "1e-300", "--convention", "cube-compton"],
             ["sweep", "--g-factors", "1e200", "--points", "2"],
+            ["sweep", "--g-factors", "2,1e200", "--points", "2"],
             ["estimate", "--gap-ratio", "1e90", "--g-factor", "0.5"],
         ):
             result = run_cli(*argv)
@@ -90,6 +92,8 @@ class TestEstimate:
             assert "Traceback" not in result.stderr
             lines = result.stderr.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), argv
+            # The message names the grid point whose evaluation failed.
+            assert re.match(r"error: kappa \S+, convention \S+, g \S+: ", lines[0]), argv
 
 
 class TestSweep:

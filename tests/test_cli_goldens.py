@@ -1,0 +1,28 @@
+"""``estimate`` and ``check-dimensions`` stdout must stay byte-identical to the recorded digests.
+
+The digests in ``tests/data/cli_goldens.json`` were recorded before the model
+API was narrowed to ``vacuum_response``/``probe_response``; they pin every
+estimate format, convention and unit system, and the dimension-check report
+with the bundled and with corrupted constants.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from vacuumresponse.cli import main
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "data" / "cli_goldens.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("golden", GOLDEN["outputs"], ids=lambda g: " ".join(g["argv"]))
+def test_stdout_matches_golden(capsys, corrupted_constants, golden):
+    argv = [str(corrupted_constants) if a == "{corrupted_constants}" else a for a in golden["argv"]]
+    assert main(argv) == golden["exit"]
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert len(stdout) == golden["bytes"]
+    assert hashlib.sha256(stdout).hexdigest() == golden["sha256"]

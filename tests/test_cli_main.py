@@ -169,3 +169,18 @@ def test_species_names_the_bundled_table_not_its_path(tmp_path, capsys):
 def test_deviation_note_only_for_cube_conventions(capsys, convention, noted):
     assert main(["estimate", "--convention", convention]) == 0
     assert (DEVIATION_NOTE in capsys.readouterr().err) is noted
+
+
+@pytest.mark.parametrize(
+    ("convention", "calls"),
+    [("cube", 1), ("sphere", 1), ("cube-compton", 2), ("cube-half-compton", 2)],
+)
+def test_estimate_evaluates_the_model_once_per_response(capsys, omega0_calls, convention, calls):
+    # A pinned radius needs its light-speed closure as a second evaluation.
+    assert main(["estimate", "--convention", convention]) == 0
+    assert len(omega0_calls) == calls
+
+
+def test_check_dimensions_evaluates_omega0_at_most_seven_times(capsys, omega0_calls):
+    assert main(["check-dimensions"]) == 0
+    assert len(omega0_calls) <= 7

@@ -25,19 +25,13 @@ from vacuumresponse.model import (
     critical_field,
     effective_radius,
     effective_volume,
-    electric_displacement,
     fine_structure_form,
-    induced_dipole_moment,
     induced_vortex_field,
-    magnetic_h_field,
     maxwell_closure,
     mean_square_orbit_radius,
     oscillator_displacement,
     pair_magnetic_moment,
-    permeability_estimate,
-    permittivity_estimate,
     probe_response,
-    vacuum_polarization,
     vacuum_response,
 )
 from vacuumresponse.units import parse_unit, quantity
@@ -140,7 +134,7 @@ class TestOscillatorDisplacement:
 
 class TestInducedDipole:
     def test_unit_field_value(self, registry):
-        d = induced_dipole_moment(electron(registry=registry), unit_field(), registry=registry)
+        d = probe_response(electron(registry=registry), unit_field(), registry=registry)[1]
         assert d.magnitude == pytest.approx(1.16886221497e-50, rel=1e-11)
         assert d.dimension == parse_unit("C m")[1]
 
@@ -150,15 +144,15 @@ class TestInducedDipole:
             base.mass, 2 * base.charge, base.energy_gap, base.g_factor, base.volume_convention
         )
         ratio = (
-            induced_dipole_moment(doubled, unit_field(), registry=registry).magnitude
-            / induced_dipole_moment(base, unit_field(), registry=registry).magnitude
+            probe_response(doubled, unit_field(), registry=registry)[1].magnitude
+            / probe_response(base, unit_field(), registry=registry)[1].magnitude
         )
         assert ratio == pytest.approx(4.0, rel=1e-14)
 
     def test_equals_charge_times_displacement(self, registry):
         p = electron(registry=registry)
         x = oscillator_displacement(p, unit_field(2.5), registry=registry)
-        d = induced_dipole_moment(p, unit_field(2.5), registry=registry)
+        d = probe_response(p, unit_field(2.5), registry=registry)[1]
         assert d.magnitude == (abs(p.charge) * x).magnitude
 
 
@@ -167,8 +161,7 @@ class TestProbeResponse:
         p = electron(conv=VolumeConvention.sphere(), registry=registry)
         x, dipole, polarization = probe_response(p, unit_field(2.5), registry=registry)
         assert x == oscillator_displacement(p, unit_field(2.5), registry=registry)
-        assert dipole == induced_dipole_moment(p, unit_field(2.5), registry=registry)
-        assert polarization == vacuum_polarization(p, unit_field(2.5), registry=registry)
+        assert polarization == dipole / effective_volume(p, registry)
 
     def test_guards_and_evaluates_omega0_once(self, registry, omega0_calls):
         p = electron(registry=registry)
@@ -207,83 +200,85 @@ class TestEffectiveVolume:
 
 class TestVacuumPolarization:
     def test_zero_field(self, registry):
-        p0 = vacuum_polarization(half_compton(registry), unit_field(0.0), registry=registry)
+        p0 = probe_response(half_compton(registry), unit_field(0.0), registry=registry)[2]
         assert p0.magnitude == 0.0
 
     def test_linearity(self, registry):
         p = half_compton(registry)
         rng = random.Random(42)
-        base = vacuum_polarization(p, unit_field(1.0), registry=registry).magnitude
+        base = probe_response(p, unit_field(1.0), registry=registry)[2].magnitude
         for _ in range(10):
             amp = rng.uniform(1e-3, 1e3)
-            scaled = vacuum_polarization(p, unit_field(amp), registry=registry).magnitude
+            scaled = probe_response(p, unit_field(amp), registry=registry)[2].magnitude
             assert scaled == pytest.approx(amp * base, rel=1e-12)
 
     def test_unit_field_matches_quoted_response(self, registry):
-        p0 = vacuum_polarization(half_compton(registry), unit_field(), registry=registry)
+        p0 = probe_response(half_compton(registry), unit_field(), registry=registry)[2]
         assert p0.magnitude == pytest.approx(1.62e-12, rel=0.01)
         assert p0.dimension == parse_unit("C/m^2")[1]
 
 
 class TestPermittivityEstimate:
     def test_half_compton_gap_two(self, registry):
-        eps = permittivity_estimate(half_compton(registry), registry)
+        eps = vacuum_response(half_compton(registry), registry).eps_tilde
         assert eps.magnitude == pytest.approx(1.62e-12, rel=0.01)
         assert eps.magnitude == pytest.approx(1.62387994816e-12, rel=1e-11)
 
     def test_full_compton_gap_two(self, registry):
         p = electron(conv=VolumeConvention.cube(RadiusRule.COMPTON), registry=registry)
-        eps = permittivity_estimate(p, registry)
+        eps = vacuum_response(p, registry).eps_tilde
         assert eps.magnitude == pytest.approx(2.02984993520e-13, rel=1e-11)
 
     def test_inverse_cube_radius_scaling(self, registry):
         r = quantity(2e-13, "m")
-        eps_r = permittivity_estimate(
+        eps_r = vacuum_response(
             electron(conv=VolumeConvention.cube_custom(r), registry=registry), registry
-        )
-        eps_half = permittivity_estimate(
+        ).eps_tilde
+        eps_half = vacuum_response(
             electron(conv=VolumeConvention.cube_custom(0.5 * r), registry=registry), registry
-        )
+        ).eps_tilde
         assert eps_half.magnitude == pytest.approx(8 * eps_r.magnitude, rel=1e-12)
 
 
 class TestFieldCompositions:
+    """D = eps0 E + P and H = B/mu0 - M, with the model's P and M."""
+
     def test_displacement_reduces_to_eps0_e(self, registry):
         field = unit_field(3.0)
         zero_pol = Quantity(0.0, parse_unit("C/m^2")[1])
-        d = electric_displacement(field, zero_pol, registry)
+        d = registry.quantity("eps0") * field + zero_pol
         assert d.magnitude == pytest.approx(
             3.0 * registry.value("eps0"), rel=1e-14
         )
 
     def test_displacement_reduces_to_polarization(self, registry):
         pol = Quantity(2.0, parse_unit("C/m^2")[1])
-        d = electric_displacement(unit_field(0.0), pol, registry)
+        d = registry.quantity("eps0") * unit_field(0.0) + pol
         assert d.magnitude == 2.0
 
     def test_displacement_with_vacuum_polarization(self, registry):
-        eps_t = permittivity_estimate(half_compton(registry), registry)
-        pol = vacuum_polarization(half_compton(registry), unit_field(), registry=registry)
-        d = electric_displacement(unit_field(), pol, registry)
+        eps_t = vacuum_response(half_compton(registry), registry).eps_tilde
+        pol = probe_response(half_compton(registry), unit_field(), registry=registry)[2]
+        d = registry.quantity("eps0") * unit_field() + pol
         assert d.magnitude == pytest.approx(
             registry.value("eps0") + eps_t.magnitude, rel=1e-12
         )
 
     def test_h_field_reduces_to_b_over_mu0(self, registry):
         zero_mag = Quantity(0.0, parse_unit("A/m")[1])
-        h = magnetic_h_field(unit_b(), zero_mag, registry)
+        h = unit_b() / registry.quantity("mu0") - zero_mag
         assert h.magnitude == pytest.approx(1 / registry.value("mu0"), rel=1e-14)
 
     def test_h_field_vanishes_at_full_magnetization(self, registry):
         m = unit_b(1.0) / registry.quantity("mu0")
-        h = magnetic_h_field(unit_b(1.0), m, registry)
+        h = unit_b(1.0) / registry.quantity("mu0") - m
         assert h.magnitude == 0.0
 
     def test_h_field_with_model_magnetization(self, registry):
         p = half_compton(registry)
-        mu_t = permeability_estimate(p, registry)
+        mu_t = vacuum_response(p, registry).mu_tilde
         magnetization = pair_magnetic_moment(p, unit_b(), registry) / effective_volume(p, registry)
-        h = magnetic_h_field(unit_b(), magnetization, registry)
+        h = unit_b() / registry.quantity("mu0") - magnetization
         expected = 1 / registry.value("mu0") - 1 / mu_t.magnitude
         assert h.magnitude == pytest.approx(expected, rel=1e-12)
 
@@ -360,26 +355,25 @@ class TestMagneticChain:
 
 class TestPermeabilityEstimate:
     def test_half_compton_value(self, registry):
-        mu = permeability_estimate(half_compton(registry), registry)
+        mu = vacuum_response(half_compton(registry), registry).mu_tilde
         assert mu.magnitude == pytest.approx(6.85179995796e-06, rel=1e-11)
         assert mu.dimension == parse_unit("V s / (A m)")[1]
 
     def test_linear_radius_scaling(self, registry):
         r = quantity(1e-13, "m")
-        mu1 = permeability_estimate(
+        mu1 = vacuum_response(
             electron(conv=VolumeConvention.cube_custom(r), registry=registry), registry
-        )
-        mu2 = permeability_estimate(
+        ).mu_tilde
+        mu2 = vacuum_response(
             electron(conv=VolumeConvention.cube_custom(2 * r), registry=registry), registry
-        )
+        ).mu_tilde
         assert mu2.magnitude == pytest.approx(2 * mu1.magnitude, rel=1e-12)
 
     @pytest.mark.parametrize("g", [1.0, 2.0])
     def test_product_with_permittivity_closes_on_light_speed(self, registry, g):
         p = electron(kappa=1.7, g=g, registry=registry)
-        eps = permittivity_estimate(p, registry)
-        mu = permeability_estimate(p, registry)
-        product = eps * mu * registry.quantity("c") ** 2
+        resp = vacuum_response(p, registry)
+        product = resp.eps_tilde * resp.mu_tilde * registry.quantity("c") ** 2
         assert product.dimension == DIMENSIONLESS
         assert product.magnitude == pytest.approx(1.0, rel=1e-12)
 
@@ -459,8 +453,6 @@ class TestVacuumResponse:
     def test_matches_the_per_output_functions(self, registry, conv):
         p = electron(kappa=1.3, g=3.7, conv=conv, registry=registry)
         resp = vacuum_response(p, registry)
-        assert resp.eps_tilde == permittivity_estimate(p, registry)
-        assert resp.mu_tilde == permeability_estimate(p, registry)
         assert resp.radius == effective_radius(p, registry)
         assert resp.eps_ratio == (resp.eps_tilde / registry.quantity("eps0")).magnitude
         assert resp.mu_ratio == (resp.mu_tilde / registry.quantity("mu0")).magnitude

@@ -204,6 +204,10 @@ class TestRecordedBehaviour:
     groups, prefixes, both micro signs, the middle dot, ``^+2``, ``^1/2/s``)
     with ``repr(scale)`` and the exponents; ``unit_parse_errors.json`` holds
     malformed inputs with the error class, ``position`` and ``expected``.
+    One seeded expression whose scale overflowed to ``inf`` moved to the
+    errors as a ``UnitScaleError``; its corpus slot holds ``Ym^12 ym^12``, a
+    product of two extreme scales that stays finite, so the other entries
+    keep their indices.
     """
 
     @pytest.mark.parametrize("text, scale, exponents", _fixture("unit_parse_corpus.json"))
@@ -222,8 +226,8 @@ class TestRecordedBehaviour:
         assert (list(got) if got is not None else None) == expected
 
     def test_syntax_error_wins_over_earlier_evaluation_errors(self):
-        # "foo" is unknown and 1e24**1000 overflows, but the text does not parse.
-        for text in ("foo (", "Ym^1000 (", "m/ym^1000 ("):
+        # "foo" is unknown, 1e24**1000 and 1e288 * 1e288 overflow, but the text does not parse.
+        for text in ("foo (", "Ym^1000 (", "m/ym^1000 (", "Ym^12 Ym^12 ("):
             with pytest.raises(UnitSyntaxError):
                 parse_unit(text)
         with pytest.raises(UnknownUnitError):
