@@ -141,7 +141,7 @@ class OscillatorParams:
 
     def omega0(self, registry: ConstantRegistry | None = None) -> Quantity:
         reg = registry or default_registry()
-        return self.energy_gap / reg.quantity("hbar")
+        return _omega0(self.energy_gap, reg.quantity("hbar"))
 
     def gap_ratio(self, registry: ConstantRegistry | None = None) -> float:
         """Gap energy in units of the particle's rest energy."""
@@ -160,7 +160,7 @@ class OscillatorParams:
         registry: ConstantRegistry | None = None,
     ) -> OscillatorParams:
         reg = registry or default_registry()
-        gap = gap_ratio * mass * reg.quantity("c") ** 2
+        gap = _gap(gap_ratio, mass, reg.quantity("c"))
         return cls(mass, charge, gap, g_factor, volume_convention)
 
     @classmethod
@@ -199,6 +199,66 @@ class VacuumResponse:
     def implied_light_speed(self) -> Quantity:
         """1/sqrt(eps mu): the registry's light speed once the radius is closed."""
         return (self.eps_tilde * self.mu_tilde) ** Fraction(-1, 2)
+
+
+# The model on plain values.  These formulas touch their operands only with
+# *, /, ** and math.sqrt, so they run on Quantities, where every dimension is
+# checked, and on the Quantities' float magnitudes, whose results they then
+# give bit for bit.  Reusing a value keeps the bits; reordering an operation
+# does not.
+
+
+def _gap(gap_ratio, mass, c):
+    """Transition energy: the gap ratio times the rest energy m c^2."""
+    return gap_ratio * mass * c**2
+
+
+def _omega0(gap, hbar):
+    """Resonance frequency gap/hbar; every w0 of the model is computed here."""
+    return gap / hbar
+
+
+def _radius(conv: VolumeConvention, mass, g, w0, hbar, c):
+    """The convention's radius; only the consistent rule reads w0 and g."""
+    rule = conv.radius_rule
+    if rule is RadiusRule.CUSTOM:
+        return conv.custom_radius
+    if rule is RadiusRule.COMPTON:
+        return hbar / (mass * c)
+    if rule is RadiusRule.HALF_COMPTON:
+        return hbar / (2 * mass * c)
+    closure = 5.0 if conv.shape is Shape.SPHERE else 2.0
+    return math.sqrt(closure / g) * c / w0
+
+
+def _volume(shape: Shape, radius):
+    if shape is Shape.SPHERE:
+        return (4.0 * math.pi / 3.0) * radius**3
+    return radius**3
+
+
+# Mean squared distance to a central axis over a uniform solid ball, in R^2.
+_BALL_MEAN_SQUARE = float(Fraction(2, 5))
+
+
+def _orbit_mean_square(shape: Shape, radius):
+    if shape is Shape.SPHERE:
+        return _BALL_MEAN_SQUARE * radius**2
+    return radius**2
+
+
+def _pair(mass, charge, gap, g, conv: VolumeConvention, hbar, c):
+    """w0, radius, volume, <rho^2>, eps and mu of one pair (see vacuum_response).
+
+    A custom radius is a Quantity, so that rule runs on Quantities only.
+    """
+    w0 = _omega0(gap, hbar)
+    radius = _radius(conv, mass, g, w0, hbar, c)
+    volume = _volume(conv.shape, radius)
+    eps = charge**2 / (mass * w0**2 * volume)
+    rho2 = _orbit_mean_square(conv.shape, radius)
+    mu = 2 * mass * volume / (g * charge**2 * rho2)
+    return w0, radius, volume, rho2, eps, mu
 
 
 def critical_field(p: OscillatorParams, registry: ConstantRegistry | None = None) -> Quantity:
@@ -265,7 +325,9 @@ def probe_response(
     """
     reg = registry or default_registry()
     w0, displacement, dipole = _probe(p, field, omega, reg)
-    return displacement, dipole, dipole / _volume(p, _radius(p, reg, w0))
+    conv = p.volume_convention
+    radius = _radius(conv, p.mass, p.g_factor, w0, reg.quantity("hbar"), reg.quantity("c"))
+    return displacement, dipole, dipole / _volume(conv.shape, radius)
 
 
 def oscillator_displacement(
@@ -278,24 +340,6 @@ def oscillator_displacement(
     return _probe(p, field, omega, registry or default_registry())[1]
 
 
-def _radius(
-    p: OscillatorParams, registry: ConstantRegistry, w0: Quantity | None = None
-) -> Quantity:
-    """The convention's radius; w0 is computed here if the rule needs it and none is given."""
-    conv = p.volume_convention
-    rule = conv.radius_rule
-    if rule is RadiusRule.CUSTOM:
-        return conv.custom_radius
-    if rule is RadiusRule.COMPTON:
-        return registry.quantity("hbar") / (p.mass * registry.quantity("c"))
-    if rule is RadiusRule.HALF_COMPTON:
-        return registry.quantity("hbar") / (2 * p.mass * registry.quantity("c"))
-    if w0 is None:
-        w0 = p.omega0(registry)
-    closure = 5.0 if conv.shape is Shape.SPHERE else 2.0
-    return math.sqrt(closure / p.g_factor) * registry.quantity("c") / w0
-
-
 def effective_radius(p: OscillatorParams, registry: ConstantRegistry | None = None) -> Quantity:
     """Radius selected by the volume convention.
 
@@ -303,31 +347,26 @@ def effective_radius(p: OscillatorParams, registry: ConstantRegistry | None = No
     sqrt(2/g) c/w0 for the cube and sqrt(5/g) c/w0 for the sphere, which
     reduce to c/w0 and sqrt(5/2) c/w0 at the default spin response g = 2.
     """
-    return _radius(p, registry or default_registry())
-
-
-def _volume(p: OscillatorParams, radius: Quantity) -> Quantity:
-    if p.volume_convention.shape is Shape.SPHERE:
-        return (4.0 * math.pi / 3.0) * radius**3
-    return radius**3
+    reg = registry or default_registry()
+    conv = p.volume_convention
+    w0 = p.omega0(reg) if conv.radius_rule is RadiusRule.MAXWELL_CONSISTENT else None
+    return _radius(conv, p.mass, p.g_factor, w0, reg.quantity("hbar"), reg.quantity("c"))
 
 
 def effective_volume(p: OscillatorParams, registry: ConstantRegistry | None = None) -> Quantity:
     """Volume per pair: r^3 for the cube, 4/3 pi R^3 for the uniform sphere."""
-    return _volume(p, effective_radius(p, registry))
+    return _volume(p.volume_convention.shape, effective_radius(p, registry))
+
+
+def _check_orbit_radius(radius: Quantity) -> None:
+    if radius.dimension != LENGTH or radius.magnitude <= 0:
+        raise ValueError("radius must be a positive length")
 
 
 def mean_square_orbit_radius(radius: Quantity) -> Quantity:
     """Mean squared distance to a central axis over a uniform solid ball: 2/5 R^2."""
-    if radius.dimension != LENGTH or radius.magnitude <= 0:
-        raise ValueError("radius must be a positive length")
-    return float(Fraction(2, 5)) * radius**2
-
-
-def _orbit_mean_square(p: OscillatorParams, radius: Quantity) -> Quantity:
-    if p.volume_convention.shape is Shape.SPHERE:
-        return mean_square_orbit_radius(radius)
-    return radius**2
+    _check_orbit_radius(radius)
+    return _orbit_mean_square(Shape.SPHERE, radius)
 
 
 def induced_vortex_field(radius: Quantity, b_rate: Quantity) -> Quantity:
@@ -348,7 +387,10 @@ def angular_momentum_kick(
     if b_field.dimension != MAGNETIC_FIELD or b_field.magnitude < 0:
         raise ValueError("magnetic field must be a non-negative field amplitude")
     r = effective_radius(p, registry)
-    return abs(p.charge) * _orbit_mean_square(p, r) * b_field / 2
+    shape = p.volume_convention.shape
+    if shape is Shape.SPHERE:
+        _check_orbit_radius(r)
+    return abs(p.charge) * _orbit_mean_square(shape, r) * b_field / 2
 
 
 def pair_magnetic_moment(
@@ -377,11 +419,14 @@ def vacuum_response(
     w0, the radius and the volume are each computed once.
     """
     reg = registry or default_registry()
-    w0 = p.omega0(reg)
-    radius = _radius(p, reg, w0)
-    volume = _volume(p, radius)
-    eps = p.charge**2 / (p.mass * w0**2 * volume)
-    mu = 2 * p.mass * volume / (p.g_factor * p.charge**2 * _orbit_mean_square(p, radius))
+    conv = p.volume_convention
+    _, radius, _, _, eps, mu = _pair(
+        p.mass, p.charge, p.energy_gap, p.g_factor, conv, reg.quantity("hbar"), reg.quantity("c")
+    )
+    # The kernel also runs on floats, so the sphere's radius is checked here,
+    # as mean_square_orbit_radius checks it.
+    if conv.shape is Shape.SPHERE:
+        _check_orbit_radius(radius)
     return VacuumResponse(
         eps_tilde=eps,
         mu_tilde=mu,

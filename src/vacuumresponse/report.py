@@ -5,6 +5,12 @@ notation with 12 significant digits, rows are ordered gap-ratio major then
 convention then g-factor, and nothing in the payload depends on wall-clock
 or environment state.  Rows hold SI quantities; the serializers show the
 dimensioned cells in the unit system they are given.
+
+The dimension of every column depends on the convention and on the
+dimensions of the constants the model reads, never on kappa or g.  So a
+convention's first row runs the model on Quantities, which checks every
+dimension, and records its column dimensions; later rows run the same model
+code on the constants' float magnitudes and attach the recorded dimensions.
 """
 
 from __future__ import annotations
@@ -15,8 +21,15 @@ import csv
 import math
 
 from .constants import ConstantRegistry, default_registry
-from .dimensions import Quantity
-from .model import OscillatorParams, RadiusRule, VolumeConvention, vacuum_response
+from .dimensions import Dimension, Quantity
+from .model import (
+    OscillatorParams,
+    RadiusRule,
+    VolumeConvention,
+    _gap,
+    _pair,
+    vacuum_response,
+)
 from .species import SpeciesModel, required_species_count
 from .units import render_quantity
 
@@ -28,6 +41,9 @@ CONVENTION_TOKENS: dict[str, VolumeConvention] = {
     "cube-half-compton": VolumeConvention.cube(RadiusRule.HALF_COMPTON),
     "sphere": VolumeConvention.sphere(),
 }
+
+# The most rows one sweep may have; the grid is held in memory.
+MAX_SWEEP_ROWS = 100_000
 
 CSV_HEADER = (
     "kappa",
@@ -87,11 +103,57 @@ class SweepConfig:
         for g in self.g_factors:
             if not (math.isfinite(g) and g > 0):
                 raise ValueError(f"g-factors must be finite and > 0, got {g!r}")
+        rows = self.points * len(self.conventions) * len(self.g_factors)
+        if rows > MAX_SWEEP_ROWS:
+            raise ValueError(f"a sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS}")
 
     def kappas(self) -> list[float]:
         span = self.kappa_max - self.kappa_min
         step = span / (self.points - 1)
         return [self.kappa_min + i * step for i in range(self.points)]
+
+
+# The dimensions of the eps_tilde, mu_tilde and radius columns, keyed on the
+# convention token and the dimensions of the constants m_e, e, c and hbar.
+# Rows that record the same key record the same value, so threads need no lock.
+_PLANS: dict[tuple, tuple[Dimension, Dimension, Dimension]] = {}
+
+
+def _float_columns(
+    kappa: float,
+    convention: str,
+    g: float,
+    m: Quantity,
+    q: Quantity,
+    c: Quantity,
+    hbar: Quantity,
+    registry: ConstantRegistry,
+) -> tuple[float, ...] | None:
+    """eps, mu, radius and the two ratios of a row, computed on the constants' magnitudes.
+
+    None where the row must run on Quantities to raise or return what they
+    do: an error on floats, or a value of the chain that is not positive and
+    finite (a float chain can turn an overflow back into 0, as 1/inf).
+    """
+    # Quantity arithmetic takes an int or float operand as float(x) and
+    # rejects any other type.
+    if not (isinstance(kappa, (int, float)) and isinstance(g, (int, float))):
+        return None
+    m, q, c, hbar = m.magnitude, q.magnitude, c.magnitude, hbar.magnitude
+    try:
+        kappa, g = float(kappa), float(g)
+        gap = _gap(kappa, m, c)
+        w0, radius, volume, rho2, eps, mu = _pair(
+            m, q, gap, g, CONVENTION_TOKENS[convention], hbar, c
+        )
+        eps_ratio = eps / registry.value("eps0")
+        mu_ratio = mu / registry.value("mu0")
+    except (ArithmeticError, ValueError):
+        return None
+    for value in (gap, w0, radius, volume, rho2, eps, mu, eps_ratio, mu_ratio):
+        if not 0.0 < value < math.inf:
+            return None
+    return eps, mu, radius, eps_ratio, mu_ratio
 
 
 def build_row(
@@ -106,20 +168,36 @@ def build_row(
     ``ValueError`` naming the grid point.
     """
     reg = registry or default_registry()
-    try:
-        params = OscillatorParams.for_electron(kappa, g, CONVENTION_TOKENS[convention], reg)
-        response = vacuum_response(params, reg)
-    except (ArithmeticError, ValueError) as exc:
-        raise ValueError(f"kappa {kappa:g}, convention {convention}, g {g:g}: {exc}") from exc
+    m, q, c, hbar = reg.quantity("m_e"), reg.quantity("e"), reg.quantity("c"), reg.quantity("hbar")
+    plan_key = (convention, m.dimension, q.dimension, c.dimension, hbar.dimension)
+    plan = _PLANS.get(plan_key)
+    columns = None
+    if plan is not None:
+        columns = _float_columns(kappa, convention, g, m, q, c, hbar, reg)
+    if columns is None:
+        try:
+            params = OscillatorParams.for_electron(kappa, g, CONVENTION_TOKENS[convention], reg)
+            response = vacuum_response(params, reg)
+        except (ArithmeticError, ValueError) as exc:
+            raise ValueError(f"kappa {kappa:g}, convention {convention}, g {g:g}: {exc}") from exc
+        eps, mu, radius = response.eps_tilde, response.mu_tilde, response.radius
+        eps_ratio, mu_ratio = response.eps_ratio, response.mu_ratio
+        _PLANS[plan_key] = (eps.dimension, mu.dimension, radius.dimension)
+    else:
+        eps_m, mu_m, radius_m, eps_ratio, mu_ratio = columns
+        eps_dim, mu_dim, radius_dim = plan
+        eps = Quantity(eps_m, eps_dim)
+        mu = Quantity(mu_m, mu_dim)
+        radius = Quantity(radius_m, radius_dim)
     return ReportRow(
         kappa=kappa,
         convention=convention,
         g=g,
-        eps_tilde=response.eps_tilde,
-        mu_tilde=response.mu_tilde,
-        radius=response.radius,
-        eps_ratio=response.eps_ratio,
-        mu_ratio=response.mu_ratio,
+        eps_tilde=eps,
+        mu_tilde=mu,
+        radius=radius,
+        eps_ratio=eps_ratio,
+        mu_ratio=mu_ratio,
         count_simple=required_species_count(kappa, SpeciesModel.SIMPLE, reg),
         count_sphere=required_species_count(kappa, SpeciesModel.SPHERE, reg),
     )

@@ -17,7 +17,10 @@ The micro sign and Greek mu are accepted as "u".
 The parser builds no syntax tree: each rule returns the (scale, dimension)
 of what it has read, and products and quotients combine left to right as
 they are read.  A syntax error anywhere in the text is reported in
-preference to an unknown unit or a scale overflow before it.
+preference to an unknown unit or a scale overflow before it.  When a
+product or quotient leaves the float range on the way, the scale is read
+again with an unbounded exponent, so an expression whose scale is in range
+is accepted whatever the order of its factors.
 
 Every quantity is computed in SI units.  :func:`render_quantity` is the one
 place that decides how a value is shown in a unit system: as it is, with an
@@ -301,6 +304,42 @@ class _Parser:
         return numerator, 1
 
 
+class _Split:
+    """A scale as ``mantissa * 2**exponent``, with no bound on the exponent.
+
+    The mantissas multiply and divide as floats, so each product and
+    quotient rounds as the float operation would if the float range had no
+    bounds.  Only a scale within the float range is raised to a power.
+    """
+
+    __slots__ = ("mantissa", "exponent")
+
+    def __init__(self, value: float, exponent: int = 0) -> None:
+        self.mantissa, shift = math.frexp(value)
+        self.exponent = exponent + shift
+
+    def __mul__(self, other: _Split) -> _Split:
+        return _Split(self.mantissa * other.mantissa, self.exponent + other.exponent)
+
+    def __truediv__(self, other: _Split) -> _Split:
+        return _Split(self.mantissa / other.mantissa, self.exponent - other.exponent)
+
+    def __pow__(self, power: float) -> _Split:
+        return _Split(self.value() ** power)
+
+    def value(self) -> float:
+        """The scale as a float; ``OverflowError`` above the float range."""
+        return math.ldexp(self.mantissa, self.exponent)
+
+
+class _SplitParser(_Parser):
+    """The evaluating parser with every scale a :class:`_Split`."""
+
+    def primary(self) -> tuple[_Split, Dimension]:
+        scale, dim = super().primary()
+        return (scale if type(scale) is _Split else _Split(scale)), dim
+
+
 def parse_unit(text: str) -> tuple[float, Dimension]:
     """Parse a unit expression into (scale to the SI coherent unit, dimension)."""
     if not text or not text.strip():
@@ -315,11 +354,18 @@ def parse_unit(text: str) -> tuple[float, Dimension]:
         raise
     except ArithmeticError:
         _Parser(tokens, evaluate=False).parse()
-        raise UnitScaleError(text) from None
+        scale = math.nan
     # A product or quotient that leaves the float range gives inf or 0.0
-    # (or nan from both) where a power raises; all three are one error.
+    # (or nan from both) where a power raises.  The whole expression may
+    # still be in range, which the unbounded exponent decides.
     if not 0.0 < scale < math.inf:
-        raise UnitScaleError(text)
+        try:
+            split, dimension = _SplitParser(tokens, evaluate=True).parse()
+            scale = split.value()
+        except ArithmeticError:
+            raise UnitScaleError(text) from None
+        if not 0.0 < scale < math.inf:
+            raise UnitScaleError(text)
     return scale, dimension
 
 

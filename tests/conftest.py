@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from vacuumresponse import model
 from vacuumresponse.constants import bundled_constants_path, default_registry
-from vacuumresponse.model import OscillatorParams
 
 CLI = [sys.executable, "-m", "vacuumresponse"]
 
@@ -30,13 +30,18 @@ def corrupted_constants(tmp_path_factory):
 
 @pytest.fixture
 def omega0_calls(monkeypatch):
-    """The params of every ``OscillatorParams.omega0`` call made during the test."""
+    """The energy gap of every w0 the model computes during the test.
+
+    ``OscillatorParams.omega0`` and the model kernel, on Quantities and on
+    floats alike, compute w0 in ``model._omega0``, so the count does not
+    depend on which path a report row takes.
+    """
     calls = []
-    real = OscillatorParams.omega0
+    real = model._omega0
 
-    def counting(self, registry=None):
-        calls.append(self)
-        return real(self, registry)
+    def counting(gap, hbar):
+        calls.append(gap)
+        return real(gap, hbar)
 
-    monkeypatch.setattr(OscillatorParams, "omega0", counting)
+    monkeypatch.setattr(model, "_omega0", counting)
     return calls

@@ -88,6 +88,7 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
     ("argv", "message"),
     [
         (["sweep", "--g-factors", "2,x"], "--g-factors: bad value 'x'"),
+        (["sweep", "--points", "10000000"], "10000000 rows exceeds the limit of 100000"),
         (["estimate", "--probe-field", "1 V/m^"], "--probe-field: syntax error"),
         (["estimate", "--probe-field", "1 Ym^20"], "beyond the float range"),
         (["estimate", "--probe-field", "1 m/ym^20"], "beyond the float range"),
@@ -99,9 +100,9 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
         (["check-dimensions", "--units", "si"], "unrecognized arguments: --units"),
     ],
     ids=[
-        "g-factors", "probe-field", "scale-overflow", "scale-underflow", "superscript-digit",
-        "non-finite-field", "negative-field", "species-on-estimate", "units-on-constants",
-        "units-on-check-dimensions",
+        "g-factors", "too-many-rows", "probe-field", "scale-overflow", "scale-underflow",
+        "superscript-digit", "non-finite-field", "negative-field", "species-on-estimate",
+        "units-on-constants", "units-on-check-dimensions",
     ],
 )
 def test_usage_error_returns_two(capsys, argv, message):

@@ -1,20 +1,24 @@
 import csv
+import dataclasses
 import io
 import json
 import math
 import re
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vacuumresponse import report
 from vacuumresponse.constants import default_registry
-from vacuumresponse.dimensions import LENGTH, PERMEABILITY, PERMITTIVITY
+from vacuumresponse.dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Dimension, Quantity
 from vacuumresponse.report import (
     CONVENTION_TOKENS,
     CSV_HEADER,
+    MAX_SWEEP_ROWS,
     SweepConfig,
     build_row,
     rows_to_csv,
@@ -90,11 +94,139 @@ class TestRows:
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
 
+    def test_config_bounds_the_number_of_rows(self):
+        grid = {"conventions": tuple(CONVENTION_TOKENS), "g_factors": (1.0, 2.0)}
+        SweepConfig(points=MAX_SWEEP_ROWS // 8, **grid)
+        with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_SWEEP_ROWS}"):
+            SweepConfig(points=MAX_SWEEP_ROWS // 8 + 1, **grid)
+
 
     @pytest.mark.parametrize("convention", CONVENTION_TOKENS)
     def test_row_evaluates_omega0_once(self, registry, omega0_calls, convention):
         build_row(1.3, convention, 2.0, registry)
         assert len(omega0_calls) == 1
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """An empty table of column dimensions for the length of the test."""
+    table = {}
+    monkeypatch.setattr(report, "_PLANS", table)
+    return table
+
+
+def _outcome(kappa, convention, g, registry):
+    """The bits of the row, or the class and message of what building it raises."""
+    try:
+        row = build_row(kappa, convention, g, registry)
+    except Exception as exc:
+        return type(exc), str(exc)
+    cells = []
+    for field in dataclasses.fields(row):
+        value = getattr(row, field.name)
+        if isinstance(value, Quantity):
+            value = (value.magnitude.hex(), value.dimension)
+        elif isinstance(value, float):
+            value = value.hex()
+        cells.append(value)
+    return tuple(cells)
+
+
+def _quantity_and_float_outcomes(kappa, convention, g, registry, plans):
+    plans.clear()
+    on_quantities = _outcome(kappa, convention, g, registry)
+    build_row(1.0, convention, 2.0, registry)  # records the convention's plan
+    return on_quantities, _outcome(kappa, convention, g, registry)
+
+
+class TestFloatRows:
+    """A row with a recorded plan runs on floats, and must not be told apart."""
+
+    KAPPAS = [m * 10.0**e for e in range(-300, 281, 20) for m in (1.0, 3.7)]
+    G_FACTORS = [10.0**e for e in range(-300, 301, 30)]
+
+    def test_extreme_inputs_give_the_bits_or_the_error_of_the_quantity_path(
+        self, registry, plans, monkeypatch
+    ):
+        taken = []
+        real = report._float_columns
+
+        def spy(*args):
+            columns = real(*args)
+            taken.append(columns is not None)
+            return columns
+
+        monkeypatch.setattr(report, "_float_columns", spy)
+        for convention in CONVENTION_TOKENS:
+            for kappa in self.KAPPAS:
+                for g in self.G_FACTORS:
+                    expected, got = _quantity_and_float_outcomes(
+                        kappa, convention, g, registry, plans
+                    )
+                    assert got == expected, (kappa, convention, g)
+        # The grid reaches both sides: rows on floats and rows sent back.
+        assert any(taken) and not all(taken)
+
+    @pytest.mark.parametrize(
+        ("kappa", "g"),
+        [
+            (2, 2), (True, 2.0), (10**400, 2.0), (2.0, -1.0), (-2.0, 2.0), (math.nan, 2.0),
+            (2.0, math.inf), (Fraction(2), 2.0), (2.0, Fraction(2)), (2j, 2.0), (2.0, 2j),
+        ],
+    )
+    def test_other_scalars_give_the_outcome_of_the_quantity_path(self, registry, plans, kappa, g):
+        for convention in CONVENTION_TOKENS:
+            expected, got = _quantity_and_float_outcomes(kappa, convention, g, registry, plans)
+            assert got == expected, convention
+
+    def test_underflowing_gap_is_reported_as_on_quantities(self, registry, plans):
+        expected, got = _quantity_and_float_outcomes(1e-300, "cube", 2.0, registry, plans)
+        assert got == expected
+        assert expected == (
+            ValueError,
+            "kappa 1e-300, convention cube, g 2: energy gap must be a positive energy",
+        )
+
+    # Each example clears the plan table first, so sharing it is safe.
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        kappa_exp=st.floats(min_value=-300.0, max_value=280.0),
+        g_exp=st.floats(min_value=-300.0, max_value=300.0),
+        convention=st.sampled_from(tuple(CONVENTION_TOKENS)),
+    )
+    def test_random_extreme_inputs(self, registry, plans, kappa_exp, g_exp, convention):
+        expected, got = _quantity_and_float_outcomes(
+            10.0**kappa_exp, convention, 10.0**g_exp, registry, plans
+        )
+        assert got == expected
+
+    def test_dimension_ops_per_sweep_do_not_grow_with_its_rows(self, registry, monkeypatch):
+        ops = []
+
+        def counted(real):
+            def op(*args):
+                ops.append(real)
+                return real(*args)
+
+            return op
+
+        for name in ("__mul__", "__truediv__", "__pow__", "inverse"):
+            monkeypatch.setattr(Dimension, name, counted(getattr(Dimension, name)))
+
+        def ops_for(points):
+            monkeypatch.setattr(report, "_PLANS", {})
+            ops.clear()
+            config = SweepConfig(
+                points=points, conventions=tuple(CONVENTION_TOKENS), g_factors=(1.0, 2.0)
+            )
+            sweep_rows(config, registry)
+            return len(ops)
+
+        assert ops_for(2) == ops_for(50) > 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -193,7 +193,9 @@ class TestFormat:
 
 
 def _fixture(name):
-    return json.loads((DATA / name).read_text(encoding="utf-8"))
+    """The recorded entries of a fixture file, each with its text as the case id."""
+    entries = json.loads((DATA / name).read_text(encoding="utf-8"))
+    return [pytest.param(*entry, id=repr(entry[0])) for entry in entries]
 
 
 class TestRecordedBehaviour:
@@ -206,8 +208,8 @@ class TestRecordedBehaviour:
     malformed inputs with the error class, ``position`` and ``expected``.
     One seeded expression whose scale overflowed to ``inf`` moved to the
     errors as a ``UnitScaleError``; its corpus slot holds ``Ym^12 ym^12``, a
-    product of two extreme scales that stays finite, so the other entries
-    keep their indices.
+    product of two extreme scales that stays finite.  Each case is named by
+    its text, so moving an entry renames no other case.
     """
 
     @pytest.mark.parametrize("text, scale, exponents", _fixture("unit_parse_corpus.json"))
@@ -239,6 +241,18 @@ class TestRecordedBehaviour:
             parse_unit(text)
         assert isinstance(info.value, UnitParseError)
         assert repr(text) in str(info.value)
+
+    @pytest.mark.parametrize(
+        ("text", "reordered"),
+        [("Ym^12 Ym^12/Ym^12", "Ym^12/Ym^12 Ym^12"), ("ym^12 ym^12/ym^12", "ym^12/ym^12 ym^12")],
+        ids=["product-overflows", "product-underflows"],
+    )
+    def test_scale_in_range_is_accepted_whatever_the_factor_order(self, text, reordered):
+        # The product of the first two factors leaves the float range; the whole does not.
+        scale, dim = parse_unit(text)
+        expected_scale, expected_dim = parse_unit(reordered)
+        assert scale == pytest.approx(expected_scale, rel=1e-15)
+        assert dim == expected_dim == Dimension(length=12)
 
     def test_exponent_digits_are_ascii(self):
         with pytest.raises(UnitSyntaxError) as info:
