@@ -10,8 +10,8 @@ unit makes every relation it enters fail its check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .constants import ConstantRegistry, default_registry
 from .dimensions import Dimension, Quantity
@@ -30,8 +30,7 @@ from .species import default_species_table, total_permittivity
 from .units import format_dimension, parse_unit
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     description: str
     lhs: Dimension

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
-from .constants import ConstantRegistry, default_registry
+from .constants import ConstantRegistry, _Record, default_registry
 from .dimensions import (
     CHARGE,
     ELECTRIC_FIELD,
@@ -83,15 +82,22 @@ class RadiusRule(Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class VolumeConvention:
+class VolumeConvention(_Record):
     """Rule assigning an effective volume (and orbit radius) to a pair."""
 
-    shape: Shape = Shape.CUBE
-    radius_rule: RadiusRule = RadiusRule.MAXWELL_CONSISTENT
-    custom_radius: Quantity | None = None
+    __slots__ = ("shape", "radius_rule", "custom_radius")
 
-    def __post_init__(self) -> None:
+    shape: Shape
+    radius_rule: RadiusRule
+    custom_radius: Quantity | None
+
+    def __init__(
+        self,
+        shape: Shape = Shape.CUBE,
+        radius_rule: RadiusRule = RadiusRule.MAXWELL_CONSISTENT,
+        custom_radius: Quantity | None = None,
+    ) -> None:
+        self._store(shape, radius_rule, custom_radius)
         if self.radius_rule is RadiusRule.CUSTOM:
             r = self.custom_radius
             if r is None or r.dimension != LENGTH or r.magnitude <= 0:
@@ -114,8 +120,7 @@ class VolumeConvention:
         return cls(Shape.SPHERE, RadiusRule.MAXWELL_CONSISTENT)
 
 
-@dataclass(frozen=True)
-class OscillatorParams:
+class OscillatorParams(_Record):
     """Inputs of the virtual-pair oscillator.
 
     ``energy_gap`` is the transition energy to the real pair state; the
@@ -123,13 +128,23 @@ class OscillatorParams:
     gyromagnetic response (1 orbital, 2 spin; 2 is the default).
     """
 
+    __slots__ = ("mass", "charge", "energy_gap", "g_factor", "volume_convention")
+
     mass: Quantity
     charge: Quantity
     energy_gap: Quantity
-    g_factor: float = 2.0
-    volume_convention: VolumeConvention = VolumeConvention()
+    g_factor: float
+    volume_convention: VolumeConvention
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        mass: Quantity,
+        charge: Quantity,
+        energy_gap: Quantity,
+        g_factor: float = 2.0,
+        volume_convention: VolumeConvention = VolumeConvention(),
+    ) -> None:
+        self._store(mass, charge, energy_gap, g_factor, volume_convention)
         if self.mass.dimension != MASS or self.mass.magnitude <= 0:
             raise ValueError("mass must be a positive mass quantity")
         if self.charge.dimension != CHARGE or self.charge.magnitude == 0:
@@ -177,9 +192,10 @@ class OscillatorParams:
         )
 
 
-@dataclass(frozen=True)
-class VacuumResponse:
+class VacuumResponse(_Record):
     """One evaluation of the model: both estimates, the radius, and deviation ratios."""
+
+    __slots__ = ("eps_tilde", "mu_tilde", "radius", "eps_ratio", "mu_ratio")
 
     eps_tilde: Quantity
     mu_tilde: Quantity
@@ -187,7 +203,15 @@ class VacuumResponse:
     eps_ratio: float
     mu_ratio: float
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        eps_tilde: Quantity,
+        mu_tilde: Quantity,
+        radius: Quantity,
+        eps_ratio: float,
+        mu_ratio: float,
+    ) -> None:
+        self._store(eps_tilde, mu_tilde, radius, eps_ratio, mu_ratio)
         for name in ("eps_tilde", "mu_tilde", "radius"):
             q: Quantity = getattr(self, name)
             if q.magnitude <= 0:
@@ -445,11 +469,12 @@ def maxwell_closure(
     to equal 1/c^2 fixes the radius within the chosen convention family.
     The implied light speed then reproduces the registry value identically.
     """
-    closed = replace(
-        p,
-        volume_convention=VolumeConvention(
-            p.volume_convention.shape, RadiusRule.MAXWELL_CONSISTENT
-        ),
+    closed = OscillatorParams(
+        p.mass,
+        p.charge,
+        p.energy_gap,
+        p.g_factor,
+        VolumeConvention(p.volume_convention.shape, RadiusRule.MAXWELL_CONSISTENT),
     )
     return vacuum_response(closed, registry)
 

@@ -15,12 +15,12 @@ code on the constants' float magnitudes and attach the recorded dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from io import StringIO
 import csv
 import math
+from typing import NamedTuple
 
-from .constants import ConstantRegistry, default_registry
+from .constants import ConstantRegistry, _Record, default_registry
 from .dimensions import Dimension, Quantity
 from .model import (
     OscillatorParams,
@@ -59,8 +59,7 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     kappa: float
     convention: str
     g: float
@@ -73,15 +72,24 @@ class ReportRow:
     count_sphere: float
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    kappa_min: float = 0.5
-    kappa_max: float = 4.0
-    points: int = 64
-    conventions: tuple[str, ...] = ("cube",)
-    g_factors: tuple[float, ...] = (2.0,)
+class SweepConfig(_Record):
+    __slots__ = ("kappa_min", "kappa_max", "points", "conventions", "g_factors")
 
-    def __post_init__(self) -> None:
+    kappa_min: float
+    kappa_max: float
+    points: int
+    conventions: tuple[str, ...]
+    g_factors: tuple[float, ...]
+
+    def __init__(
+        self,
+        kappa_min: float = 0.5,
+        kappa_max: float = 4.0,
+        points: int = 64,
+        conventions: tuple[str, ...] = ("cube",),
+        g_factors: tuple[float, ...] = (2.0,),
+    ) -> None:
+        self._store(kappa_min, kappa_max, points, conventions, g_factors)
         # NaN fails every comparison, so finiteness is checked first.
         if not (math.isfinite(self.kappa_min) and math.isfinite(self.kappa_max)):
             raise ValueError("kappa_min and kappa_max must be finite")

@@ -14,7 +14,6 @@ ratio matching a given table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .constants import ConstantRegistry, default_registry
+from .constants import ConstantRegistry, _Record, default_registry
 from .dimensions import Quantity
 from .units import quantity
 
@@ -53,27 +52,42 @@ class SpeciesModel(Enum):
     SPHERE = "sphere"
 
 
-@dataclass(frozen=True)
-class ParticleSpecies:
+class ParticleSpecies(_Record):
+    __slots__ = ("name", "charge_ratio", "multiplicity", "mass")
+
     name: str
     charge_ratio: Fraction  # charge in units of the elementary charge
-    multiplicity: int = 1
-    mass: Quantity | None = None
+    multiplicity: int
+    mass: Quantity | None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        charge_ratio: Fraction,
+        multiplicity: int = 1,
+        mass: Quantity | None = None,
+    ) -> None:
+        self._store(name, charge_ratio, multiplicity, mass)
         if self.charge_ratio == 0:
             raise ValueError(f"species {self.name!r} must carry charge")
         if self.multiplicity < 1:
             raise ValueError(f"species {self.name!r} multiplicity must be >= 1")
 
 
-@dataclass(frozen=True)
-class SpeciesTable:
-    species: tuple[ParticleSpecies, ...]
-    path: str | None = None
-    sha256: str | None = None
+class SpeciesTable(_Record):
+    __slots__ = ("species", "path", "sha256")
 
-    def __post_init__(self) -> None:
+    species: tuple[ParticleSpecies, ...]
+    path: str | None
+    sha256: str | None
+
+    def __init__(
+        self,
+        species: tuple[ParticleSpecies, ...],
+        path: str | None = None,
+        sha256: str | None = None,
+    ) -> None:
+        self._store(species, path, sha256)
         names = [s.name for s in self.species]
         for name in names:
             if names.count(name) > 1:
@@ -171,13 +185,23 @@ def charge_weighted_sum(table: SpeciesTable) -> Fraction:
 def total_permittivity(
     table: SpeciesTable, gap_ratio: float, registry: ConstantRegistry | None = None
 ) -> Quantity:
-    """Summed permittivity estimate 4 pi alpha kappa (sum of (q/e)^2) eps0."""
+    """Summed permittivity estimate 4 pi alpha kappa (sum of (q/e)^2) eps0.
+
+    A table with no charged species gives 0; any other table raises
+    ``ValueError`` where the gap ratio takes the total out of the float range.
+    """
     if gap_ratio <= 0:
         raise ValueError("gap ratio must be positive")
     reg = registry or default_registry()
     weight = charge_weighted_sum(table)
     factor = 4 * math.pi * reg.value("alpha") * gap_ratio * float(weight)
-    return factor * reg.quantity("eps0")
+    eps0 = reg.quantity("eps0")
+    total = factor * eps0.magnitude
+    if weight and not 0.0 < total < math.inf:
+        raise ValueError(
+            f"gap ratio {gap_ratio!r} takes the total permittivity out of the float range"
+        )
+    return Quantity(total, eps0.dimension)
 
 
 # Geometry constant of the uniform-sphere refinement: (5/2)^(3/2).
@@ -189,14 +213,23 @@ def required_species_count(
     model: SpeciesModel = SpeciesModel.SIMPLE,
     registry: ConstantRegistry | None = None,
 ) -> float:
-    """Charge-weighted species count that makes the total match eps0 exactly."""
+    """Charge-weighted species count that makes the total match eps0 exactly.
+
+    Raises ``ValueError`` where the gap ratio takes the count out of the
+    float range (a tiny ratio takes the denominator to 0 or the count to inf).
+    """
     if gap_ratio <= 0:
         raise ValueError("gap ratio must be positive")
     reg = registry or default_registry()
     alpha = reg.value("alpha")
     if model is SpeciesModel.SIMPLE:
-        return 1.0 / (4 * math.pi * alpha * gap_ratio)
-    return _SPHERE_GEOMETRY / (3 * alpha * gap_ratio)
+        numerator, denominator = 1.0, 4 * math.pi * alpha * gap_ratio
+    else:
+        numerator, denominator = _SPHERE_GEOMETRY, 3 * alpha * gap_ratio
+    count = numerator / denominator if denominator else math.inf
+    if not 0.0 < count < math.inf:
+        raise ValueError(f"gap ratio {gap_ratio!r} takes the species count out of the float range")
+    return count
 
 
 class GapMatch(NamedTuple):

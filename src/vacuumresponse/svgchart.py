@@ -7,7 +7,7 @@ with fixed precision so identical inputs produce identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Fixed series palette, cycled in order.
 _COLORS = ("#1f5fa8", "#c24d2c", "#3a7d44", "#7a4fa3", "#a8761f", "#46808c")
@@ -15,8 +15,7 @@ _COLORS = ("#1f5fa8", "#c24d2c", "#3a7d44", "#7a4fa3", "#a8761f", "#46808c")
 _TICKS = 6
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(NamedTuple):
     label: str
     points: list[tuple[float, float]]
 

@@ -164,6 +164,20 @@ def test_species_names_the_bundled_table_not_its_path(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    ("gap_ratio", "result"),
+    [("1e-320", "total permittivity"), ("1e-307", "species count"),
+     ("5e-324", "total permittivity")],
+)
+def test_species_result_out_of_float_range_is_an_error(capsys, gap_ratio, result):
+    # The totals underflow to 0 or the counts overflow to inf (or divide by 0).
+    assert main(["species", "--gap-ratio", gap_ratio]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: gap ratio {gap_ratio} takes the {result} out of the float range"]
+
+
+@pytest.mark.parametrize(
     ("convention", "noted"),
     [("cube", True), ("cube-compton", True), ("cube-half-compton", True), ("sphere", False)],
 )

@@ -15,12 +15,25 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Stdlib packages that pull in the network and email stack.
 FORBIDDEN_PACKAGES = ("xml", "http", "email", "ssl", "socket")
+# dataclasses loads inspect, ast, dis and tokenize: about 9 ms of every start.
+SLOW_STDLIB = {"dataclasses", "inspect"}
 FORBIDDEN_MODULES = {
     "urllib.request",
     "hashlib",
     "vacuumresponse.checks",
     "vacuumresponse.svgchart",
+    *SLOW_STDLIB,
 }
+
+# One run of each subcommand; checks and svgchart load only when these run.
+SUBCOMMAND_ARGVS = [
+    ["estimate", "--probe-field", "1 V/m"],
+    ["sweep", "--points", "4", "--conventions", "cube,sphere"],
+    ["sweep", "--points", "4", "--format", "svg"],
+    ["species"],
+    ["check-dimensions"],
+    ["constants", "--derived"],
+]
 
 
 def loaded_modules(statement):
@@ -44,6 +57,19 @@ def test_cli_import_skips_network_stack_and_unused_modules():
         or any(name == p or name.startswith(p + ".") for p in FORBIDDEN_PACKAGES)
     }
     assert not forbidden, f"import vacuumresponse.cli loads {sorted(forbidden)}"
+
+
+def test_running_every_subcommand_skips_dataclasses_and_inspect():
+    statement = (
+        "import io, sys\n"
+        "from vacuumresponse.cli import main\n"
+        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"codes = [main(argv) for argv in {SUBCOMMAND_ARGVS!r}]\n"
+        "sys.stdout = stdout\n"
+        "assert codes == [0] * len(codes), codes"
+    )
+    loaded = loaded_modules(statement) & SLOW_STDLIB
+    assert not loaded, f"running the subcommands loads {sorted(loaded)}"
 
 
 def test_every_public_name_resolves():

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -122,8 +121,8 @@ def _outcome(kappa, convention, g, registry):
     except Exception as exc:
         return type(exc), str(exc)
     cells = []
-    for field in dataclasses.fields(row):
-        value = getattr(row, field.name)
+    for name in row._fields:
+        value = getattr(row, name)
         if isinstance(value, Quantity):
             value = (value.magnitude.hex(), value.dimension)
         elif isinstance(value, float):

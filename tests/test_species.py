@@ -141,6 +141,18 @@ class TestRequiredCount:
         assert n1 == pytest.approx(4 * n4, rel=1e-12)
 
 
+def test_results_out_of_float_range_raise_naming_the_gap_ratio(registry):
+    with pytest.raises(ValueError, match="^gap ratio 1e-320 takes the total permittivity "):
+        total_permittivity(single_electron_table(), 1e-320, registry)
+    # No charged species sum to 0 at any gap ratio.
+    assert total_permittivity(SpeciesTable(()), 1e-320, registry).magnitude == 0.0
+    assert required_species_count(1e-307, SpeciesModel.SIMPLE, registry) > 1e307
+    with pytest.raises(ValueError, match="^gap ratio 1e-307 takes the species count "):
+        required_species_count(1e-307, SpeciesModel.SPHERE, registry)
+    with pytest.raises(ValueError, match="^gap ratio 5e-324 takes the species count "):
+        required_species_count(5e-324, SpeciesModel.SIMPLE, registry)
+
+
 class TestGapForExactMatch:
     def test_single_electron_simple(self, registry):
         match = gap_for_exact_match(single_electron_table(), SpeciesModel.SIMPLE, registry)
