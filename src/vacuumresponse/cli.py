@@ -204,16 +204,14 @@ def cmd_sweep(
         # Imported on use, so that csv/json and other subcommands start faster.
         from .svgchart import Series, sweep_chart
 
-        series = []
-        for convention in config.conventions:
-            for g in config.g_factors:
-                label = convention if len(config.g_factors) == 1 else f"{convention} g={g:g}"
-                points = [
-                    (row.kappa, row.eps_ratio)
-                    for row in rows
-                    if row.convention == convention and row.g == g
-                ]
-                series.append(Series(label, points))
+        # One list of points per series, in series order; rows fill them in row order.
+        points = {(c, g): [] for c in config.conventions for g in config.g_factors}
+        for row in rows:
+            points[row.convention, row.g].append((row.kappa, row.eps_ratio))
+        series = [
+            Series(convention if len(config.g_factors) == 1 else f"{convention} g={g:g}", line)
+            for (convention, g), line in points.items()
+        ]
         payload = sweep_chart(
             series,
             x_label="gap ratio",

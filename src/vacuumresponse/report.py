@@ -11,14 +11,16 @@ dimensions of the constants the model reads, never on kappa or g.  So a
 convention's first row runs the model on Quantities, which checks every
 dimension, and records its column dimensions; later rows run the same model
 code on the constants' float magnitudes and attach the recorded dimensions.
+A sweep reads the constants and the plan key once per convention.  The
+serializers look up the render factor of each distinct column dimension once
+per payload and write each row with one format string; a dimensioned cell is
+still its magnitude times that factor, so the bytes do not change.
 """
 
 from __future__ import annotations
 
-from io import StringIO
-import csv
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .constants import ConstantRegistry, _Record, default_registry
 from .dimensions import Dimension, Quantity
@@ -101,16 +103,20 @@ class SweepConfig(_Record):
             raise ValueError("a sweep needs at least 2 points")
         if not self.conventions:
             raise ValueError("at least one convention is required")
-        for token in self.conventions:
+        for index, token in enumerate(self.conventions):
             if token not in CONVENTION_TOKENS:
                 raise ValueError(
                     f"unknown convention {token!r}; choose from {', '.join(CONVENTION_TOKENS)}"
                 )
+            if token in self.conventions[:index]:
+                raise ValueError(f"convention {token!r} is given more than once")
         if not self.g_factors:
             raise ValueError("at least one g-factor is required")
-        for g in self.g_factors:
+        for index, g in enumerate(self.g_factors):
             if not (math.isfinite(g) and g > 0):
                 raise ValueError(f"g-factors must be finite and > 0, got {g!r}")
+            if g in self.g_factors[:index]:
+                raise ValueError(f"g-factor {g:g} is given more than once")
         rows = self.points * len(self.conventions) * len(self.g_factors)
         if rows > MAX_SWEEP_ROWS:
             raise ValueError(f"a sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS}")
@@ -129,12 +135,12 @@ _PLANS: dict[tuple, tuple[Dimension, Dimension, Dimension]] = {}
 
 def _float_columns(
     kappa: float,
-    convention: str,
     g: float,
-    m: Quantity,
-    q: Quantity,
-    c: Quantity,
-    hbar: Quantity,
+    conv: VolumeConvention,
+    m: float,
+    q: float,
+    c: float,
+    hbar: float,
     registry: ConstantRegistry,
 ) -> tuple[float, ...] | None:
     """eps, mu, radius and the two ratios of a row, computed on the constants' magnitudes.
@@ -147,13 +153,10 @@ def _float_columns(
     # rejects any other type.
     if not (isinstance(kappa, (int, float)) and isinstance(g, (int, float))):
         return None
-    m, q, c, hbar = m.magnitude, q.magnitude, c.magnitude, hbar.magnitude
     try:
         kappa, g = float(kappa), float(g)
         gap = _gap(kappa, m, c)
-        w0, radius, volume, rho2, eps, mu = _pair(
-            m, q, gap, g, CONVENTION_TOKENS[convention], hbar, c
-        )
+        w0, radius, volume, rho2, eps, mu = _pair(m, q, gap, g, conv, hbar, c)
         eps_ratio = eps / registry.value("eps0")
         mu_ratio = mu / registry.value("mu0")
     except (ArithmeticError, ValueError):
@@ -162,6 +165,46 @@ def _float_columns(
         if not 0.0 < value < math.inf:
             return None
     return eps, mu, radius, eps_ratio, mu_ratio
+
+
+def _row_maker(convention: str, reg: ConstantRegistry) -> Callable[[float, float], ReportRow]:
+    """The function of (kappa, g) that builds the rows of one convention.
+
+    The constants and the plan key are read once, here; the plan is looked
+    up in ``_PLANS`` on every row, so the first row can record it.
+    """
+    m, q, c, hbar = reg.quantity("m_e"), reg.quantity("e"), reg.quantity("c"), reg.quantity("hbar")
+    plan_key = (convention, m.dimension, q.dimension, c.dimension, hbar.dimension)
+    conv = CONVENTION_TOKENS[convention]
+    magnitudes = (m.magnitude, q.magnitude, c.magnitude, hbar.magnitude)
+
+    def row(kappa: float, g: float) -> ReportRow:
+        plan = _PLANS.get(plan_key)
+        columns = None
+        if plan is not None:
+            columns = _float_columns(kappa, g, conv, *magnitudes, reg)
+        if columns is None:
+            try:
+                params = OscillatorParams.for_electron(kappa, g, conv, reg)
+                response = vacuum_response(params, reg)
+            except (ArithmeticError, ValueError) as exc:
+                raise ValueError(
+                    f"kappa {kappa:g}, convention {convention}, g {g:g}: {exc}"
+                ) from exc
+            eps, mu, radius = response.eps_tilde, response.mu_tilde, response.radius
+            eps_ratio, mu_ratio = response.eps_ratio, response.mu_ratio
+            _PLANS[plan_key] = (eps.dimension, mu.dimension, radius.dimension)
+        else:
+            eps_m, mu_m, radius_m, eps_ratio, mu_ratio = columns
+            eps_dim, mu_dim, radius_dim = plan
+            eps = Quantity(eps_m, eps_dim)
+            mu = Quantity(mu_m, mu_dim)
+            radius = Quantity(radius_m, radius_dim)
+        simple = required_species_count(kappa, SpeciesModel.SIMPLE, reg)
+        sphere = required_species_count(kappa, SpeciesModel.SPHERE, reg)
+        return ReportRow(kappa, convention, g, eps, mu, radius, eps_ratio, mu_ratio, simple, sphere)
+
+    return row
 
 
 def build_row(
@@ -175,40 +218,7 @@ def build_row(
     An input that takes the model out of the float range raises
     ``ValueError`` naming the grid point.
     """
-    reg = registry or default_registry()
-    m, q, c, hbar = reg.quantity("m_e"), reg.quantity("e"), reg.quantity("c"), reg.quantity("hbar")
-    plan_key = (convention, m.dimension, q.dimension, c.dimension, hbar.dimension)
-    plan = _PLANS.get(plan_key)
-    columns = None
-    if plan is not None:
-        columns = _float_columns(kappa, convention, g, m, q, c, hbar, reg)
-    if columns is None:
-        try:
-            params = OscillatorParams.for_electron(kappa, g, CONVENTION_TOKENS[convention], reg)
-            response = vacuum_response(params, reg)
-        except (ArithmeticError, ValueError) as exc:
-            raise ValueError(f"kappa {kappa:g}, convention {convention}, g {g:g}: {exc}") from exc
-        eps, mu, radius = response.eps_tilde, response.mu_tilde, response.radius
-        eps_ratio, mu_ratio = response.eps_ratio, response.mu_ratio
-        _PLANS[plan_key] = (eps.dimension, mu.dimension, radius.dimension)
-    else:
-        eps_m, mu_m, radius_m, eps_ratio, mu_ratio = columns
-        eps_dim, mu_dim, radius_dim = plan
-        eps = Quantity(eps_m, eps_dim)
-        mu = Quantity(mu_m, mu_dim)
-        radius = Quantity(radius_m, radius_dim)
-    return ReportRow(
-        kappa=kappa,
-        convention=convention,
-        g=g,
-        eps_tilde=eps,
-        mu_tilde=mu,
-        radius=radius,
-        eps_ratio=eps_ratio,
-        mu_ratio=mu_ratio,
-        count_simple=required_species_count(kappa, SpeciesModel.SIMPLE, reg),
-        count_sphere=required_species_count(kappa, SpeciesModel.SPHERE, reg),
-    )
+    return _row_maker(convention, registry or default_registry())(kappa, g)
 
 
 def sweep_rows(config: SweepConfig, registry: ConstantRegistry | None = None) -> list[ReportRow]:
@@ -218,21 +228,18 @@ def sweep_rows(config: SweepConfig, registry: ConstantRegistry | None = None) ->
     below is the reference order any parallel evaluation must reproduce.
     """
     reg = registry or default_registry()
-    rows = []
-    for kappa in config.kappas():
-        for convention in config.conventions:
-            for g in config.g_factors:
-                rows.append(build_row(kappa, convention, g, reg))
-    return rows
+    makers = [_row_maker(convention, reg) for convention in config.conventions]
+    return [make(k, g) for k in config.kappas() for make in makers for g in config.g_factors]
+
+
+# The one float format, and the format of each cell in CSV_HEADER order.
+_FLOAT = "%.11e"
+_CELLS = (_FLOAT, "%s", "%g", *(_FLOAT,) * 7)
 
 
 def format_float(value: float) -> str:
     """Scientific notation with 12 significant digits; the one float format."""
-    return f"{value:.11e}"
-
-
-def _format_g(g: float) -> str:
-    return f"{g:g}"
+    return _FLOAT % value
 
 
 def _header(units: str) -> tuple[str, ...]:
@@ -242,43 +249,37 @@ def _header(units: str) -> tuple[str, ...]:
     return CSV_HEADER
 
 
-def _row_cells(row: ReportRow, units: str) -> list[str]:
+def _lines(rows: list[ReportRow], units: str, template: str) -> list[str]:
+    """Each row as ``template`` filled with its cells, dimensioned ones shown in ``units``.
+
+    Render factors are looked up in the order the rows first show their
+    dimensions, so the first one with no rendering raises, as cell by cell.
+    """
+    dims = dict.fromkeys(q.dimension for r in rows for q in (r.eps_tilde, r.mu_tilde, r.radius))
+    factor = {d: render_quantity(Quantity(1.0, d), units)[0] for d in dims}
     return [
-        format_float(row.kappa),
-        row.convention,
-        _format_g(row.g),
-        format_float(render_quantity(row.eps_tilde, units)[0]),
-        format_float(render_quantity(row.mu_tilde, units)[0]),
-        format_float(render_quantity(row.radius, units)[0]),
-        format_float(row.eps_ratio),
-        format_float(row.mu_ratio),
-        format_float(row.count_simple),
-        format_float(row.count_sphere),
+        template % (
+            kappa, convention, g,
+            eps.magnitude * factor[eps.dimension],
+            mu.magnitude * factor[mu.dimension],
+            radius.magnitude * factor[radius.dimension],
+            eps_ratio, mu_ratio, count_simple, count_sphere,
+        )
+        for kappa, convention, g, eps, mu, radius, eps_ratio, mu_ratio, count_simple, count_sphere
+        in rows
     ]
 
 
 def rows_to_csv(rows: list[ReportRow], units: str = "si") -> str:
-    buffer = StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(_header(units))
-    for row in rows:
-        writer.writerow(_row_cells(row, units))
-    return buffer.getvalue()
+    # Convention tokens and numeric cells never need CSV quoting.
+    return "\r\n".join([",".join(_header(units)), *_lines(rows, units, ",".join(_CELLS)), ""])
 
 
 def rows_to_json(rows: list[ReportRow], units: str = "si") -> str:
     # Assembled by hand so numeric cells keep the fixed 12-digit rendering.
-    header = _header(units)
-    lines = ["["]
-    for index, row in enumerate(rows):
-        cells = _row_cells(row, units)
-        pairs = []
-        for name, cell in zip(header, cells):
-            if name == "convention":
-                pairs.append(f'"{name}": "{cell}"')
-            else:
-                pairs.append(f'"{name}": {cell}')
-        comma = "," if index < len(rows) - 1 else ""
-        lines.append("  {" + ", ".join(pairs) + "}" + comma)
-    lines.append("]")
-    return "\n".join(lines) + "\n"
+    pairs = (
+        f'"{name}": ' + ('"%s"' if name == "convention" else cell)
+        for name, cell in zip(_header(units), _CELLS)
+    )
+    body = ",\n".join(_lines(rows, units, "  {" + ", ".join(pairs) + "}"))
+    return f"[\n{body}\n]\n" if rows else "[\n]\n"

@@ -421,8 +421,8 @@ def format_dimension(d: Dimension, order: tuple[tuple[str, str], ...] = _FORMAT_
     return f"{head} / {tail}"
 
 
-# Cached because the serializers ask for every dimensioned cell of every row,
-# and a sweep repeats a handful of dimensions.
+# A run asks for a handful of dimensions: a payload once per distinct column
+# dimension, text output once per quantity it prints.
 @lru_cache(maxsize=MEMO_SIZE)
 def _unit(dimension: Dimension, units: str) -> tuple[float, str]:
     """The factor and label that show an SI value of ``dimension`` in ``units``."""

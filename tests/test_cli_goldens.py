@@ -1,9 +1,12 @@
-"""``estimate`` and ``check-dimensions`` stdout must stay byte-identical to the recorded digests.
+"""CLI stdout must stay byte-identical to the recorded digests.
 
 The digests in ``tests/data/cli_goldens.json`` were recorded before the model
 API was narrowed to ``vacuum_response``/``probe_response``; they pin every
 estimate format, convention and unit system, and the dimension-check report
-with the bundled and with corrupted constants.
+with the bundled and with corrupted constants.  The sweep digests were
+recorded before the serializers wrote each row with one format string: the
+Gaussian CSV and JSON of all four conventions, and an SI JSON sweep over six
+decades of the gap ratio.
 """
 
 import hashlib

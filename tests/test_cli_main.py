@@ -98,11 +98,14 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
         (["estimate", "--species", "/nonexistent"], "unrecognized arguments: --species"),
         (["constants", "--units", "gaussian"], "unrecognized arguments: --units"),
         (["check-dimensions", "--units", "si"], "unrecognized arguments: --units"),
+        (["sweep", "--conventions", "cube,cube", "--points", "2"], "'cube' is given more"),
+        (["sweep", "--points", "2", "--g-factors", "2,2.0"], "g-factor 2 is given more than once"),
     ],
     ids=[
         "g-factors", "too-many-rows", "probe-field", "scale-overflow", "scale-underflow",
         "superscript-digit", "non-finite-field", "negative-field", "species-on-estimate",
-        "units-on-constants", "units-on-check-dimensions",
+        "units-on-constants", "units-on-check-dimensions", "repeated-convention",
+        "repeated-g-factor",
     ],
 )
 def test_usage_error_returns_two(capsys, argv, message):

@@ -18,6 +18,7 @@ FORBIDDEN_PACKAGES = ("xml", "http", "email", "ssl", "socket")
 # dataclasses loads inspect, ast, dis and tokenize: about 9 ms of every start.
 SLOW_STDLIB = {"dataclasses", "inspect"}
 FORBIDDEN_MODULES = {
+    "csv",
     "urllib.request",
     "hashlib",
     "vacuumresponse.checks",

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vacuumresponse import report
+from vacuumresponse import units as units_module
 from vacuumresponse.constants import default_registry
 from vacuumresponse.dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Dimension, Quantity
 from vacuumresponse.report import (
@@ -75,6 +76,18 @@ class TestRows:
             SweepConfig(conventions=("dodecahedron",))
         with pytest.raises(ValueError):
             SweepConfig(g_factors=())
+
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"conventions": ("cube", "sphere", "cube")}, "'cube' is given more than once"),
+            ({"g_factors": (2, 1.0, 2.0)}, "g-factor 2 is given more than once"),
+        ],
+        ids=["convention", "g-factor"],
+    )
+    def test_config_rejects_repeated_tokens(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(**kwargs)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -338,6 +351,31 @@ class TestSerialization:
         assert gauss["count_sphere"] == si["count_sphere"]
         header = rows_to_csv([row], "gaussian").split("\r\n")[0].split(",")
         assert header == [*CSV_HEADER[:5], "radius_cm", *CSV_HEADER[6:]]
+
+    @pytest.mark.parametrize("serialize", [rows_to_csv, rows_to_json])
+    @pytest.mark.parametrize("units", ["si", "gaussian"])
+    def test_render_lookups_per_payload_do_not_grow_with_its_rows(
+        self, registry, monkeypatch, serialize, units
+    ):
+        lookups = []
+        real = units_module._unit
+
+        def counted(*args):
+            lookups.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(units_module, "_unit", counted)
+
+        def lookups_for(points):
+            config = SweepConfig(
+                points=points, conventions=tuple(CONVENTION_TOKENS), g_factors=(1.0, 2.0)
+            )
+            rows = sweep_rows(config, registry)
+            lookups.clear()
+            serialize(rows, units)
+            return len(lookups)
+
+        assert lookups_for(2) == lookups_for(50) > 0
 
 
 class TestSvgChart:
