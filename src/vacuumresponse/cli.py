@@ -392,8 +392,9 @@ def _run(argv: list[str] | None) -> int:
         try:
             return args.func(args, args.parser, registry)
         except OSError as exc:
-            path = getattr(exc, "filename", None) or args.out or ""
-            print(f"error: {exc} ({path})", file=sys.stderr)
+            # An OSError with a filename already names it in its message.
+            suffix = "" if exc.filename else f" ({args.out or ''})"
+            print(f"error: {exc}{suffix}", file=sys.stderr)
             return 1
         except (ValueError, MissingConstantError) as exc:
             # Every model and table error derives from ValueError (field too

@@ -21,23 +21,12 @@ small ints at C speed (``math.lcm`` when denominators differ), with no
 ``int`` when integral and a reduced ``Fraction`` otherwise, built from the
 key when read.
 
-Dimensions are interned: while a dimension is alive, every vector equal to
-it is the same object, so equality and hashing are by identity and run at
-C speed.  The intern table is a :class:`weakref.WeakValueDictionary` keyed
-on the canonical int key.  It is weak so that it holds exactly the
-dimensions still in use: a strong table would grow without bound, and a
-strong table that was cleared when full would let two live objects stand
-for one vector and break identity equality.  Pickling and copying go back
-through the constructor and hence through the table.
-
-``*``, ``/``, ``**`` and :meth:`Dimension.inverse` look their results up
-in memo tables keyed on the interned operands, so the key arithmetic runs
-once per distinct operation rather than once per use.  The
-memo tables are :func:`functools.lru_cache` tables of fixed size
-(``MEMO_SIZE``): a workload with ever-new dimensions, such as parsing
-unrelated unit expressions, evicts old entries instead of growing the
-process.  Memo entries hold their operands and results strongly, so the
-only dimensions that outlive their last user are those of live entries.
+A dimension is a plain immutable value: two dimensions are equal, and hash
+alike, when their canonical keys are equal, whichever route made them.  No
+table of live dimensions or of past results is kept, so pickling, copying
+and threads need nothing special.  A report checks dimensions once per
+convention, not once per row, so each operation does its key arithmetic
+again rather than look up an earlier result.
 
 A :class:`Quantity` binds a finite real magnitude to a dimension; every
 quantity is in SI units.  Arithmetic on quantities enforces dimensional
@@ -55,10 +44,7 @@ factor, and the unit module renders a quantity through it.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from operator import add, sub
 from typing import Callable, NamedTuple, Union
@@ -74,9 +60,6 @@ _BASE_FIELDS = (
     "amount",
     "luminosity",
 )
-
-# Entries per memo table; sweeps use a few dozen distinct dimensions.
-MEMO_SIZE = 512
 
 
 class DimensionMismatchError(ValueError):
@@ -117,28 +100,20 @@ def _exponent(value: Rational, field: str) -> Rational:
 # ``gcd(den, n_length, ..., n_luminosity) == 1``.
 _Key = tuple[int, ...]
 
-_INTERNED: weakref.WeakValueDictionary[_Key, Dimension] = weakref.WeakValueDictionary()
-# Two threads making the same new vector must get one object.
-_INTERN_LOCK = threading.Lock()
 
-
-def _intern(key: _Key) -> Dimension:
-    """The live dimension with this canonical key, made if there is none."""
-    with _INTERN_LOCK:
-        dim = _INTERNED.get(key)
-        if dim is None:
-            dim = object.__new__(Dimension)
-            dim._key = key
-            _INTERNED[key] = dim
+def _make(key: _Key) -> Dimension:
+    """The dimension with this canonical key."""
+    dim = object.__new__(Dimension)
+    dim._key = key
     return dim
 
 
-def _intern_reduced(den: int, numerators: list[int]) -> Dimension:
+def _reduced(den: int, numerators: list[int]) -> Dimension:
     """The dimension with exponents ``n / den``, after dividing out their common factor."""
     g = gcd(den, *numerators)
     if g != 1:
-        return _intern((den // g, *[n // g for n in numerators]))
-    return _intern((den, *numerators))
+        return _make((den // g, *[n // g for n in numerators]))
+    return _make((den, *numerators))
 
 
 def _ratio(numerator: int, den: int) -> Rational:
@@ -154,9 +129,12 @@ def _component(index: int) -> property:
 
 
 class Dimension:
-    """Interned vector of exact rational exponents over the seven SI base dimensions."""
+    """Immutable vector of exact rational exponents over the seven SI base dimensions.
 
-    __slots__ = ("_key", "__weakref__")
+    Equality and hashing are by the canonical key.
+    """
+
+    __slots__ = ("_key",)
 
     def __new__(
         cls,
@@ -172,7 +150,7 @@ class Dimension:
         exponents = tuple(map(_exponent, values, _BASE_FIELDS))
         # The least common denominator of reduced exponents leaves no common factor.
         den = lcm(*[e.denominator for e in exponents])
-        return _intern((den, *[e.numerator * (den // e.denominator) for e in exponents]))
+        return _make((den, *[e.numerator * (den // e.denominator) for e in exponents]))
 
     length = _component(1)
     mass = _component(2)
@@ -192,26 +170,36 @@ class Dimension:
             return key[1:]
         return tuple([_ratio(n, den) for n in key[1:]])
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dimension):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
     def __mul__(self, other: Dimension) -> Dimension:
         if not isinstance(other, Dimension):
             return NotImplemented
-        return _product(self, other)
+        return _sum(self._key, other._key, add)
 
     def __truediv__(self, other: Dimension) -> Dimension:
         if not isinstance(other, Dimension):
             return NotImplemented
-        return _quotient(self, other)
+        return _sum(self._key, other._key, sub)
 
     def __pow__(self, exponent: Rational) -> Dimension:
         p = _exponent(exponent, "power")
-        return _power(self, p.numerator, p.denominator)
+        key = self._key
+        return _reduced(key[0] * p.denominator, [n * p.numerator for n in key[1:]])
 
     def inverse(self) -> Dimension:
-        return _inverse(self)
+        key = self._key
+        return _make((key[0], *[-n for n in key[1:]]))
 
     @property
     def is_dimensionless(self) -> bool:
-        return self is DIMENSIONLESS
+        return self == DIMENSIONLESS
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={a!r}" for f, a in zip(_BASE_FIELDS, self.as_tuple()))
@@ -232,34 +220,11 @@ def _sum(a: _Key, b: _Key, op: Callable[[int, int], int]) -> Dimension:
     if da == db:
         numerators = list(map(op, a[1:], b[1:]))
         if da == 1:
-            return _intern((1, *numerators))
-        return _intern_reduced(da, numerators)
+            return _make((1, *numerators))
+        return _reduced(da, numerators)
     den = lcm(da, db)
     fa, fb = den // da, den // db
-    return _intern_reduced(den, [op(x * fa, y * fb) for x, y in zip(a[1:], b[1:])])
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _product(a: Dimension, b: Dimension) -> Dimension:
-    return _sum(a._key, b._key, add)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _quotient(a: Dimension, b: Dimension) -> Dimension:
-    return _sum(a._key, b._key, sub)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _power(a: Dimension, numerator: int, denominator: int) -> Dimension:
-    # Keyed on the exponent's integer parts, which hash faster than a Fraction.
-    key = a._key
-    return _intern_reduced(key[0] * denominator, [n * numerator for n in key[1:]])
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _inverse(a: Dimension) -> Dimension:
-    key = a._key
-    return _intern((key[0], *[-n for n in key[1:]]))
+    return _reduced(den, [op(x * fa, y * fb) for x, y in zip(a[1:], b[1:])])
 
 
 DIMENSIONLESS = Dimension()
@@ -334,7 +299,7 @@ class Quantity:
         return hash((self.magnitude, self.dimension))
 
     def _check_same(self, other: Quantity, op: str) -> None:
-        if self.dimension is not other.dimension:
+        if self.dimension != other.dimension:
             raise DimensionMismatchError(
                 f"cannot {op} quantities of dimension [{self.dimension}] and [{other.dimension}]"
             )

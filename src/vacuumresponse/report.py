@@ -23,7 +23,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .constants import ConstantRegistry, _Record, default_registry
-from .dimensions import Dimension, Quantity
+from .dimensions import Dimension, Quantity, _make
 from .model import (
     OscillatorParams,
     RadiusRule,
@@ -99,6 +99,8 @@ class SweepConfig(_Record):
             raise ValueError("kappa_min must be > 0")
         if self.kappa_max < self.kappa_min:
             raise ValueError("kappa_max must be >= kappa_min")
+        if isinstance(self.points, bool) or not isinstance(self.points, int):
+            raise ValueError(f"points must be an int, got {self.points!r}")
         if self.points < 2:
             raise ValueError("a sweep needs at least 2 points")
         if not self.conventions:
@@ -130,6 +132,9 @@ class SweepConfig(_Record):
 # The dimensions of the eps_tilde, mu_tilde and radius columns, keyed on the
 # convention token and the dimensions of the constants m_e, e, c and hbar.
 # Rows that record the same key record the same value, so threads need no lock.
+# This table is read once per ``build_row`` and the render factors of
+# ``_lines`` once per cell, so both take a dimension by ``Dimension._key``, a
+# tuple of ints hashed in C: ``Dimension.__hash__`` is a Python call.
 _PLANS: dict[tuple, tuple[Dimension, Dimension, Dimension]] = {}
 
 
@@ -170,16 +175,17 @@ def _float_columns(
 def _row_maker(convention: str, reg: ConstantRegistry) -> Callable[[float, float], ReportRow]:
     """The function of (kappa, g) that builds the rows of one convention.
 
-    The constants and the plan key are read once, here; the plan is looked
-    up in ``_PLANS`` on every row, so the first row can record it.
+    The constants and the plan are read once, here; where there is no plan
+    yet, the first row records it.
     """
     m, q, c, hbar = reg.quantity("m_e"), reg.quantity("e"), reg.quantity("c"), reg.quantity("hbar")
-    plan_key = (convention, m.dimension, q.dimension, c.dimension, hbar.dimension)
+    plan_key = (convention, *[x.dimension._key for x in (m, q, c, hbar)])
     conv = CONVENTION_TOKENS[convention]
     magnitudes = (m.magnitude, q.magnitude, c.magnitude, hbar.magnitude)
+    plan = _PLANS.get(plan_key)
 
     def row(kappa: float, g: float) -> ReportRow:
-        plan = _PLANS.get(plan_key)
+        nonlocal plan
         columns = None
         if plan is not None:
             columns = _float_columns(kappa, g, conv, *magnitudes, reg)
@@ -193,7 +199,7 @@ def _row_maker(convention: str, reg: ConstantRegistry) -> Callable[[float, float
                 ) from exc
             eps, mu, radius = response.eps_tilde, response.mu_tilde, response.radius
             eps_ratio, mu_ratio = response.eps_ratio, response.mu_ratio
-            _PLANS[plan_key] = (eps.dimension, mu.dimension, radius.dimension)
+            plan = _PLANS[plan_key] = (eps.dimension, mu.dimension, radius.dimension)
         else:
             eps_m, mu_m, radius_m, eps_ratio, mu_ratio = columns
             eps_dim, mu_dim, radius_dim = plan
@@ -249,20 +255,33 @@ def _header(units: str) -> tuple[str, ...]:
     return CSV_HEADER
 
 
-def _lines(rows: list[ReportRow], units: str, template: str) -> list[str]:
-    """Each row as ``template`` filled with its cells, dimensioned ones shown in ``units``.
+class _Factors(dict):
+    """The render factors of one unit system, keyed on ``Dimension._key``.
 
-    Render factors are looked up in the order the rows first show their
-    dimensions, so the first one with no rendering raises, as cell by cell.
+    A factor is found when a cell first asks for it, so the first dimension
+    with no rendering raises, as cell by cell.
     """
-    dims = dict.fromkeys(q.dimension for r in rows for q in (r.eps_tilde, r.mu_tilde, r.radius))
-    factor = {d: render_quantity(Quantity(1.0, d), units)[0] for d in dims}
+
+    __slots__ = ("units",)
+
+    def __init__(self, units: str) -> None:
+        super().__init__()
+        self.units = units
+
+    def __missing__(self, key: tuple[int, ...]) -> float:
+        factor = self[key] = render_quantity(Quantity(1.0, _make(key)), self.units)[0]
+        return factor
+
+
+def _lines(rows: list[ReportRow], units: str, template: str) -> list[str]:
+    """Each row as ``template`` filled with its cells, dimensioned ones shown in ``units``."""
+    factor = _Factors(units)
     return [
         template % (
             kappa, convention, g,
-            eps.magnitude * factor[eps.dimension],
-            mu.magnitude * factor[mu.dimension],
-            radius.magnitude * factor[radius.dimension],
+            eps.magnitude * factor[eps.dimension._key],
+            mu.magnitude * factor[mu.dimension._key],
+            radius.magnitude * factor[radius.dimension._key],
             eps_ratio, mu_ratio, count_simple, count_sphere,
         )
         for kappa, convention, g, eps, mu, radius, eps_ratio, mu_ratio, count_simple, count_sphere

@@ -47,7 +47,6 @@ from .dimensions import (
     LUMINOSITY,
     MAGNETIC_FIELD,
     MASS,
-    MEMO_SIZE,
     PERMEABILITY,
     TEMPERATURE,
     TIME,
@@ -58,6 +57,9 @@ from .dimensions import (
 
 # The unit systems a quantity can be shown in; the values of the --units flag.
 UNIT_SYSTEMS = ("si", "gaussian")
+
+# Entries in the render cache of ``_unit``; a run shows a few dozen dimensions.
+MEMO_SIZE = 512
 
 
 class UnitParseError(ValueError):

@@ -39,6 +39,16 @@ def test_out_writes_what_stdout_would_show(tmp_path, capsys, argv):
     assert out.read_bytes() == printed.encode("utf-8")
 
 
+def test_unwritable_out_names_its_path_once(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "sweep.csv")
+    assert main(["sweep", "--points", "2", "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].count(out) == 1
+
+
 def test_check_dimensions_out_keeps_failure_exit(tmp_path, capsys, corrupted_constants):
     argv = ["check-dimensions", "--constants", str(corrupted_constants)]
     assert main(argv) == 1

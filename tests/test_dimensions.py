@@ -1,23 +1,19 @@
 import copy
-import gc
 import math
 import pickle
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vacuumresponse import dimensions
 from vacuumresponse.dimensions import (
     CHARGE,
     DIMENSIONLESS,
+    ENERGY,
     FREQUENCY,
     LENGTH,
     MASS,
-    MEMO_SIZE,
     PERMITTIVITY,
     SPEED,
     TIME,
@@ -29,7 +25,8 @@ from vacuumresponse.dimensions import (
     Quantity,
     UnsupportedKindError,
 )
-from vacuumresponse.units import render_quantity
+from vacuumresponse import units
+from vacuumresponse.units import MEMO_SIZE, render_quantity
 
 exponents = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 dims = st.builds(Dimension, *[exponents] * 7)
@@ -87,31 +84,39 @@ class TestDimension:
         assert d.as_tuple() == start
 
 
-class TestInterning:
+class TestEquality:
     @given(v=st.lists(exponents, min_size=7, max_size=7))
-    def test_equal_vectors_are_one_object(self, v):
-        assert Dimension(*v) is Dimension(*v)
+    def test_equal_vectors_compare_and_hash_equal(self, v):
+        assert Dimension(*v) == Dimension(*v)
+        assert hash(Dimension(*v)) == hash(Dimension(*v))
 
     @given(a=dims, b=dims)
     def test_quotient_of_product_is_the_operand(self, a, b):
-        assert (a * b) / b is a
+        assert (a * b) / b == a
+        assert hash((a * b) / b) == hash(a)
 
     def test_integral_exponents_are_ints(self):
         half = Dimension(length=Fraction(1, 2))
         assert type((half * half).length) is int
-        assert Dimension(mass=Fraction(4, 2)) is Dimension(mass=2)
+        assert Dimension(mass=Fraction(4, 2)) == Dimension(mass=2)
+        assert hash(Dimension(mass=Fraction(4, 2))) == hash(Dimension(mass=2))
         assert (half**2).as_tuple() == (1, 0, 0, 0, 0, 0, 0)
 
     @pytest.mark.parametrize(
         "d", [DIMENSIONLESS, PERMITTIVITY, Dimension(length=Fraction(1, 7), time=-3)]
     )
-    def test_pickle_and_copy_return_the_interned_object(self, d):
+    def test_pickle_and_copy_return_an_equal_dimension(self, d):
         before = DIMENSIONLESS.as_tuple()
-        assert pickle.loads(pickle.dumps(d)) is d
-        assert copy.copy(d) is d
-        assert copy.deepcopy(d) is d
-        assert copy.deepcopy(Quantity(2.0, d)).dimension is d
-        assert Dimension() is DIMENSIONLESS
+        for copied in (
+            pickle.loads(pickle.dumps(d)),
+            copy.copy(d),
+            copy.deepcopy(d),
+            copy.deepcopy(Quantity(2.0, d)).dimension,
+        ):
+            assert copied == d
+            assert hash(copied) == hash(d)
+        assert Dimension() == DIMENSIONLESS
+        assert hash(Dimension()) == hash(DIMENSIONLESS)
         assert DIMENSIONLESS.as_tuple() == before == (0,) * 7
 
     def test_float_exponents_rejected_by_every_entry_point(self):
@@ -122,52 +127,20 @@ class TestInterning:
         with pytest.raises(TypeError):
             Quantity(4.0, LENGTH) ** 0.5  # type: ignore[operator]
 
-    def test_threads_making_the_same_vectors_get_one_object(self):
-        vectors = [(Fraction(i, 9_973), 0, Fraction(-1, 11)) for i in range(1, 301)]
-        made: list[list[Dimension]] = [[] for _ in range(6)]
-        barrier = threading.Barrier(len(made), timeout=10)
+    def test_equal_dimensions_made_apart_are_one_dict_key(self):
+        derived = CHARGE**2 / (ENERGY * LENGTH)
+        pickled = pickle.loads(pickle.dumps(PERMITTIVITY))
+        deep = copy.deepcopy(PERMITTIVITY)
+        for d in (derived, pickled, deep):
+            assert d is not PERMITTIVITY
+            assert d == PERMITTIVITY and hash(d) == hash(PERMITTIVITY)
+            assert GAUSSIAN_UNITS[d] is GAUSSIAN_UNITS[PERMITTIVITY]
+        assert len({derived, pickled, deep, PERMITTIVITY}) == 1
 
-        def worker(out: list[Dimension]) -> None:
-            barrier.wait()
-            out.extend(Dimension(*v) for v in vectors)
-
-        threads = [threading.Thread(target=worker, args=(out,)) for out in made]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert all(len(out) == len(vectors) for out in made)
-        for column in zip(*made):
-            assert all(d is column[0] for d in column)
-
-    def test_memo_and_intern_tables_are_bounded(self):
-        memos = (dimensions._product, dimensions._quotient, dimensions._power, dimensions._inverse)
-        gc.collect()
-        baseline = len(dimensions._INTERNED)
-        step = Dimension(time=Fraction(1, 3))
-        results = []
-        for i in range(1, 10_001):
-            d = Dimension(length=Fraction(i, 10_007))
-            results.append((d * step, d / step, d**2, d.inverse()))
-        assert len(dimensions._INTERNED) - baseline > 30_000
-        for memo in memos:
-            info = memo.cache_info()
-            assert info.maxsize == MEMO_SIZE
-            assert info.currsize <= info.maxsize
-        del results, d
-        gc.collect()
-        # Each memo entry keeps at most its operand and its result alive.
-        assert len(dimensions._INTERNED) <= baseline + 2 * len(memos) * MEMO_SIZE
-        for memo in memos:
-            memo.cache_clear()
-        gc.collect()
-        assert len(dimensions._INTERNED) <= baseline
+    def test_not_equal_to_other_types_or_other_vectors(self):
+        assert LENGTH != LENGTH._key
+        assert DIMENSIONLESS != 1
+        assert LENGTH != TIME
 
 
 FIELDS = ("length", "mass", "time", "current", "temperature", "amount", "luminosity")
@@ -200,7 +173,8 @@ class TestRepresentation:
 
     def test_sum_reduces_back_to_int(self):
         d = Dimension(length=Fraction(1, 6)) * Dimension(length=Fraction(5, 6))
-        assert d is LENGTH
+        assert d == LENGTH
+        assert hash(d) == hash(LENGTH)
         assert type(d.length) is int
         assert (Dimension(time=Fraction(2, 3)) * Dimension(time=Fraction(1, 3))).as_tuple() == (
             0, 0, 1, 0, 0, 0, 0
@@ -208,13 +182,16 @@ class TestRepresentation:
 
     def test_zero_and_negative_rational_powers(self):
         d = Dimension(length=Fraction(2, 3), mass=-4, current=Fraction(1, 2))
-        assert d**0 is DIMENSIONLESS
-        assert d ** Fraction(0, 5) is DIMENSIONLESS
+        assert d**0 == DIMENSIONLESS
+        assert hash(d**0) == hash(DIMENSIONLESS)
+        assert d ** Fraction(0, 5) == DIMENSIONLESS
+        assert hash(d ** Fraction(0, 5)) == hash(DIMENSIONLESS)
         assert (d ** Fraction(-3, 4)).as_tuple() == (
             Fraction(-1, 2), 3, 0, Fraction(-3, 8), 0, 0, 0
         )
         assert type((d ** Fraction(-3, 4)).mass) is int
-        assert (d ** Fraction(-3, 4)) ** Fraction(-4, 3) is d
+        assert (d ** Fraction(-3, 4)) ** Fraction(-4, 3) == d
+        assert hash((d ** Fraction(-3, 4)) ** Fraction(-4, 3)) == hash(d)
 
 class TestQuantity:
     def test_add(self):
@@ -327,6 +304,13 @@ class TestConvertSystem:
         magnitude, label = render_quantity(registry.quantity("eps0"), "gaussian")
         assert magnitude == pytest.approx(1 / (4 * math.pi), rel=1e-9)
         assert label == "1"
+
+    def test_render_cache_is_bounded(self):
+        for i in range(1, MEMO_SIZE + 50):
+            render_quantity(Quantity(1.0, Dimension(length=Fraction(i, 1009))), "si")
+        info = units._unit.cache_info()
+        assert info.maxsize == MEMO_SIZE
+        assert info.currsize <= MEMO_SIZE
 
     def test_unsupported_kind(self):
         with pytest.raises(UnsupportedKindError):

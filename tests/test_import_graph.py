@@ -73,6 +73,19 @@ def test_running_every_subcommand_skips_dataclasses_and_inspect():
     assert not loaded, f"running the subcommands loads {sorted(loaded)}"
 
 
+def test_check_dimensions_reads_no_species_file():
+    # Loading a species file is what imports hashlib in this package.
+    statement = (
+        "import io, sys\n"
+        "from vacuumresponse.cli import main\n"
+        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        "code = main(['check-dimensions'])\n"
+        "sys.stdout = stdout\n"
+        "assert code == 0, code"
+    )
+    assert "hashlib" not in loaded_modules(statement)
+
+
 def test_every_public_name_resolves():
     # The package loads its public names on first use, so a stale entry in
     # its export table shows only when the name is read.

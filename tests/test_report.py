@@ -106,6 +106,11 @@ class TestRows:
         with pytest.raises(ValueError):
             SweepConfig(**kwargs)
 
+    @pytest.mark.parametrize("points", [2.5, 2.0, True])
+    def test_config_rejects_points_that_are_not_ints(self, points):
+        with pytest.raises(ValueError, match="points"):
+            SweepConfig(points=points)
+
     def test_config_bounds_the_number_of_rows(self):
         grid = {"conventions": tuple(CONVENTION_TOKENS), "g_factors": (1.0, 2.0)}
         SweepConfig(points=MAX_SWEEP_ROWS // 8, **grid)
