@@ -30,6 +30,7 @@ from .model import (
     probe_response,
 )
 from .report import (
+    COLUMN_DIMENSIONS,
     CONVENTION_TOKENS,
     ReportRow,
     SweepConfig,
@@ -49,6 +50,9 @@ from .species import (
     total_permittivity,
 )
 from .units import UNIT_SYSTEMS, UnitParseError, parse_unit, render_quantity
+
+# Report rows hold SI floats; text output labels them by the schema's dimensions.
+_EPS, _MU, _RADIUS = COLUMN_DIMENSIONS
 
 GAUSSIAN_NOTE = (
     "note: gaussian output selected; permittivity-like values are dimensionless "
@@ -110,9 +114,9 @@ def _print_row_text(row: ReportRow, extra: list[tuple[str, str]], units: str) ->
         ("kappa", f"{row.kappa:g}"),
         ("convention", row.convention),
         ("g", f"{row.g:g}"),
-        ("eps_tilde", _qty_text(row.eps_tilde, units)),
-        ("mu_tilde", _qty_text(row.mu_tilde, units)),
-        ("radius", _qty_text(row.radius, units)),
+        ("eps_tilde", _qty_text(Quantity(row.eps_tilde, _EPS), units)),
+        ("mu_tilde", _qty_text(Quantity(row.mu_tilde, _MU), units)),
+        ("radius", _qty_text(Quantity(row.radius, _RADIUS), units)),
         ("eps_ratio", format_float(row.eps_ratio)),
         ("mu_ratio", format_float(row.mu_ratio)),
         ("count_simple", format_float(row.count_simple)),
@@ -140,7 +144,8 @@ def cmd_estimate(
     closed = row
     if params.volume_convention.radius_rule is not RadiusRule.MAXWELL_CONSISTENT:
         closed = build_row(kappa, "cube", g, registry)
-    light_speed = (closed.eps_tilde * closed.mu_tilde) ** Fraction(-1, 2)  # 1/sqrt(eps mu)
+    eps_mu = Quantity(closed.eps_tilde, _EPS) * Quantity(closed.mu_tilde, _MU)
+    light_speed = eps_mu ** Fraction(-1, 2)  # 1/sqrt(eps mu)
 
     extra: list[tuple[str, str]] = [("implied_light_speed", _qty_text(light_speed, args.units))]
     if convention == "cube" and g == 2.0:

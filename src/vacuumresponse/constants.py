@@ -64,53 +64,6 @@ REQUIRED_KEYS = (
 DERIVED_KEYS = ("alpha", "lambda_c", "E_S")
 
 
-class _Record:
-    """Base of the package's checked records: immutable, compared and hashed by field.
-
-    A subclass names its fields in ``__slots__``; its ``__init__`` stores them
-    with ``_store``, in that order, and then checks them.  Records are classes,
-    not dataclasses, because importing ``dataclasses`` loads ``inspect`` and
-    ``ast``, and each frozen dataclass costs about a millisecond to define:
-    time every CLI start would pay.
-    """
-
-    __slots__ = ()
-
-    def _store(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return self.__class__, self._values()
-
-    # As Quantity does, the error is the one a frozen dataclass raises, and
-    # dataclasses is imported only when an assignment is refused.
-    def __setattr__(self, name: str, value: object) -> None:
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
 class ConstantRecord(NamedTuple):
     key: str
     quantity: Quantity

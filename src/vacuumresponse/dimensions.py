@@ -26,7 +26,8 @@ alike, when their canonical keys are equal, whichever route made them.  No
 table of live dimensions or of past results is kept, so pickling, copying
 and threads need nothing special.  A report checks dimensions once per
 convention, not once per row, so each operation does its key arithmetic
-again rather than look up an earlier result.
+again rather than look up an earlier result.  A dimension is shown one way,
+as the unit string of :func:`format_dimension`, which ``str`` also gives.
 
 A :class:`Quantity` binds a finite real magnitude to a dimension; every
 quantity is in SI units.  Arithmetic on quantities enforces dimensional
@@ -206,12 +207,7 @@ class Dimension:
         return f"Dimension({fields})"
 
     def __str__(self) -> str:
-        # Canonical rendering lives in the unit module; this is a debug form.
-        parts = []
-        for field, a in zip(_BASE_FIELDS, self.as_tuple()):
-            if a != 0:
-                parts.append(f"{field}^{a}" if a != 1 else field)
-        return " ".join(parts) if parts else "dimensionless"
+        return format_dimension(self)
 
 
 def _sum(a: _Key, b: _Key, op: Callable[[int, int], int]) -> Dimension:
@@ -225,6 +221,47 @@ def _sum(a: _Key, b: _Key, op: Callable[[int, int], int]) -> Dimension:
     den = lcm(da, db)
     fa, fb = den // da, den // db
     return _reduced(den, [op(x * fa, y * fb) for x, y in zip(a[1:], b[1:])])
+
+
+# Electromagnetic-first display order; renders the permittivity dimension as
+# "A^2 s^4 / (kg m^3)", matching the house style of the constant tables.
+_FORMAT_ORDER = (
+    ("current", "A"),
+    ("time", "s"),
+    ("mass", "kg"),
+    ("length", "m"),
+    ("temperature", "K"),
+    ("amount", "mol"),
+    ("luminosity", "cd"),
+)
+
+
+def _format_power(symbol: str, exponent: Fraction) -> str:
+    if exponent == 1:
+        return symbol
+    if exponent.denominator == 1:
+        return f"{symbol}^{exponent.numerator}"
+    return f"{symbol}^{exponent.numerator}/{exponent.denominator}"
+
+
+def format_dimension(d: Dimension, order: tuple[tuple[str, str], ...] = _FORMAT_ORDER) -> str:
+    """Render a dimension as a unit string, each base dimension by ``order``'s symbol.
+
+    In the default SI order the string is canonical and re-parseable.
+    """
+    positive: list[str] = []
+    negative: list[str] = []
+    for field, symbol in order:
+        exponent: Fraction = getattr(d, field)
+        if exponent > 0:
+            positive.append(_format_power(symbol, exponent))
+        elif exponent < 0:
+            negative.append(_format_power(symbol, -exponent))
+    head = " ".join(positive) if positive else "1"
+    if not negative:
+        return head
+    tail = negative[0] if len(negative) == 1 else "(" + " ".join(negative) + ")"
+    return f"{head} / {tail}"
 
 
 DIMENSIONLESS = Dimension()
@@ -250,7 +287,54 @@ PERMITTIVITY = CHARGE**2 / (ENERGY * LENGTH)
 PERMEABILITY = (SPEED**2 * PERMITTIVITY).inverse()
 
 
-class Quantity:
+class _Record:
+    """Base of the package's checked records: immutable, compared and hashed by field.
+
+    A subclass names its fields in ``__slots__``; its ``__init__`` stores them
+    with ``_store``, in that order, and then checks them.  Records are classes,
+    not dataclasses, because importing ``dataclasses`` loads ``inspect`` and
+    ``ast``, and each frozen dataclass costs about a millisecond to define:
+    time every CLI start would pay.
+    """
+
+    __slots__ = ()
+
+    def _store(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    # The error is the one a frozen dataclass raises, and dataclasses is
+    # imported only when an assignment is refused.
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Quantity(_Record):
     """A finite real magnitude bound to a dimension.
 
     Addition and subtraction require identical dimensions; multiplication
@@ -271,32 +355,6 @@ class Quantity:
             raise NonFiniteError(f"quantity magnitude must be finite, got {value!r}")
         _set_magnitude(self, value)
         _set_dimension(self, dimension)
-
-    # dataclasses is imported on use: it loads inspect and ast, which a
-    # process that only does unit algebra does not otherwise need.
-    def __setattr__(self, name: str, value: object) -> None:
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return Quantity, (self.magnitude, self.dimension)
-
-    def __repr__(self) -> str:
-        return f"Quantity(magnitude={self.magnitude!r}, dimension={self.dimension!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Quantity:
-            return NotImplemented
-        return (self.magnitude, self.dimension) == (other.magnitude, other.dimension)
-
-    def __hash__(self) -> int:
-        return hash((self.magnitude, self.dimension))
 
     def _check_same(self, other: Quantity, op: str) -> None:
         if self.dimension != other.dimension:
@@ -378,7 +436,8 @@ class Quantity:
         return f"{self.magnitude:.12g} [{self.dimension}]"
 
 
-# The slot setters, which bypass the assignment guard in ``__setattr__``.
+# The slot setters, which bypass ``_Record``'s assignment guard.  Quantity
+# construction is the hot path, so it calls them rather than ``_store``.
 _set_magnitude = Quantity.magnitude.__set__
 _set_dimension = Quantity.dimension.__set__
 

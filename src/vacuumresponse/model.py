@@ -25,7 +25,7 @@ import warnings
 from enum import Enum
 from fractions import Fraction
 
-from .constants import ConstantRegistry, _Record, default_registry
+from .constants import ConstantRegistry, default_registry
 from .dimensions import (
     CHARGE,
     ELECTRIC_FIELD,
@@ -37,6 +37,7 @@ from .dimensions import (
     TIME,
     DimensionMismatchError,
     Quantity,
+    _Record,
 )
 
 # The paired antiparticle responds with the same sign as the particle, so the

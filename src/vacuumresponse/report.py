@@ -3,18 +3,19 @@
 Output is byte-reproducible: floats are always rendered in scientific
 notation with 12 significant digits, rows are ordered gap-ratio major then
 convention then g-factor, and nothing in the payload depends on wall-clock
-or environment state.  Rows hold SI quantities; the serializers show the
-dimensioned cells in the unit system they are given.
+or environment state.
 
-The dimension of every column depends on the convention and on the
-dimensions of the constants the model reads, never on kappa or g.  So a
+Rows hold plain SI floats.  The dimensions of the eps_tilde, mu_tilde and
+radius columns belong to the schema, ``COLUMN_DIMENSIONS`` beside
+``CSV_HEADER``, and depend on neither the row nor the convention.  A
 convention's first row runs the model on Quantities, which checks every
-dimension, and records its column dimensions; later rows run the same model
-code on the constants' float magnitudes and attach the recorded dimensions.
-A sweep reads the constants and the plan key once per convention.  The
-serializers look up the render factor of each distinct column dimension once
-per payload and write each row with one format string; a dimensioned cell is
-still its magnitude times that factor, so the bytes do not change.
+dimension, and then checks the result against the schema and eps0 and mu0
+against the permittivity and permeability columns, so that both ratios are
+dimensionless; a constants file that fails this raises one
+``DimensionMismatchError``.  Later rows with the same constant dimensions run
+the same model code on the constants' float magnitudes.  The serializers
+look up the render factor of each schema column once per payload and write
+each row with one format string.
 """
 
 from __future__ import annotations
@@ -22,8 +23,15 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .constants import ConstantRegistry, _Record, default_registry
-from .dimensions import Dimension, Quantity, _make
+from .constants import ConstantRegistry, default_registry
+from .dimensions import (
+    LENGTH,
+    PERMEABILITY,
+    PERMITTIVITY,
+    DimensionMismatchError,
+    Quantity,
+    _Record,
+)
 from .model import (
     OscillatorParams,
     RadiusRule,
@@ -60,14 +68,18 @@ CSV_HEADER = (
     "count_sphere",
 )
 
+# The SI dimensions of the eps_tilde, mu_tilde and radius columns; every
+# other numeric column is a pure number.
+COLUMN_DIMENSIONS = (PERMITTIVITY, PERMEABILITY, LENGTH)
+
 
 class ReportRow(NamedTuple):
     kappa: float
     convention: str
     g: float
-    eps_tilde: Quantity
-    mu_tilde: Quantity
-    radius: Quantity
+    eps_tilde: float
+    mu_tilde: float
+    radius: float
     eps_ratio: float
     mu_ratio: float
     count_simple: float
@@ -129,13 +141,13 @@ class SweepConfig(_Record):
         return [self.kappa_min + i * step for i in range(self.points)]
 
 
-# The dimensions of the eps_tilde, mu_tilde and radius columns, keyed on the
-# convention token and the dimensions of the constants m_e, e, c and hbar.
-# Rows that record the same key record the same value, so threads need no lock.
-# This table is read once per ``build_row`` and the render factors of
-# ``_lines`` once per cell, so both take a dimension by ``Dimension._key``, a
-# tuple of ints hashed in C: ``Dimension.__hash__`` is a Python call.
-_PLANS: dict[tuple, tuple[Dimension, Dimension, Dimension]] = {}
+# The plan keys already checked against the schema: a convention token and
+# the dimensions of the constants m_e, e, c, hbar, eps0 and mu0.  Adding a
+# key twice is harmless, so threads need no lock.
+_PLANS: set[tuple] = set()
+
+# The constants a row reads, in the order of ``_float_columns``' arguments.
+_READS = ("m_e", "e", "c", "hbar", "eps0", "mu0")
 
 
 def _float_columns(
@@ -146,7 +158,8 @@ def _float_columns(
     q: float,
     c: float,
     hbar: float,
-    registry: ConstantRegistry,
+    eps0: float,
+    mu0: float,
 ) -> tuple[float, ...] | None:
     """eps, mu, radius and the two ratios of a row, computed on the constants' magnitudes.
 
@@ -162,8 +175,8 @@ def _float_columns(
         kappa, g = float(kappa), float(g)
         gap = _gap(kappa, m, c)
         w0, radius, volume, rho2, eps, mu = _pair(m, q, gap, g, conv, hbar, c)
-        eps_ratio = eps / registry.value("eps0")
-        mu_ratio = mu / registry.value("mu0")
+        eps_ratio = eps / eps0
+        mu_ratio = mu / mu0
     except (ArithmeticError, ValueError):
         return None
     for value in (gap, w0, radius, volume, rho2, eps, mu, eps_ratio, mu_ratio):
@@ -172,23 +185,40 @@ def _float_columns(
     return eps, mu, radius, eps_ratio, mu_ratio
 
 
+def _check_schema(
+    eps: Quantity, mu: Quantity, radius: Quantity, eps0: Quantity, mu0: Quantity
+) -> None:
+    """Raise unless the columns have the schema's dimensions and the ratios are pure numbers."""
+    named = zip(
+        ("eps_tilde", "mu_tilde", "radius", "eps0", "mu0"),
+        (eps, mu, radius, eps0, mu0),
+        (*COLUMN_DIMENSIONS, *COLUMN_DIMENSIONS[:2]),
+    )
+    wrong = [
+        f"{name} [{q.dimension}], not [{want}]" for name, q, want in named if q.dimension != want
+    ]
+    if wrong:
+        raise DimensionMismatchError(
+            f"the constants give {'; '.join(wrong)}; run check-dimensions to find the unit at fault"
+        )
+
+
 def _row_maker(convention: str, reg: ConstantRegistry) -> Callable[[float, float], ReportRow]:
     """The function of (kappa, g) that builds the rows of one convention.
 
-    The constants and the plan are read once, here; where there is no plan
-    yet, the first row records it.
+    The constants are read, and their plan key looked up, once, here; where
+    the key is not yet checked, the first row checks it.
     """
-    m, q, c, hbar = reg.quantity("m_e"), reg.quantity("e"), reg.quantity("c"), reg.quantity("hbar")
-    plan_key = (convention, *[x.dimension._key for x in (m, q, c, hbar)])
+    constants = [reg.quantity(key) for key in _READS]
+    plan_key = (convention, *[x.dimension for x in constants])
     conv = CONVENTION_TOKENS[convention]
-    magnitudes = (m.magnitude, q.magnitude, c.magnitude, hbar.magnitude)
-    plan = _PLANS.get(plan_key)
+    magnitudes = [x.magnitude for x in constants]
+    eps0, mu0 = constants[4:]
+    checked = plan_key in _PLANS
 
     def row(kappa: float, g: float) -> ReportRow:
-        nonlocal plan
-        columns = None
-        if plan is not None:
-            columns = _float_columns(kappa, g, conv, *magnitudes, reg)
+        nonlocal checked
+        columns = _float_columns(kappa, g, conv, *magnitudes) if checked else None
         if columns is None:
             try:
                 params = OscillatorParams.for_electron(kappa, g, conv, reg)
@@ -198,17 +228,16 @@ def _row_maker(convention: str, reg: ConstantRegistry) -> Callable[[float, float
                     f"kappa {kappa:g}, convention {convention}, g {g:g}: {exc}"
                 ) from exc
             eps, mu, radius = response.eps_tilde, response.mu_tilde, response.radius
-            eps_ratio, mu_ratio = response.eps_ratio, response.mu_ratio
-            plan = _PLANS[plan_key] = (eps.dimension, mu.dimension, radius.dimension)
-        else:
-            eps_m, mu_m, radius_m, eps_ratio, mu_ratio = columns
-            eps_dim, mu_dim, radius_dim = plan
-            eps = Quantity(eps_m, eps_dim)
-            mu = Quantity(mu_m, mu_dim)
-            radius = Quantity(radius_m, radius_dim)
+            if not checked:
+                _check_schema(eps, mu, radius, eps0, mu0)
+                _PLANS.add(plan_key)
+                checked = True
+            columns = (
+                eps.magnitude, mu.magnitude, radius.magnitude, response.eps_ratio, response.mu_ratio
+            )
         simple = required_species_count(kappa, SpeciesModel.SIMPLE, reg)
         sphere = required_species_count(kappa, SpeciesModel.SPHERE, reg)
-        return ReportRow(kappa, convention, g, eps, mu, radius, eps_ratio, mu_ratio, simple, sphere)
+        return ReportRow(kappa, convention, g, *columns, simple, sphere)
 
     return row
 
@@ -255,33 +284,14 @@ def _header(units: str) -> tuple[str, ...]:
     return CSV_HEADER
 
 
-class _Factors(dict):
-    """The render factors of one unit system, keyed on ``Dimension._key``.
-
-    A factor is found when a cell first asks for it, so the first dimension
-    with no rendering raises, as cell by cell.
-    """
-
-    __slots__ = ("units",)
-
-    def __init__(self, units: str) -> None:
-        super().__init__()
-        self.units = units
-
-    def __missing__(self, key: tuple[int, ...]) -> float:
-        factor = self[key] = render_quantity(Quantity(1.0, _make(key)), self.units)[0]
-        return factor
-
-
 def _lines(rows: list[ReportRow], units: str, template: str) -> list[str]:
     """Each row as ``template`` filled with its cells, dimensioned ones shown in ``units``."""
-    factor = _Factors(units)
+    eps_f, mu_f, radius_f = [
+        render_quantity(Quantity(1.0, dim), units)[0] for dim in COLUMN_DIMENSIONS
+    ]
     return [
         template % (
-            kappa, convention, g,
-            eps.magnitude * factor[eps.dimension._key],
-            mu.magnitude * factor[mu.dimension._key],
-            radius.magnitude * factor[radius.dimension._key],
+            kappa, convention, g, eps * eps_f, mu * mu_f, radius * radius_f,
             eps_ratio, mu_ratio, count_simple, count_sphere,
         )
         for kappa, convention, g, eps, mu, radius, eps_ratio, mu_ratio, count_simple, count_sphere

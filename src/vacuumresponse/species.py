@@ -21,8 +21,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .constants import ConstantRegistry, _Record, default_registry
-from .dimensions import Quantity
+from .constants import ConstantRegistry, default_registry
+from .dimensions import Quantity, _Record
 from .units import quantity
 
 

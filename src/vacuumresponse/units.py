@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .dimensions import (
@@ -53,13 +52,11 @@ from .dimensions import (
     Dimension,
     Quantity,
     UnsupportedKindError,
+    format_dimension,
 )
 
 # The unit systems a quantity can be shown in; the values of the --units flag.
 UNIT_SYSTEMS = ("si", "gaussian")
-
-# Entries in the render cache of ``_unit``; a run shows a few dozen dimensions.
-MEMO_SIZE = 512
 
 
 class UnitParseError(ValueError):
@@ -379,53 +376,10 @@ def quantity(magnitude: float, unit: str) -> Quantity:
 
 # --- formatting ----------------------------------------------------------
 
-# Electromagnetic-first display order; renders the permittivity dimension as
-# "A^2 s^4 / (kg m^3)", matching the house style of the constant tables.
-_FORMAT_ORDER = (
-    ("current", "A"),
-    ("time", "s"),
-    ("mass", "kg"),
-    ("length", "m"),
-    ("temperature", "K"),
-    ("amount", "mol"),
-    ("luminosity", "cd"),
-)
-
-# The same order in cgs symbols; Gaussian dimensions have only these three.
+# ``format_dimension``'s order in cgs symbols; Gaussian dimensions have only these three.
 _GAUSSIAN_ORDER = (("time", "s"), ("mass", "g"), ("length", "cm"))
 
 
-def _format_power(symbol: str, exponent: Fraction) -> str:
-    if exponent == 1:
-        return symbol
-    if exponent.denominator == 1:
-        return f"{symbol}^{exponent.numerator}"
-    return f"{symbol}^{exponent.numerator}/{exponent.denominator}"
-
-
-def format_dimension(d: Dimension, order: tuple[tuple[str, str], ...] = _FORMAT_ORDER) -> str:
-    """Render a dimension as a unit string, each base dimension by ``order``'s symbol.
-
-    In the default SI order the string is canonical and re-parseable.
-    """
-    positive: list[str] = []
-    negative: list[str] = []
-    for field, symbol in order:
-        exponent: Fraction = getattr(d, field)
-        if exponent > 0:
-            positive.append(_format_power(symbol, exponent))
-        elif exponent < 0:
-            negative.append(_format_power(symbol, -exponent))
-    head = " ".join(positive) if positive else "1"
-    if not negative:
-        return head
-    tail = negative[0] if len(negative) == 1 else "(" + " ".join(negative) + ")"
-    return f"{head} / {tail}"
-
-
-# A run asks for a handful of dimensions: a payload once per distinct column
-# dimension, text output once per quantity it prints.
-@lru_cache(maxsize=MEMO_SIZE)
 def _unit(dimension: Dimension, units: str) -> tuple[float, str]:
     """The factor and label that show an SI value of ``dimension`` in ``units``."""
     if units == "si":

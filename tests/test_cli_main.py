@@ -9,6 +9,7 @@ import pytest
 
 import vacuumresponse
 from vacuumresponse.cli import DEVIATION_NOTE, main
+from vacuumresponse.constants import bundled_constants_path
 from vacuumresponse.model import WeakFieldWarning
 
 from conftest import CLI
@@ -59,6 +60,43 @@ def test_check_dimensions_out_keeps_failure_exit(tmp_path, capsys, corrupted_con
     assert capsys.readouterr().out == ""
     assert out.read_text(encoding="utf-8") == printed
     assert "FAIL electric-displacement" in printed
+
+
+@pytest.fixture(scope="module")
+def hbar_in_joules(tmp_path_factory):
+    """The bundled constants with the unit of hbar replaced by J."""
+    text = bundled_constants_path().read_text(encoding="utf-8")
+    path = tmp_path_factory.mktemp("hbar") / "constants.tsv"
+    path.write_text(text.replace("\tJ s\t", "\tJ\t"), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    ("constants", "named"),
+    [
+        ("corrupted_constants", "eps0 [kg m / (A s^3)], not [A^2 s^4 / (kg m^3)]"),
+        ("hbar_in_joules", "radius [m / s], not [m]"),
+    ],
+    ids=["eps0-in-V-per-m", "hbar-in-J"],
+)
+def test_constants_of_wrong_dimension_are_rejected_before_output(
+    request, capsys, constants, named
+):
+    path = str(request.getfixturevalue(constants))
+    for argv in (
+        ["sweep"],
+        ["sweep", "--units", "gaussian"],
+        ["sweep", "--format", "json"],
+        ["estimate"],
+        ["estimate", "--format", "csv"],
+    ):
+        assert main([*argv, "--constants", path]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), argv
+        assert named in lines[0] and "check-dimensions" in lines[0], argv
+    assert main(["check-dimensions", "--constants", path]) == 1
 
 
 def test_main_leaves_warning_filters_unchanged():

@@ -25,8 +25,7 @@ from vacuumresponse.dimensions import (
     Quantity,
     UnsupportedKindError,
 )
-from vacuumresponse import units
-from vacuumresponse.units import MEMO_SIZE, render_quantity
+from vacuumresponse.units import render_quantity
 
 exponents = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 dims = st.builds(Dimension, *[exponents] * 7)
@@ -304,13 +303,6 @@ class TestConvertSystem:
         magnitude, label = render_quantity(registry.quantity("eps0"), "gaussian")
         assert magnitude == pytest.approx(1 / (4 * math.pi), rel=1e-9)
         assert label == "1"
-
-    def test_render_cache_is_bounded(self):
-        for i in range(1, MEMO_SIZE + 50):
-            render_quantity(Quantity(1.0, Dimension(length=Fraction(i, 1009))), "si")
-        info = units._unit.cache_info()
-        assert info.maxsize == MEMO_SIZE
-        assert info.currsize <= MEMO_SIZE
 
     def test_unsupported_kind(self):
         with pytest.raises(UnsupportedKindError):

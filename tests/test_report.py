@@ -16,6 +16,7 @@ from vacuumresponse import units as units_module
 from vacuumresponse.constants import default_registry
 from vacuumresponse.dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Dimension, Quantity
 from vacuumresponse.report import (
+    COLUMN_DIMENSIONS,
     CONVENTION_TOKENS,
     CSV_HEADER,
     MAX_SWEEP_ROWS,
@@ -117,6 +118,12 @@ class TestRows:
         with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_SWEEP_ROWS}"):
             SweepConfig(points=MAX_SWEEP_ROWS // 8 + 1, **grid)
 
+    def test_rows_hold_floats_whose_dimensions_the_schema_names(self, registry):
+        config = SweepConfig(points=3, conventions=tuple(CONVENTION_TOKENS), g_factors=(1.0, 2.0))
+        for row in sweep_rows(config, registry):
+            assert [type(cell) for cell in row[2:]] == [float] * 8, row
+        assert COLUMN_DIMENSIONS == (PERMITTIVITY, PERMEABILITY, LENGTH)
+
 
     @pytest.mark.parametrize("convention", CONVENTION_TOKENS)
     def test_row_evaluates_omega0_once(self, registry, omega0_calls, convention):
@@ -126,10 +133,10 @@ class TestRows:
 
 @pytest.fixture
 def plans(monkeypatch):
-    """An empty table of column dimensions for the length of the test."""
-    table = {}
-    monkeypatch.setattr(report, "_PLANS", table)
-    return table
+    """An empty set of checked plan keys for the length of the test."""
+    checked = set()
+    monkeypatch.setattr(report, "_PLANS", checked)
+    return checked
 
 
 def _outcome(kappa, convention, g, registry):
@@ -235,7 +242,7 @@ class TestFloatRows:
             monkeypatch.setattr(Dimension, name, counted(getattr(Dimension, name)))
 
         def ops_for(points):
-            monkeypatch.setattr(report, "_PLANS", {})
+            monkeypatch.setattr(report, "_PLANS", set())
             ops.clear()
             config = SweepConfig(
                 points=points, conventions=tuple(CONVENTION_TOKENS), g_factors=(1.0, 2.0)
@@ -271,12 +278,9 @@ def test_row_columns_match_closed_forms(kappa, convention, g):
 
     row = build_row(kappa, convention, g, reg)
     assert (row.kappa, row.convention, row.g) == (kappa, convention, g)
-    assert (row.eps_tilde.dimension, row.mu_tilde.dimension, row.radius.dimension) == (
-        PERMITTIVITY, PERMEABILITY, LENGTH
-    )
-    assert row.radius.magnitude == pytest.approx(r, rel=1e-12)
-    assert row.eps_tilde.magnitude == pytest.approx(eps, rel=1e-12)
-    assert row.mu_tilde.magnitude == pytest.approx(mu, rel=1e-12)
+    assert row.radius == pytest.approx(r, rel=1e-12)
+    assert row.eps_tilde == pytest.approx(eps, rel=1e-12)
+    assert row.mu_tilde == pytest.approx(mu, rel=1e-12)
     assert row.eps_ratio == pytest.approx(eps / reg.value("eps0"), rel=1e-12)
     assert row.mu_ratio == pytest.approx(mu / reg.value("mu0"), rel=1e-12)
     assert row.count_simple == pytest.approx(1 / (4 * math.pi * alpha * kappa), rel=1e-12)
@@ -318,7 +322,7 @@ class TestSerialization:
         for obj, row in zip(payload, rows):
             assert set(obj) == set(CSV_HEADER)
             assert obj["convention"] == row.convention
-            assert obj["eps_tilde"] == pytest.approx(row.eps_tilde.magnitude, rel=1e-11)
+            assert obj["eps_tilde"] == pytest.approx(row.eps_tilde, rel=1e-11)
             assert obj["count_sphere"] == pytest.approx(row.count_sphere, rel=1e-11)
 
     def test_serialization_is_deterministic(self, registry):
