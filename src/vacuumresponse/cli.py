@@ -14,13 +14,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
-from .constants import (
-    ConstantRegistry,
-    MalformedLineError,
-    MissingConstantError,
-    default_registry,
-    load_constants,
-)
+from .constants import ConstantRegistry, MissingConstantError, default_registry, load_constants
 from .dimensions import ELECTRIC_FIELD, Quantity
 from .model import (
     OscillatorParams,
@@ -278,7 +272,13 @@ def cmd_check_dimensions(
     # Imported on use, so that the other subcommands start faster.
     from .checks import render_report, run_dimension_checks
 
-    results = run_dimension_checks(registry)
+    try:
+        results = run_dimension_checks(registry)
+    except ValueError:
+        # A constant of the wrong dimension can trip a model guard before any
+        # relation is compared; name the constant rather than the guard.
+        registry.require_dimensions()
+        raise
     _write_output(render_report(results) + "\n", args.out)
     return 0 if all(r.ok for r in results) else 1
 
@@ -389,7 +389,7 @@ def _run(argv: list[str] | None) -> int:
         warnings.simplefilter("always")
         try:
             registry = load_constants(args.constants) if args.constants else default_registry()
-        except (OSError, MalformedLineError, MissingConstantError, UnitParseError) as exc:
+        except (OSError, ValueError, MissingConstantError) as exc:
             target = args.constants or "bundled constants"
             print(f"error: cannot load constants from {target}: {exc}", file=sys.stderr)
             return 1

@@ -4,11 +4,18 @@ Constants are read from a tab-separated text file (one record per line:
 ``key<TAB>magnitude<TAB>unit-expression<TAB>source``) rather than being
 hard-coded, so the pinned CODATA release can be audited or swapped without
 touching code.  The bundled file pins CODATA 2018; its release string is
-carried in a ``#codata <release>`` header line.
+carried in a ``#codata <release>`` header line.  Each magnitude must be
+finite in SI units.
 
 Three derived records are appended at load time: the fine-structure
 constant, the electron's reduced Compton wavelength, and the critical
 (Schwinger) field strength.
+
+This module alone decides whether a file's units give each required key the
+dimension ``REQUIRED_DIMENSIONS`` names.  A registry records each key that
+fails; ``require_dimensions`` raises them as one ``DimensionMismatchError``
+for code that computes on the magnitudes, while ``check-dimensions`` and
+``constants`` can still show such a file.
 """
 
 from __future__ import annotations
@@ -19,7 +26,18 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .dimensions import MASS, Quantity
+from .dimensions import (
+    CHARGE,
+    ENERGY,
+    MASS,
+    PERMEABILITY,
+    PERMITTIVITY,
+    SPEED,
+    TIME,
+    DimensionMismatchError,
+    NonFiniteError,
+    Quantity,
+)
 from .units import UnitParseError, format_dimension, parse_unit
 
 
@@ -42,24 +60,19 @@ class NonPositiveMassError(ValueError):
     """Mass argument was zero or negative."""
 
 
-# Every key the model needs: the electromagnetic base set plus the rest
-# masses of all species in the bundled species table.
-REQUIRED_KEYS = (
-    "c",
-    "hbar",
-    "e",
-    "m_e",
-    "eps0",
-    "mu0",
-    "m_mu",
-    "m_tau",
-    "m_up",
-    "m_down",
-    "m_strange",
-    "m_charm",
-    "m_bottom",
-    "m_top",
-)
+# Every key the model needs and its SI dimension: the electromagnetic base
+# set plus the rest masses of all species in the bundled species table.
+REQUIRED_DIMENSIONS = {
+    "c": SPEED,
+    "hbar": ENERGY * TIME,
+    "e": CHARGE,
+    "m_e": MASS,
+    "eps0": PERMITTIVITY,
+    "mu0": PERMEABILITY,
+    **dict.fromkeys(
+        ("m_mu", "m_tau", "m_up", "m_down", "m_strange", "m_charm", "m_bottom", "m_top"), MASS
+    ),
+}
 
 DERIVED_KEYS = ("alpha", "lambda_c", "E_S")
 
@@ -82,6 +95,20 @@ class ConstantRegistry:
     def __init__(self, records: dict[str, ConstantRecord], codata_release: str | None) -> None:
         self._records = dict(records)
         self.codata_release = codata_release
+        # Each required key whose dimension is not the one REQUIRED_DIMENSIONS gives.
+        self.mismatches = tuple(
+            f"{key} [{records[key].quantity.dimension}], not [{want}]"
+            for key, want in REQUIRED_DIMENSIONS.items()
+            if key in records and records[key].quantity.dimension != want
+        )
+
+    def require_dimensions(self) -> None:
+        """Raise one ``DimensionMismatchError`` naming every mismatch, if any."""
+        if self.mismatches:
+            raise DimensionMismatchError(
+                f"the constants give {'; '.join(self.mismatches)}; "
+                "run check-dimensions to find the unit at fault"
+            )
 
     def __contains__(self, key: str) -> bool:
         return key in self._records
@@ -127,13 +154,16 @@ def _parse_lines(lines: list[str], origin: str) -> ConstantRegistry:
             scale, dimension = parse_unit(unit_text)
         except UnitParseError as exc:
             raise UnitParseError(f"{origin} line {number}: {exc}") from exc
+        value = magnitude * scale
+        if not math.isfinite(value):
+            raise MalformedLineError(number, f"{magnitude_text} {unit_text} is not a finite value")
         records[key] = ConstantRecord(
             key=key,
-            quantity=Quantity(magnitude * scale, dimension),
+            quantity=Quantity(value, dimension),
             unit_text=unit_text,
             source=source,
         )
-    for key in REQUIRED_KEYS:
+    for key in REQUIRED_DIMENSIONS:
         if key not in records:
             raise MissingConstantError(key)
     _append_derived(records)
@@ -141,20 +171,16 @@ def _parse_lines(lines: list[str], origin: str) -> ConstantRegistry:
 
 
 def _append_derived(records: dict[str, ConstantRecord]) -> None:
-    c = records["c"].quantity
-    hbar = records["hbar"].quantity
-    e = records["e"].quantity
-    m_e = records["m_e"].quantity
-    eps0 = records["eps0"].quantity
-
-    alpha = e**2 / (4 * math.pi * eps0 * hbar * c)
-    lambda_c = hbar / (m_e * c)
-    schwinger = m_e**2 * c**3 / (e * hbar)
-    derived = {
-        "alpha": (alpha, "e^2 / (4 pi eps0 hbar c)"),
-        "lambda_c": (lambda_c, "hbar / (m_e c)"),
-        "E_S": (schwinger, "m_e^2 c^3 / (e hbar)"),
-    }
+    c, hbar, e, m_e, eps0 = (records[key].quantity for key in ("c", "hbar", "e", "m_e", "eps0"))
+    # NonFiniteError covers overflow and division by zero.
+    try:
+        derived = {
+            "alpha": (e**2 / (4 * math.pi * eps0 * hbar * c), "e^2 / (4 pi eps0 hbar c)"),
+            "lambda_c": (hbar / (m_e * c), "hbar / (m_e c)"),
+            "E_S": (m_e**2 * c**3 / (e * hbar), "m_e^2 c^3 / (e hbar)"),
+        }
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"cannot derive {', '.join(DERIVED_KEYS)}: {exc}") from exc
     for key, (value, definition) in derived.items():
         records[key] = ConstantRecord(
             key=key,

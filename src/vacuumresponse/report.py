@@ -7,13 +7,11 @@ or environment state.
 
 Rows hold plain SI floats.  The dimensions of the eps_tilde, mu_tilde and
 radius columns belong to the schema, ``COLUMN_DIMENSIONS`` beside
-``CSV_HEADER``, and depend on neither the row nor the convention.  A
-convention's first row runs the model on Quantities, which checks every
-dimension, and then checks the result against the schema and eps0 and mu0
-against the permittivity and permeability columns, so that both ratios are
-dimensionless; a constants file that fails this raises one
-``DimensionMismatchError``.  Later rows with the same constant dimensions run
-the same model code on the constants' float magnitudes.  The serializers
+``CSV_HEADER``, and depend on neither the row nor the convention: they
+follow from the dimensions of the constants, which the registry checks when
+it is loaded and a row maker requires once.  Every row runs the model code
+on the constants' float magnitudes; a row whose float chain fails runs again
+on Quantities, to raise or return exactly what they do.  The serializers
 look up the render factor of each schema column once per payload and write
 each row with one format string.
 """
@@ -24,14 +22,7 @@ import math
 from typing import Callable, NamedTuple
 
 from .constants import ConstantRegistry, default_registry
-from .dimensions import (
-    LENGTH,
-    PERMEABILITY,
-    PERMITTIVITY,
-    DimensionMismatchError,
-    Quantity,
-    _Record,
-)
+from .dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Quantity, _Record
 from .model import (
     OscillatorParams,
     RadiusRule,
@@ -141,11 +132,6 @@ class SweepConfig(_Record):
         return [self.kappa_min + i * step for i in range(self.points)]
 
 
-# The plan keys already checked against the schema: a convention token and
-# the dimensions of the constants m_e, e, c, hbar, eps0 and mu0.  Adding a
-# key twice is harmless, so threads need no lock.
-_PLANS: set[tuple] = set()
-
 # The constants a row reads, in the order of ``_float_columns``' arguments.
 _READS = ("m_e", "e", "c", "hbar", "eps0", "mu0")
 
@@ -185,41 +171,20 @@ def _float_columns(
     return eps, mu, radius, eps_ratio, mu_ratio
 
 
-def _check_schema(
-    eps: Quantity, mu: Quantity, radius: Quantity, eps0: Quantity, mu0: Quantity
-) -> None:
-    """Raise unless the columns have the schema's dimensions and the ratios are pure numbers."""
-    named = zip(
-        ("eps_tilde", "mu_tilde", "radius", "eps0", "mu0"),
-        (eps, mu, radius, eps0, mu0),
-        (*COLUMN_DIMENSIONS, *COLUMN_DIMENSIONS[:2]),
-    )
-    wrong = [
-        f"{name} [{q.dimension}], not [{want}]" for name, q, want in named if q.dimension != want
-    ]
-    if wrong:
-        raise DimensionMismatchError(
-            f"the constants give {'; '.join(wrong)}; run check-dimensions to find the unit at fault"
-        )
-
-
 def _row_maker(convention: str, reg: ConstantRegistry) -> Callable[[float, float], ReportRow]:
     """The function of (kappa, g) that builds the rows of one convention.
 
-    The constants are read, and their plan key looked up, once, here; where
-    the key is not yet checked, the first row checks it.
+    The constants' dimensions are required, and their magnitudes read, once,
+    here.
     """
-    constants = [reg.quantity(key) for key in _READS]
-    plan_key = (convention, *[x.dimension for x in constants])
+    reg.require_dimensions()
     conv = CONVENTION_TOKENS[convention]
-    magnitudes = [x.magnitude for x in constants]
-    eps0, mu0 = constants[4:]
-    checked = plan_key in _PLANS
+    magnitudes = [reg.value(key) for key in _READS]
 
     def row(kappa: float, g: float) -> ReportRow:
-        nonlocal checked
-        columns = _float_columns(kappa, g, conv, *magnitudes) if checked else None
+        columns = _float_columns(kappa, g, conv, *magnitudes)
         if columns is None:
+            # Quantities raise, or return, what the row must give.
             try:
                 params = OscillatorParams.for_electron(kappa, g, conv, reg)
                 response = vacuum_response(params, reg)
@@ -228,10 +193,6 @@ def _row_maker(convention: str, reg: ConstantRegistry) -> Callable[[float, float
                     f"kappa {kappa:g}, convention {convention}, g {g:g}: {exc}"
                 ) from exc
             eps, mu, radius = response.eps_tilde, response.mu_tilde, response.radius
-            if not checked:
-                _check_schema(eps, mu, radius, eps0, mu0)
-                _PLANS.add(plan_key)
-                checked = True
             columns = (
                 eps.magnitude, mu.magnitude, radius.magnitude, response.eps_ratio, response.mu_ratio
             )

@@ -9,6 +9,9 @@ charges must not accumulate rounding before the final scale factor.
 Inverting the requirement that the total reproduce the measured permittivity
 yields either the species count needed at a given gap ratio, or the gap
 ratio matching a given table.
+
+``load_species`` and ``required_species_count`` require the registry's
+dimensions; ``total_permittivity`` keeps eps0's own, for ``check-dimensions``.
 """
 
 from __future__ import annotations
@@ -116,6 +119,7 @@ def load_species(path: str | Path, registry: ConstantRegistry | None = None) -> 
     import hashlib
 
     reg = registry or default_registry()
+    reg.require_dimensions()
     raw = Path(path).read_bytes()
     text = raw.decode("utf-8")
     mev_to_kg = quantity(1.0, "MeV") / reg.quantity("c") ** 2
@@ -153,8 +157,8 @@ def load_species(path: str | Path, registry: ConstantRegistry | None = None) -> 
                 mass_mev = float(fields[3].strip())
             except ValueError:
                 raise MalformedRowError(number, f"bad mass {fields[3]!r}") from None
-            if mass_mev <= 0:
-                raise MalformedRowError(number, f"mass must be positive, got {mass_mev}")
+            if not 0 < mass_mev < math.inf:
+                raise MalformedRowError(number, f"mass must be positive and finite, got {mass_mev}")
             mass = mass_mev * mev_to_kg
         rows.append(ParticleSpecies(name, charge, multiplicity, mass))
 
@@ -221,6 +225,7 @@ def required_species_count(
     if gap_ratio <= 0:
         raise ValueError("gap ratio must be positive")
     reg = registry or default_registry()
+    reg.require_dimensions()
     alpha = reg.value("alpha")
     if model is SpeciesModel.SIMPLE:
         numerator, denominator = 1.0, 4 * math.pi * alpha * gap_ratio

@@ -10,6 +10,7 @@ import pytest
 import vacuumresponse
 from vacuumresponse.cli import DEVIATION_NOTE, main
 from vacuumresponse.constants import bundled_constants_path
+from vacuumresponse.species import bundled_species_path
 from vacuumresponse.model import WeakFieldWarning
 
 from conftest import CLI
@@ -75,7 +76,7 @@ def hbar_in_joules(tmp_path_factory):
     ("constants", "named"),
     [
         ("corrupted_constants", "eps0 [kg m / (A s^3)], not [A^2 s^4 / (kg m^3)]"),
-        ("hbar_in_joules", "radius [m / s], not [m]"),
+        ("hbar_in_joules", "hbar [kg m^2 / s^2], not [kg m^2 / s]"),
     ],
     ids=["eps0-in-V-per-m", "hbar-in-J"],
 )
@@ -89,6 +90,7 @@ def test_constants_of_wrong_dimension_are_rejected_before_output(
         ["sweep", "--format", "json"],
         ["estimate"],
         ["estimate", "--format", "csv"],
+        ["species"],
     ):
         assert main([*argv, "--constants", path]) == 1, argv
         captured = capsys.readouterr()
@@ -97,6 +99,70 @@ def test_constants_of_wrong_dimension_are_rejected_before_output(
         assert len(lines) == 1 and lines[0].startswith("error: "), argv
         assert named in lines[0] and "check-dimensions" in lines[0], argv
     assert main(["check-dimensions", "--constants", path]) == 1
+
+
+def test_check_dimensions_names_the_constant_that_stops_its_relations(capsys, hbar_in_joules):
+    # With hbar in J the radius is no length, so a model guard refuses it
+    # before any relation is compared.
+    assert main(["check-dimensions", "--constants", str(hbar_in_joules)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the constants give hbar [kg m^2 / s^2], not [kg m^2 / s]; "
+        "run check-dimensions to find the unit at fault\n"
+    )
+
+
+def _replace_field(text, key, column, value):
+    """``text`` with field ``column`` of the row named ``key`` set to ``value``."""
+    lines = text.splitlines()
+    for index, line in enumerate(lines):
+        fields = line.split("\t")
+        if fields[0] == key:
+            fields[column] = value
+            lines[index] = "\t".join(fields)
+            return "\n".join(lines) + "\n", index + 1
+    raise AssertionError(f"no row {key!r}")
+
+
+@pytest.mark.parametrize(
+    ("table", "key", "value", "reason"),
+    [
+        ("constants", None, None, "'utf-8' codec can't decode byte 0xff"),
+        ("constants", "c", "nan", "malformed constants line {line}: nan m / s is not a finite value"),
+        ("constants", "c", "inf", "malformed constants line {line}: inf m / s is not a finite value"),
+        ("constants", "c", "1e400", "malformed constants line {line}: 1e400 m / s is not a finite"),
+        ("constants", "hbar", "0", "cannot derive alpha, lambda_c, E_S: quantity magnitude divided"),
+        ("constants", "e", "1e200", "cannot derive alpha, lambda_c, E_S: quantity magnitude overflow"),
+        ("species", "electron", "nan", "malformed species row at line {line}: mass must be positive"),
+        ("species", "electron", "inf", "malformed species row at line {line}: mass must be positive"),
+    ],
+    ids=[
+        "constants-not-utf8", "constants-nan", "constants-inf", "constants-1e400", "hbar-zero",
+        "e-overflows-alpha", "species-mass-nan", "species-mass-inf",
+    ],
+)
+def test_a_table_that_cannot_be_used_is_one_error_line(tmp_path, capsys, table, key, value, reason):
+    if table == "constants":
+        text = bundled_constants_path().read_text(encoding="utf-8")
+        column, argvs = 1, (["estimate"], ["constants"], ["species"])
+        prefix = "error: cannot load constants from {path}: "
+    else:
+        text = bundled_species_path().read_text(encoding="utf-8")
+        column, argvs, prefix = 3, (["species"],), "error: "
+    if key is None:
+        data, line = b"\xff" + text.encode("utf-8"), None
+    else:
+        text, line = _replace_field(text, key, column, value)
+        data = text.encode("utf-8")
+    path = tmp_path / f"{table}.tsv"
+    path.write_bytes(data)
+    for argv in argvs:
+        assert main([*argv, f"--{table}", str(path)]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        expected = prefix.format(path=path) + reason.format(line=line)
+        assert captured.err.startswith(expected) and captured.err.count("\n") == 1, captured.err
 
 
 def test_main_leaves_warning_filters_unchanged():

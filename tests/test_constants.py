@@ -4,7 +4,7 @@ import pytest
 
 from vacuumresponse.constants import (
     DERIVED_KEYS,
-    REQUIRED_KEYS,
+    REQUIRED_DIMENSIONS,
     MalformedLineError,
     MissingConstantError,
     NonPositiveMassError,
@@ -13,7 +13,7 @@ from vacuumresponse.constants import (
     load_constants,
     schwinger_field,
 )
-from vacuumresponse.dimensions import LENGTH, Quantity
+from vacuumresponse.dimensions import LENGTH, DimensionMismatchError, Quantity
 from vacuumresponse.units import UnitParseError, parse_unit, render_quantity
 
 
@@ -31,8 +31,28 @@ def write_registry(tmp_path, text):
 class TestLoad:
     def test_bundled_file_loads_with_release(self, registry):
         assert registry.codata_release == "2018"
-        for key in REQUIRED_KEYS + DERIVED_KEYS:
+        for key in (*REQUIRED_DIMENSIONS, *DERIVED_KEYS):
             assert key in registry
+
+    def test_bundled_file_has_the_required_dimensions(self, registry):
+        for key, dimension in REQUIRED_DIMENSIONS.items():
+            assert registry.quantity(key).dimension == dimension, key
+        assert registry.mismatches == ()
+        registry.require_dimensions()
+
+    def test_a_wrong_dimension_is_recorded_and_required_as_one_error(self, tmp_path, bundled_text):
+        text = bundled_text.replace("\tJ s\t", "\tJ\t").replace("\tC\t", "\tA\t")
+        registry = load_constants(write_registry(tmp_path, text))
+        assert registry.mismatches == (
+            "hbar [kg m^2 / s^2], not [kg m^2 / s]",
+            "e [A], not [A s]",
+        )
+        with pytest.raises(DimensionMismatchError) as err:
+            registry.require_dimensions()
+        assert str(err.value) == (
+            "the constants give hbar [kg m^2 / s^2], not [kg m^2 / s]; e [A], not [A s]; "
+            "run check-dimensions to find the unit at fault"
+        )
 
     def test_eps0_value_to_five_digits(self, registry):
         assert f"{registry.value('eps0'):.4e}" == "8.8542e-12"

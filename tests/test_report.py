@@ -15,6 +15,7 @@ from vacuumresponse import report
 from vacuumresponse import units as units_module
 from vacuumresponse.constants import default_registry
 from vacuumresponse.dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Dimension, Quantity
+from vacuumresponse.model import OscillatorParams, vacuum_response
 from vacuumresponse.report import (
     COLUMN_DIMENSIONS,
     CONVENTION_TOKENS,
@@ -124,19 +125,20 @@ class TestRows:
             assert [type(cell) for cell in row[2:]] == [float] * 8, row
         assert COLUMN_DIMENSIONS == (PERMITTIVITY, PERMEABILITY, LENGTH)
 
+    @pytest.mark.parametrize("convention", CONVENTION_TOKENS)
+    @pytest.mark.parametrize("g", [1.0, 2.0])
+    def test_the_model_gives_the_schema_dimensions(self, registry, convention, g):
+        params = OscillatorParams.for_electron(1.3, g, CONVENTION_TOKENS[convention], registry)
+        response = vacuum_response(params, registry)
+        columns = (response.eps_tilde, response.mu_tilde, response.radius)
+        assert tuple(q.dimension for q in columns) == COLUMN_DIMENSIONS
+        assert (response.eps_tilde / registry.quantity("eps0")).dimension.is_dimensionless
+        assert (response.mu_tilde / registry.quantity("mu0")).dimension.is_dimensionless
 
     @pytest.mark.parametrize("convention", CONVENTION_TOKENS)
     def test_row_evaluates_omega0_once(self, registry, omega0_calls, convention):
         build_row(1.3, convention, 2.0, registry)
         assert len(omega0_calls) == 1
-
-
-@pytest.fixture
-def plans(monkeypatch):
-    """An empty set of checked plan keys for the length of the test."""
-    checked = set()
-    monkeypatch.setattr(report, "_PLANS", checked)
-    return checked
 
 
 def _outcome(kappa, convention, g, registry):
@@ -156,21 +158,22 @@ def _outcome(kappa, convention, g, registry):
     return tuple(cells)
 
 
-def _quantity_and_float_outcomes(kappa, convention, g, registry, plans):
-    plans.clear()
-    on_quantities = _outcome(kappa, convention, g, registry)
-    build_row(1.0, convention, 2.0, registry)  # records the convention's plan
+def _quantity_and_float_outcomes(kappa, convention, g, registry, monkeypatch):
+    # With no float chain, every row runs on Quantities: the reference.
+    with monkeypatch.context() as patch:
+        patch.setattr(report, "_float_columns", lambda *args: None)
+        on_quantities = _outcome(kappa, convention, g, registry)
     return on_quantities, _outcome(kappa, convention, g, registry)
 
 
 class TestFloatRows:
-    """A row with a recorded plan runs on floats, and must not be told apart."""
+    """A row runs on floats, and must not be told apart from one on Quantities."""
 
     KAPPAS = [m * 10.0**e for e in range(-300, 281, 20) for m in (1.0, 3.7)]
     G_FACTORS = [10.0**e for e in range(-300, 301, 30)]
 
     def test_extreme_inputs_give_the_bits_or_the_error_of_the_quantity_path(
-        self, registry, plans, monkeypatch
+        self, registry, monkeypatch
     ):
         taken = []
         real = report._float_columns
@@ -185,7 +188,7 @@ class TestFloatRows:
             for kappa in self.KAPPAS:
                 for g in self.G_FACTORS:
                     expected, got = _quantity_and_float_outcomes(
-                        kappa, convention, g, registry, plans
+                        kappa, convention, g, registry, monkeypatch
                     )
                     assert got == expected, (kappa, convention, g)
         # The grid reaches both sides: rows on floats and rows sent back.
@@ -198,20 +201,24 @@ class TestFloatRows:
             (2.0, math.inf), (Fraction(2), 2.0), (2.0, Fraction(2)), (2j, 2.0), (2.0, 2j),
         ],
     )
-    def test_other_scalars_give_the_outcome_of_the_quantity_path(self, registry, plans, kappa, g):
+    def test_other_scalars_give_the_outcome_of_the_quantity_path(
+        self, registry, monkeypatch, kappa, g
+    ):
         for convention in CONVENTION_TOKENS:
-            expected, got = _quantity_and_float_outcomes(kappa, convention, g, registry, plans)
+            expected, got = _quantity_and_float_outcomes(
+                kappa, convention, g, registry, monkeypatch
+            )
             assert got == expected, convention
 
-    def test_underflowing_gap_is_reported_as_on_quantities(self, registry, plans):
-        expected, got = _quantity_and_float_outcomes(1e-300, "cube", 2.0, registry, plans)
+    def test_underflowing_gap_is_reported_as_on_quantities(self, registry, monkeypatch):
+        expected, got = _quantity_and_float_outcomes(1e-300, "cube", 2.0, registry, monkeypatch)
         assert got == expected
         assert expected == (
             ValueError,
             "kappa 1e-300, convention cube, g 2: energy gap must be a positive energy",
         )
 
-    # Each example clears the plan table first, so sharing it is safe.
+    # Each example undoes its own stub, so sharing monkeypatch is safe.
     @settings(
         max_examples=300,
         deadline=None,
@@ -222,9 +229,9 @@ class TestFloatRows:
         g_exp=st.floats(min_value=-300.0, max_value=300.0),
         convention=st.sampled_from(tuple(CONVENTION_TOKENS)),
     )
-    def test_random_extreme_inputs(self, registry, plans, kappa_exp, g_exp, convention):
+    def test_random_extreme_inputs(self, registry, monkeypatch, kappa_exp, g_exp, convention):
         expected, got = _quantity_and_float_outcomes(
-            10.0**kappa_exp, convention, 10.0**g_exp, registry, plans
+            10.0**kappa_exp, convention, 10.0**g_exp, registry, monkeypatch
         )
         assert got == expected
 
@@ -242,7 +249,6 @@ class TestFloatRows:
             monkeypatch.setattr(Dimension, name, counted(getattr(Dimension, name)))
 
         def ops_for(points):
-            monkeypatch.setattr(report, "_PLANS", set())
             ops.clear()
             config = SweepConfig(
                 points=points, conventions=tuple(CONVENTION_TOKENS), g_factors=(1.0, 2.0)
@@ -250,7 +256,7 @@ class TestFloatRows:
             sweep_rows(config, registry)
             return len(ops)
 
-        assert ops_for(2) == ops_for(50) > 0
+        assert ops_for(2) == ops_for(50) == 0
 
 
 @settings(max_examples=200, deadline=None)
