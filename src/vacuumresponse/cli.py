@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .constants import ConstantRegistry, MissingConstantError, default_registry, load_constants
-from .dimensions import ELECTRIC_FIELD, Quantity
+from .dimensions import ELECTRIC_FIELD, DimensionMismatchError, Quantity
 from .model import (
     OscillatorParams,
     RadiusRule,
@@ -277,7 +277,8 @@ def cmd_check_dimensions(
     except ValueError:
         # A constant of the wrong dimension can trip a model guard before any
         # relation is compared; name the constant rather than the guard.
-        registry.require_dimensions()
+        if registry.mismatches:
+            raise DimensionMismatchError(f"the constants give {'; '.join(registry.mismatches)}")
         raise
     _write_output(render_report(results) + "\n", args.out)
     return 0 if all(r.ok for r in results) else 1

@@ -129,7 +129,7 @@ class ConstantRegistry:
         return self[key].quantity.magnitude
 
 
-def _parse_lines(lines: list[str], origin: str) -> ConstantRegistry:
+def _parse_lines(lines: list[str]) -> ConstantRegistry:
     records: dict[str, ConstantRecord] = {}
     release: str | None = None
     for number, raw in enumerate(lines, start=1):
@@ -153,7 +153,7 @@ def _parse_lines(lines: list[str], origin: str) -> ConstantRegistry:
         try:
             scale, dimension = parse_unit(unit_text)
         except UnitParseError as exc:
-            raise UnitParseError(f"{origin} line {number}: {exc}") from exc
+            raise UnitParseError(f"malformed constants line {number}: {exc}") from exc
         value = magnitude * scale
         if not math.isfinite(value):
             raise MalformedLineError(number, f"{magnitude_text} {unit_text} is not a finite value")
@@ -194,7 +194,7 @@ def _append_derived(records: dict[str, ConstantRecord]) -> None:
 def load_constants(path: str | Path) -> ConstantRegistry:
     """Load a constants file, append derived records, and validate presence."""
     text = Path(path).read_text(encoding="utf-8")
-    return _parse_lines(text.splitlines(), origin=str(path))
+    return _parse_lines(text.splitlines())
 
 
 def bundled_constants_path() -> Path:

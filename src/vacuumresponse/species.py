@@ -121,7 +121,10 @@ def load_species(path: str | Path, registry: ConstantRegistry | None = None) -> 
     reg = registry or default_registry()
     reg.require_dimensions()
     raw = Path(path).read_bytes()
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot load species from {path}: {exc}") from None
     mev_to_kg = quantity(1.0, "MeV") / reg.quantity("c") ** 2
 
     rows: list[ParticleSpecies] = []

@@ -14,13 +14,14 @@ a prefixed reading ("mN" = milli-newton) is used only when the bare symbol
 does not exist; prefixes are matched longest first ("da" before "d").
 The micro sign and Greek mu are accepted as "u".
 
-The parser builds no syntax tree: each rule returns the (scale, dimension)
-of what it has read, and products and quotients combine left to right as
-they are read.  A syntax error anywhere in the text is reported in
-preference to an unknown unit or a scale overflow before it.  When a
-product or quotient leaves the float range on the way, the scale is read
-again with an unbounded exponent, so an expression whose scale is in range
-is accepted whatever the order of its factors.
+The parser builds no syntax tree and walks the tokens once.  Each rule
+returns the scale of what it has read as a (mantissa, exponent) pair with
+its dimension.  Products and quotients combine left to right as they are
+read, on mantissas kept normal floats, so each rounds as it would in a
+float range without bounds, and a scale in the float range is accepted
+whatever the order of its factors.  The first unknown unit or power beyond
+the float range is raised only once the text has parsed to its end, so a
+syntax error anywhere wins over it.
 
 Every quantity is computed in SI units.  :func:`render_quantity` is the one
 place that decides how a value is shown in a unit system: as it is, with an
@@ -148,18 +149,18 @@ def _normalize_symbol(symbol: str) -> str:
     return symbol.replace("µ", "u").replace("μ", "u")
 
 
-def _resolve_symbol(symbol: str, position: int) -> tuple[float, Dimension]:
+def _resolve_symbol(symbol: str) -> tuple[float, Dimension] | None:
     name = _normalize_symbol(symbol)
     entry = REGISTRY.get(name)
     if entry is not None:
-        return entry.scale, entry.dimension
+        return entry
     for plen in (2, 1):
         prefix, rest = name[:plen], name[plen:]
         factor = SI_PREFIXES.get(prefix)
         if factor is not None and rest in REGISTRY:
             entry = REGISTRY[rest]
             return factor * entry.scale, entry.dimension
-    raise UnknownUnitError(symbol, position)
+    return None
 
 
 # --- tokenizer -----------------------------------------------------------
@@ -208,58 +209,78 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    """Recursive descent that evaluates as it goes: each rule returns (scale, dimension).
+# A mantissa is renormalized only when it leaves this band, so the product
+# or quotient of two mantissas is always a normal float.
+_LOW, _HIGH = 2.0**-300, 2.0**300
 
-    Products and quotients combine left to right, so a scale is the same
-    float, operation for operation, as a left-associative evaluation of the
-    expression.  With ``evaluate`` false, every symbol reads as a
-    dimensionless 1 and powers are skipped, so only the syntax can raise.
+
+class _Parser:
+    """Recursive descent that evaluates as it goes.
+
+    Each rule returns (mantissa, exponent, dimension), the scale being
+    ``mantissa * 2**exponent``.  Products and quotients combine left to
+    right on the mantissas, which stay normal floats, so each rounds as the
+    float operation would if the float range had no bounds.  A power is
+    taken on the scale's float value.  The first unknown unit or power out
+    of the float range is kept and raised only once the text has parsed to
+    its end, so that a syntax error anywhere wins over it.
     """
 
-    def __init__(self, tokens: list[tuple[str, str, int]], evaluate: bool) -> None:
-        self.tokens = tokens
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
-        self.evaluate = evaluate
+        self.error: UnitParseError | None = None
 
-    def parse(self) -> tuple[float, Dimension]:
+    def parse(self) -> tuple[float, int, Dimension]:
         result = self.expr()
         kind, _, position = self.tokens[self.pos]
         if kind != "end":
             raise UnitSyntaxError(position, ("end of input",))
+        if self.error is not None:
+            raise self.error
         return result
 
-    def expr(self) -> tuple[float, Dimension]:
-        scale, dim = self.factor()
+    def expr(self) -> tuple[float, int, Dimension]:
+        mantissa, exponent, dim = self.factor()
         tokens = self.tokens
         while True:
             kind = tokens[self.pos][0]
             if kind == "/":
                 self.pos += 1
-                s, d = self.factor()
-                scale, dim = scale / s, dim / d
-            elif kind == "*":
-                self.pos += 1
-                s, d = self.factor()
-                scale, dim = scale * s, dim * d
-            elif kind == "sym" or kind == "int" or kind == "(":
-                s, d = self.factor()
-                scale, dim = scale * s, dim * d
+                m, e, d = self.factor()
+                mantissa, exponent, dim = mantissa / m, exponent - e, dim / d
+            elif kind == "*" or kind == "sym" or kind == "int" or kind == "(":
+                if kind == "*":
+                    self.pos += 1
+                m, e, d = self.factor()
+                mantissa, exponent, dim = mantissa * m, exponent + e, dim * d
             else:
-                return scale, dim
+                return mantissa, exponent, dim
+            if not _LOW < mantissa < _HIGH:
+                mantissa, shift = math.frexp(mantissa)
+                exponent += shift
 
-    def factor(self) -> tuple[float, Dimension]:
-        scale, dim = self.primary()
+    def factor(self) -> tuple[float, int, Dimension]:
+        mantissa, exponent, dim = self.primary()
         if self.tokens[self.pos][0] != "^":
-            return scale, dim
+            return mantissa, exponent, dim
         self.pos += 1
         numerator, denominator = self.exponent()
-        if not self.evaluate:
-            return scale, dim
         power = numerator if denominator == 1 else Fraction(numerator, denominator)
-        return scale ** (numerator / denominator), dim**power
+        try:
+            scale = math.ldexp(mantissa, exponent) ** (numerator / denominator)
+        except ArithmeticError:
+            scale = 0.0
+        if _LOW < scale < _HIGH:
+            return scale, 0, dim**power
+        if not 0.0 < scale < math.inf:
+            self.error = self.error or UnitScaleError(self.text)
+            return 1.0, 0, dim**power
+        mantissa, exponent = math.frexp(scale)
+        return mantissa, exponent, dim**power
 
-    def primary(self) -> tuple[float, Dimension]:
+    def primary(self) -> tuple[float, int, Dimension]:
         kind, text, position = self.tokens[self.pos]
         if kind == "(":
             self.pos += 1
@@ -271,10 +292,14 @@ class _Parser:
             return result
         if kind == "sym":
             self.pos += 1
-            return _resolve_symbol(text, position) if self.evaluate else (1.0, DIMENSIONLESS)
+            entry = _resolve_symbol(text)
+            if entry is None:
+                self.error = self.error or UnknownUnitError(text, position)
+                return 1.0, 0, DIMENSIONLESS
+            return entry[0], 0, entry[1]
         if kind == "int" and text == "1":
             self.pos += 1
-            return 1.0, DIMENSIONLESS
+            return 1.0, 0, DIMENSIONLESS
         raise UnitSyntaxError(position, ("unit symbol", "("))
 
     def exponent(self) -> tuple[int, int]:
@@ -303,68 +328,17 @@ class _Parser:
         return numerator, 1
 
 
-class _Split:
-    """A scale as ``mantissa * 2**exponent``, with no bound on the exponent.
-
-    The mantissas multiply and divide as floats, so each product and
-    quotient rounds as the float operation would if the float range had no
-    bounds.  Only a scale within the float range is raised to a power.
-    """
-
-    __slots__ = ("mantissa", "exponent")
-
-    def __init__(self, value: float, exponent: int = 0) -> None:
-        self.mantissa, shift = math.frexp(value)
-        self.exponent = exponent + shift
-
-    def __mul__(self, other: _Split) -> _Split:
-        return _Split(self.mantissa * other.mantissa, self.exponent + other.exponent)
-
-    def __truediv__(self, other: _Split) -> _Split:
-        return _Split(self.mantissa / other.mantissa, self.exponent - other.exponent)
-
-    def __pow__(self, power: float) -> _Split:
-        return _Split(self.value() ** power)
-
-    def value(self) -> float:
-        """The scale as a float; ``OverflowError`` above the float range."""
-        return math.ldexp(self.mantissa, self.exponent)
-
-
-class _SplitParser(_Parser):
-    """The evaluating parser with every scale a :class:`_Split`."""
-
-    def primary(self) -> tuple[_Split, Dimension]:
-        scale, dim = super().primary()
-        return (scale if type(scale) is _Split else _Split(scale)), dim
-
-
 def parse_unit(text: str) -> tuple[float, Dimension]:
     """Parse a unit expression into (scale to the SI coherent unit, dimension)."""
     if not text or not text.strip():
         raise EmptyInputError()
-    tokens = _tokenize(text)
-    # A syntax error anywhere in the text wins over an unknown unit or a
-    # scale overflow before it, so look for one without evaluating.
+    mantissa, exponent, dimension = _Parser(text).parse()
     try:
-        scale, dimension = _Parser(tokens, evaluate=True).parse()
-    except UnknownUnitError:
-        _Parser(tokens, evaluate=False).parse()
-        raise
-    except ArithmeticError:
-        _Parser(tokens, evaluate=False).parse()
-        scale = math.nan
-    # A product or quotient that leaves the float range gives inf or 0.0
-    # (or nan from both) where a power raises.  The whole expression may
-    # still be in range, which the unbounded exponent decides.
-    if not 0.0 < scale < math.inf:
-        try:
-            split, dimension = _SplitParser(tokens, evaluate=True).parse()
-            scale = split.value()
-        except ArithmeticError:
-            raise UnitScaleError(text) from None
-        if not 0.0 < scale < math.inf:
-            raise UnitScaleError(text)
+        scale = math.ldexp(mantissa, exponent)
+    except OverflowError:
+        raise UnitScaleError(text) from None
+    if scale == 0.0:
+        raise UnitScaleError(text)
     return scale, dimension
 
 

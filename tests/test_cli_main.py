@@ -107,10 +107,7 @@ def test_check_dimensions_names_the_constant_that_stops_its_relations(capsys, hb
     assert main(["check-dimensions", "--constants", str(hbar_in_joules)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: the constants give hbar [kg m^2 / s^2], not [kg m^2 / s]; "
-        "run check-dimensions to find the unit at fault\n"
-    )
+    assert captured.err == "error: the constants give hbar [kg m^2 / s^2], not [kg m^2 / s]\n"
 
 
 def _replace_field(text, key, column, value):
@@ -126,30 +123,34 @@ def _replace_field(text, key, column, value):
 
 
 @pytest.mark.parametrize(
-    ("table", "key", "value", "reason"),
+    ("table", "key", "column", "value", "reason"),
     [
-        ("constants", None, None, "'utf-8' codec can't decode byte 0xff"),
-        ("constants", "c", "nan", "malformed constants line {line}: nan m / s is not a finite value"),
-        ("constants", "c", "inf", "malformed constants line {line}: inf m / s is not a finite value"),
-        ("constants", "c", "1e400", "malformed constants line {line}: 1e400 m / s is not a finite"),
-        ("constants", "hbar", "0", "cannot derive alpha, lambda_c, E_S: quantity magnitude divided"),
-        ("constants", "e", "1e200", "cannot derive alpha, lambda_c, E_S: quantity magnitude overflow"),
-        ("species", "electron", "nan", "malformed species row at line {line}: mass must be positive"),
-        ("species", "electron", "inf", "malformed species row at line {line}: mass must be positive"),
+        ("constants", None, None, None, "'utf-8' codec can't decode byte 0xff"),
+        ("constants", "c", 1, "nan", "malformed constants line {line}: nan m / s is not a finite value"),
+        ("constants", "c", 1, "inf", "malformed constants line {line}: inf m / s is not a finite value"),
+        ("constants", "c", 1, "1e400", "malformed constants line {line}: 1e400 m / s is not a finite"),
+        ("constants", "c", 2, "foo", "malformed constants line {line}: unknown unit 'foo' at position 0"),
+        ("constants", "hbar", 1, "0", "cannot derive alpha, lambda_c, E_S: quantity magnitude divided"),
+        ("constants", "e", 1, "1e200", "cannot derive alpha, lambda_c, E_S: quantity magnitude overflow"),
+        ("species", None, None, None, "cannot load species from {path}: 'utf-8' codec can't decode byte 0xff"),
+        ("species", "electron", 3, "nan", "malformed species row at line {line}: mass must be positive"),
+        ("species", "electron", 3, "inf", "malformed species row at line {line}: mass must be positive"),
     ],
     ids=[
-        "constants-not-utf8", "constants-nan", "constants-inf", "constants-1e400", "hbar-zero",
-        "e-overflows-alpha", "species-mass-nan", "species-mass-inf",
+        "constants-not-utf8", "constants-nan", "constants-inf", "constants-1e400", "constants-bad-unit",
+        "hbar-zero", "e-overflows-alpha", "species-not-utf8", "species-mass-nan", "species-mass-inf",
     ],
 )
-def test_a_table_that_cannot_be_used_is_one_error_line(tmp_path, capsys, table, key, value, reason):
+def test_a_table_that_cannot_be_used_is_one_error_line(
+    tmp_path, capsys, table, key, column, value, reason
+):
     if table == "constants":
         text = bundled_constants_path().read_text(encoding="utf-8")
-        column, argvs = 1, (["estimate"], ["constants"], ["species"])
+        argvs = (["estimate"], ["constants"], ["species"])
         prefix = "error: cannot load constants from {path}: "
     else:
         text = bundled_species_path().read_text(encoding="utf-8")
-        column, argvs, prefix = 3, (["species"],), "error: "
+        argvs, prefix = (["species"],), "error: "
     if key is None:
         data, line = b"\xff" + text.encode("utf-8"), None
     else:
@@ -161,7 +162,7 @@ def test_a_table_that_cannot_be_used_is_one_error_line(tmp_path, capsys, table, 
         assert main([*argv, f"--{table}", str(path)]) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
-        expected = prefix.format(path=path) + reason.format(line=line)
+        expected = prefix.format(path=path) + reason.format(line=line, path=path)
         assert captured.err.startswith(expected) and captured.err.count("\n") == 1, captured.err
 
 

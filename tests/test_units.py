@@ -1,3 +1,4 @@
+import contextlib
 import json
 import random
 from fractions import Fraction
@@ -244,15 +245,43 @@ class TestRecordedBehaviour:
 
     @pytest.mark.parametrize(
         ("text", "reordered"),
-        [("Ym^12 Ym^12/Ym^12", "Ym^12/Ym^12 Ym^12"), ("ym^12 ym^12/ym^12", "ym^12/ym^12 ym^12")],
-        ids=["product-overflows", "product-underflows"],
+        [
+            ("Ym^12 Ym^12/Ym^12", "Ym^12/Ym^12 Ym^12"),
+            ("ym^12 ym^12/ym^12", "ym^12/ym^12 ym^12"),
+            ("ym^12 ym/ym", "ym^12/ym ym"),
+        ],
+        ids=["product-overflows", "product-underflows", "product-subnormal"],
     )
     def test_scale_in_range_is_accepted_whatever_the_factor_order(self, text, reordered):
         # The product of the first two factors leaves the float range; the whole does not.
         scale, dim = parse_unit(text)
         expected_scale, expected_dim = parse_unit(reordered)
-        assert scale == pytest.approx(expected_scale, rel=1e-15)
+        assert scale == pytest.approx(expected_scale, rel=1e-15, abs=0)
         assert dim == expected_dim == Dimension(length=12)
+
+    def test_evaluation_errors_keep_their_order_in_the_text(self):
+        # 1e24**1000 overflows and 1e-24**14 underflows to zero: both are out of range.
+        for text, error in (
+            ("foo Ym^1000", UnknownUnitError),
+            ("Ym^1000 foo", UnitScaleError),
+            ("ym^14 foo", UnitScaleError),
+        ):
+            with pytest.raises(error):
+                parse_unit(text)
+
+    @pytest.mark.parametrize("text", ["A s / (V m)", "foo m", "foo (", "Ym^12 Ym^12/Ym^12"])
+    def test_every_text_is_parsed_in_one_descent(self, monkeypatch, text):
+        calls = []
+        real = units._Parser.parse
+
+        def counting(parser):
+            calls.append(text)
+            return real(parser)
+
+        monkeypatch.setattr(units._Parser, "parse", counting)
+        with contextlib.suppress(UnitParseError):
+            parse_unit(text)
+        assert len(calls) == 1
 
     def test_exponent_digits_are_ascii(self):
         with pytest.raises(UnitSyntaxError) as info:
