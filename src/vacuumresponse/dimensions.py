@@ -16,10 +16,14 @@ would cap the powers it can hold) and the key is divided by
 ``gcd(den, n_1, ..., n_7)``.  So the key is exact and unique per vector,
 and the arithmetic that makes a new dimension adds, multiplies and hashes
 small ints at C speed (``math.lcm`` when denominators differ), with no
-:class:`~fractions.Fraction` on the way.  The public exponents
-(:meth:`Dimension.as_tuple`, ``.length`` and the other components) are
-``int`` when integral and a reduced ``Fraction`` otherwise, built from the
-key when read.
+:class:`~fractions.Fraction` on the way.  Powers and formatting work on the
+key too: a power ``n/k`` arrives as two ints, multiplies the numerators by
+``n`` and the denominator by ``k``, and :func:`format_dimension` reduces each
+``n_i/den`` with ``gcd`` as it writes it.  ``Fraction`` appears only at the
+public edge: ``Dimension(...)`` and ``**`` accept one, and the public
+exponents (:meth:`Dimension.as_tuple`, ``.length`` and the other components)
+are ``int`` when integral and a reduced ``Fraction`` otherwise, built from
+the key when read.
 
 A dimension is a plain immutable value: two dimensions are equal, and hash
 alike, when their canonical keys are equal, whichever route made them.  No
@@ -109,12 +113,24 @@ def _make(key: _Key) -> Dimension:
     return dim
 
 
-def _reduced(den: int, numerators: list[int]) -> Dimension:
-    """The dimension with exponents ``n / den``, after dividing out their common factor."""
-    g = gcd(den, *numerators)
+def _reduced(key: _Key) -> Dimension:
+    """The dimension of a key with ``den >= 1``, after dividing out its common factor."""
+    g = gcd(*key)
     if g != 1:
-        return _make((den // g, *[n // g for n in numerators]))
-    return _make((den, *numerators))
+        return _make(tuple([n // g for n in key]))
+    return _make(key)
+
+
+def _power(d: Dimension, numerator: int, denominator: int) -> Dimension:
+    """``d`` to the power ``numerator / denominator``, for ints and ``denominator >= 1``."""
+    key = d._key
+    if key[0] == 1 and denominator == 1:
+        # An integral power of an integral key is already reduced.
+        n = numerator
+        return _make(
+            (1, key[1] * n, key[2] * n, key[3] * n, key[4] * n, key[5] * n, key[6] * n, key[7] * n)
+        )
+    return _reduced((key[0] * denominator, *[n * numerator for n in key[1:]]))
 
 
 def _ratio(numerator: int, den: int) -> Rational:
@@ -182,17 +198,32 @@ class Dimension:
     def __mul__(self, other: Dimension) -> Dimension:
         if not isinstance(other, Dimension):
             return NotImplemented
-        return _sum(self._key, other._key, add)
+        a, b = self._key, other._key
+        den = a[0]
+        if den != b[0]:
+            return _rescaled_sum(a, b, add)
+        key = (
+            den, a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4], a[5] + b[5], a[6] + b[6],
+            a[7] + b[7],
+        )
+        return _make(key) if den == 1 else _reduced(key)
 
     def __truediv__(self, other: Dimension) -> Dimension:
         if not isinstance(other, Dimension):
             return NotImplemented
-        return _sum(self._key, other._key, sub)
+        a, b = self._key, other._key
+        den = a[0]
+        if den != b[0]:
+            return _rescaled_sum(a, b, sub)
+        key = (
+            den, a[1] - b[1], a[2] - b[2], a[3] - b[3], a[4] - b[4], a[5] - b[5], a[6] - b[6],
+            a[7] - b[7],
+        )
+        return _make(key) if den == 1 else _reduced(key)
 
     def __pow__(self, exponent: Rational) -> Dimension:
         p = _exponent(exponent, "power")
-        key = self._key
-        return _reduced(key[0] * p.denominator, [n * p.numerator for n in key[1:]])
+        return _power(self, p.numerator, p.denominator)
 
     def inverse(self) -> Dimension:
         key = self._key
@@ -210,17 +241,15 @@ class Dimension:
         return format_dimension(self)
 
 
-def _sum(a: _Key, b: _Key, op: Callable[[int, int], int]) -> Dimension:
-    """The dimension with exponents ``op(a_i, b_i)``, for ``op`` one of add and sub."""
+def _rescaled_sum(a: _Key, b: _Key, op: Callable[[int, int], int]) -> Dimension:
+    """The dimension with exponents ``op(a_i, b_i)`` of keys with unequal denominators.
+
+    ``op`` is one of add and sub.
+    """
     da, db = a[0], b[0]
-    if da == db:
-        numerators = list(map(op, a[1:], b[1:]))
-        if da == 1:
-            return _make((1, *numerators))
-        return _reduced(da, numerators)
     den = lcm(da, db)
     fa, fb = den // da, den // db
-    return _reduced(den, [op(x * fa, y * fb) for x, y in zip(a[1:], b[1:])])
+    return _reduced((den, *[op(x * fa, y * fb) for x, y in zip(a[1:], b[1:])]))
 
 
 # Electromagnetic-first display order; renders the permittivity dimension as
@@ -236,12 +265,20 @@ _FORMAT_ORDER = (
 )
 
 
-def _format_power(symbol: str, exponent: Fraction) -> str:
-    if exponent == 1:
+# The position of each base dimension's numerator in a key.
+_KEY_INDEX = {field: i for i, field in enumerate(_BASE_FIELDS, 1)}
+
+
+def _format_power(symbol: str, numerator: int, den: int) -> str:
+    """``symbol`` to the power ``numerator / den``, for ``numerator > 0``, in lowest terms."""
+    if den != 1:
+        g = gcd(numerator, den)
+        if g != den:
+            return f"{symbol}^{numerator // g}/{den // g}"
+        numerator //= den
+    if numerator == 1:
         return symbol
-    if exponent.denominator == 1:
-        return f"{symbol}^{exponent.numerator}"
-    return f"{symbol}^{exponent.numerator}/{exponent.denominator}"
+    return f"{symbol}^{numerator}"
 
 
 def format_dimension(d: Dimension, order: tuple[tuple[str, str], ...] = _FORMAT_ORDER) -> str:
@@ -249,14 +286,16 @@ def format_dimension(d: Dimension, order: tuple[tuple[str, str], ...] = _FORMAT_
 
     In the default SI order the string is canonical and re-parseable.
     """
+    key = d._key
+    den = key[0]
     positive: list[str] = []
     negative: list[str] = []
     for field, symbol in order:
-        exponent: Fraction = getattr(d, field)
-        if exponent > 0:
-            positive.append(_format_power(symbol, exponent))
-        elif exponent < 0:
-            negative.append(_format_power(symbol, -exponent))
+        n = key[_KEY_INDEX[field]]
+        if n > 0:
+            positive.append(_format_power(symbol, n, den))
+        elif n < 0:
+            negative.append(_format_power(symbol, -n, den))
     head = " ".join(positive) if positive else "1"
     if not negative:
         return head
@@ -453,26 +492,29 @@ class GaussianUnit(NamedTuple):
 # systems are exact products of powers of ten and this number.
 _C_NUMERAL = 299792458.0
 
-_H = Fraction(1, 2)  # half-integer exponents of the Gaussian electromagnetic dimensions
 
+def _gauss(length2: int, mass2: int, time2: int) -> Dimension:
+    """The dimension with exponents ``length2/2``, ``mass2/2`` and ``time2/2``.
 
-def _gauss(length: Rational, mass: Rational, time: Rational) -> Dimension:
-    return Dimension(length=length, mass=mass, time=time)
+    Gaussian electromagnetic dimensions have half-integer exponents, so they
+    are given doubled.
+    """
+    return _reduced((2, length2, mass2, time2, 0, 0, 0, 0))
 
 
 # Keyed on the SI dimension, which identifies the physical kind: each kind
 # here has its own SI dimension, while electric and magnetic field (among
 # others) share one Gaussian dimension.
 GAUSSIAN_UNITS: dict[Dimension, GaussianUnit] = {
-    CHARGE: GaussianUnit(_gauss(3 * _H, _H, -1), 10.0 * _C_NUMERAL),
-    ELECTRIC_FIELD: GaussianUnit(_gauss(-_H, _H, -1), 1.0 / (1e-4 * _C_NUMERAL)),
-    MAGNETIC_FIELD: GaussianUnit(_gauss(-_H, _H, -1), 1e4),
-    ELECTRIC_DIPOLE: GaussianUnit(_gauss(5 * _H, _H, -1), 1e3 * _C_NUMERAL),
-    MAGNETIC_DIPOLE: GaussianUnit(_gauss(5 * _H, _H, -1), 1e3),
-    POLARIZATION: GaussianUnit(_gauss(-_H, _H, -1), 1e-3 * _C_NUMERAL),
-    MAGNETIZATION: GaussianUnit(_gauss(-_H, _H, -1), 1e-3),
+    CHARGE: GaussianUnit(_gauss(3, 1, -2), 10.0 * _C_NUMERAL),
+    ELECTRIC_FIELD: GaussianUnit(_gauss(-1, 1, -2), 1.0 / (1e-4 * _C_NUMERAL)),
+    MAGNETIC_FIELD: GaussianUnit(_gauss(-1, 1, -2), 1e4),
+    ELECTRIC_DIPOLE: GaussianUnit(_gauss(5, 1, -2), 1e3 * _C_NUMERAL),
+    MAGNETIC_DIPOLE: GaussianUnit(_gauss(5, 1, -2), 1e3),
+    POLARIZATION: GaussianUnit(_gauss(-1, 1, -2), 1e-3 * _C_NUMERAL),
+    MAGNETIZATION: GaussianUnit(_gauss(-1, 1, -2), 1e-3),
     PERMITTIVITY: GaussianUnit(DIMENSIONLESS, 1e-7 * _C_NUMERAL**2),
-    PERMEABILITY: GaussianUnit(_gauss(-2, 0, 2), 1e3 / _C_NUMERAL**2),
+    PERMEABILITY: GaussianUnit(_gauss(-4, 0, 4), 1e3 / _C_NUMERAL**2),
     ENERGY: GaussianUnit(ENERGY, 1e7),
     LENGTH: GaussianUnit(LENGTH, 1e2),
     MASS: GaussianUnit(MASS, 1e3),

@@ -21,7 +21,9 @@ read, on mantissas kept normal floats, so each rounds as it would in a
 float range without bounds, and a scale in the float range is accepted
 whatever the order of its factors.  The first unknown unit or power beyond
 the float range is raised only once the text has parsed to its end, so a
-syntax error anywhere wins over it.
+syntax error anywhere wins over it.  A power passes to the dimension as
+two ints, numerator and denominator, so no rational type is built on the
+way from the text to the dimension.
 
 Every quantity is computed in SI units.  :func:`render_quantity` is the one
 place that decides how a value is shown in a unit system: as it is, with an
@@ -31,7 +33,7 @@ SI label, or scaled by its kind's Gaussian factor, with a cm/g/s label.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import sys
 from typing import NamedTuple
 
 from .dimensions import (
@@ -53,6 +55,7 @@ from .dimensions import (
     Dimension,
     Quantity,
     UnsupportedKindError,
+    _power,
     format_dimension,
 )
 
@@ -209,6 +212,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _exponent_int(text: str, position: int) -> int:
+    """The value of an exponent's digits, which start at ``position``."""
+    try:
+        return int(text)
+    except ValueError:  # more digits than ``int`` converts from a string
+        limit = sys.get_int_max_str_digits()
+        raise UnitSyntaxError(position, (f"exponent of at most {limit} digits",)) from None
+
+
 # A mantissa is renormalized only when it leaves this band, so the product
 # or quotient of two mantissas is always a normal float.
 _LOW, _HIGH = 2.0**-300, 2.0**300
@@ -267,18 +279,18 @@ class _Parser:
             return mantissa, exponent, dim
         self.pos += 1
         numerator, denominator = self.exponent()
-        power = numerator if denominator == 1 else Fraction(numerator, denominator)
+        dim = _power(dim, numerator, denominator)
         try:
             scale = math.ldexp(mantissa, exponent) ** (numerator / denominator)
         except ArithmeticError:
             scale = 0.0
         if _LOW < scale < _HIGH:
-            return scale, 0, dim**power
+            return scale, 0, dim
         if not 0.0 < scale < math.inf:
             self.error = self.error or UnitScaleError(self.text)
-            return 1.0, 0, dim**power
+            return 1.0, 0, dim
         mantissa, exponent = math.frexp(scale)
-        return mantissa, exponent, dim**power
+        return mantissa, exponent, dim
 
     def primary(self) -> tuple[float, int, Dimension]:
         kind, text, position = self.tokens[self.pos]
@@ -314,13 +326,13 @@ class _Parser:
         if kind != "int":
             raise UnitSyntaxError(position, ("integer exponent",))
         self.pos += 1
-        numerator = sign * int(text)
+        numerator = sign * _exponent_int(text, position)
         if self.tokens[self.pos][0] == "/":
             # Only a directly following integer makes this a rational exponent;
             # otherwise the slash belongs to the enclosing expression.
             kind, text, position = self.tokens[self.pos + 1]
             if kind == "int":
-                denominator = int(text)
+                denominator = _exponent_int(text, position)
                 if denominator == 0:
                     raise UnitSyntaxError(position, ("nonzero exponent denominator",))
                 self.pos += 2

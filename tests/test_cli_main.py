@@ -208,6 +208,14 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
         (["estimate", "--probe-field", "1 Ym^20"], "beyond the float range"),
         (["estimate", "--probe-field", "1 m/ym^20"], "beyond the float range"),
         (["estimate", "--probe-field", "1 m^\u00b2"], "--probe-field: syntax error at position 2"),
+        (
+            ["estimate", "--probe-field", "1 m^" + "9" * 5000],
+            "--probe-field: syntax error at position 2: expected exponent of at most",
+        ),
+        (
+            ["estimate", "--probe-field", "1 V/m^1/" + "9" * 5000],
+            "--probe-field: syntax error at position 6: expected exponent of at most",
+        ),
         (["estimate", "--probe-field", "1e300 YV/m"], "is not a finite value"),
         (["estimate", "--probe-field", "-1 V/m"], "--probe-field must be non-negative"),
         (["estimate", "--species", "/nonexistent"], "unrecognized arguments: --species"),
@@ -218,7 +226,8 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
     ],
     ids=[
         "g-factors", "too-many-rows", "probe-field", "scale-overflow", "scale-underflow",
-        "superscript-digit", "non-finite-field", "negative-field", "species-on-estimate",
+        "superscript-digit", "long-exponent-numerator", "long-exponent-denominator",
+        "non-finite-field", "negative-field", "species-on-estimate",
         "units-on-constants", "units-on-check-dimensions", "repeated-convention",
         "repeated-g-factor",
     ],

@@ -10,11 +10,18 @@ from hypothesis import strategies as st
 from vacuumresponse.dimensions import (
     CHARGE,
     DIMENSIONLESS,
+    ELECTRIC_DIPOLE,
+    ELECTRIC_FIELD,
     ENERGY,
     FREQUENCY,
     LENGTH,
+    MAGNETIC_DIPOLE,
+    MAGNETIC_FIELD,
+    MAGNETIZATION,
     MASS,
+    PERMEABILITY,
     PERMITTIVITY,
+    POLARIZATION,
     SPEED,
     TIME,
     Dimension,
@@ -24,6 +31,7 @@ from vacuumresponse.dimensions import (
     NonFiniteError,
     Quantity,
     UnsupportedKindError,
+    _power,
 )
 from vacuumresponse.units import render_quantity
 
@@ -192,6 +200,19 @@ class TestRepresentation:
         assert (d ** Fraction(-3, 4)) ** Fraction(-4, 3) == d
         assert hash((d ** Fraction(-3, 4)) ** Fraction(-4, 3)) == hash(d)
 
+    @given(
+        d=st.builds(Dimension, *[rationals] * 7),
+        n=st.integers(min_value=-60, max_value=60),
+        k=st.integers(min_value=1, max_value=60),
+    )
+    def test_power_of_an_int_pair_is_the_fraction_power(self, d, n, k):
+        # The pair need not be in lowest terms.
+        got = _power(d, n, k)
+        assert got == d ** Fraction(n, k)
+        assert hash(got) == hash(d ** Fraction(n, k))
+        assert got.as_tuple() == tuple(Fraction(e) * Fraction(n, k) for e in d.as_tuple())
+
+
 class TestQuantity:
     def test_add(self):
         assert (metres(3) + metres(4)).magnitude == 7.0
@@ -325,6 +346,21 @@ class TestConvertSystem:
         # a duplicate row would show as a missing one.
         assert len(GAUSSIAN_UNITS) == 15
         assert SPEED in GAUSSIAN_UNITS
+
+    def test_gaussian_dimension_of_each_kind(self):
+        h = Fraction(1, 2)
+        mechanical = {
+            CHARGE: (3 * h, h, -1), ELECTRIC_FIELD: (-h, h, -1), MAGNETIC_FIELD: (-h, h, -1),
+            ELECTRIC_DIPOLE: (5 * h, h, -1), MAGNETIC_DIPOLE: (5 * h, h, -1),
+            POLARIZATION: (-h, h, -1), MAGNETIZATION: (-h, h, -1), PERMITTIVITY: (0, 0, 0),
+            PERMEABILITY: (-2, 0, 2), ENERGY: (2, 1, -2), LENGTH: (1, 0, 0), MASS: (0, 1, 0),
+            SPEED: (1, 0, -1), FREQUENCY: (0, 0, -1), DIMENSIONLESS: (0, 0, 0),
+        }
+        assert mechanical.keys() == GAUSSIAN_UNITS.keys()
+        for si, want in mechanical.items():
+            got = GAUSSIAN_UNITS[si].dimension.as_tuple()
+            assert got == (*want, 0, 0, 0, 0)
+            assert [type(e) for e in got[:3]] == [type(e) for e in want]
 
     def test_gaussian_dimensions_are_mechanical(self):
         # Gaussian labels are written in cm, g and s alone.

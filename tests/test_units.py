@@ -1,6 +1,7 @@
 import contextlib
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vacuumresponse.dimensions import (
+    _FORMAT_ORDER,
     DIMENSIONLESS,
     LENGTH,
     PERMITTIVITY,
@@ -30,6 +32,23 @@ DATA = Path(__file__).parent / "data"
 
 exponents = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 dims = st.builds(Dimension, *[exponents] * 7)
+
+FIELDS = ("length", "mass", "time", "current", "temperature", "amount", "luminosity")
+
+
+def format_from_exponents(d, order):
+    """``format_dimension`` written on the public exponents, as ``Fraction`` values."""
+    exponent = dict(zip(FIELDS, map(Fraction, d.as_tuple())))
+    positive, negative = [], []
+    for field, symbol in order:
+        e = exponent[field]
+        if e:
+            power = symbol if abs(e) == 1 else f"{symbol}^{abs(e)}"
+            (positive if e > 0 else negative).append(power)
+    head = " ".join(positive) or "1"
+    if not negative:
+        return head
+    return f"{head} / " + (negative[0] if len(negative) == 1 else f"({' '.join(negative)})")
 
 
 class TestParse:
@@ -112,6 +131,19 @@ class TestParse:
         _, dim = parse_unit("m^2/s")
         assert dim == parse_unit("m^2 / s")[1]
 
+    @pytest.mark.parametrize(
+        ("text", "position"),
+        [("m^" + "9" * 5000, 2), ("m^-" + "9" * 5000, 3), ("m^1/" + "9" * 5000, 4)],
+        ids=["numerator", "negative-numerator", "denominator"],
+    )
+    def test_exponent_with_too_many_digits_is_a_syntax_error(self, text, position):
+        # ``int`` converts at most sys.get_int_max_str_digits() digits (4300 by default).
+        with pytest.raises(UnitSyntaxError) as err:
+            parse_unit(text)
+        assert err.value.position == position
+        limit = sys.get_int_max_str_digits()
+        assert err.value.expected == (f"exponent of at most {limit} digits",)
+
     def test_zero_exponent_denominator_is_a_syntax_error(self):
         with pytest.raises(UnitSyntaxError):
             parse_unit("m^1/0")
@@ -178,6 +210,23 @@ class TestFormat:
         scale, parsed = parse_unit(format_dimension(d))
         assert scale == 1.0
         assert parsed == d
+
+    def test_format_matches_the_exponent_oracle_seeded(self):
+        # Zero, negative and mixed-denominator exponents, in both display orders.
+        rng = random.Random(1602)
+        denominators = (1, 1, 1, 2, 3, 4, 5, 6, 7, 12)
+
+        def exponent():
+            if rng.random() < 0.3:
+                return 0
+            return Fraction(rng.randint(-9, 9), rng.choice(denominators))
+
+        for _ in range(30_000):
+            d = Dimension(*(exponent() for _ in range(7)))
+            assert format_dimension(d) == format_from_exponents(d, _FORMAT_ORDER)
+            assert format_dimension(d, units._GAUSSIAN_ORDER) == format_from_exponents(
+                d, units._GAUSSIAN_ORDER
+            )
 
     def test_round_trip_thousand_cases_seeded(self):
         rng = random.Random(1859)
@@ -293,3 +342,23 @@ class TestRecordedBehaviour:
         scale, dim = parse_unit(" ".join(["s"] * 3000))
         assert scale == 1.0
         assert dim == Dimension(time=3000)
+
+
+def test_unit_expression_path_builds_no_fraction(monkeypatch):
+    # Parsing, combining and formatting work on int exponent keys alone.
+    other = Dimension(length=Fraction(1, 3), time=2)
+    calls = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2).denominator == 2 and len(calls) == 1
+    calls.clear()
+    _, dim = parse_unit("m^1/2 kg^3/7 / s^2")
+    product = dim * other
+    quotient = product / dim
+    assert format_dimension(quotient) == "s^2 m^1/3"
+    assert calls == []
