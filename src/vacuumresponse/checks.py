@@ -2,14 +2,16 @@
 
 Each check evaluates both sides of one implemented relation through the
 quantity algebra, pulling real values from the loaded constant registry, and
-compares the resulting dimensions.  Because the registry quantities carry
-the dimensions parsed from the data file, a constant recorded with a wrong
-unit makes every relation it enters fail its check.
+compares the resulting dimensions.  The side that names a relation runs the
+code that computes it, a public model function or a plain-value kernel of
+``model``, so a dimensional slip in that code fails its check.  Because the
+registry quantities carry the dimensions parsed from the data file, a
+constant recorded with a wrong unit fails every relation whose two sides it
+enters differently.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -18,8 +20,13 @@ from .dimensions import Dimension, Quantity
 from .model import (
     OscillatorParams,
     VolumeConvention,
+    _count_simple,
+    _count_sphere,
+    _deviation,
     angular_momentum_kick,
+    critical_field,
     effective_volume,
+    fine_structure_form,
     induced_vortex_field,
     mean_square_orbit_radius,
     pair_magnetic_moment,
@@ -54,7 +61,6 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
     """Evaluate every implemented relation and compare left/right dimensions."""
     reg = registry or default_registry()
     c = reg.quantity("c")
-    hbar = reg.quantity("hbar")
     e = reg.quantity("e")
     m = reg.quantity("m_e")
     eps0 = reg.quantity("eps0")
@@ -64,8 +70,7 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
     cube = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.cube(), reg)
     sphere = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.sphere(), reg)
     w0 = cube.omega0(reg)
-    gap = cube.energy_gap
-    kappa = Quantity(cube.gap_ratio(reg))
+    kappa = cube.energy_gap / (m * c**2)
 
     E = Quantity(1.0, _dim("V/m"))
     B = Quantity(1.0, _dim("T"))
@@ -73,6 +78,7 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
 
     response = vacuum_response(cube, reg)
     r, eps_t, mu_t = response.radius, response.eps_tilde, response.mu_tilde
+    sphere_response = vacuum_response(sphere, reg)
     volume = effective_volume(cube, reg)
     x, dipole, pol = probe_response(cube, E, registry=reg)
     kick = angular_momentum_kick(cube, B, reg)
@@ -103,7 +109,7 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
         CheckResult(
             "induced-dipole-moment",
             "q^2 E / (m w0^2) is an electric dipole moment",
-            (e**2 * E / (m * w0**2)).dimension,
+            dipole.dimension,
             _dim("C m"),
         ),
         CheckResult(
@@ -169,19 +175,19 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
         CheckResult(
             "consistency-radius",
             "c / w0 is a length",
-            (c / w0).dimension,
+            r.dimension,
             _dim("m"),
         ),
         CheckResult(
             "gap-scaled-permittivity",
             "kappa q^2 / (hbar c) matches the permittivity estimate",
-            (kappa * e**2 / (hbar * c)).dimension,
+            fine_structure_form(cube, reg)[0].dimension,
             eps_t.dimension,
         ),
         CheckResult(
             "fine-structure-form",
             "4 pi alpha kappa eps0 matches the measured-permittivity dimension",
-            (4 * math.pi * alpha * kappa * eps0).dimension,
+            (_deviation(alpha, kappa) * eps0).dimension,
             eps0.dimension,
         ),
         CheckResult(
@@ -193,7 +199,7 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
         CheckResult(
             "species-count-inversion",
             "(1/4 pi alpha)(m c^2 / gap) is dimensionless",
-            ((m * c**2 / gap) / alpha).dimension,
+            _count_simple(alpha, kappa).dimension,
             one,
         ),
         CheckResult(
@@ -205,25 +211,25 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
         CheckResult(
             "sphere-consistency-radius",
             "sqrt(5/2) hbar c / gap is a length",
-            (hbar * c / gap).dimension,
+            sphere_response.radius.dimension,
             _dim("m"),
         ),
         CheckResult(
             "refined-permittivity",
             "3 alpha (2/5)^(3/2) kappa eps0 keeps the permittivity dimension",
-            (3 * alpha * kappa * eps0 * Quantity(0.4) ** Fraction(3, 2)).dimension,
-            vacuum_response(sphere, reg).eps_tilde.dimension,
+            (eps0 / _count_sphere(alpha, kappa)).dimension,
+            sphere_response.eps_tilde.dimension,
         ),
         CheckResult(
             "refined-species-count",
             "(1/3 alpha)(5/2)^(3/2)(1/kappa) is dimensionless",
-            (Quantity(2.5) ** Fraction(3, 2) / (3 * alpha * kappa)).dimension,
+            _count_sphere(alpha, kappa).dimension,
             one,
         ),
         CheckResult(
             "critical-field",
             "m^2 c^3 / (q hbar) is an electric field",
-            (m**2 * c**3 / (e * hbar)).dimension,
+            critical_field(cube, reg).dimension,
             _dim("V/m"),
         ),
     ]

@@ -130,6 +130,13 @@ def cmd_estimate(
     kappa = _positive_float(parser, "--gap-ratio", args.gap_ratio)
     g = _positive_float(parser, "--g-factor", args.g_factor)
     convention = args.convention
+    field = None
+    if args.probe_field is not None:
+        field = _parse_quantity_flag(parser, "--probe-field", args.probe_field)
+        if field.dimension != ELECTRIC_FIELD:
+            parser.error("--probe-field must be an electric field (V/m)")
+        if field.magnitude < 0:
+            parser.error("--probe-field must be non-negative")
 
     row = build_row(kappa, convention, g, registry)
     params = OscillatorParams.for_electron(kappa, g, CONVENTION_TOKENS[convention], registry)
@@ -146,12 +153,7 @@ def cmd_estimate(
         _, deviation = fine_structure_form(params, registry)
         extra.append(("deviation_factor", format_float(deviation)))
 
-    if args.probe_field is not None:
-        field = _parse_quantity_flag(parser, "--probe-field", args.probe_field)
-        if field.dimension != ELECTRIC_FIELD:
-            parser.error("--probe-field must be an electric field (V/m)")
-        if field.magnitude < 0:
-            parser.error("--probe-field must be non-negative")
+    if field is not None:
         names = ("probe_field", "probe_displacement", "probe_dipole_moment", "probe_polarization")
         responses = (field, *probe_response(params, field, registry=registry))
         extra.extend((name, _qty_text(value, args.units)) for name, value in zip(names, responses))
@@ -196,7 +198,8 @@ def cmd_sweep(
         parser.error(str(exc))
 
     rows = sweep_rows(config, registry)
-    if args.units == "gaussian":
+    # The chart plots the pure-number eps_ratio, which no unit system scales.
+    if args.units == "gaussian" and args.format != "svg":
         print(GAUSSIAN_NOTE, file=sys.stderr)
 
     if args.format == "svg":

@@ -286,6 +286,25 @@ def _pair(mass, charge, gap, g, conv: VolumeConvention, hbar, c):
     return w0, radius, volume, rho2, eps, mu
 
 
+def _deviation(alpha, kappa):
+    """Deviation factor 4 pi alpha kappa: the closed cube's eps over eps0 at g = 2."""
+    return 4 * math.pi * alpha * kappa
+
+
+def _count_simple(alpha, kappa):
+    """Charge-weighted species count 1/(4 pi alpha kappa) that closes the cube on eps0."""
+    return 1.0 / _deviation(alpha, kappa)
+
+
+# Geometry constant of the uniform-sphere refinement: (5/2)^(3/2).
+_SPHERE_GEOMETRY = (5.0 / 2.0) ** 1.5
+
+
+def _count_sphere(alpha, kappa):
+    """Charge-weighted species count (5/2)^(3/2) / (3 alpha kappa) for the sphere."""
+    return _SPHERE_GEOMETRY / (3 * alpha * kappa)
+
+
 def critical_field(p: OscillatorParams, registry: ConstantRegistry | None = None) -> Quantity:
     """Critical field m^2 c^3 / (|q| hbar) for the params' own species."""
     reg = registry or default_registry()
@@ -500,5 +519,4 @@ def fine_structure_form(
         raise ConventionMismatchError("the gap-ratio form is derived for the spin response g = 2")
     kappa = p.gap_ratio(reg)
     eps = kappa * p.charge**2 / (reg.quantity("hbar") * reg.quantity("c"))
-    ratio = 4 * math.pi * reg.value("alpha") * kappa
-    return eps, ratio
+    return eps, _deviation(reg.value("alpha"), kappa)

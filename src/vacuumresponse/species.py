@@ -10,8 +10,9 @@ Inverting the requirement that the total reproduce the measured permittivity
 yields either the species count needed at a given gap ratio, or the gap
 ratio matching a given table.
 
+The counts and the total run ``model``'s plain-value kernels.
 ``load_species`` and ``required_species_count`` require the registry's
-dimensions; ``total_permittivity`` keeps eps0's own, for ``check-dimensions``.
+dimensions; ``total_permittivity`` derives its own, for ``check-dimensions``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from .constants import ConstantRegistry, default_registry
-from .dimensions import Quantity, _Record
+from .dimensions import NonFiniteError, Quantity, _Record
+from .model import _count_simple, _count_sphere, _deviation, _gap
 from .units import quantity
 
 
@@ -201,18 +203,17 @@ def total_permittivity(
         raise ValueError("gap ratio must be positive")
     reg = registry or default_registry()
     weight = charge_weighted_sum(table)
-    factor = 4 * math.pi * reg.value("alpha") * gap_ratio * float(weight)
-    eps0 = reg.quantity("eps0")
-    total = factor * eps0.magnitude
-    if weight and not 0.0 < total < math.inf:
+    alpha, eps0 = reg.quantity("alpha"), reg.quantity("eps0")
+    try:
+        total = _deviation(alpha, gap_ratio) * float(weight) * eps0
+        in_range = total.magnitude > 0.0 or not weight
+    except NonFiniteError:
+        in_range = False
+    if not in_range:
         raise ValueError(
             f"gap ratio {gap_ratio!r} takes the total permittivity out of the float range"
         )
-    return Quantity(total, eps0.dimension)
-
-
-# Geometry constant of the uniform-sphere refinement: (5/2)^(3/2).
-_SPHERE_GEOMETRY = (5.0 / 2.0) ** 1.5
+    return total
 
 
 def required_species_count(
@@ -229,12 +230,11 @@ def required_species_count(
         raise ValueError("gap ratio must be positive")
     reg = registry or default_registry()
     reg.require_dimensions()
-    alpha = reg.value("alpha")
-    if model is SpeciesModel.SIMPLE:
-        numerator, denominator = 1.0, 4 * math.pi * alpha * gap_ratio
-    else:
-        numerator, denominator = _SPHERE_GEOMETRY, 3 * alpha * gap_ratio
-    count = numerator / denominator if denominator else math.inf
+    count_kernel = _count_simple if model is SpeciesModel.SIMPLE else _count_sphere
+    try:
+        count = count_kernel(reg.value("alpha"), gap_ratio)
+    except ZeroDivisionError:
+        count = math.inf
     if not 0.0 < count < math.inf:
         raise ValueError(f"gap ratio {gap_ratio!r} takes the species count out of the float range")
     return count
@@ -257,5 +257,4 @@ def gap_for_exact_match(
         raise EmptyTableError("cannot match the measured permittivity with no charged species")
     # The count formula with the weight in place of the gap ratio.
     kappa = required_species_count(float(weight), model, reg)
-    energy = kappa * reg.quantity("m_e") * reg.quantity("c") ** 2
-    return GapMatch(kappa, energy)
+    return GapMatch(kappa, _gap(kappa, reg.quantity("m_e"), reg.quantity("c")))

@@ -6,7 +6,11 @@ estimate format, convention and unit system, and the dimension-check report
 with the bundled and with corrupted constants.  The sweep digests were
 recorded before the serializers wrote each row with one format string: the
 Gaussian CSV and JSON of all four conventions, and an SI JSON sweep over six
-decades of the gap ratio.
+decades of the gap ratio.  The ``species`` digests were recorded before the
+counts and the summed permittivity ran on the model's kernels.  The
+eps0-in-V/m report was re-pinned when ``total_permittivity`` began to derive
+its dimension: ``charge-weighted-total`` now passes, as alpha eps0 has the
+permittivity dimension whatever unit eps0 has.
 """
 
 import hashlib

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vacuumresponse
-from vacuumresponse.cli import DEVIATION_NOTE, main
+from vacuumresponse.cli import DEVIATION_NOTE, GAUSSIAN_NOTE, main
 from vacuumresponse.constants import bundled_constants_path
 from vacuumresponse.species import bundled_species_path
 from vacuumresponse.model import WeakFieldWarning
@@ -218,6 +218,10 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
         ),
         (["estimate", "--probe-field", "1e300 YV/m"], "is not a finite value"),
         (["estimate", "--probe-field", "-1 V/m"], "--probe-field must be non-negative"),
+        (
+            ["estimate", "--gap-ratio", "1e-300", "--probe-field", "1 m"],
+            "--probe-field must be an electric field (V/m)",
+        ),
         (["estimate", "--species", "/nonexistent"], "unrecognized arguments: --species"),
         (["constants", "--units", "gaussian"], "unrecognized arguments: --units"),
         (["check-dimensions", "--units", "si"], "unrecognized arguments: --units"),
@@ -227,7 +231,7 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
     ids=[
         "g-factors", "too-many-rows", "probe-field", "scale-overflow", "scale-underflow",
         "superscript-digit", "long-exponent-numerator", "long-exponent-denominator",
-        "non-finite-field", "negative-field", "species-on-estimate",
+        "non-finite-field", "negative-field", "field-before-model", "species-on-estimate",
         "units-on-constants", "units-on-check-dimensions", "repeated-convention",
         "repeated-g-factor",
     ],
@@ -264,6 +268,14 @@ def test_gaussian_estimate_labels_every_value_in_cgs(capsys):
         "probe_polarization": "g^1/2 / (s cm^1/2)",
     }
     assert "implied_light_speed  2.99792458000e+10 cm / s" in lines
+
+
+@pytest.mark.parametrize(("fmt", "noted"), [("csv", True), ("svg", False)])
+def test_gaussian_sweep_note_only_for_dimensioned_payloads(capsys, fmt, noted):
+    # The SVG plots only eps_ratio, a pure number in every unit system.
+    argv = ["sweep", "--units", "gaussian", "--points", "2", "--format", fmt]
+    assert main(argv) == 0
+    assert (GAUSSIAN_NOTE in capsys.readouterr().err) is noted
 
 
 def test_gaussian_species_energy_in_erg(capsys):
