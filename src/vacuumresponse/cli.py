@@ -86,6 +86,8 @@ def _parse_quantity_flag(parser: argparse.ArgumentParser, flag: str, text: str) 
     value = magnitude * scale
     if not math.isfinite(value):
         parser.error(f"{flag}: {text.strip()!r} is not a finite value")
+    if value == 0.0 and magnitude != 0.0:
+        parser.error(f"{flag}: {text.strip()!r} underflows to zero")
     return Quantity(value, dimension)
 
 

@@ -12,18 +12,20 @@ square-root geometry factors; floats would silently lose exactness.
 Each dimension stores one canonical key of plain ints, ``(den, n_length,
 ..., n_luminosity)``: exponent i is ``n_i / den``, where ``den`` is a
 common denominator of this one dimension (not a fixed global one, which
-would cap the powers it can hold) and the key is divided by
-``gcd(den, n_1, ..., n_7)``.  So the key is exact and unique per vector,
-and the arithmetic that makes a new dimension adds, multiplies and hashes
-small ints at C speed (``math.lcm`` when denominators differ), with no
-:class:`~fractions.Fraction` on the way.  Powers and formatting work on the
-key too: a power ``n/k`` arrives as two ints, multiplies the numerators by
-``n`` and the denominator by ``k``, and :func:`format_dimension` reduces each
-``n_i/den`` with ``gcd`` as it writes it.  ``Fraction`` appears only at the
-public edge: ``Dimension(...)`` and ``**`` accept one, and the public
-exponents (:meth:`Dimension.as_tuple`, ``.length`` and the other components)
-are ``int`` when integral and a reduced ``Fraction`` otherwise, built from
-the key when read.
+would cap the powers it can hold) and the key is divided by ``gcd(den, n_1,
+..., n_7)``.  So the key is exact and unique per vector, and the arithmetic
+that makes a new dimension adds, multiplies and hashes small ints at C
+speed, with no :class:`~fractions.Fraction` on the way.  The product and
+quotient of two keys are written once, in ``_key_mul`` and ``_key_div``
+(``math.lcm`` when denominators differ), and leave the key unreduced: ``*``
+and ``/`` reduce it at once, the unit parser once per text.  Powers and
+formatting work on the key too: a power ``n/k`` arrives as two ints,
+multiplies the numerators by ``n`` and the denominator by ``k``, and
+:func:`format_dimension` reduces each ``n_i/den`` with ``gcd`` as it writes
+it.  ``Fraction`` appears only at the public edge: ``Dimension(...)`` and
+``**`` accept one, and the public exponents (:meth:`Dimension.as_tuple`,
+``.length`` and the other components) are ``int`` when integral and a
+reduced ``Fraction`` otherwise, built from the key when read.
 
 A dimension is a plain immutable value: two dimensions are equal, and hash
 alike, when their canonical keys are equal, whichever route made them.  No
@@ -51,8 +53,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, sub
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -133,6 +134,30 @@ def _power(d: Dimension, numerator: int, denominator: int) -> Dimension:
     return _reduced((key[0] * denominator, *[n * numerator for n in key[1:]]))
 
 
+def _key_mul(a: _Key, b: _Key) -> _Key:
+    """The key of the product of keys ``a`` and ``b``, not reduced."""
+    den = a[0]
+    if den == b[0]:
+        return (den, a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4], a[5] + b[5],
+                a[6] + b[6], a[7] + b[7])
+    den = lcm(den, b[0])
+    f, g = den // a[0], den // b[0]
+    return (den, a[1] * f + b[1] * g, a[2] * f + b[2] * g, a[3] * f + b[3] * g,
+            a[4] * f + b[4] * g, a[5] * f + b[5] * g, a[6] * f + b[6] * g, a[7] * f + b[7] * g)
+
+
+def _key_div(a: _Key, b: _Key) -> _Key:
+    """The key of the quotient of keys ``a`` and ``b``, not reduced."""
+    den = a[0]
+    if den == b[0]:
+        return (den, a[1] - b[1], a[2] - b[2], a[3] - b[3], a[4] - b[4], a[5] - b[5],
+                a[6] - b[6], a[7] - b[7])
+    den = lcm(den, b[0])
+    f, g = den // a[0], den // b[0]
+    return (den, a[1] * f - b[1] * g, a[2] * f - b[2] * g, a[3] * f - b[3] * g,
+            a[4] * f - b[4] * g, a[5] * f - b[5] * g, a[6] * f - b[6] * g, a[7] * f - b[7] * g)
+
+
 def _ratio(numerator: int, den: int) -> Rational:
     """One exponent in canonical form: ``int`` when integral, else a reduced ``Fraction``."""
     if den == 1:
@@ -198,28 +223,14 @@ class Dimension:
     def __mul__(self, other: Dimension) -> Dimension:
         if not isinstance(other, Dimension):
             return NotImplemented
-        a, b = self._key, other._key
-        den = a[0]
-        if den != b[0]:
-            return _rescaled_sum(a, b, add)
-        key = (
-            den, a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4], a[5] + b[5], a[6] + b[6],
-            a[7] + b[7],
-        )
-        return _make(key) if den == 1 else _reduced(key)
+        key = _key_mul(self._key, other._key)
+        return _make(key) if key[0] == 1 else _reduced(key)
 
     def __truediv__(self, other: Dimension) -> Dimension:
         if not isinstance(other, Dimension):
             return NotImplemented
-        a, b = self._key, other._key
-        den = a[0]
-        if den != b[0]:
-            return _rescaled_sum(a, b, sub)
-        key = (
-            den, a[1] - b[1], a[2] - b[2], a[3] - b[3], a[4] - b[4], a[5] - b[5], a[6] - b[6],
-            a[7] - b[7],
-        )
-        return _make(key) if den == 1 else _reduced(key)
+        key = _key_div(self._key, other._key)
+        return _make(key) if key[0] == 1 else _reduced(key)
 
     def __pow__(self, exponent: Rational) -> Dimension:
         p = _exponent(exponent, "power")
@@ -239,17 +250,6 @@ class Dimension:
 
     def __str__(self) -> str:
         return format_dimension(self)
-
-
-def _rescaled_sum(a: _Key, b: _Key, op: Callable[[int, int], int]) -> Dimension:
-    """The dimension with exponents ``op(a_i, b_i)`` of keys with unequal denominators.
-
-    ``op`` is one of add and sub.
-    """
-    da, db = a[0], b[0]
-    den = lcm(da, db)
-    fa, fb = den // da, den // db
-    return _reduced((den, *[op(x * fa, y * fb) for x, y in zip(a[1:], b[1:])]))
 
 
 # Electromagnetic-first display order; renders the permittivity dimension as

@@ -16,14 +16,15 @@ The micro sign and Greek mu are accepted as "u".
 
 The parser builds no syntax tree and walks the tokens once.  Each rule
 returns the scale of what it has read as a (mantissa, exponent) pair with
-its dimension.  Products and quotients combine left to right as they are
-read, on mantissas kept normal floats, so each rounds as it would in a
-float range without bounds, and a scale in the float range is accepted
-whatever the order of its factors.  The first unknown unit or power beyond
-the float range is raised only once the text has parsed to its end, so a
-syntax error anywhere wins over it.  A power passes to the dimension as
-two ints, numerator and denominator, so no rational type is built on the
-way from the text to the dimension.
+its dimension as an int key, not reduced.  Products and quotients combine
+left to right as they are read, on mantissas kept normal floats, so each
+rounds as it would in a float range without bounds, and a scale in the
+float range is accepted whatever the order of its factors.  The first
+unknown unit or power beyond the float range is raised only once the text
+has parsed to its end, so a syntax error anywhere wins over it.  A power
+``n/k`` multiplies the key's numerators by ``n`` and its denominator by
+``k``, and the key is reduced once, into the one :class:`Dimension` a
+parse builds.  Groups nest at most ``_MAX_GROUPS`` deep.
 
 Every quantity is computed in SI units.  :func:`render_quantity` is the one
 place that decides how a value is shown in a unit system: as it is, with an
@@ -55,7 +56,10 @@ from .dimensions import (
     Dimension,
     Quantity,
     UnsupportedKindError,
-    _power,
+    _Key,
+    _key_div,
+    _key_mul,
+    _reduced,
     format_dimension,
 )
 
@@ -148,15 +152,12 @@ SI_PREFIXES: dict[str, float] = {
 }
 
 
-def _normalize_symbol(symbol: str) -> str:
-    return symbol.replace("µ", "u").replace("μ", "u")
-
-
 def _resolve_symbol(symbol: str) -> tuple[float, Dimension] | None:
-    name = _normalize_symbol(symbol)
-    entry = REGISTRY.get(name)
+    entry = REGISTRY.get(symbol)
     if entry is not None:
         return entry
+    # No registry name holds a micro sign, so only a prefix needs normalizing.
+    name = symbol.replace("µ", "u").replace("μ", "u")
     for plen in (2, 1):
         prefix, rest = name[:plen], name[plen:]
         factor = SI_PREFIXES.get(prefix)
@@ -225,93 +226,103 @@ def _exponent_int(text: str, position: int) -> int:
 # or quotient of two mantissas is always a normal float.
 _LOW, _HIGH = 2.0**-300, 2.0**300
 
+# The deepest nesting of parenthesized groups, far inside the recursion limit.
+_MAX_GROUPS = 100
+
 
 class _Parser:
     """Recursive descent that evaluates as it goes.
 
-    Each rule returns (mantissa, exponent, dimension), the scale being
-    ``mantissa * 2**exponent``.  Products and quotients combine left to
-    right on the mantissas, which stay normal floats, so each rounds as the
-    float operation would if the float range had no bounds.  A power is
-    taken on the scale's float value.  The first unknown unit or power out
-    of the float range is kept and raised only once the text has parsed to
-    its end, so that a syntax error anywhere wins over it.
+    Each rule returns (mantissa, exponent, key): the scale is ``mantissa *
+    2**exponent``, the key the dimension's, which ``parse`` reduces.
+    Products and quotients combine left to right on the mantissas, which
+    stay normal floats, so each rounds as the float operation would if the
+    float range had no bounds.  A power is taken on the scale's float value.
+    The first unknown unit or power out of the float range is kept and
+    raised only once the text has parsed to its end, so that a syntax error
+    anywhere wins over it.
     """
 
     def __init__(self, text: str) -> None:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.error: UnitParseError | None = None
 
     def parse(self) -> tuple[float, int, Dimension]:
-        result = self.expr()
+        mantissa, exponent, key = self.expr()
         kind, _, position = self.tokens[self.pos]
         if kind != "end":
             raise UnitSyntaxError(position, ("end of input",))
         if self.error is not None:
             raise self.error
-        return result
+        return mantissa, exponent, _reduced(key)
 
-    def expr(self) -> tuple[float, int, Dimension]:
-        mantissa, exponent, dim = self.factor()
+    def expr(self) -> tuple[float, int, _Key]:
+        mantissa, exponent, key = self.factor()
         tokens = self.tokens
         while True:
             kind = tokens[self.pos][0]
             if kind == "/":
                 self.pos += 1
-                m, e, d = self.factor()
-                mantissa, exponent, dim = mantissa / m, exponent - e, dim / d
+                m, e, k = self.factor()
+                mantissa, exponent, key = mantissa / m, exponent - e, _key_div(key, k)
             elif kind == "*" or kind == "sym" or kind == "int" or kind == "(":
                 if kind == "*":
                     self.pos += 1
-                m, e, d = self.factor()
-                mantissa, exponent, dim = mantissa * m, exponent + e, dim * d
+                m, e, k = self.factor()
+                mantissa, exponent, key = mantissa * m, exponent + e, _key_mul(key, k)
             else:
-                return mantissa, exponent, dim
+                return mantissa, exponent, key
             if not _LOW < mantissa < _HIGH:
                 mantissa, shift = math.frexp(mantissa)
                 exponent += shift
 
-    def factor(self) -> tuple[float, int, Dimension]:
-        mantissa, exponent, dim = self.primary()
+    def factor(self) -> tuple[float, int, _Key]:
+        mantissa, exponent, key = self.primary()
         if self.tokens[self.pos][0] != "^":
-            return mantissa, exponent, dim
+            return mantissa, exponent, key
         self.pos += 1
-        numerator, denominator = self.exponent()
-        dim = _power(dim, numerator, denominator)
+        n, k = self.exponent()
+        key = (key[0] * k, key[1] * n, key[2] * n, key[3] * n, key[4] * n, key[5] * n,
+               key[6] * n, key[7] * n)
         try:
-            scale = math.ldexp(mantissa, exponent) ** (numerator / denominator)
+            scale = math.ldexp(mantissa, exponent) ** (n / k)
         except ArithmeticError:
             scale = 0.0
         if _LOW < scale < _HIGH:
-            return scale, 0, dim
+            return scale, 0, key
         if not 0.0 < scale < math.inf:
             self.error = self.error or UnitScaleError(self.text)
-            return 1.0, 0, dim
+            return 1.0, 0, key
         mantissa, exponent = math.frexp(scale)
-        return mantissa, exponent, dim
+        return mantissa, exponent, key
 
-    def primary(self) -> tuple[float, int, Dimension]:
+    def primary(self) -> tuple[float, int, _Key]:
         kind, text, position = self.tokens[self.pos]
         if kind == "(":
+            if self.depth == _MAX_GROUPS:
+                raise UnitSyntaxError(position, (f"at most {_MAX_GROUPS} nested groups",))
             self.pos += 1
+            self.depth += 1
             result = self.expr()
             kind, _, position = self.tokens[self.pos]
             if kind != ")":
                 raise UnitSyntaxError(position, (")",))
             self.pos += 1
+            self.depth -= 1
             return result
         if kind == "sym":
             self.pos += 1
             entry = _resolve_symbol(text)
             if entry is None:
                 self.error = self.error or UnknownUnitError(text, position)
-                return 1.0, 0, DIMENSIONLESS
-            return entry[0], 0, entry[1]
+                return 1.0, 0, DIMENSIONLESS._key
+            return entry[0], 0, entry[1]._key
         if kind == "int" and text == "1":
             self.pos += 1
-            return 1.0, 0, DIMENSIONLESS
+            return 1.0, 0, DIMENSIONLESS._key
         raise UnitSyntaxError(position, ("unit symbol", "("))
 
     def exponent(self) -> tuple[int, int]:

@@ -217,6 +217,11 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
             "--probe-field: syntax error at position 6: expected exponent of at most",
         ),
         (["estimate", "--probe-field", "1e300 YV/m"], "is not a finite value"),
+        (["estimate", "--probe-field", "1e-300 yV/Ym"], "'1e-300 yV/Ym' underflows to zero"),
+        (
+            ["estimate", "--probe-field", "1 " + "(" * 400 + "V/m" + ")" * 400],
+            "--probe-field: syntax error at position 100: expected at most 100 nested groups",
+        ),
         (["estimate", "--probe-field", "-1 V/m"], "--probe-field must be non-negative"),
         (
             ["estimate", "--gap-ratio", "1e-300", "--probe-field", "1 m"],
@@ -231,9 +236,9 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
     ids=[
         "g-factors", "too-many-rows", "probe-field", "scale-overflow", "scale-underflow",
         "superscript-digit", "long-exponent-numerator", "long-exponent-denominator",
-        "non-finite-field", "negative-field", "field-before-model", "species-on-estimate",
-        "units-on-constants", "units-on-check-dimensions", "repeated-convention",
-        "repeated-g-factor",
+        "non-finite-field", "underflowing-field", "deep-groups", "negative-field",
+        "field-before-model", "species-on-estimate", "units-on-constants",
+        "units-on-check-dimensions", "repeated-convention", "repeated-g-factor",
     ],
 )
 def test_usage_error_returns_two(capsys, argv, message):

@@ -1,12 +1,13 @@
 import contextlib
 import json
+import math
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vacuumresponse.dimensions import (
@@ -16,7 +17,7 @@ from vacuumresponse.dimensions import (
     PERMITTIVITY,
     Dimension,
 )
-from vacuumresponse import units
+from vacuumresponse import dimensions, units
 from vacuumresponse.units import (
     EmptyInputError,
     UnitParseError,
@@ -160,6 +161,15 @@ class TestParse:
         with pytest.raises(UnitSyntaxError) as err:
             parse_unit("2 m")
         assert err.value.position == 0
+
+    def test_group_nesting_is_bounded(self):
+        limit = 100
+        assert parse_unit("(" * limit + "V/m" + ")" * limit)[1] == parse_unit("V/m")[1]
+        assert parse_unit("(m)" * 3 * limit)[1] == Dimension(length=3 * limit)
+        for depth in (limit + 1, 4 * limit):
+            with pytest.raises(UnitSyntaxError) as err:
+                parse_unit("(" * depth + "V/m" + ")" * depth)
+            assert err.value.position == limit
 
     def test_micro_sign_aliases(self):
         for text in ("um", "µm", "μm"):
@@ -362,3 +372,84 @@ def test_unit_expression_path_builds_no_fraction(monkeypatch):
     quotient = product / dim
     assert format_dimension(quotient) == "s^2 m^1/3"
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["A^1/12 s^13/12 K^1/6 mol^1/4 / (kg^1/6 m^1/3)", "((m^2/4)^3/6 s)^5/10 / kg^1/3"],
+)
+def test_a_parse_builds_one_dimension(monkeypatch, text):
+    # The parser combines int keys and makes a Dimension only for its result.
+    calls = []
+    real = dimensions._make
+
+    def counting(key):
+        calls.append(key)
+        return real(key)
+
+    monkeypatch.setattr(dimensions, "_make", counting)
+    parse_unit(text)
+    assert len(calls) <= 1
+
+
+# A term is (text, dimension, log2 of the scale, whether each power's base and value are in range).
+_PREFIXES = ["", *units.SI_PREFIXES, "\u00b5", "\u03bc"]
+_powers = st.none() | st.tuples(st.integers(-4, 4), st.integers(1, 4))
+_joiners = st.sampled_from(["*", "/", " ", "\u00b7"])
+_IN_RANGE = 1000  # bits of scale, well inside the float range either way
+
+
+def _raised(text, dim, log2, ok, power):
+    if power is None:
+        return text, dim, log2, ok
+    n, k = power
+    text += f"^{n}" if k == 1 else f"^{n}/{k}"
+    raised = log2 * n / k
+    return text, dim ** Fraction(n, k), raised, ok and max(abs(log2), abs(raised)) < _IN_RANGE
+
+
+def _symbol(prefix, symbol, power):
+    entry = units.REGISTRY[symbol]
+    name = prefix.replace("\u00b5", "u").replace("\u03bc", "u")
+    scale = units.SI_PREFIXES.get(name, 1.0) * entry.scale
+    return _raised(prefix + symbol, entry.dimension, math.log2(scale), True, power)
+
+
+def _fold(first, rest):
+    """The public ``*`` and ``/`` folded left to right; "/" takes one factor."""
+    text, dim, log2, ok = first
+    for joiner, (t, d, lg, good) in rest:
+        text += joiner + t
+        dim, log2 = (dim / d, log2 - lg) if joiner == "/" else (dim * d, log2 + lg)
+        ok = ok and good
+    return text, dim, log2, ok
+
+
+def _group(first, rest, power):
+    text, dim, log2, ok = _fold(first, rest)
+    return _raised(f"({text})", dim, log2, ok, power)
+
+
+_symbols = st.builds(
+    _symbol, st.sampled_from(_PREFIXES), st.sampled_from(sorted(units.REGISTRY)), _powers
+)
+_factors = st.recursive(
+    _symbols,
+    lambda inner: st.builds(
+        _group, inner, st.lists(st.tuples(_joiners, inner), max_size=3), _powers
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(first=_factors, rest=st.lists(st.tuples(_joiners, _factors), max_size=5))
+def test_parse_matches_the_public_algebra(first, rest):
+    text, expected, log2, ok = _fold(first, rest)
+    try:
+        _, dim = parse_unit(text)
+    except UnitScaleError:
+        assert not (ok and abs(log2) < _IN_RANGE), text
+        return
+    assert dim == expected, text
+    assert parse_unit(format_dimension(dim))[1] == dim
