@@ -11,15 +11,14 @@ _EXPORTS = {
     ),
     "dimensions": ("Dimension", "Quantity"),
     "model": (
-        "OscillatorParams", "RadiusRule", "Shape", "VacuumResponse",
+        "OscillatorParams", "RadiusRule", "Shape", "SpeciesModel", "VacuumResponse",
         "VolumeConvention", "effective_radius", "effective_volume", "fine_structure_form",
         "maxwell_closure", "mean_square_orbit_radius", "pair_magnetic_moment",
-        "probe_response", "vacuum_response",
+        "probe_response", "required_species_count", "vacuum_response",
     ),
     "species": (
-        "ParticleSpecies", "SpeciesModel", "SpeciesTable", "charge_weighted_sum",
-        "default_species_table", "gap_for_exact_match", "load_species",
-        "required_species_count", "total_permittivity",
+        "ParticleSpecies", "SpeciesTable", "charge_weighted_sum", "default_species_table",
+        "gap_for_exact_match", "load_species", "total_permittivity",
     ),
     "units": ("format_dimension", "parse_unit", "quantity", "render_quantity"),
 }

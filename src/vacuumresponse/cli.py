@@ -11,11 +11,10 @@ import argparse
 import math
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 from .constants import ConstantRegistry, MissingConstantError, default_registry, load_constants
-from .dimensions import ELECTRIC_FIELD, DimensionMismatchError, Quantity
+from .dimensions import ELECTRIC_FIELD, DimensionMismatchError, Quantity, _quantity_power
 from .model import (
     OscillatorParams,
     RadiusRule,
@@ -33,15 +32,6 @@ from .report import (
     rows_to_csv,
     rows_to_json,
     sweep_rows,
-)
-from .species import (
-    SpeciesModel,
-    bundled_species_path,
-    charge_weighted_sum,
-    gap_for_exact_match,
-    load_species,
-    required_species_count,
-    total_permittivity,
 )
 from .units import UNIT_SYSTEMS, UnitParseError, parse_unit, render_quantity
 
@@ -148,7 +138,7 @@ def cmd_estimate(
     if params.volume_convention.radius_rule is not RadiusRule.MAXWELL_CONSISTENT:
         closed = build_row(kappa, "cube", g, registry)
     eps_mu = Quantity(closed.eps_tilde, _EPS) * Quantity(closed.mu_tilde, _MU)
-    light_speed = eps_mu ** Fraction(-1, 2)  # 1/sqrt(eps mu)
+    light_speed = _quantity_power(eps_mu, -1, 2)  # 1/sqrt(eps mu)
 
     extra: list[tuple[str, str]] = [("implied_light_speed", _qty_text(light_speed, args.units))]
     if convention == "cube" and g == 2.0:
@@ -234,6 +224,12 @@ def cmd_sweep(
 def cmd_species(
     args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
 ) -> int:
+    # Imported on use: only this subcommand reads a species table.
+    from .species import (
+        SpeciesModel, bundled_species_path, charge_weighted_sum, gap_for_exact_match,
+        load_species, required_species_count, total_permittivity,
+    )
+
     kappa = _positive_float(parser, "--gap-ratio", args.gap_ratio)
     path = args.species or bundled_species_path()
     table = load_species(path, registry)
@@ -306,7 +302,18 @@ def cmd_constants(
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand's function and the summary that top-level help lists.
+_COMMANDS = {
+    "estimate": (cmd_estimate, "single-point model estimate"),
+    "sweep": (cmd_sweep, "parameter sweep over the gap ratio"),
+    "species": (cmd_species, "charge-weighted species analysis"),
+    "check-dimensions": (cmd_check_dimensions, "dimension-check every model relation"),
+    "constants": (cmd_constants, "list the loaded constants"),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand's name and summary, and the flags of ``command`` alone."""
     parser = argparse.ArgumentParser(
         prog="vacuumresponse",
         description=(
@@ -315,55 +322,45 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_subcommand(name, func, summary, units=False) -> argparse.ArgumentParser:
-        # Each subcommand declares only the flags it reads and hands its own
-        # parser to its command, so a usage error prints its own usage.
+    for name, (func, summary) in _COMMANDS.items():
+        # Each subcommand hands its own parser to its command, so a usage
+        # error prints its own usage.
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--constants", metavar="PATH", help="constants file (default: bundled)")
-        if units:
-            p.add_argument("--units", choices=UNIT_SYSTEMS, default="si", help="output unit system")
-        p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
         p.set_defaults(func=func, parser=p)
-        return p
+    if command not in _COMMANDS:
+        return parser
 
-    p_est = add_subcommand("estimate", cmd_estimate, "single-point model estimate", units=True)
-    p_est.add_argument("--gap-ratio", type=float, default=2.0, help="transition energy / rest energy")
-    p_est.add_argument(
-        "--convention", choices=tuple(CONVENTION_TOKENS), default="cube", help="volume convention"
-    )
-    p_est.add_argument("--g-factor", type=float, default=2.0, help="gyromagnetic response factor")
-    p_est.add_argument(
-        "--probe-field",
-        metavar="'MAG UNIT'",
-        help="weak probe field, e.g. '1 V/m'; reports the induced response",
-    )
-    p_est.add_argument("--format", choices=("text", "csv", "json"), default="text")
-
-    p_sweep = add_subcommand(
-        "sweep", cmd_sweep, "parameter sweep over the gap ratio", units=True
-    )
-    p_sweep.add_argument("--kappa-min", type=float, default=0.5)
-    p_sweep.add_argument("--kappa-max", type=float, default=4.0)
-    p_sweep.add_argument("--points", type=int, default=64)
-    p_sweep.add_argument(
-        "--conventions", default="cube", help="comma-separated volume conventions"
-    )
-    p_sweep.add_argument("--g-factors", default="2", help="comma-separated g-factors")
-    p_sweep.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-
-    p_sp = add_subcommand(
-        "species", cmd_species, "charge-weighted species analysis", units=True
-    )
-    p_sp.add_argument("--species", metavar="PATH", help="species table (default: bundled)")
-    p_sp.add_argument("--gap-ratio", type=float, default=2.0)
-    p_sp.add_argument("--format", choices=("text",), default="text")
-
-    add_subcommand("check-dimensions", cmd_check_dimensions, "dimension-check every model relation")
-
-    p_const = add_subcommand("constants", cmd_constants, "list the loaded constants")
-    p_const.add_argument("--derived", action="store_true", help="include derived records")
-
+    # The flags the subcommand reads, in the order its usage lists them.
+    p = sub.choices[command]
+    p.add_argument("--constants", metavar="PATH", help="constants file (default: bundled)")
+    if command in ("estimate", "sweep", "species"):
+        p.add_argument("--units", choices=UNIT_SYSTEMS, default="si", help="output unit system")
+    p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
+    if command == "estimate":
+        p.add_argument("--gap-ratio", type=float, default=2.0, help="transition energy / rest energy")
+        p.add_argument(
+            "--convention", choices=tuple(CONVENTION_TOKENS), default="cube", help="volume convention"
+        )
+        p.add_argument("--g-factor", type=float, default=2.0, help="gyromagnetic response factor")
+        p.add_argument(
+            "--probe-field",
+            metavar="'MAG UNIT'",
+            help="weak probe field, e.g. '1 V/m'; reports the induced response",
+        )
+        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    elif command == "sweep":
+        p.add_argument("--kappa-min", type=float, default=0.5)
+        p.add_argument("--kappa-max", type=float, default=4.0)
+        p.add_argument("--points", type=int, default=64)
+        p.add_argument("--conventions", default="cube", help="comma-separated volume conventions")
+        p.add_argument("--g-factors", default="2", help="comma-separated g-factors")
+        p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+    elif command == "species":
+        p.add_argument("--species", metavar="PATH", help="species table (default: bundled)")
+        p.add_argument("--gap-ratio", type=float, default=2.0)
+        p.add_argument("--format", choices=("text",), default="text")
+    elif command == "constants":
+        p.add_argument("--derived", action="store_true", help="include derived records")
     return parser
 
 
@@ -383,9 +380,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    # Unknown flags are reported by the subcommand, so that the usage shown
-    # lists the flags it does accept.
-    args, unknown = build_parser().parse_known_args(argv)
+    # Only the subcommand that runs needs its flags.  It is the first word
+    # that names one, as no top-level flag takes a value.  Unknown flags are
+    # reported by the subcommand, so that the usage shown lists its flags.
+    argv = sys.argv[1:] if argv is None else argv
+    command = next((word for word in argv if word in _COMMANDS), None)
+    args, unknown = build_parser(command).parse_known_args(argv)
     if unknown:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
 

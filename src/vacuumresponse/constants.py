@@ -170,14 +170,25 @@ def _parse_lines(lines: list[str]) -> ConstantRegistry:
     return ConstantRegistry(records, release)
 
 
+# Two relations that the model and the derived records share, on Quantities or floats.
+def _compton(mass, hbar, c):
+    """Reduced Compton wavelength hbar / (m c)."""
+    return hbar / (mass * c)
+
+
+def _critical_field(mass, charge, hbar, c):
+    """Critical field m^2 c^3 / (q hbar) of a particle of charge magnitude ``q``."""
+    return mass**2 * c**3 / (charge * hbar)
+
+
 def _append_derived(records: dict[str, ConstantRecord]) -> None:
     c, hbar, e, m_e, eps0 = (records[key].quantity for key in ("c", "hbar", "e", "m_e", "eps0"))
     # NonFiniteError covers overflow and division by zero.
     try:
         derived = {
             "alpha": (e**2 / (4 * math.pi * eps0 * hbar * c), "e^2 / (4 pi eps0 hbar c)"),
-            "lambda_c": (hbar / (m_e * c), "hbar / (m_e c)"),
-            "E_S": (m_e**2 * c**3 / (e * hbar), "m_e^2 c^3 / (e hbar)"),
+            "lambda_c": (_compton(m_e, hbar, c), "hbar / (m_e c)"),
+            "E_S": (_critical_field(m_e, e, hbar, c), "m_e^2 c^3 / (e hbar)"),
         }
     except NonFiniteError as exc:
         raise NonFiniteError(f"cannot derive {', '.join(DERIVED_KEYS)}: {exc}") from exc
@@ -218,4 +229,4 @@ def compton_wavelength(mass: Quantity, registry: ConstantRegistry | None = None)
         raise NonPositiveMassError(f"expected a mass, got dimension [{mass.dimension}]")
     if mass.magnitude <= 0:
         raise NonPositiveMassError(f"mass must be positive, got {mass.magnitude!r}")
-    return reg.quantity("hbar") / (mass * reg.quantity("c"))
+    return _compton(mass, reg.quantity("hbar"), reg.quantity("c"))

@@ -51,11 +51,14 @@ factor, and the unit module renders a quantity through it.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
-Rational = Union[int, Fraction]
+# Imported where a Fraction is made or may be given, so int exponents never load it.
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Rational = Union[int, "Fraction"]
 
 _BASE_FIELDS = (
     "length",
@@ -92,6 +95,7 @@ def _exponent(value: Rational, field: str) -> Rational:
     """Canonical exact exponent: ``int`` when integral, else a ``Fraction``."""
     if type(value) is int:
         return value
+    from fractions import Fraction
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
@@ -162,6 +166,7 @@ def _ratio(numerator: int, den: int) -> Rational:
     """One exponent in canonical form: ``int`` when integral, else a reduced ``Fraction``."""
     if den == 1:
         return numerator
+    from fractions import Fraction
     value = Fraction(numerator, den)
     return value.numerator if value.denominator == 1 else value
 
@@ -454,25 +459,27 @@ class Quantity(_Record):
 
     def __pow__(self, exponent: Rational) -> Quantity:
         p = _exponent(exponent, "power")
-        dim = self.dimension**p
-        if type(p) is not int and self.magnitude < 0:
-            raise NegativeBaseError(
-                f"fractional power {p} of negative magnitude {self.magnitude!r}"
-            )
-        try:
-            magnitude = self.magnitude ** (p if type(p) is int else float(p))
-        except OverflowError:
-            raise NonFiniteError(
-                f"quantity magnitude overflowed: {self.magnitude!r} ** {p}"
-            ) from None
-        except ZeroDivisionError:
-            raise DivisionByZeroError(
-                f"quantity magnitude divided by zero: {self.magnitude!r} ** {p}"
-            ) from None
-        return Quantity(magnitude, dim)
+        return _quantity_power(self, p.numerator, p.denominator)
 
     def __str__(self) -> str:
         return f"{self.magnitude:.12g} [{self.dimension}]"
+
+
+def _quantity_power(q: Quantity, numerator: int, denominator: int) -> Quantity:
+    """``q`` to the power ``numerator / denominator``, in lowest terms with ``denominator >= 1``."""
+    dim = _power(q.dimension, numerator, denominator)
+    m, p = q.magnitude, numerator if denominator == 1 else f"{numerator}/{denominator}"
+    if denominator != 1 and m < 0:
+        raise NegativeBaseError(f"fractional power {p} of negative magnitude {m!r}")
+    try:
+        # A float power of an int exponent converts it to float, so this is
+        # the operation whether the exponent is integral or not.
+        magnitude = m ** (numerator / denominator)
+    except OverflowError:
+        raise NonFiniteError(f"quantity magnitude overflowed: {m!r} ** {p}") from None
+    except ZeroDivisionError:
+        raise DivisionByZeroError(f"quantity magnitude divided by zero: {m!r} ** {p}") from None
+    return Quantity(magnitude, dim)
 
 
 # The slot setters, which bypass ``_Record``'s assignment guard.  Quantity

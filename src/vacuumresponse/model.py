@@ -23,9 +23,8 @@ from __future__ import annotations
 import math
 import warnings
 from enum import Enum
-from fractions import Fraction
 
-from .constants import ConstantRegistry, default_registry
+from .constants import ConstantRegistry, _compton, _critical_field, default_registry
 from .dimensions import (
     CHARGE,
     ELECTRIC_FIELD,
@@ -37,6 +36,7 @@ from .dimensions import (
     TIME,
     DimensionMismatchError,
     Quantity,
+    _quantity_power,
     _Record,
 )
 
@@ -223,7 +223,7 @@ class VacuumResponse(_Record):
     @property
     def implied_light_speed(self) -> Quantity:
         """1/sqrt(eps mu): the registry's light speed once the radius is closed."""
-        return (self.eps_tilde * self.mu_tilde) ** Fraction(-1, 2)
+        return _quantity_power(self.eps_tilde * self.mu_tilde, -1, 2)
 
 
 # The model on plain values.  These formulas touch their operands only with
@@ -249,9 +249,9 @@ def _radius(conv: VolumeConvention, mass, g, w0, hbar, c):
     if rule is RadiusRule.CUSTOM:
         return conv.custom_radius
     if rule is RadiusRule.COMPTON:
-        return hbar / (mass * c)
+        return _compton(mass, hbar, c)
     if rule is RadiusRule.HALF_COMPTON:
-        return hbar / (2 * mass * c)
+        return _compton(2 * mass, hbar, c)
     closure = 5.0 if conv.shape is Shape.SPHERE else 2.0
     return math.sqrt(closure / g) * c / w0
 
@@ -263,7 +263,7 @@ def _volume(shape: Shape, radius):
 
 
 # Mean squared distance to a central axis over a uniform solid ball, in R^2.
-_BALL_MEAN_SQUARE = float(Fraction(2, 5))
+_BALL_MEAN_SQUARE = 2 / 5
 
 
 def _orbit_mean_square(shape: Shape, radius):
@@ -305,10 +305,39 @@ def _count_sphere(alpha, kappa):
     return _SPHERE_GEOMETRY / (3 * alpha * kappa)
 
 
+class SpeciesModel(Enum):
+    SIMPLE = "simple"
+    SPHERE = "sphere"
+
+
+def required_species_count(
+    gap_ratio: float,
+    model: SpeciesModel = SpeciesModel.SIMPLE,
+    registry: ConstantRegistry | None = None,
+) -> float:
+    """Charge-weighted species count that makes the total match eps0 exactly.
+
+    Raises ``ValueError`` where the gap ratio takes the count out of the
+    float range (a tiny ratio takes the denominator to 0 or the count to inf).
+    """
+    if gap_ratio <= 0:
+        raise ValueError("gap ratio must be positive")
+    reg = registry or default_registry()
+    reg.require_dimensions()
+    count_kernel = _count_simple if model is SpeciesModel.SIMPLE else _count_sphere
+    try:
+        count = count_kernel(reg.value("alpha"), gap_ratio)
+    except ZeroDivisionError:
+        count = math.inf
+    if not 0.0 < count < math.inf:
+        raise ValueError(f"gap ratio {gap_ratio!r} takes the species count out of the float range")
+    return count
+
+
 def critical_field(p: OscillatorParams, registry: ConstantRegistry | None = None) -> Quantity:
     """Critical field m^2 c^3 / (|q| hbar) for the params' own species."""
     reg = registry or default_registry()
-    return p.mass**2 * reg.quantity("c") ** 3 / (abs(p.charge) * reg.quantity("hbar"))
+    return _critical_field(p.mass, abs(p.charge), reg.quantity("hbar"), reg.quantity("c"))
 
 
 def _probe(

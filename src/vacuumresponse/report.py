@@ -26,12 +26,13 @@ from .dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Quantity, _Record
 from .model import (
     OscillatorParams,
     RadiusRule,
+    SpeciesModel,
     VolumeConvention,
     _gap,
     _pair,
+    required_species_count,
     vacuum_response,
 )
-from .species import SpeciesModel, required_species_count
 from .units import render_quantity
 
 # CLI-facing convention tokens.  "cube" and "sphere" use the radius closed on

@@ -10,15 +10,15 @@ Inverting the requirement that the total reproduce the measured permittivity
 yields either the species count needed at a given gap ratio, or the gap
 ratio matching a given table.
 
-The counts and the total run ``model``'s plain-value kernels.
-``load_species`` and ``required_species_count`` require the registry's
-dimensions; ``total_permittivity`` derives its own, for ``check-dimensions``.
+``SpeciesModel`` and ``required_species_count`` live in ``model``, beside
+the count kernels, so that report rows do not load this module; they are
+re-exported here.  The count and ``load_species`` require the registry's
+dimensions; ``total_permittivity`` derives its own.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 
 from .constants import ConstantRegistry, default_registry
 from .dimensions import NonFiniteError, Quantity, _Record
-from .model import _count_simple, _count_sphere, _deviation, _gap
+from .model import SpeciesModel, _deviation, _gap, required_species_count
 from .units import quantity
 
 
@@ -50,11 +50,6 @@ class ZeroChargeError(ValueError):
 
 class EmptyTableError(ValueError):
     """Operation undefined on a table with no charged species."""
-
-
-class SpeciesModel(Enum):
-    SIMPLE = "simple"
-    SPHERE = "sphere"
 
 
 class ParticleSpecies(_Record):
@@ -214,30 +209,6 @@ def total_permittivity(
             f"gap ratio {gap_ratio!r} takes the total permittivity out of the float range"
         )
     return total
-
-
-def required_species_count(
-    gap_ratio: float,
-    model: SpeciesModel = SpeciesModel.SIMPLE,
-    registry: ConstantRegistry | None = None,
-) -> float:
-    """Charge-weighted species count that makes the total match eps0 exactly.
-
-    Raises ``ValueError`` where the gap ratio takes the count out of the
-    float range (a tiny ratio takes the denominator to 0 or the count to inf).
-    """
-    if gap_ratio <= 0:
-        raise ValueError("gap ratio must be positive")
-    reg = registry or default_registry()
-    reg.require_dimensions()
-    count_kernel = _count_simple if model is SpeciesModel.SIMPLE else _count_sphere
-    try:
-        count = count_kernel(reg.value("alpha"), gap_ratio)
-    except ZeroDivisionError:
-        count = math.inf
-    if not 0.0 < count < math.inf:
-        raise ValueError(f"gap ratio {gap_ratio!r} takes the species count out of the float range")
-    return count
 
 
 class GapMatch(NamedTuple):

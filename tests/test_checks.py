@@ -2,8 +2,10 @@
 
 import pytest
 
-from vacuumresponse import checks, model, species
+from vacuumresponse import checks, constants, model, species
 from vacuumresponse.checks import run_dimension_checks
+from vacuumresponse.dimensions import ELECTRIC_FIELD, LENGTH, SPEED
+from vacuumresponse.model import OscillatorParams, RadiusRule, VolumeConvention
 
 
 @pytest.mark.parametrize(
@@ -13,6 +15,7 @@ from vacuumresponse.checks import run_dimension_checks
         ("_count_sphere", "refined-species-count"),
         ("_deviation", "charge-weighted-total"),
         ("critical_field", "critical-field"),
+        ("_critical_field", "critical-field"),
     ],
 )
 def test_a_stray_factor_of_c_fails_the_check_that_names_the_code(
@@ -26,8 +29,30 @@ def test_a_stray_factor_of_c_fails_the_check_that_names_the_code(
     def slipped(*args):
         return original(*args) * c
 
-    for module in (model, species, checks):
+    for module in (constants, model, species, checks):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, slipped)
     failed = {result.name for result in run_dimension_checks(registry) if not result.ok}
     assert check in failed
+
+
+def test_every_caller_runs_the_constants_kernels(monkeypatch, registry):
+    # The Compton length and the critical field are written once, in
+    # constants; a slip there reaches the derived records, the public
+    # functions and the pinned cube radii alike.
+    c = registry.quantity("c")
+    for name in ("_compton", "_critical_field"):
+        original = getattr(constants, name)
+        for module in (constants, model):
+            monkeypatch.setattr(module, name, lambda *args, f=original: f(*args) * c)
+
+    slipped = constants.load_constants(constants.bundled_constants_path())
+    assert slipped.quantity("lambda_c").dimension == LENGTH * SPEED
+    assert slipped.quantity("E_S").dimension == ELECTRIC_FIELD * SPEED
+    electron = registry.quantity("m_e")
+    assert constants.compton_wavelength(electron, registry).dimension == LENGTH * SPEED
+    for rule in (RadiusRule.COMPTON, RadiusRule.HALF_COMPTON):
+        params = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.cube(rule), registry)
+        assert model.effective_radius(params, registry).dimension == LENGTH * SPEED
+    cube = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.cube(), registry)
+    assert model.critical_field(cube, registry).dimension == ELECTRIC_FIELD * SPEED

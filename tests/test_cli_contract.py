@@ -1,0 +1,145 @@
+"""Every argv ends in exit 0, 1 or 2 with a clean stdout and a readable stderr.
+
+``cli.main`` runs in process on argvs drawn from the five subcommand names,
+each parser's own flags and choices, the flags of the other subcommands, and
+hostile values: extreme and non-finite floats, empty strings, digits of other
+scripts, and the unit expressions of ``tests/data/unit_parse_corpus.json``.
+An argv that ends in a traceback, writes a payload and then fails, or leaves
+on stderr a line that is not a diagnostic or usage breaks the contract.
+"""
+
+import contextlib
+import io
+import json
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vacuumresponse.cli import main
+from vacuumresponse.constants import bundled_constants_path
+from vacuumresponse.species import bundled_species_path
+
+DATA = Path(__file__).resolve().parent / "data"
+UNITS = [text for text, _, _ in json.loads((DATA / "unit_parse_corpus.json").read_text("utf-8"))]
+
+SUBCOMMANDS = ("estimate", "sweep", "species", "check-dimensions", "constants")
+CONVENTIONS = ("cube", "cube-compton", "cube-half-compton", "sphere")
+
+# What stderr may hold: diagnostics, the codata comment, and argparse usage.
+STDERR_LINE = re.compile(r"(error|warning|note): |# |usage: | |vacuumresponse( [\w-]+)?: error: ")
+
+# Placeholders for paths under the test's own directory.
+OUT_DIR, OUT_FILE, OUT_MISSING = "{dir}", "{dir}/payload.txt", "{dir}/missing/payload.txt"
+
+hostile_words = st.sampled_from(
+    ["", " ", "-", "--", "x", "été", "est", "ESTIMATE", "-1", "1e400"]
+)
+# float() and int() accept digits of every script: Arabic-Indic, Devanagari, fullwidth.
+other_digits = st.sampled_from(["٣", "२", "３", "١٠", "١.٥"])
+floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(
+        ["0", "-0.0", "1", "2", "0.5", "1e308", "1.7976931348623157e308", "5e-324", "1e-320",
+         "1e-307", "-1", "nan", "-inf", "1_000", " 2 ", "0x10"]
+    ),
+    other_digits,
+    hostile_words,
+)
+ints = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.sampled_from(["100000", "100001", "25001", "1e3", "2.0"]),
+    other_digits,
+    hostile_words,
+)
+units_text = st.one_of(st.sampled_from(UNITS), st.sampled_from(["V/m", "kV/cm", "V", "", "1"]))
+# Every path lies under the test's directory; "" names the working directory.
+paths = st.sampled_from([OUT_DIR, OUT_FILE, OUT_MISSING, ""])
+
+
+def listed(items):
+    """Comma-joined lists of ``items``, with empty and repeated pieces."""
+    return st.lists(items, max_size=4).map(",".join)
+
+
+# Each flag of every subcommand, and one of none, with the values drawn for
+# it; None marks a flag that takes no value.
+FLAGS = {
+    "--constants": st.one_of(st.just(str(bundled_constants_path())), paths),
+    "--species": st.one_of(st.just(str(bundled_species_path())), paths),
+    "--out": paths,
+    "--units": st.one_of(st.sampled_from(["si", "gaussian"]), hostile_words),
+    "--gap-ratio": floats,
+    "--g-factor": floats,
+    "--convention": st.one_of(st.sampled_from(CONVENTIONS), hostile_words),
+    "--probe-field": st.one_of(
+        st.tuples(floats, units_text).map(" ".join), units_text, hostile_words
+    ),
+    "--format": st.one_of(st.sampled_from(["text", "csv", "json", "svg"]), hostile_words),
+    "--kappa-min": floats,
+    "--kappa-max": floats,
+    "--points": ints,
+    "--conventions": listed(st.one_of(st.sampled_from(CONVENTIONS), hostile_words)),
+    "--g-factors": listed(floats),
+    "--derived": None,
+    "-h": None,
+    "--bogus": None,
+}
+
+
+COMMON = ("--constants", "--out", "-h")
+OWN_FLAGS = {
+    "estimate": (
+        *COMMON, "--units", "--gap-ratio", "--convention", "--g-factor", "--probe-field", "--format"
+    ),
+    "sweep": (
+        *COMMON, "--units", "--kappa-min", "--kappa-max", "--points", "--conventions",
+        "--g-factors", "--format",
+    ),
+    "species": (*COMMON, "--units", "--species", "--gap-ratio", "--format"),
+    "check-dimensions": COMMON,
+    "constants": (*COMMON, "--derived"),
+}
+
+
+@st.composite
+def argvs(draw):
+    name = draw(st.sampled_from(SUBCOMMANDS))
+    flags = draw(st.lists(st.sampled_from(OWN_FLAGS[name]), max_size=5))
+    # One in four argvs has a hostile command word, and one in four a flag
+    # of another subcommand or of none.
+    if draw(st.integers(0, 3)) == 0:
+        name = draw(hostile_words)
+    if draw(st.integers(0, 3)) == 0:
+        flags.insert(draw(st.integers(0, len(flags))), draw(st.sampled_from(sorted(FLAGS))))
+    argv = [name]
+    for flag in flags:
+        argv.append(flag)
+        values = FLAGS[flag]
+        # A flag that takes a value is sometimes left without one.
+        if values is not None and draw(st.integers(0, 9)):
+            argv.append(draw(values))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs())
+def test_every_argv_ends_in_a_clean_exit(out_dir, argv):
+    argv = [word.replace(OUT_DIR, str(out_dir)) for word in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1, 2), (code, err)
+    if code != 0:
+        assert out == "", err
+    assert "Traceback" not in err
+    strays = [line for line in err.splitlines() if not STDERR_LINE.match(line)]
+    assert not strays, err

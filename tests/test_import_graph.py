@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Stdlib packages that pull in the network and email stack.
@@ -84,6 +86,39 @@ def test_check_dimensions_reads_no_species_file():
         "assert code == 0, code"
     )
     assert "hashlib" not in loaded_modules(statement)
+
+
+# What estimate, sweep and constants never use: exact rationals (fractions
+# loads decimal and numbers), the species tables, and hashlib, which only
+# reading a species file needs.
+NOT_ON_THE_SHORT_PATH = {"fractions", "decimal", "numbers", "vacuumresponse.species", "hashlib"}
+
+SHORT_PATH_ARGVS = [
+    ["estimate"],
+    ["estimate", "--format", "csv"],
+    ["estimate", "--format", "json", "--units", "gaussian"],
+    ["estimate", "--units", "gaussian", "--probe-field", "1 V/m"],
+    ["estimate", "--convention", "sphere", "--probe-field", "3 kV/cm"],
+    ["sweep", "--points", "4", "--conventions", "cube,cube-compton,cube-half-compton,sphere"],
+    ["sweep", "--points", "4", "--format", "json", "--units", "gaussian"],
+    ["sweep", "--points", "4", "--format", "svg", "--g-factors", "1,2"],
+    ["constants", "--derived"],
+]
+
+
+@pytest.mark.parametrize("argv", SHORT_PATH_ARGVS, ids=" ".join)
+def test_short_subcommands_skip_fractions_and_species(argv):
+    # One fresh interpreter per argv, as each CLI start is.
+    statement = (
+        "import io, sys\n"
+        "from vacuumresponse.cli import main\n"
+        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"code = main({argv!r})\n"
+        "sys.stdout = stdout\n"
+        "assert code == 0, code"
+    )
+    loaded = (loaded_modules(statement) - loaded_modules("pass")) & NOT_ON_THE_SHORT_PATH
+    assert not loaded, f"{' '.join(argv)} loads {sorted(loaded)}"
 
 
 def test_every_public_name_resolves():
