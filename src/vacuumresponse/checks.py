@@ -23,6 +23,7 @@ from .model import (
     _count_simple,
     _count_sphere,
     _deviation,
+    _gyromagnetic_ratio,
     angular_momentum_kick,
     critical_field,
     effective_volume,
@@ -151,7 +152,7 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
         CheckResult(
             "gyromagnetic-relation",
             "(g q / 2m) J is a magnetic moment",
-            ((e / m) * kick).dimension,
+            (_gyromagnetic_ratio(cube.g_factor, e, m) * kick).dimension,
             _dim("A m^2"),
         ),
         CheckResult(

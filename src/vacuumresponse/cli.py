@@ -61,6 +61,13 @@ def _positive_float(parser: argparse.ArgumentParser, flag: str, value: float) ->
     return value
 
 
+def _path(text: str) -> str:
+    """The value of a PATH flag; an empty one names no file, so it is a usage error."""
+    if not text:
+        raise argparse.ArgumentTypeError("PATH must not be empty")
+    return text
+
+
 def _parse_quantity_flag(parser: argparse.ArgumentParser, flag: str, text: str) -> Quantity:
     parts = text.strip().split(None, 1)
     if len(parts) != 2:
@@ -231,7 +238,7 @@ def cmd_species(
     )
 
     kappa = _positive_float(parser, "--gap-ratio", args.gap_ratio)
-    path = args.species or bundled_species_path()
+    path = bundled_species_path() if args.species is None else args.species
     table = load_species(path, registry)
     weight = charge_weighted_sum(table)
 
@@ -241,7 +248,8 @@ def cmd_species(
 
     lines: list[str] = []
     # The bundled table is named, not located, so stdout is the same in every checkout.
-    lines.append(f"species_file        {args.species or 'bundled:' + path.name}")
+    source = "bundled:" + path.name if args.species is None else args.species
+    lines.append(f"species_file        {source}")
     lines.append(f"sha256              {table.sha256}")
     lines.append(f"rows                {len(table)}")
     lines.append(f"charge_weighted_sum {weight} ({format_float(float(weight))})")
@@ -332,10 +340,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     # The flags the subcommand reads, in the order its usage lists them.
     p = sub.choices[command]
-    p.add_argument("--constants", metavar="PATH", help="constants file (default: bundled)")
+    p.add_argument(
+        "--constants", type=_path, metavar="PATH", help="constants file (default: bundled)"
+    )
     if command in ("estimate", "sweep", "species"):
         p.add_argument("--units", choices=UNIT_SYSTEMS, default="si", help="output unit system")
-    p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
+    p.add_argument("--out", type=_path, metavar="PATH", help="output path (default: stdout)")
     if command == "estimate":
         p.add_argument("--gap-ratio", type=float, default=2.0, help="transition energy / rest energy")
         p.add_argument(
@@ -356,7 +366,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--g-factors", default="2", help="comma-separated g-factors")
         p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     elif command == "species":
-        p.add_argument("--species", metavar="PATH", help="species table (default: bundled)")
+        p.add_argument(
+            "--species", type=_path, metavar="PATH", help="species table (default: bundled)"
+        )
         p.add_argument("--gap-ratio", type=float, default=2.0)
         p.add_argument("--format", choices=("text",), default="text")
     elif command == "constants":
@@ -394,9 +406,11 @@ def _run(argv: list[str] | None) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         try:
-            registry = load_constants(args.constants) if args.constants else default_registry()
+            registry = (
+                default_registry() if args.constants is None else load_constants(args.constants)
+            )
         except (OSError, ValueError, MissingConstantError) as exc:
-            target = args.constants or "bundled constants"
+            target = "bundled constants" if args.constants is None else args.constants
             print(f"error: cannot load constants from {target}: {exc}", file=sys.stderr)
             return 1
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -209,7 +208,7 @@ def load_constants(path: str | Path) -> ConstantRegistry:
 
 
 def bundled_constants_path() -> Path:
-    return Path(str(resources.files(__package__) / "data" / "constants.tsv"))
+    return Path(__file__).with_name("data") / "constants.tsv"
 
 
 @lru_cache(maxsize=1)

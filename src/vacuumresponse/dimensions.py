@@ -15,17 +15,18 @@ common denominator of this one dimension (not a fixed global one, which
 would cap the powers it can hold) and the key is divided by ``gcd(den, n_1,
 ..., n_7)``.  So the key is exact and unique per vector, and the arithmetic
 that makes a new dimension adds, multiplies and hashes small ints at C
-speed, with no :class:`~fractions.Fraction` on the way.  The product and
-quotient of two keys are written once, in ``_key_mul`` and ``_key_div``
-(``math.lcm`` when denominators differ), and leave the key unreduced: ``*``
-and ``/`` reduce it at once, the unit parser once per text.  Powers and
-formatting work on the key too: a power ``n/k`` arrives as two ints,
-multiplies the numerators by ``n`` and the denominator by ``k``, and
-:func:`format_dimension` reduces each ``n_i/den`` with ``gcd`` as it writes
-it.  ``Fraction`` appears only at the public edge: ``Dimension(...)`` and
-``**`` accept one, and the public exponents (:meth:`Dimension.as_tuple`,
-``.length`` and the other components) are ``int`` when integral and a
-reduced ``Fraction`` otherwise, built from the key when read.
+speed, with no :class:`~fractions.Fraction` on the way.  Each rule on keys
+is written once: ``_key_mul``, ``_key_div`` and ``_key_pow`` are the
+product, the quotient (``math.lcm`` when denominators differ) and the power
+``n/k`` (numerators times ``n``, denominator times ``k``), and all three
+leave the key unreduced.  ``_reduced`` is the only function that makes a
+key canonical: ``*``, ``/`` and ``**`` call it at once, the unit parser
+once per text.  :func:`format_dimension` reduces each ``n_i/den`` with
+``gcd`` as it writes it.  ``Fraction`` appears only at the public edge:
+``Dimension(...)`` and ``**`` accept one, and the public exponents
+(:meth:`Dimension.as_tuple`, ``.length`` and the other components) are
+``int`` when integral and a reduced ``Fraction`` otherwise, built from the
+key when read.
 
 A dimension is a plain immutable value: two dimensions are equal, and hash
 alike, when their canonical keys are equal, whichever route made them.  No
@@ -119,23 +120,17 @@ def _make(key: _Key) -> Dimension:
 
 
 def _reduced(key: _Key) -> Dimension:
-    """The dimension of a key with ``den >= 1``, after dividing out its common factor."""
-    g = gcd(*key)
-    if g != 1:
-        return _make(tuple([n // g for n in key]))
+    """The dimension of a key with ``den >= 1``: the one place a key is made canonical."""
+    if key[0] != 1:  # an integral key has no common factor
+        g = gcd(*key)
+        if g != 1:
+            return _make(tuple([n // g for n in key]))
     return _make(key)
 
 
 def _power(d: Dimension, numerator: int, denominator: int) -> Dimension:
     """``d`` to the power ``numerator / denominator``, for ints and ``denominator >= 1``."""
-    key = d._key
-    if key[0] == 1 and denominator == 1:
-        # An integral power of an integral key is already reduced.
-        n = numerator
-        return _make(
-            (1, key[1] * n, key[2] * n, key[3] * n, key[4] * n, key[5] * n, key[6] * n, key[7] * n)
-        )
-    return _reduced((key[0] * denominator, *[n * numerator for n in key[1:]]))
+    return _reduced(_key_pow(d._key, numerator, denominator))
 
 
 def _key_mul(a: _Key, b: _Key) -> _Key:
@@ -160,6 +155,12 @@ def _key_div(a: _Key, b: _Key) -> _Key:
     f, g = den // a[0], den // b[0]
     return (den, a[1] * f - b[1] * g, a[2] * f - b[2] * g, a[3] * f - b[3] * g,
             a[4] * f - b[4] * g, a[5] * f - b[5] * g, a[6] * f - b[6] * g, a[7] * f - b[7] * g)
+
+
+def _key_pow(key: _Key, n: int, k: int) -> _Key:
+    """The key of ``key`` to the power ``n / k``, for ``k >= 1``, not reduced."""
+    return (key[0] * k, key[1] * n, key[2] * n, key[3] * n, key[4] * n, key[5] * n,
+            key[6] * n, key[7] * n)
 
 
 def _ratio(numerator: int, den: int) -> Rational:
@@ -208,14 +209,11 @@ class Dimension:
     luminosity = _component(7)
 
     def __reduce__(self) -> tuple:
-        return Dimension, self.as_tuple()
+        return _reduced, (self._key,)
 
     def as_tuple(self) -> tuple[Rational, ...]:
         key = self._key
-        den = key[0]
-        if den == 1:
-            return key[1:]
-        return tuple([_ratio(n, den) for n in key[1:]])
+        return tuple([_ratio(n, key[0]) for n in key[1:]])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dimension):
@@ -228,22 +226,19 @@ class Dimension:
     def __mul__(self, other: Dimension) -> Dimension:
         if not isinstance(other, Dimension):
             return NotImplemented
-        key = _key_mul(self._key, other._key)
-        return _make(key) if key[0] == 1 else _reduced(key)
+        return _reduced(_key_mul(self._key, other._key))
 
     def __truediv__(self, other: Dimension) -> Dimension:
         if not isinstance(other, Dimension):
             return NotImplemented
-        key = _key_div(self._key, other._key)
-        return _make(key) if key[0] == 1 else _reduced(key)
+        return _reduced(_key_div(self._key, other._key))
 
     def __pow__(self, exponent: Rational) -> Dimension:
         p = _exponent(exponent, "power")
         return _power(self, p.numerator, p.denominator)
 
     def inverse(self) -> Dimension:
-        key = self._key
-        return _make((key[0], *[-n for n in key[1:]]))
+        return _reduced(_key_pow(self._key, -1, 1))
 
     @property
     def is_dimensionless(self) -> bool:

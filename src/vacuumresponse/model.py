@@ -291,6 +291,11 @@ def _deviation(alpha, kappa):
     return 4 * math.pi * alpha * kappa
 
 
+def _gyromagnetic_ratio(g, charge, mass):
+    """Gyromagnetic ratio g q / 2m: magnetic moment per unit angular momentum."""
+    return g * charge / (2 * mass)
+
+
 def _count_simple(alpha, kappa):
     """Charge-weighted species count 1/(4 pi alpha kappa) that closes the cube on eps0."""
     return 1.0 / _deviation(alpha, kappa)
@@ -477,7 +482,7 @@ def pair_magnetic_moment(
     """
     reg = registry or default_registry()
     kick = angular_momentum_kick(p, b_field, reg)
-    return PAIR_FACTOR * (p.g_factor * abs(p.charge) / (2 * p.mass)) * kick
+    return PAIR_FACTOR * _gyromagnetic_ratio(p.g_factor, abs(p.charge), p.mass) * kick
 
 
 def vacuum_response(

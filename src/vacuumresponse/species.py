@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -170,7 +169,7 @@ def load_species(path: str | Path, registry: ConstantRegistry | None = None) -> 
 
 
 def bundled_species_path() -> Path:
-    return Path(str(resources.files(__package__) / "data" / "species.tsv"))
+    return Path(__file__).with_name("data") / "species.tsv"
 
 
 @lru_cache(maxsize=1)

@@ -21,10 +21,10 @@ left to right as they are read, on mantissas kept normal floats, so each
 rounds as it would in a float range without bounds, and a scale in the
 float range is accepted whatever the order of its factors.  The first
 unknown unit or power beyond the float range is raised only once the text
-has parsed to its end, so a syntax error anywhere wins over it.  A power
-``n/k`` multiplies the key's numerators by ``n`` and its denominator by
-``k``, and the key is reduced once, into the one :class:`Dimension` a
-parse builds.  Groups nest at most ``_MAX_GROUPS`` deep.
+has parsed to its end, so a syntax error anywhere wins over it.  Keys
+combine by the key rules of :mod:`.dimensions`, and the key is reduced
+once, into the one :class:`Dimension` a parse builds.  Groups nest at most
+``_MAX_GROUPS`` deep.
 
 Every quantity is computed in SI units.  :func:`render_quantity` is the one
 place that decides how a value is shown in a unit system: as it is, with an
@@ -59,6 +59,7 @@ from .dimensions import (
     _Key,
     _key_div,
     _key_mul,
+    _key_pow,
     _reduced,
     format_dimension,
 )
@@ -285,8 +286,7 @@ class _Parser:
             return mantissa, exponent, key
         self.pos += 1
         n, k = self.exponent()
-        key = (key[0] * k, key[1] * n, key[2] * n, key[3] * n, key[4] * n, key[5] * n,
-               key[6] * n, key[7] * n)
+        key = _key_pow(key, n, k)
         try:
             scale = math.ldexp(mantissa, exponent) ** (n / k)
         except ArithmeticError:

@@ -14,6 +14,7 @@ from vacuumresponse.model import OscillatorParams, RadiusRule, VolumeConvention
         ("_count_simple", "species-count-inversion"),
         ("_count_sphere", "refined-species-count"),
         ("_deviation", "charge-weighted-total"),
+        ("_gyromagnetic_ratio", "gyromagnetic-relation"),
         ("critical_field", "critical-field"),
         ("_critical_field", "critical-field"),
     ],

@@ -5,7 +5,8 @@ each parser's own flags and choices, the flags of the other subcommands, and
 hostile values: extreme and non-finite floats, empty strings, digits of other
 scripts, and the unit expressions of ``tests/data/unit_parse_corpus.json``.
 An argv that ends in a traceback, writes a payload and then fails, or leaves
-on stderr a line that is not a diagnostic or usage breaks the contract.
+on stderr a line that is not a diagnostic or usage breaks the contract, and
+so does an empty PATH that is not a usage error.
 """
 
 import contextlib
@@ -55,8 +56,9 @@ ints = st.one_of(
     hostile_words,
 )
 units_text = st.one_of(st.sampled_from(UNITS), st.sampled_from(["V/m", "kV/cm", "V", "", "1"]))
-# Every path lies under the test's directory; "" names the working directory.
+# Every path lies under the test's directory; "" names no file.
 paths = st.sampled_from([OUT_DIR, OUT_FILE, OUT_MISSING, ""])
+PATH_FLAGS = ("--constants", "--species", "--out")
 
 
 def listed(items):
@@ -143,3 +145,9 @@ def test_every_argv_ends_in_a_clean_exit(out_dir, argv):
     assert "Traceback" not in err
     strays = [line for line in err.splitlines() if not STDERR_LINE.match(line)]
     assert not strays, err
+    # An empty PATH is refused as it is read, so only an earlier -h exits 0.
+    for flag, value in zip(argv, argv[1:]):
+        if flag == "-h":
+            break
+        if flag in PATH_FLAGS and value == "":
+            assert code == 2, (argv, err)

@@ -232,6 +232,10 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
         (["check-dimensions", "--units", "si"], "unrecognized arguments: --units"),
         (["sweep", "--conventions", "cube,cube", "--points", "2"], "'cube' is given more"),
         (["sweep", "--points", "2", "--g-factors", "2,2.0"], "g-factor 2 is given more than once"),
+        (["estimate", "--constants", ""], "argument --constants: PATH must not be empty"),
+        (["species", "--species", ""], "argument --species: PATH must not be empty"),
+        (["estimate", "--format", "csv", "--out", ""], "argument --out: PATH must not be empty"),
+        (["check-dimensions", "--out", ""], "argument --out: PATH must not be empty"),
     ],
     ids=[
         "g-factors", "too-many-rows", "probe-field", "scale-overflow", "scale-underflow",
@@ -239,6 +243,7 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
         "non-finite-field", "underflowing-field", "deep-groups", "negative-field",
         "field-before-model", "species-on-estimate", "units-on-constants",
         "units-on-check-dimensions", "repeated-convention", "repeated-g-factor",
+        "empty-constants", "empty-species", "empty-out", "empty-out-on-check-dimensions",
     ],
 )
 def test_usage_error_returns_two(capsys, argv, message):

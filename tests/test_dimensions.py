@@ -1,12 +1,17 @@
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from vacuumresponse import dimensions, units
 from vacuumresponse.dimensions import (
     CHARGE,
     DIMENSIONLESS,
@@ -31,9 +36,11 @@ from vacuumresponse.dimensions import (
     NonFiniteError,
     Quantity,
     UnsupportedKindError,
+    _key_mul,
     _power,
+    _reduced,
 )
-from vacuumresponse.units import render_quantity
+from vacuumresponse.units import parse_unit, render_quantity
 
 exponents = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 dims = st.builds(Dimension, *[exponents] * 7)
@@ -211,6 +218,57 @@ class TestRepresentation:
         assert got == d ** Fraction(n, k)
         assert hash(got) == hash(d ** Fraction(n, k))
         assert got.as_tuple() == tuple(Fraction(e) * Fraction(n, k) for e in d.as_tuple())
+
+
+# Keys as the key rules leave them: any den >= 1, not reduced.
+unreduced_keys = st.tuples(st.integers(1, 12), *[st.integers(-60, 60)] * 7)
+
+
+class TestKeyAlgebra:
+    def test_every_power_runs_the_one_power_rule(self, monkeypatch):
+        # A slip in the power rule, as an edit of its source would make it,
+        # reaches the parser, both ** operators and inverse alike.
+        original = dimensions._key_pow
+
+        def slipped(key, n, k):
+            return _key_mul(original(key, n, k), TIME._key)
+
+        for module in (dimensions, units):
+            monkeypatch.setattr(module, "_key_pow", slipped)
+        squared = Dimension(length=2, time=1)
+        assert parse_unit("m^2")[1] == squared
+        assert LENGTH**2 == squared
+        assert (Quantity(1.0, LENGTH) ** 2).dimension == squared
+        assert LENGTH.inverse() == Dimension(length=-1, time=1)
+
+    @given(key=unreduced_keys)
+    @example(key=(1, 0, 0, 0, 0, 0, 0, 0))
+    @example(key=(12, 0, 0, 0, 0, 0, 0, 0))
+    @example(key=(1, 2, -3, 0, 60, -60, 1, 0))
+    @example(key=(12, 6, -18, 0, 60, -60, 24, 0))
+    def test_reduced_gives_the_canonical_key(self, key):
+        d = _reduced(key)
+        assert d._key[0] >= 1
+        assert math.gcd(*d._key) == 1
+        oracle = tuple(canonical(Fraction(n, key[0])) for n in key[1:])
+        assert [(type(e), e) for e in d.as_tuple()] == [(type(e), e) for e in oracle]
+
+    def test_pickle_and_copy_load_no_fractions(self):
+        # A fresh interpreter without site, so no module is pre-loaded.
+        code = (
+            "import copy, pickle, sys\n"
+            "from vacuumresponse.units import parse_unit\n"
+            "d = parse_unit('m^1/2 kg^-3/7')[1]\n"
+            "for c in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):\n"
+            "    assert c == d and hash(c) == hash(d) and c._key == d._key\n"
+            "assert 'fractions' not in sys.modules, 'fractions is loaded'\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestQuantity:

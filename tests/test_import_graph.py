@@ -3,7 +3,8 @@
 Each invocation of ``vacuumresponse`` is a fresh interpreter, so every module
 imported at the top of the CLI is paid for on every start.  The set compared
 is what ``import vacuumresponse.cli`` adds on top of a bare interpreter, so
-modules that site hooks import in both are left out.
+modules that site hooks import in both are left out.  Under ``python -S``
+nothing is pre-loaded, so a run there shows every module it needs.
 """
 
 import os
@@ -39,15 +40,27 @@ SUBCOMMAND_ARGVS = [
 ]
 
 
-def loaded_modules(statement):
+def loaded_modules(statement, *options):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     code = f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))"
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
-        check=True,
+        [sys.executable, *options, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
     )
     return set(result.stdout.split())
+
+
+def _run_statement(argv):
+    """A statement that runs ``argv`` in process and checks that it exits 0."""
+    return (
+        "import io, sys\n"
+        "from vacuumresponse.cli import main\n"
+        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
+        f"code = main({argv!r})\n"
+        "sys.stdout = stdout\n"
+        "assert code == 0, code"
+    )
 
 
 def test_cli_import_skips_network_stack_and_unused_modules():
@@ -77,15 +90,7 @@ def test_running_every_subcommand_skips_dataclasses_and_inspect():
 
 def test_check_dimensions_reads_no_species_file():
     # Loading a species file is what imports hashlib in this package.
-    statement = (
-        "import io, sys\n"
-        "from vacuumresponse.cli import main\n"
-        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
-        "code = main(['check-dimensions'])\n"
-        "sys.stdout = stdout\n"
-        "assert code == 0, code"
-    )
-    assert "hashlib" not in loaded_modules(statement)
+    assert "hashlib" not in loaded_modules(_run_statement(["check-dimensions"]))
 
 
 # What estimate, sweep and constants never use: exact rationals (fractions
@@ -109,16 +114,22 @@ SHORT_PATH_ARGVS = [
 @pytest.mark.parametrize("argv", SHORT_PATH_ARGVS, ids=" ".join)
 def test_short_subcommands_skip_fractions_and_species(argv):
     # One fresh interpreter per argv, as each CLI start is.
-    statement = (
-        "import io, sys\n"
-        "from vacuumresponse.cli import main\n"
-        "stdout, sys.stdout = sys.stdout, io.StringIO()\n"
-        f"code = main({argv!r})\n"
-        "sys.stdout = stdout\n"
-        "assert code == 0, code"
-    )
-    loaded = (loaded_modules(statement) - loaded_modules("pass")) & NOT_ON_THE_SHORT_PATH
+    added = loaded_modules(_run_statement(argv)) - loaded_modules("pass")
+    loaded = added & NOT_ON_THE_SHORT_PATH
     assert not loaded, f"{' '.join(argv)} loads {sorted(loaded)}"
+
+
+# What a site hook may pre-load, and what locating the bundled tables through
+# importlib.resources used to load: the package finds them beside its modules.
+NOT_ON_A_CLEAN_START = {"importlib.resources", "tempfile", "zipfile"}
+CLEAN_START_ARGVS = [*SHORT_PATH_ARGVS, ["species"], ["check-dimensions"]]
+
+
+@pytest.mark.parametrize("argv", CLEAN_START_ARGVS, ids=" ".join)
+def test_a_clean_start_skips_the_resource_readers(argv):
+    # -S starts without site, so nothing is pre-loaded that a run could reuse.
+    loaded = loaded_modules(_run_statement(argv), "-S") & NOT_ON_A_CLEAN_START
+    assert not loaded, f"{' '.join(argv)} under python -S loads {sorted(loaded)}"
 
 
 def test_every_public_name_resolves():
