@@ -1,6 +1,6 @@
 """Parsing and formatting of unit expressions.
 
-Grammar (recursive descent):
+Grammar:
 
     expr    :=  factor ( factor | "*" factor | "/" factor )*
     factor  :=  primary ( "^" exponent )?
@@ -14,8 +14,10 @@ a prefixed reading ("mN" = milli-newton) is used only when the bare symbol
 does not exist; prefixes are matched longest first ("da" before "d").
 The micro sign and Greek mu are accepted as "u".
 
-The parser builds no syntax tree and walks the tokens once.  Each rule
-returns the scale of what it has read as a (mantissa, exponent) pair with
+The parser builds no syntax tree.  One ``findall`` of one compiled pattern
+cuts a text into items, one per factor: its operator, its primary and its
+power; a "(" or ")" is a primary, and an open group waits on a stack.  The
+walk over the items keeps each scale as a (mantissa, exponent) pair with
 its dimension as an int key, not reduced.  Products and quotients combine
 left to right as they are read, on mantissas kept normal floats, so each
 rounds as it would in a float range without bounds, and a scale in the
@@ -24,7 +26,9 @@ unknown unit or power beyond the float range is raised only once the text
 has parsed to its end, so a syntax error anywhere wins over it.  Keys
 combine by the key rules of :mod:`.dimensions`, and the key is reduced
 once, into the one :class:`Dimension` a parse builds.  Groups nest at most
-``_MAX_GROUPS`` deep.
+``_MAX_GROUPS`` deep.  ``findall`` gives strings, not positions: an error's
+position is read from ``finditer`` of the same pattern, only when it is
+raised, so a text that parses pays for none.
 
 Every quantity is computed in SI units.  :func:`render_quantity` is the one
 place that decides how a value is shown in a unit system: as it is, with an
@@ -33,7 +37,9 @@ SI label, or scaled by its kind's Gaussian factor, with a cm/g/s label.
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 import sys
 from typing import NamedTuple
 
@@ -168,193 +174,185 @@ def _resolve_symbol(symbol: str) -> tuple[float, Dimension] | None:
     return None
 
 
-# --- tokenizer -----------------------------------------------------------
+# --- parser --------------------------------------------------------------
 
+# One item per factor: an operator ("" for juxtaposition), a primary (a
+# letter run, a lone 1, "(" or ")"), and a power's sign, numerator and
+# denominator; or, in group 6, a character no item starts with.  Digits are
+# ASCII only: ``\d`` also takes "٣", which ``int`` reads but the grammar does
+# not.  The symbol class also takes 1131 non-letters such as "²", which the
+# parser rejects as it resolves the symbol.
+_ITEM = re.compile(
+    r"\s*(?:([*/·])\s*)?([^\W\d_]+|1(?![0-9])|[()])"
+    r"(?:\s*\^\s*(?:([+-])\s*)?([0-9]+)(?:\s*/\s*([0-9]+))?)?"
+    r"|\s*(\S)"
+)
 
-# ASCII only: ``str.isdigit`` also accepts superscripts such as "²", which
-# ``int`` rejects.
-_DIGITS = frozenset("0123456789")
+# Characters that may be neither whitespace, an operator, an ASCII digit nor a
+# letter; ``str.isalpha`` decides the rest.
+_ODD = re.compile(r"[^\s·*/^()+\-0-9A-Za-z]")
 
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) triples.
-
-    The kind is "sym", "int", "end", or the operator character itself.
-    """
-    tokens: list[tuple[str, str, int]] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "·":  # middle dot multiplication
-            tokens.append(("*", "*", i))
-            i += 1
-            continue
-        if ch in "*/^()+-":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            tokens.append(("int", text[start:i], start))
-            continue
-        if ch.isalpha():  # the micro sign and Greek mu are letters too
-            start = i
-            while i < n and text[i].isalpha():
-                i += 1
-            tokens.append(("sym", text[start:i], start))
-            continue
-        raise UnitSyntaxError(i, ("unit symbol", "operator"))
-    tokens.append(("end", "", n))
-    return tokens
-
-
-def _exponent_int(text: str, position: int) -> int:
-    """The value of an exponent's digits, which start at ``position``."""
-    try:
-        return int(text)
-    except ValueError:  # more digits than ``int`` converts from a string
-        limit = sys.get_int_max_str_digits()
-        raise UnitSyntaxError(position, (f"exponent of at most {limit} digits",)) from None
-
+_SYMBOL_OR_GROUP = ("unit symbol", "(")
 
 # A mantissa is renormalized only when it leaves this band, so the product
 # or quotient of two mantissas is always a normal float.
 _LOW, _HIGH = 2.0**-300, 2.0**300
 
-# The deepest nesting of parenthesized groups, far inside the recursion limit.
+# The deepest nesting of parenthesized groups.
 _MAX_GROUPS = 100
+
+def _token(text: str, position: int) -> int:
+    """Where the first token at or after ``position`` starts, or ``len(text)``."""
+    return len(text) - len(text[position:].lstrip())
+
+
+def _matches(text: str, items: list[tuple[str, ...]], item: tuple[str, ...]) -> list[re.Match]:
+    """The ``finditer`` matches of ``text`` up to ``item``, a tuple of its ``findall``."""
+    i = next(i for i, other in enumerate(items) if other is item)
+    return list(itertools.islice(_ITEM.finditer(text), i + 1))
+
+
+def _syntax_error(
+    text: str, items: list[tuple[str, ...]], item: tuple[str, ...] | None, fresh: bool, depth: int
+) -> UnitSyntaxError:
+    """The error of a walk that stopped at ``item``, or at the end if ``item`` is None.
+
+    ``fresh`` and ``depth`` are the walk's state before that item: whether
+    its group has no factor yet, and how many groups are open.  The first
+    character that cannot start a token is reported before anything else.
+    """
+    for odd in _ODD.finditer(text):
+        if not odd.group().isalpha():
+            return UnitSyntaxError(odd.start(), ("unit symbol", "operator"))
+    if item is None:
+        return UnitSyntaxError(len(text), _SYMBOL_OR_GROUP if fresh else (")",))
+    *_, previous, match = [None, *_matches(text, items, item)]
+    op, primary, _, numerator, denominator, stray = match.groups()
+    if op and fresh:
+        return UnitSyntaxError(match.start(1), _SYMBOL_OR_GROUP)
+    if primary == "(":
+        if depth == _MAX_GROUPS:
+            return UnitSyntaxError(match.start(2), (f"at most {_MAX_GROUPS} nested groups",))
+        return UnitSyntaxError(_token(text, match.end(2)), _SYMBOL_OR_GROUP)
+    if primary == ")":
+        if fresh or op:
+            return UnitSyntaxError(match.start(2), _SYMBOL_OR_GROUP)
+        if not depth:
+            return UnitSyntaxError(match.start(2), ("end of input",))
+    if numerator:
+        limit = sys.get_int_max_str_digits()  # the most digits ``int`` reads; 0 for no limit
+        for group in (4, 5):
+            if limit and len(match.group(group) or "") > limit:
+                return UnitSyntaxError(match.start(group), (f"exponent of at most {limit} digits",))
+        return UnitSyntaxError(match.start(5), ("nonzero exponent denominator",))
+    position = match.start(6)
+    if stray in "*/·":  # an operator with no factor after it
+        return UnitSyntaxError(position if fresh else _token(text, position + 1), _SYMBOL_OR_GROUP)
+    if stray in "^+-" and not fresh:
+        if stray == "^" and not previous.group(4):  # a power with no integer after "^" [sign]
+            position = _token(text, position + 1)
+            if text.startswith(("+", "-"), position):
+                position = _token(text, position + 1)
+            return UnitSyntaxError(position, ("integer exponent",))
+        return UnitSyntaxError(position, (")",) if depth else ("end of input",))
+    return UnitSyntaxError(position, _SYMBOL_OR_GROUP)
 
 
 class _Parser:
-    """Recursive descent that evaluates as it goes.
+    """One walk, left to right, over the items of one ``findall`` of ``_ITEM``.
 
-    Each rule returns (mantissa, exponent, key): the scale is ``mantissa *
-    2**exponent``, the key the dimension's, which ``parse`` reduces.
-    Products and quotients combine left to right on the mantissas, which
-    stay normal floats, so each rounds as the float operation would if the
-    float range had no bounds.  A power is taken on the scale's float value.
-    The first unknown unit or power out of the float range is kept and
-    raised only once the text has parsed to its end, so that a syntax error
-    anywhere wins over it.
+    Each factor's scale is (mantissa, exponent), ``mantissa * 2**exponent``,
+    with its dimension's int key; a product or quotient renormalizes the
+    mantissa only when it leaves the ``_LOW``/``_HIGH`` band, and a power is
+    taken on the scale's float value.  An open group waits on a stack.  The
+    first unknown unit or power out of the float range is raised only once
+    the text has parsed to its end.  Items are strings without positions:
+    ``_syntax_error`` finds the position of the one error raised, so a text
+    that parses pays for none.
     """
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
-        self.error: UnitParseError | None = None
 
     def parse(self) -> tuple[float, int, Dimension]:
-        mantissa, exponent, key = self.expr()
-        kind, _, position = self.tokens[self.pos]
-        if kind != "end":
-            raise UnitSyntaxError(position, ("end of input",))
-        if self.error is not None:
-            raise self.error
-        return mantissa, exponent, _reduced(key)
-
-    def expr(self) -> tuple[float, int, _Key]:
-        mantissa, exponent, key = self.factor()
-        tokens = self.tokens
-        while True:
-            kind = tokens[self.pos][0]
-            if kind == "/":
-                self.pos += 1
-                m, e, k = self.factor()
-                mantissa, exponent, key = mantissa / m, exponent - e, _key_div(key, k)
-            elif kind == "*" or kind == "sym" or kind == "int" or kind == "(":
-                if kind == "*":
-                    self.pos += 1
-                m, e, k = self.factor()
-                mantissa, exponent, key = mantissa * m, exponent + e, _key_mul(key, k)
+        text = self.text
+        items = _ITEM.findall(text, 0, len(text.rstrip()))
+        if not items:
+            raise EmptyInputError()
+        groups: list[tuple[float, int, _Key, str, bool]] = []
+        mantissa, exponent, key, fresh = 1.0, 0, DIMENSIONLESS._key, True
+        deferred: tuple[tuple[str, ...], str | None] | None = None
+        for item in items:
+            op, primary, sign, numerator, denominator, _ = item
+            if not primary or op and fresh:
+                raise _syntax_error(text, items, item, fresh, len(groups))
+            if primary == "(":
+                if numerator or len(groups) == _MAX_GROUPS:
+                    raise _syntax_error(text, items, item, fresh, len(groups))
+                groups.append((mantissa, exponent, key, op, fresh))
+                mantissa, exponent, key, fresh = 1.0, 0, DIMENSIONLESS._key, True
+                continue
+            if numerator:
+                try:
+                    n = int(numerator)
+                    d = int(denominator) if denominator else 1
+                except ValueError:  # too many digits; ``_syntax_error`` says which
+                    d = 0
+                if not d:
+                    raise _syntax_error(text, items, item, fresh, len(groups))
+            if primary == ")":
+                if fresh or op or not groups:
+                    raise _syntax_error(text, items, item, fresh, len(groups))
+                m, e, k = mantissa, exponent, key
+                mantissa, exponent, key, op, fresh = groups.pop()
+            elif primary == "1":
+                m, e, k = 1.0, 0, DIMENSIONLESS._key
             else:
-                return mantissa, exponent, key
+                entry = _resolve_symbol(primary)
+                if entry is not None:
+                    m, e, k = entry[0], 0, entry[1]._key
+                elif primary.isalpha():
+                    m, e, k = 1.0, 0, DIMENSIONLESS._key
+                    deferred = deferred or (item, primary)
+                else:
+                    raise _syntax_error(text, items, item, fresh, len(groups))
+            if numerator:
+                if sign == "-":
+                    n = -n
+                k = _key_pow(k, n, d)
+                try:
+                    scale = math.ldexp(m, e) ** (n / d)
+                except ArithmeticError:
+                    scale = 0.0
+                if _LOW < scale < _HIGH:
+                    m, e = scale, 0
+                elif 0.0 < scale < math.inf:
+                    m, e = math.frexp(scale)
+                else:
+                    m, e = 1.0, 0
+                    deferred = deferred or (item, None)
+            if fresh:
+                mantissa, exponent, key, fresh = m, e, k, False
+                continue
+            if op == "/":
+                mantissa, exponent, key = mantissa / m, exponent - e, _key_div(key, k)
+            else:
+                mantissa, exponent, key = mantissa * m, exponent + e, _key_mul(key, k)
             if not _LOW < mantissa < _HIGH:
                 mantissa, shift = math.frexp(mantissa)
                 exponent += shift
-
-    def factor(self) -> tuple[float, int, _Key]:
-        mantissa, exponent, key = self.primary()
-        if self.tokens[self.pos][0] != "^":
-            return mantissa, exponent, key
-        self.pos += 1
-        n, k = self.exponent()
-        key = _key_pow(key, n, k)
-        try:
-            scale = math.ldexp(mantissa, exponent) ** (n / k)
-        except ArithmeticError:
-            scale = 0.0
-        if _LOW < scale < _HIGH:
-            return scale, 0, key
-        if not 0.0 < scale < math.inf:
-            self.error = self.error or UnitScaleError(self.text)
-            return 1.0, 0, key
-        mantissa, exponent = math.frexp(scale)
-        return mantissa, exponent, key
-
-    def primary(self) -> tuple[float, int, _Key]:
-        kind, text, position = self.tokens[self.pos]
-        if kind == "(":
-            if self.depth == _MAX_GROUPS:
-                raise UnitSyntaxError(position, (f"at most {_MAX_GROUPS} nested groups",))
-            self.pos += 1
-            self.depth += 1
-            result = self.expr()
-            kind, _, position = self.tokens[self.pos]
-            if kind != ")":
-                raise UnitSyntaxError(position, (")",))
-            self.pos += 1
-            self.depth -= 1
-            return result
-        if kind == "sym":
-            self.pos += 1
-            entry = _resolve_symbol(text)
-            if entry is None:
-                self.error = self.error or UnknownUnitError(text, position)
-                return 1.0, 0, DIMENSIONLESS._key
-            return entry[0], 0, entry[1]._key
-        if kind == "int" and text == "1":
-            self.pos += 1
-            return 1.0, 0, DIMENSIONLESS._key
-        raise UnitSyntaxError(position, ("unit symbol", "("))
-
-    def exponent(self) -> tuple[int, int]:
-        """The exponent as (numerator, denominator), signed numerator, denominator > 0."""
-        sign = 1
-        kind, text, position = self.tokens[self.pos]
-        if kind == "+" or kind == "-":
-            self.pos += 1
-            if kind == "-":
-                sign = -1
-            kind, text, position = self.tokens[self.pos]
-        if kind != "int":
-            raise UnitSyntaxError(position, ("integer exponent",))
-        self.pos += 1
-        numerator = sign * _exponent_int(text, position)
-        if self.tokens[self.pos][0] == "/":
-            # Only a directly following integer makes this a rational exponent;
-            # otherwise the slash belongs to the enclosing expression.
-            kind, text, position = self.tokens[self.pos + 1]
-            if kind == "int":
-                denominator = _exponent_int(text, position)
-                if denominator == 0:
-                    raise UnitSyntaxError(position, ("nonzero exponent denominator",))
-                self.pos += 2
-                return numerator, denominator
-        return numerator, 1
+        if fresh or groups:
+            raise _syntax_error(text, items, None, fresh, len(groups))
+        if deferred is not None:
+            item, symbol = deferred
+            if symbol is None:
+                raise UnitScaleError(text)
+            raise UnknownUnitError(symbol, _matches(text, items, item)[-1].start(2))
+        return mantissa, exponent, _reduced(key)
 
 
 def parse_unit(text: str) -> tuple[float, Dimension]:
     """Parse a unit expression into (scale to the SI coherent unit, dimension)."""
-    if not text or not text.strip():
-        raise EmptyInputError()
     mantissa, exponent, dimension = _Parser(text).parse()
     try:
         scale = math.ldexp(mantissa, exponent)

@@ -6,7 +6,11 @@ hostile values: extreme and non-finite floats, empty strings, digits of other
 scripts, and the unit expressions of ``tests/data/unit_parse_corpus.json``.
 An argv that ends in a traceback, writes a payload and then fails, or leaves
 on stderr a line that is not a diagnostic or usage breaks the contract, and
-so does an empty PATH that is not a usage error.
+so does an empty PATH that is not a usage error.  A corrupt copy of a bundled
+table passed as ``--constants`` or ``--species`` (a unit cell from
+``tests/data/unit_parse_errors.json``, a magnitude of ``nan``, ``1e999`` or
+``''``, a required constant deleted, a byte that is not UTF-8) must fail
+with exit 1, one ``error:`` line and nothing on stdout.
 """
 
 import contextlib
@@ -20,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vacuumresponse.cli import main
-from vacuumresponse.constants import bundled_constants_path
+from vacuumresponse.constants import REQUIRED_DIMENSIONS, bundled_constants_path
 from vacuumresponse.species import bundled_species_path
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -131,14 +135,19 @@ def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("contract")
 
 
+def run(argv):
+    """``main(argv)`` in process: the exit code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
 @settings(max_examples=300, deadline=None)
 @given(argv=argvs())
 def test_every_argv_ends_in_a_clean_exit(out_dir, argv):
     argv = [word.replace(OUT_DIR, str(out_dir)) for word in argv]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    out, err = stdout.getvalue(), stderr.getvalue()
+    code, out, err = run(argv)
     assert code in (0, 1, 2), (code, err)
     if code != 0:
         assert out == "", err
@@ -151,3 +160,53 @@ def test_every_argv_ends_in_a_clean_exit(out_dir, argv):
             break
         if flag in PATH_FLAGS and value == "":
             assert code == 2, (argv, err)
+
+
+BAD_UNITS = [row[0] for row in json.loads((DATA / "unit_parse_errors.json").read_text("utf-8"))]
+# Each bundled table: its flag, the subcommands that take the flag, the index
+# of the magnitude field in its rows, and the bad magnitudes.  A species row
+# may leave its mass empty, so "" is no corruption there.
+TABLES = {
+    "--constants": (bundled_constants_path(), SUBCOMMANDS, 1, ["nan", "1e999", ""]),
+    "--species": (bundled_species_path(), ("species",), 3, ["nan", "1e999"]),
+}
+
+
+@st.composite
+def corrupt_tables(draw):
+    """(argv without the path, file bytes): a bundled table with one corruption."""
+    flag = draw(st.sampled_from(sorted(TABLES)))
+    path, commands, magnitude, bad_magnitudes = TABLES[flag]
+    argv = [draw(st.sampled_from(commands)), flag]
+    lines = path.read_text("utf-8").splitlines(keepends=True)
+    rows = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
+    kinds = ["magnitude", "byte"] + (["unit", "required"] if flag == "--constants" else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "required":
+        required = [i for i in rows if lines[i].split("\t")[0] in REQUIRED_DIMENSIONS]
+        del lines[draw(st.sampled_from(required))]
+    elif kind != "byte":
+        row = draw(st.sampled_from(rows))
+        fields = lines[row].rstrip("\n").split("\t")
+        if kind == "unit":
+            fields[2] = draw(st.sampled_from(BAD_UNITS))
+        else:
+            fields[magnitude] = draw(st.sampled_from(bad_magnitudes))
+        lines[row] = "\t".join(fields) + "\n"
+    data = "".join(lines).encode("utf-8")
+    if kind == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return argv, data
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=corrupt_tables())
+def test_a_corrupt_table_fails_with_one_error_line(out_dir, case):
+    argv, data = case
+    table = out_dir / "corrupt.tsv"
+    table.write_bytes(data)
+    code, out, err = run([*argv, str(table)])
+    assert code == 1, (argv, code, err)
+    assert out == "", err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err

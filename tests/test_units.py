@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -260,7 +261,7 @@ def _fixture(name):
 
 class TestRecordedBehaviour:
     """Fixtures recorded from the parser that built a syntax tree and then
-    evaluated it; the parser that evaluates while it descends must agree.
+    evaluated it; every later parser must agree.
 
     ``unit_parse_corpus.json`` holds 300 seeded expressions (rational powers,
     groups, prefixes, both micro signs, the middle dot, ``^+2``, ``^1/2/s``)
@@ -268,8 +269,17 @@ class TestRecordedBehaviour:
     malformed inputs with the error class, ``position`` and ``expected``.
     One seeded expression whose scale overflowed to ``inf`` moved to the
     errors as a ``UnitScaleError``; its corpus slot holds ``Ym^12 ym^12``, a
-    product of two extreme scales that stays finite.  Each case is named by
-    its text, so moving an entry renames no other case.
+    product of two extreme scales that stays finite.  The last rows of both
+    files were recorded from the token parser that the one-pattern item walk
+    replaced: the valid ``1m^-1/2``, ``m1`` and ``m ^ + 2 / 3 s``, and 15
+    errors at item boundaries, an operator before ``)`` or after ``(``
+    (``(m *)``, ``(/ m)``), digits that are not a lone 1 (``1/2``, ``12 m``),
+    a ``^`` with no factor or a second power (``m * ^2``, ``m (^2)``,
+    ``(m^2^3)``, ``m^2/3^2``), a zero denominator after spaces (``m^1 /0``,
+    ``m ^ 2 / 0``), a power with no integer (``(m) ^``, ``foo m^``), a
+    non-letter in a letter run (``m² foo``, ``foo m²``) and an unclosed group
+    after rational powers (``kg^3 m^6 / (A^11/2 s^11/2``).  Each case is
+    named by its text, so moving an entry renames no other case.
     """
 
     @pytest.mark.parametrize("text, scale, exponents", _fixture("unit_parse_corpus.json"))
@@ -352,6 +362,58 @@ class TestRecordedBehaviour:
         scale, dim = parse_unit(" ".join(["s"] * 3000))
         assert scale == 1.0
         assert dim == Dimension(time=3000)
+
+
+# Every code point but the surrogates, which no ``str`` from text holds.
+_CODE_POINTS = [chr(c) for c in range(sys.maxunicode + 1) if not 0xD800 <= c <= 0xDFFF]
+
+
+def test_whitespace_class_is_str_isspace():
+    # The item pattern skips ``\s`` between tokens; the grammar skips what ``str.isspace`` accepts.
+    space = re.compile(r"\s")
+    matched = [ch for ch in _CODE_POINTS if space.fullmatch(ch)]
+    assert matched == [ch for ch in _CODE_POINTS if ch.isspace()]
+    assert len(matched) == 29
+
+
+def test_symbol_class_holds_every_letter_and_rejects_the_rest():
+    # A one-character item whose primary is the character itself, other than "1", "(" and ")".
+    symbols = set()
+    for ch in _CODE_POINTS:
+        item = units._ITEM.match(ch)
+        if item and item.group(2) == ch and ch not in "1()":
+            symbols.add(ch)
+    assert {ch for ch in _CODE_POINTS if ch.isalpha()} <= symbols
+    for ch in sorted(ch for ch in symbols if not ch.isalpha()):  # "²", "½", ...
+        with pytest.raises(UnitSyntaxError) as info:
+            parse_unit("m" + ch)
+        assert (info.value.position, info.value.expected) == (1, ("unit symbol", "operator")), ch
+
+
+_tokens = st.one_of(
+    st.sampled_from(["^", "+", "-", "*", "/", "\u00b7", "(", ")", " ", "\t", "\u00b2", "_"]),
+    st.sampled_from(["m", "kg", "foo", "\u00b5s", "1"]),
+    st.integers(0, 10**6).map(str),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=st.lists(_tokens, min_size=1, max_size=12).map("".join))
+def test_an_error_position_is_the_end_or_a_token_start(text):
+    try:
+        parse_unit(text)
+    except UnitParseError as err:  # an empty text or a scale error has no position
+        position = getattr(err, "position", len(text))
+    else:
+        return
+    assert 0 <= position <= len(text)
+    if position == len(text):
+        return
+    assert not text[position].isspace(), (text, position)
+    pair = text[max(position - 1, 0) : position + 1]
+    if len(pair) == 2:  # not inside a letter run or an ASCII digit run
+        assert not pair.isalpha(), (text, position)
+        assert not (pair.isascii() and pair.isdigit()), (text, position)
 
 
 def test_unit_expression_path_builds_no_fraction(monkeypatch):
