@@ -103,6 +103,14 @@ def _parse_charge(text: str) -> Fraction:
     return Fraction(text)
 
 
+def _is_float(value: Fraction) -> bool:
+    """Whether ``value`` converts to a finite nonzero float."""
+    try:
+        return float(value) != 0.0
+    except OverflowError:
+        return False
+
+
 def load_species(path: str | Path, registry: ConstantRegistry | None = None) -> SpeciesTable:
     """Load a tab-separated species table.
 
@@ -144,12 +152,17 @@ def load_species(path: str | Path, registry: ConstantRegistry | None = None) -> 
             raise MalformedRowError(number, f"bad charge ratio {fields[1]!r}") from None
         if charge == 0:
             raise ZeroChargeError(name, number)
+        if not _is_float(charge):
+            raise MalformedRowError(number, f"charge ratio {fields[1]!r} is out of the float range")
         try:
             multiplicity = int(fields[2].strip())
         except ValueError:
             raise MalformedRowError(number, f"bad multiplicity {fields[2]!r}") from None
         if multiplicity < 1:
             raise MalformedRowError(number, f"multiplicity must be >= 1, got {multiplicity}")
+        if not _is_float(multiplicity * charge**2):
+            weight = f"{multiplicity} * ({fields[1].strip()})**2"
+            raise MalformedRowError(number, f"weight {weight} is out of the float range")
         mass = None
         if len(fields) == 4 and fields[3].strip():
             try:
@@ -161,11 +174,15 @@ def load_species(path: str | Path, registry: ConstantRegistry | None = None) -> 
             mass = mass_mev * mev_to_kg
         rows.append(ParticleSpecies(name, charge, multiplicity, mass))
 
-    return SpeciesTable(
+    table = SpeciesTable(
         species=tuple(rows),
         path=str(path),
         sha256=hashlib.sha256(raw).hexdigest(),
     )
+    weight = charge_weighted_sum(table)
+    if weight and not _is_float(weight):
+        raise ValueError(f"cannot load species from {path}: its charge-weighted sum overflows a float")
+    return table
 
 
 def bundled_species_path() -> Path:

@@ -9,10 +9,10 @@ Grammar:
 
 Whitespace, "*" and the middle dot all denote multiplication.  "/" binds
 exactly one following factor or parenthesized group, so "a/b c" parses as
-(a/b)*c.  Symbols resolve against the registry with bare-symbol priority:
-a prefixed reading ("mN" = milli-newton) is used only when the bare symbol
-does not exist; prefixes are matched longest first ("da" before "d").
-The micro sign and Greek mu are accepted as "u".
+(a/b)*c.  A symbol resolves with one lookup in ``_SYMBOLS``, built at
+import: every registry name, bare and behind every prefix (the micro sign
+and Greek mu as "u").  The table encodes bare-name priority ("kg" is the
+kilogram, not kilo-gram) and the longest prefix first ("da" before "d").
 
 The parser builds no syntax tree.  One ``findall`` of one compiled pattern
 cuts a text into items, one per factor: its operator, its primary and its
@@ -159,19 +159,16 @@ SI_PREFIXES: dict[str, float] = {
 }
 
 
-def _resolve_symbol(symbol: str) -> tuple[float, Dimension] | None:
-    entry = REGISTRY.get(symbol)
-    if entry is not None:
-        return entry
-    # No registry name holds a micro sign, so only a prefix needs normalizing.
-    name = symbol.replace("µ", "u").replace("μ", "u")
-    for plen in (2, 1):
-        prefix, rest = name[:plen], name[plen:]
-        factor = SI_PREFIXES.get(prefix)
-        if factor is not None and rest in REGISTRY:
-            entry = REGISTRY[rest]
-            return factor * entry.scale, entry.dimension
-    return None
+# Each symbol the parser accepts, with its (scale, dimension key).  Later
+# entries win a clash: one-letter prefixes, then "da", then bare names.
+_SYMBOLS: dict[str, tuple[float, _Key]] = {
+    prefix + name: (factor * entry.scale, entry.dimension._key)
+    for prefix, factor in sorted(
+        {**SI_PREFIXES, "µ": SI_PREFIXES["u"], "μ": SI_PREFIXES["u"], "": 1.0}.items(),
+        key=lambda item: len(item[0]) or 3,
+    )
+    for name, entry in REGISTRY.items()
+}
 
 
 # --- parser --------------------------------------------------------------
@@ -261,10 +258,13 @@ def _syntax_error(
 class _Parser:
     """One walk, left to right, over the items of one ``findall`` of ``_ITEM``.
 
-    Each factor's scale is (mantissa, exponent), ``mantissa * 2**exponent``,
-    with its dimension's int key; a product or quotient renormalizes the
-    mantissa only when it leaves the ``_LOW``/``_HIGH`` band, and a power is
-    taken on the scale's float value.  An open group waits on a stack.  The
+    Each item's primary is looked up in ``_SYMBOLS`` first; "(", ")", "1",
+    an unknown letter run and a stray character take the miss branch.  Each
+    factor's scale is (mantissa, exponent), ``mantissa * 2**exponent``, with
+    its dimension's int key; a product or quotient renormalizes the mantissa
+    only when it leaves the ``_LOW``/``_HIGH`` band, and a power is taken on
+    the scale's float value, skipped for a scale of exactly (1.0, 0), as
+    every power of 1.0 is 1.0.  An open group waits on a stack.  The
     first unknown unit or power out of the float range is raised only once
     the text has parsed to its end.  Items are strings without positions:
     ``_syntax_error`` finds the position of the one error raised, so a text
@@ -284,14 +284,8 @@ class _Parser:
         deferred: tuple[tuple[str, ...], str | None] | None = None
         for item in items:
             op, primary, sign, numerator, denominator, _ = item
-            if not primary or op and fresh:
+            if op and fresh:
                 raise _syntax_error(text, items, item, fresh, len(groups))
-            if primary == "(":
-                if numerator or len(groups) == _MAX_GROUPS:
-                    raise _syntax_error(text, items, item, fresh, len(groups))
-                groups.append((mantissa, exponent, key, op, fresh))
-                mantissa, exponent, key, fresh = 1.0, 0, DIMENSIONLESS._key, True
-                continue
             if numerator:
                 try:
                     n = int(numerator)
@@ -300,28 +294,34 @@ class _Parser:
                     d = 0
                 if not d:
                     raise _syntax_error(text, items, item, fresh, len(groups))
-            if primary == ")":
+            symbol = _SYMBOLS.get(primary)
+            if symbol is not None:
+                (m, k), e = symbol, 0
+            elif primary == "(":
+                if numerator or len(groups) == _MAX_GROUPS:
+                    raise _syntax_error(text, items, item, fresh, len(groups))
+                groups.append((mantissa, exponent, key, op, fresh))
+                mantissa, exponent, key, fresh = 1.0, 0, DIMENSIONLESS._key, True
+                continue
+            elif primary == ")":
                 if fresh or op or not groups:
                     raise _syntax_error(text, items, item, fresh, len(groups))
                 m, e, k = mantissa, exponent, key
                 mantissa, exponent, key, op, fresh = groups.pop()
             elif primary == "1":
                 m, e, k = 1.0, 0, DIMENSIONLESS._key
-            else:
-                entry = _resolve_symbol(primary)
-                if entry is not None:
-                    m, e, k = entry[0], 0, entry[1]._key
-                elif primary.isalpha():
-                    m, e, k = 1.0, 0, DIMENSIONLESS._key
-                    deferred = deferred or (item, primary)
-                else:
-                    raise _syntax_error(text, items, item, fresh, len(groups))
+            elif primary.isalpha():
+                m, e, k = 1.0, 0, DIMENSIONLESS._key
+                deferred = deferred or (item, primary)
+            else:  # a stray character, or a letter run holding a non-letter
+                raise _syntax_error(text, items, item, fresh, len(groups))
             if numerator:
                 if sign == "-":
                     n = -n
                 k = _key_pow(k, n, d)
                 try:
-                    scale = math.ldexp(m, e) ** (n / d)
+                    power = n / d  # even for a unit scale: an n / d beyond floats is a scale error
+                    scale = math.ldexp(m, e) ** power if m != 1.0 or e else 1.0
                 except ArithmeticError:
                     scale = 0.0
                 if _LOW < scale < _HIGH:

@@ -9,8 +9,9 @@ on stderr a line that is not a diagnostic or usage breaks the contract, and
 so does an empty PATH that is not a usage error.  A corrupt copy of a bundled
 table passed as ``--constants`` or ``--species`` (a unit cell from
 ``tests/data/unit_parse_errors.json``, a magnitude of ``nan``, ``1e999`` or
-``''``, a required constant deleted, a byte that is not UTF-8) must fail
-with exit 1, one ``error:`` line and nothing on stdout.
+``''``, a species charge ratio of ``1e999``, ``1e-999`` or ``1e200``, a
+required constant deleted, a byte that is not UTF-8) must fail with exit 1,
+one ``error:`` line and nothing on stdout.
 """
 
 import contextlib
@@ -163,12 +164,15 @@ def test_every_argv_ends_in_a_clean_exit(out_dir, argv):
 
 
 BAD_UNITS = [row[0] for row in json.loads((DATA / "unit_parse_errors.json").read_text("utf-8"))]
-# Each bundled table: its flag, the subcommands that take the flag, the index
-# of the magnitude field in its rows, and the bad magnitudes.  A species row
-# may leave its mass empty, so "" is no corruption there.
+# Each bundled table: its flag, the subcommands that take the flag, and the
+# bad values of each corruptible field, by index: a magnitude, and a species
+# charge ratio whose float, or whose square, is zero or infinite.  A species
+# row may leave its mass empty, so "" is no corruption there.
 TABLES = {
-    "--constants": (bundled_constants_path(), SUBCOMMANDS, 1, ["nan", "1e999", ""]),
-    "--species": (bundled_species_path(), ("species",), 3, ["nan", "1e999"]),
+    "--constants": (bundled_constants_path(), SUBCOMMANDS, {1: ["nan", "1e999", ""]}),
+    "--species": (
+        bundled_species_path(), ("species",), {3: ["nan", "1e999"], 1: ["1e999", "1e-999", "1e200"]}
+    ),
 }
 
 
@@ -176,11 +180,11 @@ TABLES = {
 def corrupt_tables(draw):
     """(argv without the path, file bytes): a bundled table with one corruption."""
     flag = draw(st.sampled_from(sorted(TABLES)))
-    path, commands, magnitude, bad_magnitudes = TABLES[flag]
+    path, commands, bad_fields = TABLES[flag]
     argv = [draw(st.sampled_from(commands)), flag]
     lines = path.read_text("utf-8").splitlines(keepends=True)
     rows = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
-    kinds = ["magnitude", "byte"] + (["unit", "required"] if flag == "--constants" else [])
+    kinds = ["field", "byte"] + (["unit", "required"] if flag == "--constants" else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "required":
         required = [i for i in rows if lines[i].split("\t")[0] in REQUIRED_DIMENSIONS]
@@ -191,7 +195,8 @@ def corrupt_tables(draw):
         if kind == "unit":
             fields[2] = draw(st.sampled_from(BAD_UNITS))
         else:
-            fields[magnitude] = draw(st.sampled_from(bad_magnitudes))
+            field = draw(st.sampled_from(sorted(bad_fields)))
+            fields[field] = draw(st.sampled_from(bad_fields[field]))
         lines[row] = "\t".join(fields) + "\n"
     data = "".join(lines).encode("utf-8")
     if kind == "byte":

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from vacuumresponse import report
 from vacuumresponse import units as units_module
+from vacuumresponse.cli import main
 from vacuumresponse.constants import default_registry
 from vacuumresponse.dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Dimension, Quantity
 from vacuumresponse.model import OscillatorParams, vacuum_response
@@ -453,3 +455,42 @@ class TestSvgChart:
             assert f">{escape(label)}</text>" in chart
         texts = {el.text for el in ET.fromstring(chart).iter() if el.tag.endswith("text")}
         assert set(labels.values()) <= texts
+
+
+# A cell printed with 12 significant digits is within half a unit of its last
+# digit, a relative error of at most 5e-12.  Each side of a law also takes at
+# most 32 float roundings of 2**-53 each, in the model and in the test.
+_PRINTED = 0.5e-11
+_ROUNDINGS = 32 * 2.0**-53
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kappa=st.floats(0.25, 8.0),
+    g_factors=st.lists(st.sampled_from([1.0, 2.0, 3.5]), min_size=1, unique=True),
+    conventions=st.lists(st.sampled_from(sorted(CONVENTION_TOKENS)), min_size=1, unique=True),
+)
+def test_printed_si_rows_keep_the_papers_closed_forms(kappa, g_factors, conventions):
+    # Both grid points are kappa itself, so each row's kappa is known exactly.
+    argv = ["sweep", "--kappa-min", repr(kappa), "--kappa-max", repr(kappa), "--points", "2",
+            "--g-factors", ",".join(map(repr, g_factors)), "--conventions", ",".join(conventions)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    rows = list(csv.DictReader(io.StringIO(stdout.getvalue())))
+    assert len(rows) == 2 * len(g_factors) * len(conventions)
+    alpha = default_registry().value("alpha")
+    one, two = _PRINTED + _ROUNDINGS, 2 * _PRINTED + _ROUNDINGS
+    eps_tilde = {}
+    for row in rows:
+        assert math.isclose(float(row["kappa"]), kappa, rel_tol=_PRINTED)
+        convention, g = row["convention"], float(row["g"])
+        assert math.isclose(float(row["count_simple"]) * 4 * math.pi * alpha * kappa, 1, rel_tol=one)
+        assert math.isclose(float(row["count_sphere"]), 2.5**1.5 / (3 * alpha * kappa), rel_tol=one)
+        if convention == "cube" and g == 2:
+            assert math.isclose(float(row["eps_ratio"]), 4 * math.pi * alpha * kappa, rel_tol=one)
+        eps_tilde[convention, g] = float(row["eps_tilde"])
+    for g in g_factors:
+        if ("cube-compton", g) in eps_tilde and ("cube-half-compton", g) in eps_tilde:
+            half, full = eps_tilde["cube-half-compton", g], eps_tilde["cube-compton", g]
+            assert math.isclose(half, 8 * full, rel_tol=two), (kappa, g)

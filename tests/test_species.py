@@ -65,6 +65,21 @@ class TestLoad:
         with pytest.raises(MalformedRowError):
             load_species(write_table(tmp_path, "thing\ttwo-thirds\t1\n"), registry)
 
+    @pytest.mark.parametrize("charge, multiplicity", [("1e999", 1), ("1e-999", 1), ("1e200", 1),
+                                                      ("-1e-170", 1), ("1e154", 2)])
+    def test_charge_ratio_out_of_the_float_range(self, tmp_path, registry, charge, multiplicity):
+        # The ratio, or the row's weight multiplicity * ratio**2, is zero or infinite as a float.
+        text = f"# header\nelectron\t-1\t1\nthing\t{charge}\t{multiplicity}\n"
+        with pytest.raises(MalformedRowError) as err:
+            load_species(write_table(tmp_path, text), registry)
+        assert err.value.line_number == 3
+
+    def test_charge_weighted_sum_beyond_the_float_range(self, tmp_path, registry):
+        # One weight of 1e154**2 is a float; the sum of two is not.
+        assert len(load_species(write_table(tmp_path, "a\t1e154\t1\n"), registry)) == 1
+        with pytest.raises(ValueError, match="charge-weighted sum overflows a float"):
+            load_species(write_table(tmp_path, "a\t1e154\t1\nb\t-1e154\t1\n"), registry)
+
     def test_bad_multiplicity(self, tmp_path, registry):
         with pytest.raises(MalformedRowError):
             load_species(write_table(tmp_path, "thing\t1\t0\n"), registry)

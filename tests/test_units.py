@@ -515,3 +515,24 @@ def test_parse_matches_the_public_algebra(first, rest):
         return
     assert dim == expected, text
     assert parse_unit(format_dimension(dim))[1] == dim
+
+
+def test_every_prefix_with_every_registry_name_reads_as_its_preferred_reading():
+    # Oracle: each way to split the text into a prefix and a registry name;
+    # a bare name wins, else the longest prefix, scaled by the prefix's factor.
+    micro = units.SI_PREFIXES["u"]
+    factors = {**units.SI_PREFIXES, "\u00b5": micro, "\u03bc": micro}
+    readings = {}
+    for prefix in _PREFIXES:
+        for name, entry in units.REGISTRY.items():
+            readings.setdefault(prefix + name, []).append((prefix, entry))
+    for text, options in readings.items():
+        bare = [entry for prefix, entry in options if not prefix]
+        if bare:
+            scale, dim = bare[0].scale, bare[0].dimension
+        else:
+            prefix, entry = max(options, key=lambda option: len(option[0]))
+            scale, dim = factors[prefix] * entry.scale, entry.dimension
+        got_scale, got_dim = parse_unit(text)
+        assert (got_scale.hex(), got_dim) == (scale.hex(), dim), text
+    assert units._SYMBOLS.keys() == readings.keys()
