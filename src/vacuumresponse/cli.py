@@ -213,13 +213,7 @@ def cmd_sweep(
             Series(convention if len(config.g_factors) == 1 else f"{convention} g={g:g}", line)
             for (convention, g), line in points.items()
         ]
-        payload = sweep_chart(
-            series,
-            x_label="gap ratio",
-            y_label="permittivity estimate / measured value",
-            reference_y=1.0,
-            reference_label="measured",
-        )
+        payload = sweep_chart(series)
     elif args.format == "json":
         payload = rows_to_json(rows, args.units)
     else:
@@ -418,7 +412,7 @@ def _run(argv: list[str] | None) -> int:
             return args.func(args, args.parser, registry)
         except OSError as exc:
             # An OSError with a filename already names it in its message.
-            suffix = "" if exc.filename else f" ({args.out or ''})"
+            suffix = "" if exc.filename else f" ({args.out or '<stdout>'})"
             print(f"error: {exc}{suffix}", file=sys.stderr)
             return 1
         except (ValueError, MissingConstantError) as exc:

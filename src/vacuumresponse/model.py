@@ -2,15 +2,16 @@
 
 A virtual charged pair is treated as a driven harmonic oscillator whose
 resonance is set by the transition energy to the real bound pair.  In the
-quasi-static, weak-field limit its induced electric dipole per effective
+static, weak-field limit its induced electric dipole per effective
 volume gives a vacuum permittivity estimate, and the gyromagnetic response
 of the same pair gives a permeability estimate.  Requiring the product of
 the two estimates to reproduce the measured light speed fixes the pair's
 effective radius, which collapses both estimates onto a single dimensionless
 deviation factor (4 pi alpha times the gap ratio for the cubic volume).
 
-Two volume conventions are supported: a cube of side r (with a selectable
-radius rule) and a uniformly charged solid sphere, for which the orbital
+Two volume conventions are supported: a cube of side r, whose radius is
+closed on the light speed or pinned to the Compton or half-Compton
+wavelength, and a uniformly charged solid sphere, for which the orbital
 mean-square radius 2/5 R^2 replaces r^2 in the magnetic chain and the
 volume is 4/3 pi R^3.
 
@@ -29,7 +30,6 @@ from .dimensions import (
     CHARGE,
     ELECTRIC_FIELD,
     ENERGY,
-    FREQUENCY,
     LENGTH,
     MAGNETIC_FIELD,
     MASS,
@@ -44,19 +44,14 @@ from .dimensions import (
 # magnetic moment of the pair is twice the single-particle one.
 PAIR_FACTOR = 2.0
 
-# Guard thresholds for the weak-field and quasi-static preconditions.  The
-# model itself only states the inequalities; these concrete factors are the
-# documented cutoffs at which we warn and at which we refuse.
+# The weak-field guard: the model only states that the probe field is far
+# below the critical field.  A field at or above it is refused, and one above
+# this fraction of it is warned about.
 WEAK_FIELD_WARN_FRACTION = 1e-2
-QUASI_STATIC_WARN_FRACTION = 1e-1
 
 
 class FieldTooStrongError(ValueError):
     """Probe field at or above the critical field strength."""
-
-
-class NotQuasiStaticError(ValueError):
-    """Probe frequency at or above the oscillator resonance."""
 
 
 class ConventionMismatchError(ValueError):
@@ -65,10 +60,6 @@ class ConventionMismatchError(ValueError):
 
 class WeakFieldWarning(UserWarning):
     """Probe field within two decades of the critical field."""
-
-
-class QuasiStaticWarning(UserWarning):
-    """Probe frequency within one decade of the resonance."""
 
 
 class Shape(Enum):
@@ -80,41 +71,28 @@ class RadiusRule(Enum):
     COMPTON = "compton"
     HALF_COMPTON = "half-compton"
     MAXWELL_CONSISTENT = "maxwell-consistent"
-    CUSTOM = "custom"
 
 
 class VolumeConvention(_Record):
     """Rule assigning an effective volume (and orbit radius) to a pair."""
 
-    __slots__ = ("shape", "radius_rule", "custom_radius")
+    __slots__ = ("shape", "radius_rule")
 
     shape: Shape
     radius_rule: RadiusRule
-    custom_radius: Quantity | None
 
     def __init__(
         self,
         shape: Shape = Shape.CUBE,
         radius_rule: RadiusRule = RadiusRule.MAXWELL_CONSISTENT,
-        custom_radius: Quantity | None = None,
     ) -> None:
-        self._store(shape, radius_rule, custom_radius)
-        if self.radius_rule is RadiusRule.CUSTOM:
-            r = self.custom_radius
-            if r is None or r.dimension != LENGTH or r.magnitude <= 0:
-                raise ValueError("custom radius must be a positive length")
-        elif self.custom_radius is not None:
-            raise ValueError("custom_radius is only valid with the custom radius rule")
+        self._store(shape, radius_rule)
         if self.shape is Shape.SPHERE and self.radius_rule is not RadiusRule.MAXWELL_CONSISTENT:
             raise ConventionMismatchError("the uniform sphere only supports the consistent radius")
 
     @classmethod
     def cube(cls, rule: RadiusRule = RadiusRule.MAXWELL_CONSISTENT) -> VolumeConvention:
         return cls(Shape.CUBE, rule)
-
-    @classmethod
-    def cube_custom(cls, radius: Quantity) -> VolumeConvention:
-        return cls(Shape.CUBE, RadiusRule.CUSTOM, radius)
 
     @classmethod
     def sphere(cls) -> VolumeConvention:
@@ -246,8 +224,6 @@ def _omega0(gap, hbar):
 def _radius(conv: VolumeConvention, mass, g, w0, hbar, c):
     """The convention's radius; only the consistent rule reads w0 and g."""
     rule = conv.radius_rule
-    if rule is RadiusRule.CUSTOM:
-        return conv.custom_radius
     if rule is RadiusRule.COMPTON:
         return _compton(mass, hbar, c)
     if rule is RadiusRule.HALF_COMPTON:
@@ -273,10 +249,7 @@ def _orbit_mean_square(shape: Shape, radius):
 
 
 def _pair(mass, charge, gap, g, conv: VolumeConvention, hbar, c):
-    """w0, radius, volume, <rho^2>, eps and mu of one pair (see vacuum_response).
-
-    A custom radius is a Quantity, so that rule runs on Quantities only.
-    """
+    """w0, radius, volume, <rho^2>, eps and mu of one pair (see vacuum_response)."""
     w0 = _omega0(gap, hbar)
     radius = _radius(conv, mass, g, w0, hbar, c)
     volume = _volume(conv.shape, radius)
@@ -348,7 +321,6 @@ def critical_field(p: OscillatorParams, registry: ConstantRegistry | None = None
 def _probe(
     p: OscillatorParams,
     field: Quantity,
-    omega: Quantity | None,
     registry: ConstantRegistry,
 ) -> tuple[Quantity, Quantity, Quantity]:
     """Guard one probe; return w0, the displacement q E / (m w0^2) and the dipole q x."""
@@ -371,22 +343,7 @@ def _probe(
             WeakFieldWarning,
             stacklevel=3,
         )
-    if omega is not None and (omega.dimension != FREQUENCY or omega.magnitude < 0):
-        raise ValueError("drive frequency must be a non-negative frequency")
     w0 = p.omega0(registry)
-    if omega is not None:
-        if omega.magnitude >= w0.magnitude:
-            raise NotQuasiStaticError(
-                f"drive frequency {omega.magnitude:.3e} rad/s is at or above the "
-                f"resonance {w0.magnitude:.3e} rad/s; the quasi-static response does not apply"
-            )
-        if omega.magnitude > QUASI_STATIC_WARN_FRACTION * w0.magnitude:
-            warnings.warn(
-                f"drive frequency {omega.magnitude:.3e} rad/s is within a decade of the "
-                "resonance; the zero-frequency response is approximate",
-                QuasiStaticWarning,
-                stacklevel=3,
-            )
     displacement = abs(p.charge) * field / (p.mass * w0**2)
     return w0, displacement, abs(p.charge) * displacement
 
@@ -394,7 +351,6 @@ def _probe(
 def probe_response(
     p: OscillatorParams,
     field: Quantity,
-    omega: Quantity | None = None,
     registry: ConstantRegistry | None = None,
 ) -> tuple[Quantity, Quantity, Quantity]:
     """Response to one probe field: displacement x, dipole moment q x, polarization q x / V.
@@ -402,7 +358,7 @@ def probe_response(
     The guard runs once, so each warning it raises is shown once.
     """
     reg = registry or default_registry()
-    w0, displacement, dipole = _probe(p, field, omega, reg)
+    w0, displacement, dipole = _probe(p, field, reg)
     conv = p.volume_convention
     radius = _radius(conv, p.mass, p.g_factor, w0, reg.quantity("hbar"), reg.quantity("c"))
     return displacement, dipole, dipole / _volume(conv.shape, radius)
@@ -411,11 +367,10 @@ def probe_response(
 def oscillator_displacement(
     p: OscillatorParams,
     field: Quantity,
-    omega: Quantity | None = None,
     registry: ConstantRegistry | None = None,
 ) -> Quantity:
     """Static displacement x = q E / (m w0^2) of the bound charge."""
-    return _probe(p, field, omega, registry or default_registry())[1]
+    return _probe(p, field, registry or default_registry())[1]
 
 
 def effective_radius(p: OscillatorParams, registry: ConstantRegistry | None = None) -> Quantity:

@@ -1,8 +1,9 @@
-"""Minimal deterministic SVG line charts (no plotting framework).
+"""The sweep's eps_tilde/eps0 chart, as deterministic SVG (no plotting framework).
 
-Emits SVG 1.1 with explicit width/height, numeric axis ticks, one polyline
-per data series, and a dashed reference line.  All coordinates are formatted
-with fixed precision so identical inputs produce identical bytes.
+Emits SVG 1.1 of a fixed 720 x 480 size, with numeric axis ticks, one
+polyline per data series, and a dashed reference line at the measured value.
+All coordinates are formatted with fixed precision so identical inputs
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from typing import NamedTuple
 _COLORS = ("#1f5fa8", "#c24d2c", "#3a7d44", "#7a4fa3", "#a8761f", "#46808c")
 
 _TICKS = 6
+
+_WIDTH, _HEIGHT = 720, 480
 
 
 class Series(NamedTuple):
@@ -39,21 +42,23 @@ def _escape(text: str) -> str:
 
 def sweep_chart(
     series: list[Series],
-    x_label: str,
-    y_label: str,
-    reference_y: float | None = None,
-    reference_label: str = "",
-    width: int = 720,
-    height: int = 480,
+    x_label: str = "gap ratio",
+    y_label: str = "permittivity estimate / measured value",
+    reference_y: float = 1.0,
+    reference_label: str = "measured",
 ) -> str:
-    """Render series as polylines over labelled axes; returns the SVG text."""
+    """Render series as polylines over labelled axes; returns the SVG text.
+
+    The defaults are what ``vacuumresponse sweep --format svg`` draws:
+    eps_tilde/eps0 against the gap ratio, with the measured value at 1.
+    ``perfbench/traced.py`` times the chart with labels of its own.
+    """
     if not series or not any(s.points for s in series):
         raise ValueError("chart needs at least one non-empty series")
 
     xs = [x for s in series for x, _ in s.points]
     ys = [y for s in series for _, y in s.points]
-    if reference_y is not None:
-        ys.append(reference_y)
+    ys.append(reference_y)
     x_min, x_max = min(xs), max(xs)
     y_min, y_max = 0.0, max(ys)
     if x_max == x_min:
@@ -63,8 +68,8 @@ def sweep_chart(
     y_max *= 1.06
 
     left, right, top, bottom = 72, 160, 24, 48
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = _WIDTH - left - right
+    plot_h = _HEIGHT - top - bottom
 
     def px(x: float) -> float:
         return left + (x - x_min) / (x_max - x_min) * plot_w
@@ -75,7 +80,7 @@ def sweep_chart(
     out: list[str] = []
     out.append(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
     out.append('<rect width="100%" height="100%" fill="white"/>')
 
@@ -108,7 +113,7 @@ def sweep_chart(
         )
 
     out.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{height - 10}" font-size="13" '
+        f'<text x="{left + plot_w / 2:.2f}" y="{_HEIGHT - 10}" font-size="13" '
         f'text-anchor="middle" font-family="sans-serif">{_escape(x_label)}</text>'
     )
     out.append(
@@ -117,17 +122,15 @@ def sweep_chart(
         f"{_escape(y_label)}</text>"
     )
 
-    if reference_y is not None:
-        y_pos = py(reference_y)
-        out.append(
-            f'<line x1="{left}" y1="{_fmt(y_pos)}" x2="{left + plot_w}" y2="{_fmt(y_pos)}" '
-            'stroke="#888" stroke-width="1" stroke-dasharray="6 4"/>'
-        )
-        if reference_label:
-            out.append(
-                f'<text x="{left + plot_w + 8}" y="{_fmt(y_pos + 4)}" font-size="12" '
-                f'font-family="sans-serif" fill="#555">{_escape(reference_label)}</text>'
-            )
+    y_pos = py(reference_y)
+    out.append(
+        f'<line x1="{left}" y1="{_fmt(y_pos)}" x2="{left + plot_w}" y2="{_fmt(y_pos)}" '
+        'stroke="#888" stroke-width="1" stroke-dasharray="6 4"/>'
+    )
+    out.append(
+        f'<text x="{left + plot_w + 8}" y="{_fmt(y_pos + 4)}" font-size="12" '
+        f'font-family="sans-serif" fill="#555">{_escape(reference_label)}</text>'
+    )
 
     for index, s in enumerate(series):
         color = _COLORS[index % len(_COLORS)]

@@ -140,7 +140,7 @@ def main() -> int:
         record()
         return 0
     here = str(Path(__file__).resolve().parent.parent / "src")
-    ours, theirs = _outcomes(here, args.seed, args.count), _outcomes(args.diff, args.seed, args.count)
+    ours, theirs = (_outcomes(src, args.seed, args.count) for src in (here, args.diff))
     differing = [argv for argv, a, b in zip(argvs(args.seed, args.count), ours, theirs) if a != b]
     for argv in differing:
         print("differs:", argv)

@@ -1,5 +1,8 @@
 """In-process checks of ``cli.main``: output routing and process state."""
 
+import errno
+import io
+import os
 import subprocess
 import sys
 import warnings
@@ -49,6 +52,24 @@ def test_unwritable_out_names_its_path_once(tmp_path, capsys):
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1
     assert errors[0].count(out) == 1
+
+
+class _FullStdout(io.StringIO):
+    """A stdout on a full device: every write fails as it would on /dev/full."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# sweep writes its payload in one write; estimate prints its text line by line.
+@pytest.mark.parametrize("argv", [["sweep", "--points", "2"], ["estimate"]])
+def test_a_failed_write_to_stdout_names_stdout(monkeypatch, argv):
+    stderr = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(argv) == 1
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+    assert errors == ["error: [Errno 28] No space left on device (<stdout>)"]
 
 
 def test_check_dimensions_out_keeps_failure_exit(tmp_path, capsys, corrupted_constants):

@@ -13,7 +13,8 @@ RECORDED = json.loads(DIGESTS.read_text(encoding="utf-8"))
 
 
 def test_the_recorded_argvs_are_the_seeded_ones():
-    assert [case["argv"] for case in RECORDED["cases"]] == argvs(RECORDED["seed"], RECORDED["count"])
+    recorded = [case["argv"] for case in RECORDED["cases"]]
+    assert recorded == argvs(RECORDED["seed"], RECORDED["count"])
 
 
 def test_every_argv_prints_its_recorded_payload():

@@ -61,20 +61,12 @@ RECORDS = {
         [],
     ),
     VolumeConvention: (
-        ("shape", "radius_rule", "custom_radius"),
-        (Shape.CUBE, RadiusRule.CUSTOM, METRE),
-        {"shape": Shape.CUBE, "radius_rule": RadiusRule.MAXWELL_CONSISTENT,
-         "custom_radius": None},
+        ("shape", "radius_rule"),
+        (Shape.CUBE, RadiusRule.COMPTON),
+        {"shape": Shape.CUBE, "radius_rule": RadiusRule.MAXWELL_CONSISTENT},
         [
-            ({"custom_radius": None}, ValueError, "custom radius must be a positive length"),
-            ({"custom_radius": Quantity(1.0, TIME)}, ValueError,
-             "custom radius must be a positive length"),
-            ({"custom_radius": Quantity(0.0, LENGTH)}, ValueError,
-             "custom radius must be a positive length"),
-            ({"radius_rule": RadiusRule.COMPTON}, ValueError,
-             "custom_radius is only valid with the custom radius rule"),
-            ({"shape": Shape.SPHERE, "radius_rule": RadiusRule.COMPTON, "custom_radius": None},
-             ConventionMismatchError, "the uniform sphere only supports the consistent radius"),
+            ({"shape": Shape.SPHERE}, ConventionMismatchError,
+             "the uniform sphere only supports the consistent radius"),
         ],
     ),
     OscillatorParams: (

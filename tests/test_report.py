@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import random
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -404,13 +405,7 @@ class TestSvgChart:
             Series(token, [(r.kappa, r.eps_ratio) for r in rows if r.convention == token])
             for token in config.conventions
         ]
-        return sweep_chart(
-            series,
-            x_label="gap ratio",
-            y_label="ratio",
-            reference_y=1.0,
-            reference_label="measured",
-        )
+        return sweep_chart(series)
 
     def test_well_formed_xml_with_size(self, chart):
         root = ET.fromstring(chart)
@@ -435,7 +430,7 @@ class TestSvgChart:
 
     def test_rejects_empty_series(self):
         with pytest.raises(ValueError):
-            sweep_chart([], x_label="x", y_label="y")
+            sweep_chart([])
 
     def test_labels_escaped_like_saxutils(self):
         labels = {
@@ -494,3 +489,56 @@ def test_printed_si_rows_keep_the_papers_closed_forms(kappa, g_factors, conventi
         if ("cube-compton", g) in eps_tilde and ("cube-half-compton", g) in eps_tilde:
             half, full = eps_tilde["cube-half-compton", g], eps_tilde["cube-compton", g]
             assert math.isclose(half, 8 * full, rel_tol=two), (kappa, g)
+
+
+# The same laws on build_row's floats, at full precision.  Two hold exactly:
+# the half-Compton radius is the Compton one halved, which scales eps_tilde by
+# exactly 8, and count_sphere is computed as its closed form.  Each other law
+# has a budget of relative errors of U = 2**-53 counted from the operations on
+# both of its sides: one U for each rounded *, / and sqrt, two for each libm
+# ``**`` (within one ULP), each times the power with which its result enters
+# the law.  A value used on both sides of a law, such as w0 or the volume that
+# eps and mu share, enters with the power that is left after they cancel.
+U = 2.0**-53
+BUDGET = {
+    # the model's 1 / (4 pi alpha kappa): 3; the test's product: 3.
+    "count_simple": 6,
+    # alpha = e**2 / (4 pi eps0 hbar c): 6; w0 = kappa m c**2 / hbar: 5, to
+    # the power 1; w0**2: 2; the radius c / w0: 1, cubed: 3; radius**3: 2;
+    # eps = e**2 / (m w0**2 V): 2 + 3; eps / eps0: 1; the test's 4 pi alpha kappa: 2.
+    "eps_ratio": 26,
+    # e**2 twice: 4; w0**2: 2; eps: 3; mu = 2 m V / (g e**2 rho2): 4; the
+    # radius sqrt(k / g) c / w0: 1 + 1 + 1 + 1, squared in rho2: 7; rho2 =
+    # radius**2: 2, for the sphere also times 2/5, itself rounded: 2; the
+    # test's eps mu c**2: 4.
+    "eps_mu_c2": {"cube": 26, "sphere": 28},
+    # the model's eps mu as above: 22 or 24; the two ratios: 2; the test's
+    # product: 1 and 1 / (eps0 mu0 c**2): 5.
+    "ratio_product": {"cube": 30, "sphere": 32},
+}
+
+
+def _within(value, exact, roundings):
+    return abs(value - exact) <= roundings * U * abs(exact)
+
+
+def test_rows_keep_the_papers_laws_at_full_precision(registry):
+    alpha, c, eps0, mu0 = (registry.value(key) for key in ("alpha", "c", "eps0", "mu0"))
+    rng = random.Random("the paper's laws at full precision")
+    for _ in range(1500):
+        kappa = 10 ** (4 * rng.random() - 2)
+        g = rng.choice((1.0, 2.0, 3.5)) if rng.random() < 0.5 else 0.1 + 9.9 * rng.random()
+        rows = {token: build_row(kappa, token, g, registry) for token in CONVENTION_TOKENS}
+        where = (kappa, g)
+        assert rows["cube-half-compton"].eps_tilde == 8 * rows["cube-compton"].eps_tilde, where
+        for row in rows.values():
+            assert row.count_sphere == 2.5**1.5 / (3 * alpha * kappa), where
+            count = row.count_simple * 4 * math.pi * alpha * kappa
+            assert _within(count, 1, BUDGET["count_simple"]), where
+        for token in ("cube", "sphere"):
+            eps, mu = rows[token].eps_tilde, rows[token].mu_tilde
+            assert _within(eps * mu * c**2, 1, BUDGET["eps_mu_c2"][token]), where
+            ratios = rows[token].eps_ratio * rows[token].mu_ratio
+            assert _within(ratios, 1 / (eps0 * mu0 * c**2), BUDGET["ratio_product"][token]), where
+        cube = build_row(kappa, "cube", 2.0, registry)
+        assert _within(cube.eps_ratio, 4 * math.pi * alpha * kappa, BUDGET["eps_ratio"]), kappa
