@@ -12,8 +12,8 @@ enters differently.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .constants import ConstantRegistry, default_registry
 from .dimensions import Dimension, Quantity
@@ -38,11 +38,8 @@ from .species import ParticleSpecies, SpeciesTable, total_permittivity
 from .units import format_dimension, parse_unit
 
 
-class CheckResult(NamedTuple):
-    name: str
-    description: str
-    lhs: Dimension
-    rhs: Dimension
+class CheckResult(namedtuple("CheckResult", "name description lhs rhs")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -88,13 +89,6 @@ def _parse_quantity_flag(parser: argparse.ArgumentParser, flag: str, text: str) 
     return Quantity(value, dimension)
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
 def _qty_text(q: Quantity, units: str) -> str:
     magnitude, unit = render_quantity(q, units)
     if unit == "1":
@@ -102,7 +96,7 @@ def _qty_text(q: Quantity, units: str) -> str:
     return f"{format_float(magnitude)} {unit}"
 
 
-def _print_row_text(row: ReportRow, extra: list[tuple[str, str]], units: str) -> None:
+def _row_text(row: ReportRow, extra: list[tuple[str, str]], units: str) -> str:
     pairs: list[tuple[str, str]] = [
         ("kappa", f"{row.kappa:g}"),
         ("convention", row.convention),
@@ -117,15 +111,12 @@ def _print_row_text(row: ReportRow, extra: list[tuple[str, str]], units: str) ->
     ]
     pairs.extend(extra)
     width = max(len(name) for name, _ in pairs)
-    for name, value in pairs:
-        print(f"{name:<{width}}  {value}")
+    return "".join(f"{name:<{width}}  {value}\n" for name, value in pairs)
 
 
 def cmd_estimate(
     args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> int:
-    if args.format == "text" and args.out is not None:
-        parser.error("--out requires --format csv or json for estimate")
+) -> tuple[int, str]:
     kappa = _positive_float(parser, "--gap-ratio", args.gap_ratio)
     g = _positive_float(parser, "--g-factor", args.g_factor)
     convention = args.convention
@@ -164,17 +155,15 @@ def cmd_estimate(
     print(COUNT_NOTE, file=sys.stderr)
 
     if args.format == "text":
-        _print_row_text(row, extra, args.units)
-    elif args.format == "csv":
-        _write_output(rows_to_csv([row], args.units), args.out)
-    else:
-        _write_output(rows_to_json([row], args.units), args.out)
-    return 0
+        return 0, _row_text(row, extra, args.units)
+    if args.format == "csv":
+        return 0, rows_to_csv([row], args.units)
+    return 0, rows_to_json([row], args.units)
 
 
 def cmd_sweep(
     args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> int:
+) -> tuple[int, str]:
     conventions = tuple(t for t in (s.strip() for s in args.conventions.split(",")) if t)
     g_factors = []
     for piece in args.g_factors.split(","):
@@ -218,13 +207,12 @@ def cmd_sweep(
         payload = rows_to_json(rows, args.units)
     else:
         payload = rows_to_csv(rows, args.units)
-    _write_output(payload, args.out)
-    return 0
+    return 0, payload
 
 
 def cmd_species(
     args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> int:
+) -> tuple[int, str]:
     # Imported on use: only this subcommand reads a species table.
     from .species import (
         SpeciesModel, bundled_species_path, charge_weighted_sum, gap_for_exact_match,
@@ -265,13 +253,12 @@ def cmd_species(
                 f"match_gap_{model.value:<9} ratio {format_float(match.gap_ratio)}  "
                 f"energy {_qty_text(match.gap_energy, args.units)}"
             )
-    _write_output("\n".join(lines) + "\n", args.out)
-    return 0
+    return 0, "\n".join(lines) + "\n"
 
 
 def cmd_check_dimensions(
     args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> int:
+) -> tuple[int, str]:
     # Imported on use, so that the other subcommands start faster.
     from .checks import render_report, run_dimension_checks
 
@@ -283,13 +270,12 @@ def cmd_check_dimensions(
         if registry.mismatches:
             raise DimensionMismatchError(f"the constants give {'; '.join(registry.mismatches)}")
         raise
-    _write_output(render_report(results) + "\n", args.out)
-    return 0 if all(r.ok for r in results) else 1
+    return (0 if all(r.ok for r in results) else 1), render_report(results) + "\n"
 
 
 def cmd_constants(
     args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> int:
+) -> tuple[int, str]:
     release = registry.codata_release or "unspecified"
     print(f"# codata release: {release}", file=sys.stderr)
     lines: list[str] = []
@@ -300,11 +286,11 @@ def cmd_constants(
         if record.definition:
             line += f"\t{record.definition}"
         lines.append(line + "\n")
-    _write_output("".join(lines), args.out)
-    return 0
+    return 0, "".join(lines)
 
 
-# Each subcommand's function and the summary that top-level help lists.
+# Each subcommand's function and the summary that top-level help lists.  A
+# function returns its exit code and payload; only ``_run`` writes a payload.
 _COMMANDS = {
     "estimate": (cmd_estimate, "single-point model estimate"),
     "sweep": (cmd_sweep, "parameter sweep over the gap ratio"),
@@ -409,11 +395,24 @@ def _run(argv: list[str] | None) -> int:
             return 1
 
         try:
-            return args.func(args, args.parser, registry)
+            code, payload = args.func(args, args.parser, registry)
+            if args.out is None:
+                sys.stdout.write(payload)
+                sys.stdout.flush()
+            else:
+                Path(args.out).write_text(payload, encoding="utf-8")
+            return code
         except OSError as exc:
             # An OSError with a filename already names it in its message.
             suffix = "" if exc.filename else f" ({args.out or '<stdout>'})"
             print(f"error: {exc}{suffix}", file=sys.stderr)
+            if not exc.filename and args.out is None and sys.stdout is sys.__stdout__:
+                # The unwritten bytes stay in stdout's buffer, and the
+                # interpreter's final flush would fail on them again: point
+                # the process's stdout at the null device instead.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
             return 1
         except (ValueError, MissingConstantError) as exc:
             # Every model and table error derives from ValueError (field too

@@ -21,9 +21,9 @@ for code that computes on the magnitudes, while ``check-dimensions`` and
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 from pathlib import Path
-from typing import NamedTuple
 
 from .dimensions import (
     CHARGE,
@@ -76,12 +76,10 @@ REQUIRED_DIMENSIONS = {
 DERIVED_KEYS = ("alpha", "lambda_c", "E_S")
 
 
-class ConstantRecord(NamedTuple):
-    key: str
-    quantity: Quantity
-    unit_text: str
-    source: str
-    definition: str | None = None
+class ConstantRecord(
+    namedtuple("ConstantRecord", "key quantity unit_text source definition", defaults=(None,))
+):
+    __slots__ = ()
 
     @property
     def magnitude(self) -> float:

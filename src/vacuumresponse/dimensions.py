@@ -52,14 +52,16 @@ factor, and the unit module renders a quantity through it.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from math import gcd, lcm
-from typing import TYPE_CHECKING, NamedTuple, Union
 
-# Imported where a Fraction is made or may be given, so int exponents never load it.
+# Annotations only: ``typing`` is never loaded at run time, and a Fraction is
+# imported where one is made or may be given, so int exponents never load it.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
-Rational = Union[int, "Fraction"]
+    Rational = int | Fraction
 
 _BASE_FIELDS = (
     "length",
@@ -483,11 +485,9 @@ _set_magnitude = Quantity.magnitude.__set__
 _set_dimension = Quantity.dimension.__set__
 
 
-class GaussianUnit(NamedTuple):
-    """How a value of one SI dimension is expressed in Gaussian units."""
-
-    dimension: Dimension
-    factor: float  # the SI magnitude times this factor is the Gaussian magnitude
+# How a value of one SI dimension is expressed in Gaussian units: the SI
+# magnitude times ``factor`` is the Gaussian magnitude, of ``dimension``.
+GaussianUnit = namedtuple("GaussianUnit", "dimension factor")
 
 
 # The numeral of the defined SI light speed; conversion factors between the

@@ -19,7 +19,7 @@ each row with one format string.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .constants import ConstantRegistry, default_registry
 from .dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Quantity, _Record
@@ -34,6 +34,11 @@ from .model import (
     vacuum_response,
 )
 from .units import render_quantity
+
+# Annotations only: ``typing`` is never loaded at run time.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable
 
 # CLI-facing convention tokens.  "cube" and "sphere" use the radius closed on
 # the light-speed constraint; the remaining cubes pin the radius length scale.
@@ -65,17 +70,10 @@ CSV_HEADER = (
 COLUMN_DIMENSIONS = (PERMITTIVITY, PERMEABILITY, LENGTH)
 
 
-class ReportRow(NamedTuple):
-    kappa: float
-    convention: str
-    g: float
-    eps_tilde: float
-    mu_tilde: float
-    radius: float
-    eps_ratio: float
-    mu_ratio: float
-    count_simple: float
-    count_sphere: float
+ReportRow = namedtuple(
+    "ReportRow",
+    "kappa convention g eps_tilde mu_tilde radius eps_ratio mu_ratio count_simple count_sphere",
+)
 
 
 class SweepConfig(_Record):

@@ -19,15 +19,20 @@ dimensions; ``total_permittivity`` derives its own.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, NamedTuple
 
 from .constants import ConstantRegistry, default_registry
 from .dimensions import NonFiniteError, Quantity, _Record
 from .model import SpeciesModel, _deviation, _gap, required_species_count
 from .units import quantity
+
+# Annotations only: ``typing`` is never loaded at run time.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterator
 
 
 class DuplicateNameError(ValueError):
@@ -227,9 +232,8 @@ def total_permittivity(
     return total
 
 
-class GapMatch(NamedTuple):
-    gap_ratio: float
-    gap_energy: Quantity  # transition energy for electron-scale oscillators
+# ``gap_energy`` is the transition energy for electron-scale oscillators.
+GapMatch = namedtuple("GapMatch", "gap_ratio gap_energy")
 
 
 def gap_for_exact_match(

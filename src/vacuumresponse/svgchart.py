@@ -8,7 +8,7 @@ produce identical bytes.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 # Fixed series palette, cycled in order.
 _COLORS = ("#1f5fa8", "#c24d2c", "#3a7d44", "#7a4fa3", "#a8761f", "#46808c")
@@ -18,9 +18,8 @@ _TICKS = 6
 _WIDTH, _HEIGHT = 720, 480
 
 
-class Series(NamedTuple):
-    label: str
-    points: list[tuple[float, float]]
+# One polyline: its legend label and its (x, y) points.
+Series = namedtuple("Series", "label points")
 
 
 def _fmt(value: float) -> str:

@@ -14,7 +14,7 @@ import: every registry name, bare and behind every prefix (the micro sign
 and Greek mu as "u").  The table encodes bare-name priority ("kg" is the
 kilogram, not kilo-gram) and the longest prefix first ("da" before "d").
 
-The parser builds no syntax tree.  One ``findall`` of one compiled pattern
+``_parse`` builds no syntax tree.  One ``findall`` of one compiled pattern
 cuts a text into items, one per factor: its operator, its primary and its
 power; a "(" or ")" is a primary, and an open group waits on a stack.  The
 walk over the items keeps each scale as a (mantissa, exponent) pair with
@@ -41,7 +41,7 @@ import itertools
 import math
 import re
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from .dimensions import (
     AMOUNT,
@@ -103,9 +103,7 @@ class UnitScaleError(UnitParseError):
         super().__init__(f"the scale of {text!r} is beyond the float range")
 
 
-class UnitEntry(NamedTuple):
-    scale: float
-    dimension: Dimension
+UnitEntry = namedtuple("UnitEntry", "scale dimension")
 
 
 _BASE_UNITS = {
@@ -255,9 +253,10 @@ def _syntax_error(
     return UnitSyntaxError(position, _SYMBOL_OR_GROUP)
 
 
-class _Parser:
-    """One walk, left to right, over the items of one ``findall`` of ``_ITEM``.
+def _parse(text: str) -> tuple[float, int, Dimension]:
+    """The scale of ``text``, as (mantissa, exponent), and its dimension.
 
+    One walk, left to right, over the items of one ``findall`` of ``_ITEM``.
     Each item's primary is looked up in ``_SYMBOLS`` first; "(", ")", "1",
     an unknown letter run and a stray character take the miss branch.  Each
     factor's scale is (mantissa, exponent), ``mantissa * 2**exponent``, with
@@ -270,90 +269,84 @@ class _Parser:
     ``_syntax_error`` finds the position of the one error raised, so a text
     that parses pays for none.
     """
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-
-    def parse(self) -> tuple[float, int, Dimension]:
-        text = self.text
-        items = _ITEM.findall(text, 0, len(text.rstrip()))
-        if not items:
-            raise EmptyInputError()
-        groups: list[tuple[float, int, _Key, str, bool]] = []
-        mantissa, exponent, key, fresh = 1.0, 0, DIMENSIONLESS._key, True
-        deferred: tuple[tuple[str, ...], str | None] | None = None
-        for item in items:
-            op, primary, sign, numerator, denominator, _ = item
-            if op and fresh:
+    items = _ITEM.findall(text, 0, len(text.rstrip()))
+    if not items:
+        raise EmptyInputError()
+    groups: list[tuple[float, int, _Key, str, bool]] = []
+    mantissa, exponent, key, fresh = 1.0, 0, DIMENSIONLESS._key, True
+    deferred: tuple[tuple[str, ...], str | None] | None = None
+    for item in items:
+        op, primary, sign, numerator, denominator, _ = item
+        if op and fresh:
+            raise _syntax_error(text, items, item, fresh, len(groups))
+        if numerator:
+            try:
+                n = int(numerator)
+                d = int(denominator) if denominator else 1
+            except ValueError:  # too many digits; ``_syntax_error`` says which
+                d = 0
+            if not d:
                 raise _syntax_error(text, items, item, fresh, len(groups))
-            if numerator:
-                try:
-                    n = int(numerator)
-                    d = int(denominator) if denominator else 1
-                except ValueError:  # too many digits; ``_syntax_error`` says which
-                    d = 0
-                if not d:
-                    raise _syntax_error(text, items, item, fresh, len(groups))
-            symbol = _SYMBOLS.get(primary)
-            if symbol is not None:
-                (m, k), e = symbol, 0
-            elif primary == "(":
-                if numerator or len(groups) == _MAX_GROUPS:
-                    raise _syntax_error(text, items, item, fresh, len(groups))
-                groups.append((mantissa, exponent, key, op, fresh))
-                mantissa, exponent, key, fresh = 1.0, 0, DIMENSIONLESS._key, True
-                continue
-            elif primary == ")":
-                if fresh or op or not groups:
-                    raise _syntax_error(text, items, item, fresh, len(groups))
-                m, e, k = mantissa, exponent, key
-                mantissa, exponent, key, op, fresh = groups.pop()
-            elif primary == "1":
-                m, e, k = 1.0, 0, DIMENSIONLESS._key
-            elif primary.isalpha():
-                m, e, k = 1.0, 0, DIMENSIONLESS._key
-                deferred = deferred or (item, primary)
-            else:  # a stray character, or a letter run holding a non-letter
+        symbol = _SYMBOLS.get(primary)
+        if symbol is not None:
+            (m, k), e = symbol, 0
+        elif primary == "(":
+            if numerator or len(groups) == _MAX_GROUPS:
                 raise _syntax_error(text, items, item, fresh, len(groups))
-            if numerator:
-                if sign == "-":
-                    n = -n
-                k = _key_pow(k, n, d)
-                try:
-                    power = n / d  # even for a unit scale: an n / d beyond floats is a scale error
-                    scale = math.ldexp(m, e) ** power if m != 1.0 or e else 1.0
-                except ArithmeticError:
-                    scale = 0.0
-                if _LOW < scale < _HIGH:
-                    m, e = scale, 0
-                elif 0.0 < scale < math.inf:
-                    m, e = math.frexp(scale)
-                else:
-                    m, e = 1.0, 0
-                    deferred = deferred or (item, None)
-            if fresh:
-                mantissa, exponent, key, fresh = m, e, k, False
-                continue
-            if op == "/":
-                mantissa, exponent, key = mantissa / m, exponent - e, _key_div(key, k)
+            groups.append((mantissa, exponent, key, op, fresh))
+            mantissa, exponent, key, fresh = 1.0, 0, DIMENSIONLESS._key, True
+            continue
+        elif primary == ")":
+            if fresh or op or not groups:
+                raise _syntax_error(text, items, item, fresh, len(groups))
+            m, e, k = mantissa, exponent, key
+            mantissa, exponent, key, op, fresh = groups.pop()
+        elif primary == "1":
+            m, e, k = 1.0, 0, DIMENSIONLESS._key
+        elif primary.isalpha():
+            m, e, k = 1.0, 0, DIMENSIONLESS._key
+            deferred = deferred or (item, primary)
+        else:  # a stray character, or a letter run holding a non-letter
+            raise _syntax_error(text, items, item, fresh, len(groups))
+        if numerator:
+            if sign == "-":
+                n = -n
+            k = _key_pow(k, n, d)
+            try:
+                power = n / d  # even for a unit scale: an n / d beyond floats is a scale error
+                scale = math.ldexp(m, e) ** power if m != 1.0 or e else 1.0
+            except ArithmeticError:
+                scale = 0.0
+            if _LOW < scale < _HIGH:
+                m, e = scale, 0
+            elif 0.0 < scale < math.inf:
+                m, e = math.frexp(scale)
             else:
-                mantissa, exponent, key = mantissa * m, exponent + e, _key_mul(key, k)
-            if not _LOW < mantissa < _HIGH:
-                mantissa, shift = math.frexp(mantissa)
-                exponent += shift
-        if fresh or groups:
-            raise _syntax_error(text, items, None, fresh, len(groups))
-        if deferred is not None:
-            item, symbol = deferred
-            if symbol is None:
-                raise UnitScaleError(text)
-            raise UnknownUnitError(symbol, _matches(text, items, item)[-1].start(2))
-        return mantissa, exponent, _reduced(key)
+                m, e = 1.0, 0
+                deferred = deferred or (item, None)
+        if fresh:
+            mantissa, exponent, key, fresh = m, e, k, False
+            continue
+        if op == "/":
+            mantissa, exponent, key = mantissa / m, exponent - e, _key_div(key, k)
+        else:
+            mantissa, exponent, key = mantissa * m, exponent + e, _key_mul(key, k)
+        if not _LOW < mantissa < _HIGH:
+            mantissa, shift = math.frexp(mantissa)
+            exponent += shift
+    if fresh or groups:
+        raise _syntax_error(text, items, None, fresh, len(groups))
+    if deferred is not None:
+        item, symbol = deferred
+        if symbol is None:
+            raise UnitScaleError(text)
+        raise UnknownUnitError(symbol, _matches(text, items, item)[-1].start(2))
+    return mantissa, exponent, _reduced(key)
 
 
 def parse_unit(text: str) -> tuple[float, Dimension]:
     """Parse a unit expression into (scale to the SI coherent unit, dimension)."""
-    mantissa, exponent, dimension = _Parser(text).parse()
+    mantissa, exponent, dimension = _parse(text)
     try:
         scale = math.ldexp(mantissa, exponent)
     except OverflowError:

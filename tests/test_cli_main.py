@@ -19,19 +19,16 @@ from vacuumresponse.model import WeakFieldWarning
 from conftest import CLI
 
 
-def test_estimate_text_rejects_out_before_any_output(tmp_path, capsys):
-    out = tmp_path / "estimate.txt"
-    assert main(["estimate", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--out requires --format csv or json" in captured.err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "argv",
-    [["species", "--gap-ratio", "2"], ["check-dimensions"], ["constants", "--derived"]],
-    ids=lambda argv: argv[0],
+    [
+        ["estimate"],
+        ["estimate", "--probe-field", "1 V/m"],
+        ["species", "--gap-ratio", "2"],
+        ["check-dimensions"],
+        ["constants", "--derived"],
+    ],
+    ids=["estimate", "estimate-probe", "species", "check-dimensions", "constants"],
 )
 def test_out_writes_what_stdout_would_show(tmp_path, capsys, argv):
     assert main(argv) == 0
@@ -61,7 +58,7 @@ class _FullStdout(io.StringIO):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-# sweep writes its payload in one write; estimate prints its text line by line.
+# Every subcommand's payload leaves in one write; sweep's is a CSV, estimate's text.
 @pytest.mark.parametrize("argv", [["sweep", "--points", "2"], ["estimate"]])
 def test_a_failed_write_to_stdout_names_stdout(monkeypatch, argv):
     stderr = io.StringIO()
@@ -70,6 +67,24 @@ def test_a_failed_write_to_stdout_names_stdout(monkeypatch, argv):
     assert main(argv) == 1
     errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
     assert errors == ["error: [Errno 28] No space left on device (<stdout>)"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "command", ["estimate", "sweep", "species", "check-dimensions", "constants"]
+)
+def test_a_full_device_on_a_buffered_stdout_is_one_error_line(command):
+    # Without PYTHONUNBUFFERED a short payload waits in stdout's buffer; the
+    # write must still fail inside the command, not at the interpreter's exit.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [*CLI, command], stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120
+        )
+    assert result.returncode == 1, result.stderr
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: [Errno 28] No space left on device (<stdout>)"]
+    assert "Exception ignored" not in result.stderr
 
 
 def test_check_dimensions_out_keeps_failure_exit(tmp_path, capsys, corrupted_constants):
@@ -331,6 +346,18 @@ def test_species_names_the_bundled_table_not_its_path(tmp_path, capsys):
     table.write_text("electron\t-1\t1\n", encoding="utf-8")
     assert main(["species", "--species", str(table)]) == 0
     assert f"species_file        {table}\n" in capsys.readouterr().out
+
+
+def test_a_table_of_no_charged_species_warns_and_matches_no_gap(tmp_path, capsys):
+    table = tmp_path / "empty.tsv"
+    table.write_text("# no species\n", encoding="utf-8")
+    assert main(["species", "--species", str(table)]) == 0
+    captured = capsys.readouterr()
+    assert "warning: NoSpecies: the table contains no charged species\n" in captured.err
+    assert "rows                0\n" in captured.out
+    assert "charge_weighted_sum 0 (0.00000000000e+00)\n" in captured.out
+    assert "total_permittivity  0.00000000000e+00 A^2 s^4 / (kg m^3)\n" in captured.out
+    assert "match_gap_" not in captured.out
 
 
 @pytest.mark.parametrize(

@@ -119,9 +119,10 @@ def test_short_subcommands_skip_fractions_and_species(argv):
     assert not loaded, f"{' '.join(argv)} loads {sorted(loaded)}"
 
 
-# What a site hook may pre-load, and what locating the bundled tables through
-# importlib.resources used to load: the package finds them beside its modules.
-NOT_ON_A_CLEAN_START = {"importlib.resources", "tempfile", "zipfile"}
+# What a site hook may pre-load: what locating the bundled tables through
+# importlib.resources used to load (the package finds them beside its
+# modules), and typing (its records are collections.namedtuple classes).
+NOT_ON_A_CLEAN_START = {"importlib.resources", "tempfile", "zipfile", "typing"}
 CLEAN_START_ARGVS = [*SHORT_PATH_ARGVS, ["species"], ["check-dimensions"]]
 
 

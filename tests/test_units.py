@@ -341,13 +341,13 @@ class TestRecordedBehaviour:
     @pytest.mark.parametrize("text", ["A s / (V m)", "foo m", "foo (", "Ym^12 Ym^12/Ym^12"])
     def test_every_text_is_parsed_in_one_descent(self, monkeypatch, text):
         calls = []
-        real = units._Parser.parse
+        real = units._parse
 
-        def counting(parser):
-            calls.append(text)
-            return real(parser)
+        def counting(parsed):
+            calls.append(parsed)
+            return real(parsed)
 
-        monkeypatch.setattr(units._Parser, "parse", counting)
+        monkeypatch.setattr(units, "_parse", counting)
         with contextlib.suppress(UnitParseError):
             parse_unit(text)
         assert len(calls) == 1
