@@ -233,7 +233,7 @@ def cmd_species(
     source = "bundled:" + path.name if args.species is None else args.species
     lines.append(f"species_file        {source}")
     lines.append(f"sha256              {table.sha256}")
-    lines.append(f"rows                {len(table)}")
+    lines.append(f"rows                {len(table.species)}")
     lines.append(f"charge_weighted_sum {weight} ({format_float(float(weight))})")
     total = total_permittivity(table, kappa, registry)
     if args.units == "gaussian":

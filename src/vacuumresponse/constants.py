@@ -9,7 +9,8 @@ finite in SI units.
 
 Three derived records are appended at load time: the fine-structure
 constant, the electron's reduced Compton wavelength, and the critical
-(Schwinger) field strength.
+(Schwinger) field strength.  A file that gives one of their keys, or any
+key twice, is refused with the line at fault.
 
 This module alone decides whether a file's units give each required key the
 dimension ``REQUIRED_DIMENSIONS`` names.  A registry records each key that
@@ -143,6 +144,10 @@ def _parse_lines(lines: list[str]) -> ConstantRegistry:
         key, magnitude_text, unit_text, source = (f.strip() for f in fields)
         if not key:
             raise MalformedLineError(number, "empty key")
+        if key in records:
+            raise MalformedLineError(number, f"key {key!r} is given more than once")
+        if key in DERIVED_KEYS:
+            raise MalformedLineError(number, f"key {key!r} is derived at load, not read")
         try:
             magnitude = float(magnitude_text)
         except ValueError:

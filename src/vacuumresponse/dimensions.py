@@ -328,61 +328,22 @@ PERMITTIVITY = CHARGE**2 / (ENERGY * LENGTH)
 PERMEABILITY = (SPEED**2 * PERMITTIVITY).inverse()
 
 
-class _Record:
-    """Base of the package's checked records: immutable, compared and hashed by field.
-
-    A subclass names its fields in ``__slots__``; its ``__init__`` stores them
-    with ``_store``, in that order, and then checks them.  Records are classes,
-    not dataclasses, because importing ``dataclasses`` loads ``inspect`` and
-    ``ast``, and each frozen dataclass costs about a millisecond to define:
-    time every CLI start would pay.
-    """
-
-    __slots__ = ()
-
-    def _store(self, *values: object) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        return self.__class__, self._values()
-
-    # The error is the one a frozen dataclass raises, and dataclasses is
-    # imported only when an assignment is refused.
-    def __setattr__(self, name: str, value: object) -> None:
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+# The ``_make`` of every checked record, a ``namedtuple`` subclass whose
+# ``__new__`` checks its fields.  ``namedtuple``'s own ``_make`` builds the
+# tuple directly, so ``_replace`` and ``copy.replace`` would skip the checks;
+# this one builds through the class, as pickling and ``copy`` already do.
+_checked_make = classmethod(lambda cls, values: cls(*values))
 
 
-class Quantity(_Record):
+class Quantity:
     """A finite real magnitude bound to a dimension.
 
     Addition and subtraction require identical dimensions; multiplication
     and division combine dimensions; rational powers scale the exponent
     vector exactly.  Quantities are immutable, and non-finite magnitudes
     are rejected at construction, so arithmetic overflow surfaces
-    immediately.
+    immediately.  A quantity is not a tuple, so ``<`` and ``sorted`` refuse
+    it rather than compare magnitudes of different dimensions.
     """
 
     __slots__ = ("magnitude", "dimension")
@@ -396,6 +357,26 @@ class Quantity(_Record):
             raise NonFiniteError(f"quantity magnitude must be finite, got {value!r}")
         _set_magnitude(self, value)
         _set_dimension(self, dimension)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.magnitude == other.magnitude and self.dimension == other.dimension
+
+    def __hash__(self) -> int:
+        return hash((self.magnitude, self.dimension))
+
+    def __repr__(self) -> str:
+        return f"Quantity(magnitude={self.magnitude!r}, dimension={self.dimension!r})"
+
+    def __reduce__(self) -> tuple:
+        return Quantity, (self.magnitude, self.dimension)
 
     def _check_same(self, other: Quantity, op: str) -> None:
         if self.dimension != other.dimension:
@@ -479,8 +460,8 @@ def _quantity_power(q: Quantity, numerator: int, denominator: int) -> Quantity:
     return Quantity(magnitude, dim)
 
 
-# The slot setters, which bypass ``_Record``'s assignment guard.  Quantity
-# construction is the hot path, so it calls them rather than ``_store``.
+# The slot setters, which bypass ``Quantity``'s assignment guard on the hot
+# path of construction.
 _set_magnitude = Quantity.magnitude.__set__
 _set_dimension = Quantity.dimension.__set__
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from enum import Enum
 
 from .constants import ConstantRegistry, _compton, _critical_field, default_registry
@@ -36,8 +37,8 @@ from .dimensions import (
     TIME,
     DimensionMismatchError,
     Quantity,
+    _checked_make,
     _quantity_power,
-    _Record,
 )
 
 # The paired antiparticle responds with the same sign as the particle, so the
@@ -73,22 +74,23 @@ class RadiusRule(Enum):
     MAXWELL_CONSISTENT = "maxwell-consistent"
 
 
-class VolumeConvention(_Record):
+class VolumeConvention(
+    namedtuple(
+        "VolumeConvention",
+        "shape radius_rule",
+        defaults=(Shape.CUBE, RadiusRule.MAXWELL_CONSISTENT),
+    )
+):
     """Rule assigning an effective volume (and orbit radius) to a pair."""
 
-    __slots__ = ("shape", "radius_rule")
+    __slots__ = ()
+    _make = _checked_make
 
-    shape: Shape
-    radius_rule: RadiusRule
-
-    def __init__(
-        self,
-        shape: Shape = Shape.CUBE,
-        radius_rule: RadiusRule = RadiusRule.MAXWELL_CONSISTENT,
-    ) -> None:
-        self._store(shape, radius_rule)
+    def __new__(cls, *args, **kwargs) -> VolumeConvention:
+        self = super().__new__(cls, *args, **kwargs)
         if self.shape is Shape.SPHERE and self.radius_rule is not RadiusRule.MAXWELL_CONSISTENT:
             raise ConventionMismatchError("the uniform sphere only supports the consistent radius")
+        return self
 
     @classmethod
     def cube(cls, rule: RadiusRule = RadiusRule.MAXWELL_CONSISTENT) -> VolumeConvention:
@@ -99,31 +101,26 @@ class VolumeConvention(_Record):
         return cls(Shape.SPHERE, RadiusRule.MAXWELL_CONSISTENT)
 
 
-class OscillatorParams(_Record):
+class OscillatorParams(
+    namedtuple(
+        "OscillatorParams",
+        "mass charge energy_gap g_factor volume_convention",
+        defaults=(2.0, VolumeConvention()),
+    )
+):
     """Inputs of the virtual-pair oscillator.
 
-    ``energy_gap`` is the transition energy to the real pair state; the
-    resonance frequency follows as gap/hbar.  ``g_factor`` selects the
-    gyromagnetic response (1 orbital, 2 spin; 2 is the default).
+    ``mass``, ``charge`` and ``energy_gap`` are Quantities.  ``energy_gap``
+    is the transition energy to the real pair state; the resonance frequency
+    follows as gap/hbar.  ``g_factor`` selects the gyromagnetic response (1
+    orbital, 2 spin; 2 is the default).
     """
 
-    __slots__ = ("mass", "charge", "energy_gap", "g_factor", "volume_convention")
+    __slots__ = ()
+    _make = _checked_make
 
-    mass: Quantity
-    charge: Quantity
-    energy_gap: Quantity
-    g_factor: float
-    volume_convention: VolumeConvention
-
-    def __init__(
-        self,
-        mass: Quantity,
-        charge: Quantity,
-        energy_gap: Quantity,
-        g_factor: float = 2.0,
-        volume_convention: VolumeConvention = VolumeConvention(),
-    ) -> None:
-        self._store(mass, charge, energy_gap, g_factor, volume_convention)
+    def __new__(cls, *args, **kwargs) -> OscillatorParams:
+        self = super().__new__(cls, *args, **kwargs)
         if self.mass.dimension != MASS or self.mass.magnitude <= 0:
             raise ValueError("mass must be a positive mass quantity")
         if self.charge.dimension != CHARGE or self.charge.magnitude == 0:
@@ -132,6 +129,7 @@ class OscillatorParams(_Record):
             raise ValueError("energy gap must be a positive energy")
         if not (self.g_factor > 0 and math.isfinite(self.g_factor)):
             raise ValueError("g-factor must be positive and finite")
+        return self
 
     def omega0(self, registry: ConstantRegistry | None = None) -> Quantity:
         reg = registry or default_registry()
@@ -171,32 +169,20 @@ class OscillatorParams(_Record):
         )
 
 
-class VacuumResponse(_Record):
+class VacuumResponse(namedtuple("VacuumResponse", "eps_tilde mu_tilde radius eps_ratio mu_ratio")):
     """One evaluation of the model: both estimates, the radius, and deviation ratios."""
 
-    __slots__ = ("eps_tilde", "mu_tilde", "radius", "eps_ratio", "mu_ratio")
+    __slots__ = ()
+    _make = _checked_make
 
-    eps_tilde: Quantity
-    mu_tilde: Quantity
-    radius: Quantity
-    eps_ratio: float
-    mu_ratio: float
-
-    def __init__(
-        self,
-        eps_tilde: Quantity,
-        mu_tilde: Quantity,
-        radius: Quantity,
-        eps_ratio: float,
-        mu_ratio: float,
-    ) -> None:
-        self._store(eps_tilde, mu_tilde, radius, eps_ratio, mu_ratio)
+    def __new__(cls, *args, **kwargs) -> VacuumResponse:
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("eps_tilde", "mu_tilde", "radius"):
-            q: Quantity = getattr(self, name)
-            if q.magnitude <= 0:
+            if getattr(self, name).magnitude <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.eps_ratio <= 0 or self.mu_ratio <= 0:
             raise ValueError("deviation ratios must be positive")
+        return self
 
     @property
     def implied_light_speed(self) -> Quantity:

@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 
 from .constants import ConstantRegistry, default_registry
-from .dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Quantity, _Record
+from .dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Quantity, _checked_make
 from .model import (
     OscillatorParams,
     RadiusRule,
@@ -76,24 +76,18 @@ ReportRow = namedtuple(
 )
 
 
-class SweepConfig(_Record):
-    __slots__ = ("kappa_min", "kappa_max", "points", "conventions", "g_factors")
+class SweepConfig(
+    namedtuple(
+        "SweepConfig",
+        "kappa_min kappa_max points conventions g_factors",
+        defaults=(0.5, 4.0, 64, ("cube",), (2.0,)),
+    )
+):
+    __slots__ = ()
+    _make = _checked_make
 
-    kappa_min: float
-    kappa_max: float
-    points: int
-    conventions: tuple[str, ...]
-    g_factors: tuple[float, ...]
-
-    def __init__(
-        self,
-        kappa_min: float = 0.5,
-        kappa_max: float = 4.0,
-        points: int = 64,
-        conventions: tuple[str, ...] = ("cube",),
-        g_factors: tuple[float, ...] = (2.0,),
-    ) -> None:
-        self._store(kappa_min, kappa_max, points, conventions, g_factors)
+    def __new__(cls, *args, **kwargs) -> SweepConfig:
+        self = super().__new__(cls, *args, **kwargs)
         # NaN fails every comparison, so finiteness is checked first.
         if not (math.isfinite(self.kappa_min) and math.isfinite(self.kappa_max)):
             raise ValueError("kappa_min and kappa_max must be finite")
@@ -124,6 +118,7 @@ class SweepConfig(_Record):
         rows = self.points * len(self.conventions) * len(self.g_factors)
         if rows > MAX_SWEEP_ROWS:
             raise ValueError(f"a sweep of {rows} rows exceeds the limit of {MAX_SWEEP_ROWS}")
+        return self
 
     def kappas(self) -> list[float]:
         span = self.kappa_max - self.kappa_min

@@ -25,14 +25,9 @@ from functools import lru_cache
 from pathlib import Path
 
 from .constants import ConstantRegistry, default_registry
-from .dimensions import NonFiniteError, Quantity, _Record
+from .dimensions import NonFiniteError, Quantity, _checked_make
 from .model import SpeciesModel, _deviation, _gap, required_species_count
 from .units import quantity
-
-# Annotations only: ``typing`` is never loaded at run time.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from typing import Iterator
 
 
 class DuplicateNameError(ValueError):
@@ -56,52 +51,36 @@ class EmptyTableError(ValueError):
     """Operation undefined on a table with no charged species."""
 
 
-class ParticleSpecies(_Record):
-    __slots__ = ("name", "charge_ratio", "multiplicity", "mass")
+class ParticleSpecies(
+    namedtuple("ParticleSpecies", "name charge_ratio multiplicity mass", defaults=(1, None))
+):
+    """One charged species; ``charge_ratio`` is its charge in units of the elementary charge."""
 
-    name: str
-    charge_ratio: Fraction  # charge in units of the elementary charge
-    multiplicity: int
-    mass: Quantity | None
+    __slots__ = ()
+    _make = _checked_make
 
-    def __init__(
-        self,
-        name: str,
-        charge_ratio: Fraction,
-        multiplicity: int = 1,
-        mass: Quantity | None = None,
-    ) -> None:
-        self._store(name, charge_ratio, multiplicity, mass)
+    def __new__(cls, *args, **kwargs) -> ParticleSpecies:
+        self = super().__new__(cls, *args, **kwargs)
         if self.charge_ratio == 0:
             raise ValueError(f"species {self.name!r} must carry charge")
         if self.multiplicity < 1:
             raise ValueError(f"species {self.name!r} multiplicity must be >= 1")
+        return self
 
 
-class SpeciesTable(_Record):
-    __slots__ = ("species", "path", "sha256")
+class SpeciesTable(namedtuple("SpeciesTable", "species path sha256", defaults=(None, None))):
+    """A tuple of species with unique names, and the file and digest it was loaded from."""
 
-    species: tuple[ParticleSpecies, ...]
-    path: str | None
-    sha256: str | None
+    __slots__ = ()
+    _make = _checked_make
 
-    def __init__(
-        self,
-        species: tuple[ParticleSpecies, ...],
-        path: str | None = None,
-        sha256: str | None = None,
-    ) -> None:
-        self._store(species, path, sha256)
+    def __new__(cls, *args, **kwargs) -> SpeciesTable:
+        self = super().__new__(cls, *args, **kwargs)
         names = [s.name for s in self.species]
         for name in names:
             if names.count(name) > 1:
                 raise DuplicateNameError(name)
-
-    def __iter__(self) -> Iterator[ParticleSpecies]:
-        return iter(self.species)
-
-    def __len__(self) -> int:
-        return len(self.species)
+        return self
 
 
 def _parse_charge(text: str) -> Fraction:
@@ -202,7 +181,7 @@ def default_species_table() -> SpeciesTable:
 def charge_weighted_sum(table: SpeciesTable) -> Fraction:
     """Sum of multiplicity times squared charge ratio, in exact rationals."""
     total = Fraction(0)
-    for s in table:
+    for s in table.species:
         total += s.multiplicity * s.charge_ratio**2
     return total
 

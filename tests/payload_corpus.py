@@ -14,11 +14,15 @@ golden: re-record it only for a deliberate payload change, and list that
 change with its reason.  Run from the repository root::
 
     PYTHONPATH=src python tests/payload_corpus.py                   # re-record
+    python tests/payload_corpus.py --check
     python tests/payload_corpus.py --diff PARENT_SRC --seed S --count N
 
-``--diff`` runs the same argvs against ``src/`` of this checkout and
-against ``PARENT_SRC`` (another checkout's ``src/``), each in a child
-process, and prints every argv whose exit code, stdout or stderr differs.
+``--check`` recomputes the recorded file against ``src/`` of this checkout,
+in a child process, and exits 1 if any argv, exit code or digest differs;
+it needs no pytest.  ``--diff`` runs the same argvs against ``src/`` of this
+checkout and against ``PARENT_SRC`` (another checkout's ``src/``), each in a
+child process, and prints every argv whose exit code, stdout or stderr
+differs.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from pathlib import Path
 SEED = "payload digests, first recording"
 COUNT = 160
 DIGESTS = Path(__file__).resolve().parent / "data" / "payload_digests.json"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 CONVENTIONS = ("cube", "cube-compton", "cube-half-compton", "sphere")
 G_SETS = ("2", "1", "1,2", "3.5", "0.5,2,3.7", "1,2,3.5")
@@ -126,8 +131,24 @@ def _outcomes(src: str, seed: str, count: int) -> list[list]:
     return json.loads(child.stdout)
 
 
+def check() -> int:
+    """Recompute the recorded file against ``SRC``: 0 if it matches, else 1."""
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    seed, count = recorded["seed"], recorded["count"]
+    cases = [
+        {"argv": argv, "exit": code, "sha256": digest(out)}
+        for argv, (code, out, _) in zip(argvs(seed, count), _outcomes(SRC, seed, count))
+    ]
+    differing = [case["argv"] for case, new in zip(recorded["cases"], cases) if case != new]
+    for argv in differing:
+        print("differs:", argv)
+    print(f"{len(differing)} of {count} recorded argvs differ in argv, exit code or digest")
+    return 1 if differing or len(recorded["cases"]) != count else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true", help="recompute the recorded digests")
     parser.add_argument("--diff", metavar="PARENT_SRC", help="compare with another checkout's src/")
     parser.add_argument("--emit", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--seed", default=SEED)
@@ -136,11 +157,12 @@ def main() -> int:
     if args.emit:
         json.dump([list(run(argv)) for argv in argvs(args.seed, args.count)], sys.stdout)
         return 0
+    if args.check:
+        return check()
     if args.diff is None:
         record()
         return 0
-    here = str(Path(__file__).resolve().parent.parent / "src")
-    ours, theirs = (_outcomes(src, args.seed, args.count) for src in (here, args.diff))
+    ours, theirs = (_outcomes(src, args.seed, args.count) for src in (SRC, args.diff))
     differing = [argv for argv, a, b in zip(argvs(args.seed, args.count), ours, theirs) if a != b]
     for argv in differing:
         print("differs:", argv)

@@ -10,9 +10,9 @@ so does an empty PATH of the subcommand's own flags that is not a usage
 error.  A corrupt copy of a bundled table passed as ``--constants`` or
 ``--species`` (a unit cell from ``tests/data/unit_parse_errors.json``, a
 magnitude of ``nan``, ``1e999`` or ``''``, a species charge ratio of
-``1e999``, ``1e-999`` or ``1e200``, a required constant deleted, a byte that
-is not UTF-8) must fail with exit 1, one ``error:`` line and nothing on
-stdout.
+``1e999``, ``1e-999`` or ``1e200``, a required constant deleted, a row given
+twice, a constant the loader derives, a byte that is not UTF-8) must fail
+with exit 1, one ``error:`` line and nothing on stdout.
 """
 
 import contextlib
@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vacuumresponse.cli import main
-from vacuumresponse.constants import REQUIRED_DIMENSIONS, bundled_constants_path
+from vacuumresponse.constants import DERIVED_KEYS, REQUIRED_DIMENSIONS, bundled_constants_path
 from vacuumresponse.species import bundled_species_path
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -190,11 +190,17 @@ def corrupt_tables(draw):
     argv = [draw(st.sampled_from(commands)), flag]
     lines = path.read_text("utf-8").splitlines(keepends=True)
     rows = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
-    kinds = ["field", "byte"] + (["unit", "required"] if flag == "--constants" else [])
+    kinds = ["field", "byte", "repeat"] + (["unit", "required"] if flag == "--constants" else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "required":
         required = [i for i in rows if lines[i].split("\t")[0] in REQUIRED_DIMENSIONS]
         del lines[draw(st.sampled_from(required))]
+    elif kind == "repeat":
+        # A row given again, or given as a constant that the loader derives.
+        fields = lines[draw(st.sampled_from(rows))].split("\t")
+        if flag == "--constants" and draw(st.booleans()):
+            fields[0] = draw(st.sampled_from(DERIVED_KEYS))
+        lines.append("\t".join(fields))
     elif kind != "byte":
         row = draw(st.sampled_from(rows))
         fields = lines[row].rstrip("\n").split("\t")
@@ -211,8 +217,13 @@ def corrupt_tables(draw):
     return argv, data
 
 
+BUNDLED_CONSTANTS = bundled_constants_path().read_bytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=corrupt_tables())
+@example(case=(["constants", "--constants"], BUNDLED_CONSTANTS + b"c\t3e8\tm/s\ttest\n"))
+@example(case=(["constants", "--constants"], BUNDLED_CONSTANTS + b"alpha\t0.5\t1\ttest\n"))
 def test_a_corrupt_table_fails_with_one_error_line(out_dir, case):
     argv, data = case
     table = out_dir / "corrupt.tsv"

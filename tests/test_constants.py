@@ -13,7 +13,7 @@ from vacuumresponse.constants import (
     load_constants,
     schwinger_field,
 )
-from vacuumresponse.dimensions import LENGTH, DimensionMismatchError, Quantity
+from vacuumresponse.dimensions import DIMENSIONLESS, LENGTH, DimensionMismatchError, Quantity
 from vacuumresponse.units import UnitParseError, parse_unit, render_quantity
 
 
@@ -87,6 +87,19 @@ class TestLoad:
             (m_e**2 * c**3 / (e * hbar)).magnitude, rel=1e-12
         )
 
+    # CODATA 2018 (Tiesinga et al., Rev. Mod. Phys. 93, 025010 (2021)): the
+    # published value and its standard uncertainty, an oracle from outside
+    # the bundled table for the derivation's formula and units.
+    @pytest.mark.parametrize("key, dimension, value, uncertainty", [
+        ("alpha", DIMENSIONLESS, 7.2973525693e-3, 0.0000000011e-3),
+        ("lambda_c", LENGTH, 3.8615926796e-13, 0.0000000012e-13),
+    ])
+    def test_derived_constants_agree_with_codata_2018(
+        self, registry, key, dimension, value, uncertainty
+    ):
+        assert registry.quantity(key).dimension == dimension
+        assert abs(registry.value(key) - value) <= uncertainty
+
     def test_alpha_agrees_between_unit_systems(self, registry):
         # SI route: e^2/(4 pi eps0 hbar c).  Gaussian route: e^2/(hbar c)
         # with every factor converted through the Gaussian unit table.
@@ -114,6 +127,19 @@ class TestLoad:
         with pytest.raises(MalformedLineError) as err:
             load_constants(write_registry(tmp_path, text))
         assert err.value.line_number == len(bundled_text.splitlines()) + 1
+
+    @pytest.mark.parametrize("line, reason", [
+        ("c\t3e8\tm/s\ttest", "key 'c' is given more than once"),
+        ("alpha\t0.5\t1\ttest", "key 'alpha' is derived at load, not read"),
+        ("E_S\t1e18\tV/m\ttest", "key 'E_S' is derived at load, not read"),
+    ])
+    def test_a_repeated_or_derived_key_is_refused(self, tmp_path, bundled_text, line, reason):
+        # Neither the first value nor the derived one is silently replaced.
+        with pytest.raises(MalformedLineError) as err:
+            load_constants(write_registry(tmp_path, bundled_text + line + "\n"))
+        number = len(bundled_text.splitlines()) + 1
+        assert err.value.line_number == number
+        assert str(err.value) == f"malformed constants line {number}: {reason}"
 
     def test_bad_magnitude(self, tmp_path, bundled_text):
         text = bundled_text + "zeta\tnot-a-number\tm\ttest\n"

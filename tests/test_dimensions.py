@@ -2,6 +2,7 @@ import copy
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from vacuumresponse import dimensions, units
 from vacuumresponse.dimensions import (
     CHARGE,
+    CURRENT,
     DIMENSIONLESS,
     ELECTRIC_DIPOLE,
     ELECTRIC_FIELD,
@@ -424,3 +426,117 @@ class TestConvertSystem:
         # Gaussian labels are written in cm, g and s alone.
         for entry in GAUSSIAN_UNITS.values():
             assert entry.dimension.as_tuple()[3:] == (0, 0, 0, 0)
+
+
+# The laws that tie the Gaussian rows together.  Each law is written once
+# per system on Quantities, so the dimension of each side is checked as
+# well as its magnitude: the SI side on SI values, the Gaussian side on the
+# same values times their factors; the SI result times its own factor must
+# then equal the Gaussian one.  Force and current have no row of their own:
+# they are energy per length and charge per time (a time is an inverse
+# frequency), and area and volume are powers of a length.
+#
+# Each budget counts relative errors of U = 2**-53 from the operations on
+# both sides: one U for each rounded *, / and decimal literal, two for each
+# libm ``**``, each times the power with which its value enters the law.
+# The factors count the operations of their definitions in ``dimensions``:
+# charge 1 (10 c), electric field 3 (1 / (1e-4 c)), electric dipole 1,
+# polarization 2, magnetization 1, permittivity 4 (1e-7 c**2), permeability 3
+# (1e3 / c**2), every other row 0; derived here, force 1, current 1 + 1,
+# area 1 and volume 2.
+U = 2.0**-53
+FORCE, AREA, VOLUME = ENERGY / LENGTH, LENGTH**2, LENGTH**3
+
+
+def _gaussian_kinds():
+    """Factor and Gaussian dimension of each SI kind the laws use."""
+    kinds = {si: (entry.factor, entry.dimension) for si, entry in GAUSSIAN_UNITS.items()}
+    (f_energy, d_energy), (f_length, d_length) = kinds[ENERGY], kinds[LENGTH]
+    (f_charge, d_charge), (f_frequency, d_frequency) = kinds[CHARGE], kinds[FREQUENCY]
+    kinds[FORCE] = (f_energy / f_length, d_energy / d_length)
+    kinds[CURRENT] = (f_charge * f_frequency, d_charge * d_frequency)
+    kinds[AREA] = (f_length * f_length, d_length**2)
+    kinds[VOLUME] = (f_length * f_length * f_length, d_length**3)
+    return kinds
+
+
+# (law, kind of the result, kinds of the inputs, SI form, Gaussian form,
+#  budget); each form takes the light speed first.
+GAUSSIAN_LAWS = (
+    # SI q E: 1, times the force factor: 1 + 1; q: 1 + 1, E: 1 + 3, q E: 1.
+    ("F = q E", FORCE, (CHARGE, ELECTRIC_FIELD),
+     lambda c, q, e: q * e, lambda c, q, e: q * e, 10),
+    # SI q v B: 2, times the force factor: 2; q: 2, v: 1, B: 1, c: 1, q v B / c: 3.
+    ("F = q v B, q v B / c", FORCE, (CHARGE, SPEED, MAGNETIC_FIELD),
+     lambda c, q, v, b: q * v * b, lambda c, q, v, b: q * v * b / c, 12),
+    # SI q d: 1, times the dipole factor: 1 + 1; q: 2, d: 1, q d: 1.
+    ("p = q d", ELECTRIC_DIPOLE, (CHARGE, LENGTH),
+     lambda c, q, d: q * d, lambda c, q, d: q * d, 7),
+    # SI p / V: 1, times the polarization factor: 1 + 2; p: 2, V: 1 + 2, p / V: 1.
+    ("P = p / V", POLARIZATION, (ELECTRIC_DIPOLE, VOLUME),
+     lambda c, p, v: p / v, lambda c, p, v: p / v, 10),
+    # SI I A: 1, times the moment factor: 1; I: 1 + 2, A: 1 + 1, c: 1, I A / c: 2.
+    ("m = I A, I A / c", MAGNETIC_DIPOLE, (CURRENT, AREA),
+     lambda c, i, a: i * a, lambda c, i, a: i * a / c, 10),
+    # SI m / V: 1, times the magnetization factor: 1 + 1; m: 1, V: 3, m / V: 1.
+    ("M = m / V", MAGNETIZATION, (MAGNETIC_DIPOLE, VOLUME),
+     lambda c, m, v: m / v, lambda c, m, v: m / v, 8),
+    # SI F l: 1, times the energy factor: 1; F: 1 + 1, l: 1, F l: 1.
+    ("W = F l", ENERGY, (FORCE, LENGTH),
+     lambda c, f, l: f * l, lambda c, f, l: f * l, 6),
+    # The product is the same number in both systems, so it is 1 in one when
+    # it is 1 in the other.  SI: c**2 2, two products 2, times the factor 1;
+    # eps: 1 + 4, mu: 1 + 3, c: 1 to the power 2, c**2: 2, two products: 2.
+    ("eps mu c**2 = 1", DIMENSIONLESS, (PERMITTIVITY, PERMEABILITY),
+     lambda c, eps, mu: eps * mu * c**2, lambda c, eps, mu: eps * mu * c**2, 20),
+)
+
+
+def test_gaussian_factors_keep_the_laws_of_both_systems(registry):
+    kinds = _gaussian_kinds()
+    c = registry.quantity("c")
+    f_speed, d_speed = kinds[SPEED]
+    c_gauss = Quantity(c.magnitude * f_speed, d_speed)
+    rng = random.Random("the laws of both unit systems")
+    for law, result, inputs, si_form, gauss_form, budget in GAUSSIAN_LAWS:
+        factor, dimension = kinds[result]
+        for _ in range(300):
+            values = [10 ** rng.uniform(-12, 12) for _ in inputs]
+            si = si_form(c, *[Quantity(x, kind) for x, kind in zip(values, inputs)])
+            gauss = gauss_form(c_gauss, *[
+                Quantity(x * kinds[kind][0], kinds[kind][1]) for x, kind in zip(values, inputs)
+            ])
+            assert si.dimension == result, law
+            assert gauss.dimension == dimension, law
+            want = si.magnitude * factor
+            assert abs(gauss.magnitude - want) <= budget * U * abs(want), (law, values)
+
+
+def test_gaussian_coulomb_law_is_off_by_the_measured_eps0(registry):
+    # SI q1 q2 / (4 pi eps0 r**2) against Gaussian q1 q2 / r**2: they differ
+    # by 4 pi 1e-7 eps0 c**2 - 1, which is 0 for the defined SI before 2019
+    # and a few 1e-10 for the measured eps0.  Budget: SI pi 1, 4 pi eps0 1,
+    # r**2 2, the product 1, q1 q2 1, the quotient 1, times the force factor
+    # 1 + 1; q1 and q2 1 + 1 each, r 1 to the power 2, r**2 2, q1 q2 1, the
+    # quotient 1; the deviation itself: pi, 1e-7, c**2 2, three products 3.
+    kinds = _gaussian_kinds()
+    eps0, c = registry.quantity("eps0"), registry.quantity("c")
+    deviation = abs(4 * math.pi * 1e-7 * eps0.magnitude * c.magnitude**2 - 1)
+    assert deviation < 1e-9
+    bound = deviation + 26 * U
+    f_charge, d_charge = kinds[CHARGE]
+    f_length, d_length = kinds[LENGTH]
+    f_force, d_force = kinds[FORCE]
+    rng = random.Random("Coulomb's law in both unit systems")
+    for _ in range(300):
+        q1, q2, r = (10 ** rng.uniform(-12, 12) for _ in range(3))
+        si = Quantity(q1, CHARGE) * Quantity(q2, CHARGE) / (
+            4 * math.pi * eps0 * Quantity(r, LENGTH) ** 2
+        )
+        gauss = Quantity(q1 * f_charge, d_charge) * Quantity(q2 * f_charge, d_charge) / (
+            Quantity(r * f_length, d_length) ** 2
+        )
+        assert si.dimension == FORCE
+        assert gauss.dimension == d_force
+        want = si.magnitude * f_force
+        assert abs(gauss.magnitude - want) <= bound * abs(want), (q1, q2, r)

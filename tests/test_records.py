@@ -2,10 +2,12 @@
 
 Each record is built by position and by keyword, compared, hashed, shown and
 pickled, and refuses assignment; every check it makes keeps its exception
-type and message.  Field names and defaults are spelled out here, so the
+type and message, whether the record is built or made from another by
+``_replace`` or ``copy.replace``.  Field names and defaults are spelled out here, so the
 test holds whatever the records are built from.
 """
 
+import copy
 import pickle
 from fractions import Fraction
 
@@ -153,6 +155,7 @@ def test_record_behaviour(cls):
     shown = ", ".join(f"{name}={value!r}" for name, value in by_keyword.items())
     assert repr(record) == f"{cls.__name__}({shown})"
     assert pickle.loads(pickle.dumps(record)) == record
+    assert copy.copy(record) == record
 
     required = names[: len(names) - len(defaults)]
     minimal = cls(*values[: len(required)])
@@ -165,7 +168,11 @@ def test_record_behaviour(cls):
         assert getattr(record, name) == by_keyword[name]
 
     for changes, error, message in checks:
-        with pytest.raises(error) as caught:
-            cls(**{**by_keyword, **changes})
-        assert type(caught.value) is error
-        assert str(caught.value) == message
+        makers = [lambda: cls(**{**by_keyword, **changes}), lambda: record._replace(**changes)]
+        if hasattr(copy, "replace"):
+            makers.append(lambda: copy.replace(record, **changes))
+        for make in makers:
+            with pytest.raises(error) as caught:
+                make()
+            assert type(caught.value) is error
+            assert str(caught.value) == message

@@ -37,14 +37,14 @@ def single_electron_table():
 class TestLoad:
     def test_bundled_standard_model_file(self, registry):
         table = load_species(bundled_species_path(), registry)
-        assert len(table) == 9
+        assert len(table.species) == 9
         assert table.sha256 is not None
-        masses = [s.mass for s in table]
+        masses = [s.mass for s in table.species]
         assert all(m is not None and m.dimension == MASS for m in masses)
 
     def test_empty_file_is_a_valid_empty_table(self, tmp_path, registry):
         table = load_species(write_table(tmp_path, "# nothing here\n"), registry)
-        assert len(table) == 0
+        assert len(table.species) == 0
         assert charge_weighted_sum(table) == 0
 
     def test_zero_charge_rejected(self, tmp_path, registry):
@@ -76,7 +76,7 @@ class TestLoad:
 
     def test_charge_weighted_sum_beyond_the_float_range(self, tmp_path, registry):
         # One weight of 1e154**2 is a float; the sum of two is not.
-        assert len(load_species(write_table(tmp_path, "a\t1e154\t1\n"), registry)) == 1
+        assert len(load_species(write_table(tmp_path, "a\t1e154\t1\n"), registry).species) == 1
         with pytest.raises(ValueError, match="charge-weighted sum overflows a float"):
             load_species(write_table(tmp_path, "a\t1e154\t1\nb\t-1e154\t1\n"), registry)
 
@@ -98,7 +98,7 @@ class TestChargeWeightedSum:
     def test_brute_force_oracle_over_file_rows(self, registry):
         table = load_species(bundled_species_path(), registry)
         total = Fraction(0)
-        for row in table:
+        for row in table.species:
             for _ in range(row.multiplicity):
                 total += row.charge_ratio * row.charge_ratio
         assert charge_weighted_sum(table) == total
@@ -110,7 +110,7 @@ class TestChargeWeightedSum:
         assert charge_weighted_sum(single_electron_table()) == 1
 
     def test_additivity_of_disjoint_parts(self):
-        full = tuple(default_species_table())
+        full = default_species_table().species
         for split in range(len(full) + 1):
             left = SpeciesTable(full[:split])
             right = SpeciesTable(full[split:])
