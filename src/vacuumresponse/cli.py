@@ -134,7 +134,12 @@ def cmd_estimate(
     # radius (a cube) is closed by the cube row at the same point.
     closed = row
     if params.volume_convention.radius_rule is not RadiusRule.MAXWELL_CONSISTENT:
-        closed = build_row(kappa, "cube", g, registry)
+        try:
+            closed = build_row(kappa, "cube", g, registry)
+        except ValueError as exc:
+            raise ValueError(
+                f"the light-speed closure of convention {convention} failed: {exc}"
+            ) from exc
     eps_mu = Quantity(closed.eps_tilde, _EPS) * Quantity(closed.mu_tilde, _MU)
     light_speed = _quantity_power(eps_mu, -1, 2)  # 1/sqrt(eps mu)
 

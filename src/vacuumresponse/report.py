@@ -9,11 +9,13 @@ Rows hold plain SI floats.  The dimensions of the eps_tilde, mu_tilde and
 radius columns belong to the schema, ``COLUMN_DIMENSIONS`` beside
 ``CSV_HEADER``, and depend on neither the row nor the convention: they
 follow from the dimensions of the constants, which the registry checks when
-it is loaded and a row maker requires once.  Every row runs the model code
-on the constants' float magnitudes; a row whose float chain fails runs again
-on Quantities, to raise or return exactly what they do.  The serializers
-look up the render factor of each schema column once per payload and write
-each row with one format string.
+it is loaded and each convention requires once.  A row is one float chain
+of the model code on the constants' magnitudes.  Its values are checked
+against (0, inf) once per point of ``build_row``, and once per corner of a
+sweep's grid before any of its rows is computed; a value that leaves the
+range raises one ``ValueError`` naming the point.  The serializers look up
+the render factor of each schema column once per payload and write each
+row with one format string.
 """
 
 from __future__ import annotations
@@ -23,22 +25,8 @@ from collections import namedtuple
 
 from .constants import ConstantRegistry, default_registry
 from .dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Quantity, _checked_make
-from .model import (
-    OscillatorParams,
-    RadiusRule,
-    SpeciesModel,
-    VolumeConvention,
-    _gap,
-    _pair,
-    required_species_count,
-    vacuum_response,
-)
+from .model import RadiusRule, VolumeConvention, _count_simple, _count_sphere, _gap, _pair
 from .units import render_quantity
-
-# Annotations only: ``typing`` is never loaded at run time.
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from typing import Callable
 
 # CLI-facing convention tokens.  "cube" and "sphere" use the radius closed on
 # the light-speed constraint; the remaining cubes pin the radius length scale.
@@ -111,6 +99,9 @@ class SweepConfig(
         if not self.g_factors:
             raise ValueError("at least one g-factor is required")
         for index, g in enumerate(self.g_factors):
+            # Only the grid's corners reach the row check, which rejects other types.
+            if not isinstance(g, (int, float)):
+                raise TypeError(f"g-factors must be int or float, got {g!r}")
             if not (math.isfinite(g) and g > 0):
                 raise ValueError(f"g-factors must be finite and > 0, got {g!r}")
             if g in self.g_factors[:index]:
@@ -126,75 +117,43 @@ class SweepConfig(
         return [self.kappa_min + i * step for i in range(self.points)]
 
 
-# The constants a row reads, in the order of ``_float_columns``' arguments.
-_READS = ("m_e", "e", "c", "hbar", "eps0", "mu0")
+# The constants a row reads, in the order of ``_chain``'s arguments after the convention.
+_READS = ("m_e", "e", "c", "hbar", "eps0", "mu0", "alpha")
+
+# The values of ``_chain``: four intermediates, then a row's numeric columns.
+_CHAIN = ("gap", "w0", "volume", "rho2", *ReportRow._fields[3:])
 
 
-def _float_columns(
-    kappa: float,
-    g: float,
-    conv: VolumeConvention,
-    m: float,
-    q: float,
-    c: float,
-    hbar: float,
-    eps0: float,
-    mu0: float,
-) -> tuple[float, ...] | None:
-    """eps, mu, radius and the two ratios of a row, computed on the constants' magnitudes.
-
-    None where the row must run on Quantities to raise or return what they
-    do: an error on floats, or a value of the chain that is not positive and
-    finite (a float chain can turn an overflow back into 0, as 1/inf).
-    """
-    # Quantity arithmetic takes an int or float operand as float(x) and
-    # rejects any other type.
-    if not (isinstance(kappa, (int, float)) and isinstance(g, (int, float))):
-        return None
-    try:
-        kappa, g = float(kappa), float(g)
-        gap = _gap(kappa, m, c)
-        w0, radius, volume, rho2, eps, mu = _pair(m, q, gap, g, conv, hbar, c)
-        eps_ratio = eps / eps0
-        mu_ratio = mu / mu0
-    except (ArithmeticError, ValueError):
-        return None
-    for value in (gap, w0, radius, volume, rho2, eps, mu, eps_ratio, mu_ratio):
-        if not 0.0 < value < math.inf:
-            return None
-    return eps, mu, radius, eps_ratio, mu_ratio
+def _chain(kappa, g, conv, m, q, c, hbar, eps0, mu0, alpha):
+    """The model on floats at one point: the values named in ``_CHAIN``."""
+    gap = _gap(kappa, m, c)
+    w0, radius, volume, rho2, eps, mu = _pair(m, q, gap, g, conv, hbar, c)
+    return (
+        gap, w0, volume, rho2, eps, mu, radius,
+        eps / eps0, mu / mu0, _count_simple(alpha, kappa), _count_sphere(alpha, kappa),
+    )
 
 
-def _row_maker(convention: str, reg: ConstantRegistry) -> Callable[[float, float], ReportRow]:
-    """The function of (kappa, g) that builds the rows of one convention.
-
-    The constants' dimensions are required, and their magnitudes read, once,
-    here.
-    """
+def _constants(convention: str, reg: ConstantRegistry) -> tuple:
+    """The arguments of ``_chain`` after (kappa, g); the dimensions are required once, here."""
     reg.require_dimensions()
-    conv = CONVENTION_TOKENS[convention]
-    magnitudes = [reg.value(key) for key in _READS]
+    return (CONVENTION_TOKENS[convention], *[reg.value(key) for key in _READS])
 
-    def row(kappa: float, g: float) -> ReportRow:
-        columns = _float_columns(kappa, g, conv, *magnitudes)
-        if columns is None:
-            # Quantities raise, or return, what the row must give.
-            try:
-                params = OscillatorParams.for_electron(kappa, g, conv, reg)
-                response = vacuum_response(params, reg)
-            except (ArithmeticError, ValueError) as exc:
-                raise ValueError(
-                    f"kappa {kappa:g}, convention {convention}, g {g:g}: {exc}"
-                ) from exc
-            eps, mu, radius = response.eps_tilde, response.mu_tilde, response.radius
-            columns = (
-                eps.magnitude, mu.magnitude, radius.magnitude, response.eps_ratio, response.mu_ratio
-            )
-        simple = required_species_count(kappa, SpeciesModel.SIMPLE, reg)
-        sphere = required_species_count(kappa, SpeciesModel.SPHERE, reg)
-        return ReportRow(kappa, convention, g, *columns, simple, sphere)
 
-    return row
+def _checked(kappa: float, convention: str, g: float, constants: tuple) -> tuple:
+    """``_chain`` at one point, or one ``ValueError`` naming the point if it leaves (0, inf)."""
+    if not (isinstance(kappa, (int, float)) and isinstance(g, (int, float))):
+        raise TypeError(f"kappa and g must be int or float, got {kappa!r} and {g!r}")
+    try:
+        values = _chain(float(kappa), float(g), *constants)
+    except (ArithmeticError, ValueError):
+        reason = "the model leaves the float range"
+    else:
+        out = [(name, v) for name, v in zip(_CHAIN, values) if not 0.0 < v < math.inf]
+        if not out:
+            return values
+        reason = "%s %g is outside (0, inf)" % out[0]
+    raise ValueError(f"kappa {kappa:g}, convention {convention}, g {g:g}: {reason}")
 
 
 def build_row(
@@ -206,20 +165,41 @@ def build_row(
     """Compute one grid point with electron-scale oscillator parameters.
 
     An input that takes the model out of the float range raises
-    ``ValueError`` naming the grid point.
+    ``ValueError`` naming the grid point; one that is not an int or a float
+    raises ``TypeError``.
     """
-    return _row_maker(convention, registry or default_registry())(kappa, g)
+    constants = _constants(convention, registry or default_registry())
+    return ReportRow(kappa, convention, g, *_checked(kappa, convention, g, constants)[4:])
 
 
 def sweep_rows(config: SweepConfig, registry: ConstantRegistry | None = None) -> list[ReportRow]:
     """Evaluate the full grid in deterministic row order.
 
+    A grid that leaves the float range raises before any row is computed.
     Grid points are independent pure computations; the sequential evaluation
     below is the reference order any parallel evaluation must reproduce.
     """
     reg = registry or default_registry()
-    makers = [_row_maker(convention, reg) for convention in config.conventions]
-    return [make(k, g) for k in config.kappas() for make in makers for g in config.g_factors]
+    kappas, gs = config.kappas(), config.g_factors
+    # The corners decide the grid.  Every value of the chain is a product,
+    # quotient, power or square root of positive floats in kappa and g, each
+    # monotone in each operand under round-to-nearest.  So each value is
+    # monotone in kappa and in g and is least and greatest at corners, and an
+    # overflow or zero divisor that makes the chain raise anywhere does so at
+    # a corner: if no corner leaves (0, inf), no row does.  (``**`` is the C
+    # library's pow: an argument, not a proof, which a Hypothesis property
+    # tests.)  kappas() is nondecreasing; its last entry, not kappa_max, is a corner.
+    corners = [(k, g) for k in (kappas[0], kappas[-1]) for g in (min(gs), max(gs))]
+    plans = []
+    for convention in config.conventions:
+        constants = _constants(convention, reg)
+        for k, g in corners:
+            _checked(k, convention, g, constants)
+        plans.append((convention, constants))
+    return [
+        ReportRow(k, convention, g, *_chain(k, float(g), *constants)[4:])
+        for k in kappas for convention, constants in plans for g in gs
+    ]
 
 
 # The one float format, and the format of each cell in CSV_HEADER order.

@@ -21,8 +21,10 @@ change with its reason.  Run from the repository root::
 in a child process, and exits 1 if any argv, exit code or digest differs;
 it needs no pytest.  ``--diff`` runs the same argvs against ``src/`` of this
 checkout and against ``PARENT_SRC`` (another checkout's ``src/``), each in a
-child process, and prints every argv whose exit code, stdout or stderr
-differs.
+child process.  It prints every argv whose exit code, stdout or stderr
+differs, which of the three differ, and both sides' stderr where it differs;
+it ends with two counts, of the argvs that differ in exit code or stdout and
+of those that differ in stderr only.
 """
 
 from __future__ import annotations
@@ -163,11 +165,22 @@ def main() -> int:
         record()
         return 0
     ours, theirs = (_outcomes(src, args.seed, args.count) for src in (SRC, args.diff))
-    differing = [argv for argv, a, b in zip(argvs(args.seed, args.count), ours, theirs) if a != b]
-    for argv in differing:
-        print("differs:", argv)
-    print(f"{len(differing)} of {args.count} argvs differ in exit code, stdout or stderr")
-    return 1 if differing else 0
+    payloads = stderr_only = 0
+    for argv, a, b in zip(argvs(args.seed, args.count), ours, theirs):
+        differ = [name for name, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
+        if not differ:
+            continue
+        print("differs:", argv, "in", ", ".join(differ))
+        if differ == ["stderr"]:
+            stderr_only += 1
+        else:
+            payloads += 1
+        if "stderr" in differ:
+            for side, (_, _, err) in (("  here:", a), ("  parent:", b)):
+                print(side, *err.splitlines(), sep="\n    ")
+    print(f"{payloads} of {args.count} argvs differ in exit code or stdout")
+    print(f"{stderr_only} of {args.count} argvs differ in stderr only")
+    return 1 if payloads or stderr_only else 0
 
 
 if __name__ == "__main__":

@@ -27,8 +27,10 @@ from conftest import CLI
         ["species", "--gap-ratio", "2"],
         ["check-dimensions"],
         ["constants", "--derived"],
+        # One gap ratio: the chart's x axis spans no width.
+        ["sweep", "--kappa-min", "1", "--kappa-max", "1", "--points", "2", "--format", "svg"],
     ],
-    ids=["estimate", "estimate-probe", "species", "check-dimensions", "constants"],
+    ids=["estimate", "estimate-probe", "species", "check-dimensions", "constants", "svg-one-kappa"],
 )
 def test_out_writes_what_stdout_would_show(tmp_path, capsys, argv):
     assert main(argv) == 0
@@ -361,17 +363,37 @@ def test_a_table_of_no_charged_species_warns_and_matches_no_gap(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
-    ("gap_ratio", "result"),
-    [("1e-320", "total permittivity"), ("1e-307", "species count"),
-     ("5e-324", "total permittivity")],
+    ("gap_ratio", "rows", "result"),
+    [("1e-320", None, "total permittivity"), ("1e-307", None, "species count"),
+     ("5e-324", None, "total permittivity"), ("1e10", "big\t1e150\t1\n", "total permittivity")],
 )
-def test_species_result_out_of_float_range_is_an_error(capsys, gap_ratio, result):
-    # The totals underflow to 0 or the counts overflow to inf (or divide by 0).
-    assert main(["species", "--gap-ratio", gap_ratio]) == 1
+def test_species_result_out_of_float_range_is_an_error(tmp_path, capsys, gap_ratio, rows, result):
+    # The totals underflow to 0 or overflow to inf, or the counts overflow to
+    # inf (or divide by 0).
+    argv = ["species", "--gap-ratio", gap_ratio]
+    if rows is not None:
+        table = tmp_path / "species.tsv"
+        table.write_text(rows, encoding="utf-8")
+        argv += ["--species", str(table)]
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
-    assert errors == [f"error: gap ratio {gap_ratio} takes the {result} out of the float range"]
+    shown = repr(float(gap_ratio))
+    assert errors == [f"error: gap ratio {shown} takes the {result} out of the float range"]
+
+
+def test_a_failed_closure_row_names_the_requested_convention(capsys):
+    # The cube-half-compton row is in range; the cube row that closes it is not.
+    argv = ["estimate", "--gap-ratio", "9.390948650762251e+85", "--convention",
+            "cube-half-compton", "--g-factor", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the light-speed closure of convention cube-half-compton failed: "
+        "kappa 9.39095e+85, convention cube, g 1: mu_tilde 0 is outside (0, inf)\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,13 @@ import json
 import math
 import random
 import re
+import sys
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vacuumresponse import report
@@ -18,12 +19,18 @@ from vacuumresponse import units as units_module
 from vacuumresponse.cli import main
 from vacuumresponse.constants import default_registry
 from vacuumresponse.dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Dimension, Quantity
-from vacuumresponse.model import OscillatorParams, vacuum_response
+from vacuumresponse.model import (
+    OscillatorParams,
+    SpeciesModel,
+    required_species_count,
+    vacuum_response,
+)
 from vacuumresponse.report import (
     COLUMN_DIMENSIONS,
     CONVENTION_TOKENS,
     CSV_HEADER,
     MAX_SWEEP_ROWS,
+    ReportRow,
     SweepConfig,
     build_row,
     rows_to_csv,
@@ -144,58 +151,69 @@ class TestRows:
         assert len(omega0_calls) == 1
 
 
-def _outcome(kappa, convention, g, registry):
-    """The bits of the row, or the class and message of what building it raises."""
+def _bits(row):
+    """The row's cells, each float as its hex string."""
+    return tuple(cell.hex() if isinstance(cell, float) else cell for cell in row)
+
+
+def _reference(kappa, convention, g, registry):
+    """The row computed on Quantities, by ``vacuum_response`` and ``required_species_count``."""
+    params = OscillatorParams.for_electron(kappa, g, CONVENTION_TOKENS[convention], registry)
+    response = vacuum_response(params, registry)
+    return ReportRow(
+        kappa, convention, g,
+        response.eps_tilde.magnitude, response.mu_tilde.magnitude, response.radius.magnitude,
+        response.eps_ratio, response.mu_ratio,
+        required_species_count(kappa, SpeciesModel.SIMPLE, registry),
+        required_species_count(kappa, SpeciesModel.SPHERE, registry),
+    )
+
+
+def _outcome(make, kappa, convention, g, registry):
+    """The bits of the row, or the exception that making it raises."""
     try:
-        row = build_row(kappa, convention, g, registry)
+        return _bits(make(kappa, convention, g, registry))
     except Exception as exc:
-        return type(exc), str(exc)
-    cells = []
-    for name in row._fields:
-        value = getattr(row, name)
-        if isinstance(value, Quantity):
-            value = (value.magnitude.hex(), value.dimension)
-        elif isinstance(value, float):
-            value = value.hex()
-        cells.append(value)
-    return tuple(cells)
+        return exc
 
 
-def _quantity_and_float_outcomes(kappa, convention, g, registry, monkeypatch):
-    # With no float chain, every row runs on Quantities: the reference.
-    with monkeypatch.context() as patch:
-        patch.setattr(report, "_float_columns", lambda *args: None)
-        on_quantities = _outcome(kappa, convention, g, registry)
-    return on_quantities, _outcome(kappa, convention, g, registry)
+def _agrees_with_the_reference(kappa, convention, g, registry):
+    """``build_row`` gives the reference's bits, or raises where it raises.
+
+    Returns whether the reference raised.
+    """
+    expected = _outcome(_reference, kappa, convention, g, registry)
+    got = _outcome(build_row, kappa, convention, g, registry)
+    where = (kappa, convention, g)
+    if not isinstance(expected, Exception):
+        assert got == expected, where
+        return False
+    if isinstance(got, ValueError):
+        # The point is named, on one line.
+        assert isinstance(expected, (ArithmeticError, ValueError)), (where, expected)
+        point = f"kappa {kappa:g}, convention {convention}, g {g:g}: "
+        assert str(got).startswith(point) and "\n" not in str(got), (where, got)
+    else:
+        # A type other than int and float, or an int beyond the float range.
+        assert type(got) is type(expected), (where, got, expected)
+    return True
 
 
 class TestFloatRows:
-    """A row runs on floats, and must not be told apart from one on Quantities."""
+    """A row runs on floats, and must give what the model gives on Quantities."""
 
     KAPPAS = [m * 10.0**e for e in range(-300, 281, 20) for m in (1.0, 3.7)]
     G_FACTORS = [10.0**e for e in range(-300, 301, 30)]
 
-    def test_extreme_inputs_give_the_bits_or_the_error_of_the_quantity_path(
-        self, registry, monkeypatch
-    ):
-        taken = []
-        real = report._float_columns
-
-        def spy(*args):
-            columns = real(*args)
-            taken.append(columns is not None)
-            return columns
-
-        monkeypatch.setattr(report, "_float_columns", spy)
-        for convention in CONVENTION_TOKENS:
-            for kappa in self.KAPPAS:
-                for g in self.G_FACTORS:
-                    expected, got = _quantity_and_float_outcomes(
-                        kappa, convention, g, registry, monkeypatch
-                    )
-                    assert got == expected, (kappa, convention, g)
-        # The grid reaches both sides: rows on floats and rows sent back.
-        assert any(taken) and not all(taken)
+    def test_extreme_inputs_give_the_bits_or_the_error_of_the_reference(self, registry):
+        raised = [
+            _agrees_with_the_reference(kappa, convention, g, registry)
+            for convention in CONVENTION_TOKENS
+            for kappa in self.KAPPAS
+            for g in self.G_FACTORS
+        ]
+        # The grid reaches both sides: rows that succeed and rows that raise.
+        assert any(raised) and not all(raised)
 
     @pytest.mark.parametrize(
         ("kappa", "g"),
@@ -204,22 +222,25 @@ class TestFloatRows:
             (2.0, math.inf), (Fraction(2), 2.0), (2.0, Fraction(2)), (2j, 2.0), (2.0, 2j),
         ],
     )
-    def test_other_scalars_give_the_outcome_of_the_quantity_path(
-        self, registry, monkeypatch, kappa, g
-    ):
+    def test_other_scalars_give_the_outcome_of_the_reference(self, registry, kappa, g):
         for convention in CONVENTION_TOKENS:
-            expected, got = _quantity_and_float_outcomes(
-                kappa, convention, g, registry, monkeypatch
-            )
-            assert got == expected, convention
+            _agrees_with_the_reference(kappa, convention, g, registry)
 
-    def test_underflowing_gap_is_reported_as_on_quantities(self, registry, monkeypatch):
-        expected, got = _quantity_and_float_outcomes(1e-300, "cube", 2.0, registry, monkeypatch)
-        assert got == expected
-        assert expected == (
-            ValueError,
-            "kappa 1e-300, convention cube, g 2: energy gap must be a positive energy",
-        )
+    def test_underflowing_gap_names_the_point(self, registry):
+        assert _agrees_with_the_reference(1e-300, "cube", 2.0, registry)
+        with pytest.raises(ValueError) as caught:
+            build_row(1e-300, "cube", 2.0, registry)
+        message = "kappa 1e-300, convention cube, g 2: the model leaves the float range"
+        assert str(caught.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kappa_exp=st.floats(min_value=-300.0, max_value=280.0),
+        g_exp=st.floats(min_value=-300.0, max_value=300.0),
+        convention=st.sampled_from(tuple(CONVENTION_TOKENS)),
+    )
+    def test_random_extreme_inputs(self, registry, kappa_exp, g_exp, convention):
+        _agrees_with_the_reference(10.0**kappa_exp, convention, 10.0**g_exp, registry)
 
     # Each example undoes its own stub, so sharing monkeypatch is safe.
     @settings(
@@ -228,15 +249,56 @@ class TestFloatRows:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        kappa_exp=st.floats(min_value=-300.0, max_value=280.0),
-        g_exp=st.floats(min_value=-300.0, max_value=300.0),
-        convention=st.sampled_from(tuple(CONVENTION_TOKENS)),
+        kappa_exp=st.floats(min_value=-323.0, max_value=308.0),
+        decades=st.floats(min_value=0.0, max_value=12.0),
+        points=st.integers(min_value=2, max_value=6),
+        g_exps=st.lists(st.floats(min_value=-300.0, max_value=300.0), min_size=1, max_size=3),
+        conventions=st.lists(
+            st.sampled_from(tuple(CONVENTION_TOKENS)), min_size=1, max_size=4, unique=True
+        ),
     )
-    def test_random_extreme_inputs(self, registry, monkeypatch, kappa_exp, g_exp, convention):
-        expected, got = _quantity_and_float_outcomes(
-            10.0**kappa_exp, convention, 10.0**g_exp, registry, monkeypatch
-        )
-        assert got == expected
+    # Grids across the high end (cube, g = 1 and 2) and the low end (g = 2) of the range.
+    @example(kappa_exp=84.0, decades=3.0, points=5, g_exps=[0.0, 0.3], conventions=["cube"])
+    @example(kappa_exp=-117.0, decades=4.0, points=6, g_exps=[0.3], conventions=["sphere", "cube"])
+    def test_a_sweep_raises_before_any_row_iff_a_grid_point_raises(
+        self, registry, monkeypatch, kappa_exp, decades, points, g_exps, conventions
+    ):
+        kappa_min = 10.0**kappa_exp
+        kappa_max = min(kappa_min * 10.0**decades, sys.float_info.max)
+        g_factors = tuple(dict.fromkeys(10.0**e for e in g_exps))
+        config = SweepConfig(kappa_min, kappa_max, points, tuple(conventions), g_factors)
+        kappas = config.kappas()
+
+        def error(kappa, convention, g):
+            try:
+                build_row(kappa, convention, g, registry)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        failing = [
+            (kappa, convention, g)
+            for kappa in kappas for convention in conventions for g in g_factors
+            if error(kappa, convention, g)
+        ]
+        corners = {
+            error(kappa, convention, g)
+            for kappa in (kappas[0], kappas[-1])
+            for convention in conventions
+            for g in (min(g_factors), max(g_factors))
+        }
+        made = []
+        monkeypatch.setattr(report, "ReportRow", lambda *cells: made.append(cells))
+        try:
+            sweep_rows(config, registry)
+        except ValueError as exc:
+            assert failing, config
+            assert str(exc) in corners and not made, (config, exc)
+        else:
+            assert not failing, (config, failing[0])
+            assert len(made) == len(kappas) * len(conventions) * len(g_factors)
+        finally:
+            monkeypatch.undo()
 
     def test_dimension_ops_per_sweep_do_not_grow_with_its_rows(self, registry, monkeypatch):
         ops = []
