@@ -11,10 +11,10 @@ _EXPORTS = {
     ),
     "dimensions": ("Dimension", "Quantity"),
     "model": (
-        "OscillatorParams", "RadiusRule", "Shape", "SpeciesModel", "VacuumResponse",
-        "VolumeConvention", "effective_radius", "effective_volume", "fine_structure_form",
-        "maxwell_closure", "mean_square_orbit_radius", "pair_magnetic_moment",
-        "probe_response", "required_species_count", "vacuum_response",
+        "OscillatorParams", "SpeciesModel", "VacuumResponse", "VolumeConvention",
+        "effective_radius", "effective_volume", "fine_structure_form", "maxwell_closure",
+        "mean_square_orbit_radius", "pair_magnetic_moment", "probe_response",
+        "required_species_count", "vacuum_response",
     ),
     "species": (
         "ParticleSpecies", "SpeciesTable", "charge_weighted_sum", "default_species_table",

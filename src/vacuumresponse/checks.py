@@ -65,8 +65,8 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
     mu0 = reg.quantity("mu0")
     alpha = reg.quantity("alpha")
 
-    cube = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.cube(), reg)
-    sphere = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.sphere(), reg)
+    cube = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.CUBE, reg)
+    sphere = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.SPHERE, reg)
     w0 = cube.omega0(reg)
     kappa = cube.energy_gap / (m * c**2)
 

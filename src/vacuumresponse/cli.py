@@ -16,13 +16,7 @@ from pathlib import Path
 
 from .constants import ConstantRegistry, MissingConstantError, default_registry, load_constants
 from .dimensions import ELECTRIC_FIELD, DimensionMismatchError, Quantity, _quantity_power
-from .model import (
-    OscillatorParams,
-    RadiusRule,
-    Shape,
-    fine_structure_form,
-    probe_response,
-)
+from .model import OscillatorParams, VolumeConvention, fine_structure_form, probe_response
 from .report import (
     COLUMN_DIMENSIONS,
     CONVENTION_TOKENS,
@@ -84,7 +78,10 @@ def _parse_quantity_flag(parser: argparse.ArgumentParser, flag: str, text: str) 
     value = magnitude * scale
     if not math.isfinite(value):
         parser.error(f"{flag}: {text.strip()!r} is not a finite value")
-    if value == 0.0 and magnitude != 0.0:
+    # float() reads a nonzero literal such as 1e-400 as 0.0 too, so the
+    # literal's mantissa, not its float, tells a zero from an underflow.
+    mantissa = parts[0].lower().partition("e")[0]
+    if value == 0.0 and mantissa.strip("+-0._"):
         parser.error(f"{flag}: {text.strip()!r} underflows to zero")
     return Quantity(value, dimension)
 
@@ -129,13 +126,14 @@ def cmd_estimate(
             parser.error("--probe-field must be non-negative")
 
     row = build_row(kappa, convention, g, registry)
-    params = OscillatorParams.for_electron(kappa, g, CONVENTION_TOKENS[convention], registry)
+    conv = VolumeConvention(convention)
+    params = OscillatorParams.for_electron(kappa, g, conv, registry)
     # A closed convention's row is its own light-speed closure; a pinned
-    # radius (a cube) is closed by the cube row at the same point.
+    # radius (a cube) is closed by the closed cube's row at the same point.
     closed = row
-    if params.volume_convention.radius_rule is not RadiusRule.MAXWELL_CONSISTENT:
+    if conv is not conv.closed:
         try:
-            closed = build_row(kappa, "cube", g, registry)
+            closed = build_row(kappa, conv.closed.value, g, registry)
         except ValueError as exc:
             raise ValueError(
                 f"the light-speed closure of convention {convention} failed: {exc}"
@@ -144,7 +142,7 @@ def cmd_estimate(
     light_speed = _quantity_power(eps_mu, -1, 2)  # 1/sqrt(eps mu)
 
     extra: list[tuple[str, str]] = [("implied_light_speed", _qty_text(light_speed, args.units))]
-    if convention == "cube" and g == 2.0:
+    if conv is VolumeConvention.CUBE and g == 2.0:
         _, deviation = fine_structure_form(params, registry)
         extra.append(("deviation_factor", format_float(deviation)))
 
@@ -155,7 +153,7 @@ def cmd_estimate(
 
     if args.units == "gaussian":
         print(GAUSSIAN_NOTE, file=sys.stderr)
-    if params.volume_convention.shape is Shape.CUBE:
+    if conv is not VolumeConvention.SPHERE:
         print(DEVIATION_NOTE, file=sys.stderr)
     print(COUNT_NOTE, file=sys.stderr)
 

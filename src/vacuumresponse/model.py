@@ -9,11 +9,12 @@ the two estimates to reproduce the measured light speed fixes the pair's
 effective radius, which collapses both estimates onto a single dimensionless
 deviation factor (4 pi alpha times the gap ratio for the cubic volume).
 
-Two volume conventions are supported: a cube of side r, whose radius is
-closed on the light speed or pinned to the Compton or half-Compton
-wavelength, and a uniformly charged solid sphere, for which the orbital
-mean-square radius 2/5 R^2 replaces r^2 in the magnetic chain and the
-volume is 4/3 pi R^3.
+The four volume conventions are the members of ``VolumeConvention``: a cube
+of side r, whose radius is closed on the light speed (``CUBE``) or pinned to
+the reduced Compton wavelength or half of it (``CUBE_COMPTON``,
+``CUBE_HALF_COMPTON``), and a uniformly charged solid sphere closed on the
+light speed (``SPHERE``), for which the orbital mean-square radius 2/5 R^2
+replaces r^2 in the magnetic chain and the volume is 4/3 pi R^3.
 
 All estimator outputs are reported as positive magnitudes; only the induced
 vortex field keeps its sign convention (it opposes the driving change).
@@ -63,49 +64,30 @@ class WeakFieldWarning(UserWarning):
     """Probe field within two decades of the critical field."""
 
 
-class Shape(Enum):
+class VolumeConvention(Enum):
+    """Rule assigning an effective volume (and orbit radius) to a pair.
+
+    The value of each member is its CLI token.  ``CUBE`` and ``SPHERE`` close
+    the radius on the light speed; the other cubes pin it to the reduced
+    Compton wavelength or to half of it.
+    """
+
     CUBE = "cube"
+    CUBE_COMPTON = "cube-compton"
+    CUBE_HALF_COMPTON = "cube-half-compton"
     SPHERE = "sphere"
 
-
-class RadiusRule(Enum):
-    COMPTON = "compton"
-    HALF_COMPTON = "half-compton"
-    MAXWELL_CONSISTENT = "maxwell-consistent"
-
-
-class VolumeConvention(
-    namedtuple(
-        "VolumeConvention",
-        "shape radius_rule",
-        defaults=(Shape.CUBE, RadiusRule.MAXWELL_CONSISTENT),
-    )
-):
-    """Rule assigning an effective volume (and orbit radius) to a pair."""
-
-    __slots__ = ()
-    _make = _checked_make
-
-    def __new__(cls, *args, **kwargs) -> VolumeConvention:
-        self = super().__new__(cls, *args, **kwargs)
-        if self.shape is Shape.SPHERE and self.radius_rule is not RadiusRule.MAXWELL_CONSISTENT:
-            raise ConventionMismatchError("the uniform sphere only supports the consistent radius")
-        return self
-
-    @classmethod
-    def cube(cls, rule: RadiusRule = RadiusRule.MAXWELL_CONSISTENT) -> VolumeConvention:
-        return cls(Shape.CUBE, rule)
-
-    @classmethod
-    def sphere(cls) -> VolumeConvention:
-        return cls(Shape.SPHERE, RadiusRule.MAXWELL_CONSISTENT)
+    @property
+    def closed(self) -> VolumeConvention:
+        """The same shape with its radius closed on the light speed."""
+        return self if self is VolumeConvention.SPHERE else VolumeConvention.CUBE
 
 
 class OscillatorParams(
     namedtuple(
         "OscillatorParams",
         "mass charge energy_gap g_factor volume_convention",
-        defaults=(2.0, VolumeConvention()),
+        defaults=(2.0, VolumeConvention.CUBE),
     )
 ):
     """Inputs of the virtual-pair oscillator.
@@ -129,6 +111,10 @@ class OscillatorParams(
             raise ValueError("energy gap must be a positive energy")
         if not (self.g_factor > 0 and math.isfinite(self.g_factor)):
             raise ValueError("g-factor must be positive and finite")
+        if not isinstance(self.volume_convention, VolumeConvention):
+            raise TypeError(
+                f"volume_convention must be a VolumeConvention, got {self.volume_convention!r}"
+            )
         return self
 
     def omega0(self, registry: ConstantRegistry | None = None) -> Quantity:
@@ -148,7 +134,7 @@ class OscillatorParams(
         mass: Quantity,
         charge: Quantity,
         g_factor: float = 2.0,
-        volume_convention: VolumeConvention = VolumeConvention(),
+        volume_convention: VolumeConvention = VolumeConvention.CUBE,
         registry: ConstantRegistry | None = None,
     ) -> OscillatorParams:
         reg = registry or default_registry()
@@ -160,7 +146,7 @@ class OscillatorParams(
         cls,
         gap_ratio: float = 2.0,
         g_factor: float = 2.0,
-        volume_convention: VolumeConvention = VolumeConvention(),
+        volume_convention: VolumeConvention = VolumeConvention.CUBE,
         registry: ConstantRegistry | None = None,
     ) -> OscillatorParams:
         reg = registry or default_registry()
@@ -208,18 +194,17 @@ def _omega0(gap, hbar):
 
 
 def _radius(conv: VolumeConvention, mass, g, w0, hbar, c):
-    """The convention's radius; only the consistent rule reads w0 and g."""
-    rule = conv.radius_rule
-    if rule is RadiusRule.COMPTON:
+    """The convention's radius; only a closed convention reads w0 and g."""
+    if conv is VolumeConvention.CUBE_COMPTON:
         return _compton(mass, hbar, c)
-    if rule is RadiusRule.HALF_COMPTON:
+    if conv is VolumeConvention.CUBE_HALF_COMPTON:
         return _compton(2 * mass, hbar, c)
-    closure = 5.0 if conv.shape is Shape.SPHERE else 2.0
+    closure = 5.0 if conv is VolumeConvention.SPHERE else 2.0
     return math.sqrt(closure / g) * c / w0
 
 
-def _volume(shape: Shape, radius):
-    if shape is Shape.SPHERE:
+def _volume(conv: VolumeConvention, radius):
+    if conv is VolumeConvention.SPHERE:
         return (4.0 * math.pi / 3.0) * radius**3
     return radius**3
 
@@ -228,8 +213,8 @@ def _volume(shape: Shape, radius):
 _BALL_MEAN_SQUARE = 2 / 5
 
 
-def _orbit_mean_square(shape: Shape, radius):
-    if shape is Shape.SPHERE:
+def _orbit_mean_square(conv: VolumeConvention, radius):
+    if conv is VolumeConvention.SPHERE:
         return _BALL_MEAN_SQUARE * radius**2
     return radius**2
 
@@ -238,9 +223,9 @@ def _pair(mass, charge, gap, g, conv: VolumeConvention, hbar, c):
     """w0, radius, volume, <rho^2>, eps and mu of one pair (see vacuum_response)."""
     w0 = _omega0(gap, hbar)
     radius = _radius(conv, mass, g, w0, hbar, c)
-    volume = _volume(conv.shape, radius)
+    volume = _volume(conv, radius)
     eps = charge**2 / (mass * w0**2 * volume)
-    rho2 = _orbit_mean_square(conv.shape, radius)
+    rho2 = _orbit_mean_square(conv, radius)
     mu = 2 * mass * volume / (g * charge**2 * rho2)
     return w0, radius, volume, rho2, eps, mu
 
@@ -347,7 +332,7 @@ def probe_response(
     w0, displacement, dipole = _probe(p, field, reg)
     conv = p.volume_convention
     radius = _radius(conv, p.mass, p.g_factor, w0, reg.quantity("hbar"), reg.quantity("c"))
-    return displacement, dipole, dipole / _volume(conv.shape, radius)
+    return displacement, dipole, dipole / _volume(conv, radius)
 
 
 def oscillator_displacement(
@@ -368,13 +353,13 @@ def effective_radius(p: OscillatorParams, registry: ConstantRegistry | None = No
     """
     reg = registry or default_registry()
     conv = p.volume_convention
-    w0 = p.omega0(reg) if conv.radius_rule is RadiusRule.MAXWELL_CONSISTENT else None
+    w0 = p.omega0(reg) if conv is conv.closed else None
     return _radius(conv, p.mass, p.g_factor, w0, reg.quantity("hbar"), reg.quantity("c"))
 
 
 def effective_volume(p: OscillatorParams, registry: ConstantRegistry | None = None) -> Quantity:
     """Volume per pair: r^3 for the cube, 4/3 pi R^3 for the uniform sphere."""
-    return _volume(p.volume_convention.shape, effective_radius(p, registry))
+    return _volume(p.volume_convention, effective_radius(p, registry))
 
 
 def _check_orbit_radius(radius: Quantity) -> None:
@@ -385,7 +370,7 @@ def _check_orbit_radius(radius: Quantity) -> None:
 def mean_square_orbit_radius(radius: Quantity) -> Quantity:
     """Mean squared distance to a central axis over a uniform solid ball: 2/5 R^2."""
     _check_orbit_radius(radius)
-    return _orbit_mean_square(Shape.SPHERE, radius)
+    return _orbit_mean_square(VolumeConvention.SPHERE, radius)
 
 
 def induced_vortex_field(radius: Quantity, b_rate: Quantity) -> Quantity:
@@ -406,10 +391,10 @@ def angular_momentum_kick(
     if b_field.dimension != MAGNETIC_FIELD or b_field.magnitude < 0:
         raise ValueError("magnetic field must be a non-negative field amplitude")
     r = effective_radius(p, registry)
-    shape = p.volume_convention.shape
-    if shape is Shape.SPHERE:
+    conv = p.volume_convention
+    if conv is VolumeConvention.SPHERE:
         _check_orbit_radius(r)
-    return abs(p.charge) * _orbit_mean_square(shape, r) * b_field / 2
+    return abs(p.charge) * _orbit_mean_square(conv, r) * b_field / 2
 
 
 def pair_magnetic_moment(
@@ -444,7 +429,7 @@ def vacuum_response(
     )
     # The kernel also runs on floats, so the sphere's radius is checked here,
     # as mean_square_orbit_radius checks it.
-    if conv.shape is Shape.SPHERE:
+    if conv is VolumeConvention.SPHERE:
         _check_orbit_radius(radius)
     return VacuumResponse(
         eps_tilde=eps,
@@ -464,14 +449,7 @@ def maxwell_closure(
     to equal 1/c^2 fixes the radius within the chosen convention family.
     The implied light speed then reproduces the registry value identically.
     """
-    closed = OscillatorParams(
-        p.mass,
-        p.charge,
-        p.energy_gap,
-        p.g_factor,
-        VolumeConvention(p.volume_convention.shape, RadiusRule.MAXWELL_CONSISTENT),
-    )
-    return vacuum_response(closed, registry)
+    return vacuum_response(p._replace(volume_convention=p.volume_convention.closed), registry)
 
 
 def fine_structure_form(
@@ -486,9 +464,9 @@ def fine_structure_form(
     """
     reg = registry or default_registry()
     conv = p.volume_convention
-    if conv.shape is not Shape.CUBE:
+    if conv is VolumeConvention.SPHERE:
         raise ConventionMismatchError("the gap-ratio form is defined for the cubic convention")
-    if conv.radius_rule is not RadiusRule.MAXWELL_CONSISTENT:
+    if conv is not VolumeConvention.CUBE:
         raise ConventionMismatchError("the gap-ratio form requires the consistent radius rule")
     if p.g_factor != 2.0:
         raise ConventionMismatchError("the gap-ratio form is derived for the spin response g = 2")

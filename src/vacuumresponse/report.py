@@ -25,17 +25,20 @@ from collections import namedtuple
 
 from .constants import ConstantRegistry, default_registry
 from .dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Quantity, _checked_make
-from .model import RadiusRule, VolumeConvention, _count_simple, _count_sphere, _gap, _pair
+from .model import VolumeConvention, _count_simple, _count_sphere, _gap, _pair
 from .units import render_quantity
 
-# CLI-facing convention tokens.  "cube" and "sphere" use the radius closed on
-# the light-speed constraint; the remaining cubes pin the radius length scale.
-CONVENTION_TOKENS: dict[str, VolumeConvention] = {
-    "cube": VolumeConvention.cube(RadiusRule.MAXWELL_CONSISTENT),
-    "cube-compton": VolumeConvention.cube(RadiusRule.COMPTON),
-    "cube-half-compton": VolumeConvention.cube(RadiusRule.HALF_COMPTON),
-    "sphere": VolumeConvention.sphere(),
-}
+# CLI-facing convention tokens: the values of the VolumeConvention members.
+CONVENTION_TOKENS = tuple(c.value for c in VolumeConvention)
+
+
+def _convention(token: str) -> VolumeConvention:
+    """The member whose value is ``token``; a member itself is not a token."""
+    if token not in CONVENTION_TOKENS:
+        choices = ", ".join(CONVENTION_TOKENS)
+        raise ValueError(f"unknown convention {token!r}; choose from {choices}")
+    return VolumeConvention(token)
+
 
 # The most rows one sweep may have; the grid is held in memory.
 MAX_SWEEP_ROWS = 100_000
@@ -90,10 +93,7 @@ class SweepConfig(
         if not self.conventions:
             raise ValueError("at least one convention is required")
         for index, token in enumerate(self.conventions):
-            if token not in CONVENTION_TOKENS:
-                raise ValueError(
-                    f"unknown convention {token!r}; choose from {', '.join(CONVENTION_TOKENS)}"
-                )
+            _convention(token)
             if token in self.conventions[:index]:
                 raise ValueError(f"convention {token!r} is given more than once")
         if not self.g_factors:
@@ -137,7 +137,7 @@ def _chain(kappa, g, conv, m, q, c, hbar, eps0, mu0, alpha):
 def _constants(convention: str, reg: ConstantRegistry) -> tuple:
     """The arguments of ``_chain`` after (kappa, g); the dimensions are required once, here."""
     reg.require_dimensions()
-    return (CONVENTION_TOKENS[convention], *[reg.value(key) for key in _READS])
+    return (_convention(convention), *[reg.value(key) for key in _READS])
 
 
 def _checked(kappa: float, convention: str, g: float, constants: tuple) -> tuple:
@@ -176,8 +176,6 @@ def sweep_rows(config: SweepConfig, registry: ConstantRegistry | None = None) ->
     """Evaluate the full grid in deterministic row order.
 
     A grid that leaves the float range raises before any row is computed.
-    Grid points are independent pure computations; the sequential evaluation
-    below is the reference order any parallel evaluation must reproduce.
     """
     reg = registry or default_registry()
     kappas, gs = config.kappas(), config.g_factors

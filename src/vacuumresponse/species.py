@@ -11,8 +11,7 @@ yields either the species count needed at a given gap ratio, or the gap
 ratio matching a given table.
 
 ``SpeciesModel`` and ``required_species_count`` live in ``model``, beside
-the count kernels, so that report rows do not load this module; they are
-re-exported here.  The count and ``load_species`` require the registry's
+the count kernels they run; they are re-exported here.  The count and ``load_species`` require the registry's
 dimensions; ``total_permittivity`` derives its own.
 """
 

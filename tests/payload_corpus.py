@@ -21,7 +21,8 @@ change with its reason.  Run from the repository root::
 in a child process, and exits 1 if any argv, exit code or digest differs;
 it needs no pytest.  ``--diff`` runs the same argvs against ``src/`` of this
 checkout and against ``PARENT_SRC`` (another checkout's ``src/``), each in a
-child process.  It prints every argv whose exit code, stdout or stderr
+child process, followed by ``FIXED``, one argv of each kind for the other
+subcommands.  It prints every argv whose exit code, stdout or stderr
 differs, which of the three differ, and both sides' stderr where it differs;
 it ends with two counts, of the argvs that differ in exit code or stdout and
 of those that differ in stderr only.
@@ -53,6 +54,16 @@ PROBE_FIELDS = ("0 V/m", "1 V/m", "2.5 kV/cm", "3e12 V/m", "5e16 V/m", "2e18 V/m
 # Powers of ten near the low and the high end of the gap ratios whose rows
 # succeed at g of order 1 (1e-115 to 1e85 for the closed conventions).
 LOW_END, HIGH_END = range(-117, -111), range(82, 88)
+
+# The argvs of the subcommands that ``argvs`` does not draw, run by ``--diff`` only.
+FIXED = (
+    ["species"],
+    ["species", "--gap-ratio", "1", "--units", "gaussian"],
+    ["species", "--gap-ratio", "1e-300"],
+    ["check-dimensions"],
+    ["constants"],
+    ["constants", "--derived"],
+)
 
 
 def _kappa(rng: random.Random, where: str) -> float:
@@ -123,12 +134,12 @@ def record() -> None:
     print(f"recorded {len(cases)} argvs in {DIGESTS}")
 
 
-def _outcomes(src: str, seed: str, count: int) -> list[list]:
-    """Every argv's exit code, stdout and stderr, from a child that imports ``src``."""
+def _outcomes(src: str, cases: list[list[str]]) -> list[list]:
+    """Each argv's exit code, stdout and stderr, from a child that imports ``src``."""
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
     child = subprocess.run(
-        [sys.executable, __file__, "--emit", "--seed", seed, "--count", str(count)],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, __file__, "--emit"],
+        input=json.dumps(cases), env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(child.stdout)
 
@@ -136,10 +147,11 @@ def _outcomes(src: str, seed: str, count: int) -> list[list]:
 def check() -> int:
     """Recompute the recorded file against ``SRC``: 0 if it matches, else 1."""
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    seed, count = recorded["seed"], recorded["count"]
+    count = recorded["count"]
+    drawn = argvs(recorded["seed"], count)
     cases = [
         {"argv": argv, "exit": code, "sha256": digest(out)}
-        for argv, (code, out, _) in zip(argvs(seed, count), _outcomes(SRC, seed, count))
+        for argv, (code, out, _) in zip(drawn, _outcomes(SRC, drawn))
     ]
     differing = [case["argv"] for case, new in zip(recorded["cases"], cases) if case != new]
     for argv in differing:
@@ -157,16 +169,17 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=COUNT)
     args = parser.parse_args()
     if args.emit:
-        json.dump([list(run(argv)) for argv in argvs(args.seed, args.count)], sys.stdout)
+        json.dump([list(run(argv)) for argv in json.load(sys.stdin)], sys.stdout)
         return 0
     if args.check:
         return check()
     if args.diff is None:
         record()
         return 0
-    ours, theirs = (_outcomes(src, args.seed, args.count) for src in (SRC, args.diff))
+    cases = [*argvs(args.seed, args.count), *FIXED]
+    ours, theirs = (_outcomes(src, cases) for src in (SRC, args.diff))
     payloads = stderr_only = 0
-    for argv, a, b in zip(argvs(args.seed, args.count), ours, theirs):
+    for argv, a, b in zip(cases, ours, theirs):
         differ = [name for name, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
         if not differ:
             continue
@@ -178,8 +191,8 @@ def main() -> int:
         if "stderr" in differ:
             for side, (_, _, err) in (("  here:", a), ("  parent:", b)):
                 print(side, *err.splitlines(), sep="\n    ")
-    print(f"{payloads} of {args.count} argvs differ in exit code or stdout")
-    print(f"{stderr_only} of {args.count} argvs differ in stderr only")
+    print(f"{payloads} of {len(cases)} argvs differ in exit code or stdout")
+    print(f"{stderr_only} of {len(cases)} argvs differ in stderr only")
     return 1 if payloads or stderr_only else 0
 
 

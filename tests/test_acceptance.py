@@ -103,7 +103,7 @@ def test_criterion_04_closure_identity_property(reg):
         charge = reg.quantity("e") * rng.uniform(0.1, 3.0)
         kappa = rng.uniform(0.1, 10.0)
         g = rng.choice((1.0, 2.0))
-        conv = rng.choice((VolumeConvention.cube(), VolumeConvention.sphere()))
+        conv = rng.choice((VolumeConvention.CUBE, VolumeConvention.SPHERE))
         p = OscillatorParams.from_gap_ratio(kappa, mass, charge, g, conv, reg)
         resp = maxwell_closure(p, reg)
         identity = (resp.eps_tilde * resp.mu_tilde * c2).magnitude

@@ -5,7 +5,7 @@ import pytest
 from vacuumresponse import checks, constants, model, species
 from vacuumresponse.checks import run_dimension_checks
 from vacuumresponse.dimensions import ELECTRIC_FIELD, LENGTH, SPEED
-from vacuumresponse.model import OscillatorParams, RadiusRule, VolumeConvention
+from vacuumresponse.model import OscillatorParams, VolumeConvention
 
 
 @pytest.mark.parametrize(
@@ -52,8 +52,8 @@ def test_every_caller_runs_the_constants_kernels(monkeypatch, registry):
     assert slipped.quantity("E_S").dimension == ELECTRIC_FIELD * SPEED
     electron = registry.quantity("m_e")
     assert constants.compton_wavelength(electron, registry).dimension == LENGTH * SPEED
-    for rule in (RadiusRule.COMPTON, RadiusRule.HALF_COMPTON):
-        params = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.cube(rule), registry)
+    for conv in (VolumeConvention.CUBE_COMPTON, VolumeConvention.CUBE_HALF_COMPTON):
+        params = OscillatorParams.for_electron(2.0, 2.0, conv, registry)
         assert model.effective_radius(params, registry).dimension == LENGTH * SPEED
-    cube = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.cube(), registry)
+    cube = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.CUBE, registry)
     assert model.critical_field(cube, registry).dimension == ELECTRIC_FIELD * SPEED

@@ -173,10 +173,15 @@ def _replace_field(text, key, column, value):
         ("species", None, None, None, "cannot load species from {path}: 'utf-8' codec can't decode byte 0xff"),
         ("species", "electron", 3, "nan", "malformed species row at line {line}: mass must be positive"),
         ("species", "electron", 3, "inf", "malformed species row at line {line}: mass must be positive"),
+        ("constants", "c", 0, "", "malformed constants line {line}: empty key"),
+        ("species", "electron", 0, "", "malformed species row at line {line}: empty name"),
+        ("species", "electron", 2, "x", "malformed species row at line {line}: bad multiplicity 'x'"),
+        ("species", "electron", 3, "heavy", "malformed species row at line {line}: bad mass 'heavy'"),
     ],
     ids=[
         "constants-not-utf8", "constants-nan", "constants-inf", "constants-1e400", "constants-bad-unit",
         "hbar-zero", "e-overflows-alpha", "species-not-utf8", "species-mass-nan", "species-mass-inf",
+        "constants-empty-key", "species-empty-name", "species-bad-multiplicity", "species-bad-mass",
     ],
 )
 def test_a_table_that_cannot_be_used_is_one_error_line(
@@ -256,6 +261,8 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
         ),
         (["estimate", "--probe-field", "1e300 YV/m"], "is not a finite value"),
         (["estimate", "--probe-field", "1e-300 yV/Ym"], "'1e-300 yV/Ym' underflows to zero"),
+        (["estimate", "--probe-field", "1e-400 V/m"], "--probe-field: '1e-400 V/m' underflows to zero"),
+        (["estimate", "--probe-field", "x V/m"], "--probe-field: bad magnitude 'x'"),
         (
             ["estimate", "--probe-field", "1 " + "(" * 400 + "V/m" + ")" * 400],
             "--probe-field: syntax error at position 100: expected at most 100 nested groups",
@@ -278,7 +285,8 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
     ids=[
         "g-factors", "too-many-rows", "probe-field", "scale-overflow", "scale-underflow",
         "superscript-digit", "long-exponent-numerator", "long-exponent-denominator",
-        "non-finite-field", "underflowing-field", "deep-groups", "negative-field",
+        "non-finite-field", "underflowing-field", "underflowing-literal", "bad-magnitude",
+        "deep-groups", "negative-field",
         "field-before-model", "species-on-estimate", "units-on-constants",
         "units-on-check-dimensions", "repeated-convention", "repeated-g-factor",
         "empty-constants", "empty-species", "empty-out", "empty-out-on-check-dimensions",
@@ -300,6 +308,19 @@ def test_usage_error_returns_two(capsys, argv, message):
 def test_usage_error_prints_the_subcommand_usage(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"usage: vacuumresponse {argv[0]} ")
+
+
+@pytest.mark.parametrize(
+    ("flag", "listed", "same_as"),
+    [("--g-factors", "1,,2", "1,2"), ("--conventions", " cube,, sphere,", "cube,sphere")],
+    ids=["g-factors", "conventions"],
+)
+def test_empty_pieces_of_a_list_flag_are_skipped(capsys, flag, listed, same_as):
+    printed = []
+    for value in (listed, same_as):
+        assert main(["sweep", "--points", "2", flag, value]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
 
 
 def test_gaussian_estimate_labels_every_value_in_cgs(capsys):

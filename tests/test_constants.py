@@ -141,6 +141,16 @@ class TestLoad:
         assert err.value.line_number == number
         assert str(err.value) == f"malformed constants line {number}: {reason}"
 
+    @pytest.mark.parametrize("line", ["", "   ", "# note"], ids=["empty", "blank", "comment"])
+    def test_a_blank_or_comment_line_among_the_rows_is_skipped(
+        self, tmp_path, registry, bundled_text, line
+    ):
+        text = bundled_text.replace("\nm_e\t", f"\n{line}\nm_e\t", 1)
+        assert text != bundled_text
+        loaded = load_constants(write_registry(tmp_path, text))
+        assert loaded.records() == registry.records()
+        assert loaded.codata_release == registry.codata_release
+
     def test_bad_magnitude(self, tmp_path, bundled_text):
         text = bundled_text + "zeta\tnot-a-number\tm\ttest\n"
         with pytest.raises(MalformedLineError):

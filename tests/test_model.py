@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from vacuumresponse.dimensions import (
     DIMENSIONLESS,
     LENGTH,
+    TIME,
     Quantity,
 )
 from vacuumresponse.model import (
     ConventionMismatchError,
     FieldTooStrongError,
     OscillatorParams,
-    RadiusRule,
     VolumeConvention,
     WeakFieldWarning,
     angular_momentum_kick,
@@ -29,6 +29,7 @@ from vacuumresponse.model import (
     oscillator_displacement,
     pair_magnetic_moment,
     probe_response,
+    required_species_count,
     vacuum_response,
 )
 from vacuumresponse.units import parse_unit
@@ -38,19 +39,15 @@ TESLA = parse_unit("T")[1]
 
 
 def electron(kappa=2.0, g=2.0, conv=None, registry=None):
-    return OscillatorParams.for_electron(kappa, g, conv or VolumeConvention.cube(), registry)
+    return OscillatorParams.for_electron(kappa, g, conv or VolumeConvention.CUBE, registry)
 
 
 def half_compton(registry=None, kappa=2.0, g=2.0):
-    return OscillatorParams.for_electron(
-        kappa, g, VolumeConvention.cube(RadiusRule.HALF_COMPTON), registry
-    )
+    return OscillatorParams.for_electron(kappa, g, VolumeConvention.CUBE_HALF_COMPTON, registry)
 
 
 def compton(registry=None, kappa=2.0, g=2.0):
-    return OscillatorParams.for_electron(
-        kappa, g, VolumeConvention.cube(RadiusRule.COMPTON), registry
-    )
+    return OscillatorParams.for_electron(kappa, g, VolumeConvention.CUBE_COMPTON, registry)
 
 
 def unit_field(x=1.0):
@@ -91,9 +88,25 @@ class TestParams:
         with pytest.raises(ValueError, match="magnetic field"):
             angular_momentum_kick(p, Quantity(1.0, LENGTH), registry)
 
-    def test_sphere_rejects_other_radius_rules(self):
-        with pytest.raises(ConventionMismatchError):
-            VolumeConvention(shape=VolumeConvention.sphere().shape, radius_rule=RadiusRule.COMPTON)
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (lambda: required_species_count(0.0), "gap ratio must be positive"),
+            (
+                lambda: induced_vortex_field(Quantity(0.0, LENGTH), Quantity(1.0, TESLA / TIME)),
+                "orbit radius must be a positive length",
+            ),
+            (
+                lambda: induced_vortex_field(Quantity(1.0, LENGTH), Quantity(1.0, TESLA)),
+                "expected a magnetic-field rate of change, got [kg / (A s^2)]",
+            ),
+        ],
+        ids=["species-count-gap", "vortex-radius", "vortex-rate"],
+    )
+    def test_an_input_out_of_the_domain_is_refused(self, call, message):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 class TestOscillatorDisplacement:
@@ -143,7 +156,7 @@ class TestInducedDipole:
 
 class TestProbeResponse:
     def test_items_match_the_per_output_functions(self, registry):
-        p = electron(conv=VolumeConvention.sphere(), registry=registry)
+        p = electron(conv=VolumeConvention.SPHERE, registry=registry)
         x, dipole, polarization = probe_response(p, unit_field(2.5), registry=registry)
         assert x == oscillator_displacement(p, unit_field(2.5), registry=registry)
         assert polarization == dipole / effective_volume(p, registry)
@@ -171,7 +184,7 @@ class TestEffectiveVolume:
         assert consistent.magnitude == pytest.approx(pinned.magnitude, rel=1e-12)
 
     def test_sphere_radius(self, registry):
-        p = electron(conv=VolumeConvention.sphere(), registry=registry)
+        p = electron(conv=VolumeConvention.SPHERE, registry=registry)
         r = effective_radius(p, registry)
         assert r.magnitude == pytest.approx(3.05285706586e-13, rel=1e-11)
         v = effective_volume(p, registry)
@@ -205,7 +218,7 @@ class TestPermittivityEstimate:
         assert eps.magnitude == pytest.approx(1.62387994816e-12, rel=1e-11)
 
     def test_full_compton_gap_two(self, registry):
-        p = electron(conv=VolumeConvention.cube(RadiusRule.COMPTON), registry=registry)
+        p = electron(conv=VolumeConvention.CUBE_COMPTON, registry=registry)
         eps = vacuum_response(p, registry).eps_tilde
         assert eps.magnitude == pytest.approx(2.02984993520e-13, rel=1e-11)
 
@@ -361,7 +374,7 @@ class TestMaxwellClosure:
 
     def test_sphere_ratio_gap_two(self, registry):
         resp = maxwell_closure(
-            electron(conv=VolumeConvention.sphere(), registry=registry), registry
+            electron(conv=VolumeConvention.SPHERE, registry=registry), registry
         )
         alpha = registry.value("alpha")
         assert resp.eps_ratio == pytest.approx(6 * alpha * 0.4**1.5, rel=1e-12)
@@ -377,7 +390,7 @@ class TestMaxwellClosure:
             charge = e * rng.uniform(0.1, 3.0)
             kappa = rng.uniform(0.1, 10.0)
             g = rng.choice((1.0, 2.0))
-            shape = rng.choice((VolumeConvention.cube(), VolumeConvention.sphere()))
+            shape = rng.choice((VolumeConvention.CUBE, VolumeConvention.SPHERE))
             p = OscillatorParams.from_gap_ratio(kappa, mass, charge, g, shape, registry)
             resp = maxwell_closure(p, registry)
             identity = (resp.eps_tilde * resp.mu_tilde * c2).magnitude
@@ -410,10 +423,10 @@ class TestVacuumResponse:
     @pytest.mark.parametrize(
         "conv",
         [
-            VolumeConvention.cube(),
-            VolumeConvention.cube(RadiusRule.COMPTON),
-            VolumeConvention.cube(RadiusRule.HALF_COMPTON),
-            VolumeConvention.sphere(),
+            VolumeConvention.CUBE,
+            VolumeConvention.CUBE_COMPTON,
+            VolumeConvention.CUBE_HALF_COMPTON,
+            VolumeConvention.SPHERE,
         ],
         ids=["cube", "compton", "half-compton", "sphere"],
     )
@@ -460,7 +473,7 @@ class TestFineStructureForm:
     def test_rejects_sphere(self, registry):
         with pytest.raises(ConventionMismatchError):
             fine_structure_form(
-                electron(conv=VolumeConvention.sphere(), registry=registry), registry
+                electron(conv=VolumeConvention.SPHERE, registry=registry), registry
             )
 
     def test_rejects_pinned_radius(self, registry):
@@ -497,7 +510,7 @@ class TestSphereGeometry:
         alpha = registry.value("alpha")
         for kappa in (1.0, 2.0, 4.0):
             resp = maxwell_closure(
-                electron(kappa=kappa, conv=VolumeConvention.sphere(), registry=registry),
+                electron(kappa=kappa, conv=VolumeConvention.SPHERE, registry=registry),
                 registry,
             )
             assert resp.eps_ratio == pytest.approx(3 * alpha * 0.4**1.5 * kappa, rel=1e-12)

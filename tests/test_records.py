@@ -17,10 +17,7 @@ from vacuumresponse.checks import CheckResult
 from vacuumresponse.constants import ConstantRecord
 from vacuumresponse.dimensions import CHARGE, ENERGY, LENGTH, MASS, TIME, Quantity
 from vacuumresponse.model import (
-    ConventionMismatchError,
     OscillatorParams,
-    RadiusRule,
-    Shape,
     VacuumResponse,
     VolumeConvention,
 )
@@ -62,19 +59,10 @@ RECORDS = {
         {},
         [],
     ),
-    VolumeConvention: (
-        ("shape", "radius_rule"),
-        (Shape.CUBE, RadiusRule.COMPTON),
-        {"shape": Shape.CUBE, "radius_rule": RadiusRule.MAXWELL_CONSISTENT},
-        [
-            ({"shape": Shape.SPHERE}, ConventionMismatchError,
-             "the uniform sphere only supports the consistent radius"),
-        ],
-    ),
     OscillatorParams: (
         ("mass", "charge", "energy_gap", "g_factor", "volume_convention"),
-        (MASS_Q, CHARGE_Q, ENERGY_Q, 1.0, VolumeConvention.sphere()),
-        {"g_factor": 2.0, "volume_convention": VolumeConvention()},
+        (MASS_Q, CHARGE_Q, ENERGY_Q, 1.0, VolumeConvention.SPHERE),
+        {"g_factor": 2.0, "volume_convention": VolumeConvention.CUBE},
         [
             ({"mass": CHARGE_Q}, ValueError, "mass must be a positive mass quantity"),
             ({"mass": Quantity(0.0, MASS)}, ValueError, "mass must be a positive mass quantity"),
@@ -87,6 +75,8 @@ RECORDS = {
             ({"g_factor": 0.0}, ValueError, "g-factor must be positive and finite"),
             ({"g_factor": float("inf")}, ValueError, "g-factor must be positive and finite"),
             ({"g_factor": float("nan")}, ValueError, "g-factor must be positive and finite"),
+            ({"volume_convention": "cube-compton"}, TypeError,
+             "volume_convention must be a VolumeConvention, got 'cube-compton'"),
         ],
     ),
     VacuumResponse: (
@@ -118,6 +108,8 @@ RECORDS = {
              "sphere"),
             ({"g_factors": ()}, ValueError, "at least one g-factor is required"),
             ({"g_factors": (2.0, -1.0)}, ValueError, "g-factors must be finite and > 0, got -1.0"),
+            ({"g_factors": (Fraction(2),)}, TypeError,
+             "g-factors must be int or float, got Fraction(2, 1)"),
             ({"points": MAX_SWEEP_ROWS}, ValueError,
              f"a sweep of {4 * MAX_SWEEP_ROWS} rows exceeds the limit of {MAX_SWEEP_ROWS}"),
         ],

@@ -22,6 +22,7 @@ from vacuumresponse.dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Dimens
 from vacuumresponse.model import (
     OscillatorParams,
     SpeciesModel,
+    VolumeConvention,
     required_species_count,
     vacuum_response,
 )
@@ -138,7 +139,7 @@ class TestRows:
     @pytest.mark.parametrize("convention", CONVENTION_TOKENS)
     @pytest.mark.parametrize("g", [1.0, 2.0])
     def test_the_model_gives_the_schema_dimensions(self, registry, convention, g):
-        params = OscillatorParams.for_electron(1.3, g, CONVENTION_TOKENS[convention], registry)
+        params = OscillatorParams.for_electron(1.3, g, VolumeConvention(convention), registry)
         response = vacuum_response(params, registry)
         columns = (response.eps_tilde, response.mu_tilde, response.radius)
         assert tuple(q.dimension for q in columns) == COLUMN_DIMENSIONS
@@ -150,6 +151,14 @@ class TestRows:
         build_row(1.3, convention, 2.0, registry)
         assert len(omega0_calls) == 1
 
+    @pytest.mark.parametrize("token", ["ball", "CUBE", VolumeConvention.CUBE])
+    def test_a_row_refuses_what_is_not_a_convention_token(self, registry, token):
+        # A member is not a token: it would be written as the row's convention cell.
+        with pytest.raises(ValueError) as caught:
+            build_row(1.3, token, 2.0, registry)
+        choices = "cube, cube-compton, cube-half-compton, sphere"
+        assert str(caught.value) == f"unknown convention {token!r}; choose from {choices}"
+
 
 def _bits(row):
     """The row's cells, each float as its hex string."""
@@ -158,7 +167,7 @@ def _bits(row):
 
 def _reference(kappa, convention, g, registry):
     """The row computed on Quantities, by ``vacuum_response`` and ``required_species_count``."""
-    params = OscillatorParams.for_electron(kappa, g, CONVENTION_TOKENS[convention], registry)
+    params = OscillatorParams.for_electron(kappa, g, VolumeConvention(convention), registry)
     response = vacuum_response(params, registry)
     return ReportRow(
         kappa, convention, g,
