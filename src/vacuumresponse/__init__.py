@@ -6,8 +6,7 @@ import importlib
 # that importing one module of the package does not import all of them.
 _EXPORTS = {
     "constants": (
-        "ConstantRecord", "ConstantRegistry", "compton_wavelength", "default_registry",
-        "load_constants", "schwinger_field",
+        "ConstantRecord", "ConstantRegistry", "default_registry", "load_constants",
     ),
     "dimensions": ("Dimension", "Quantity"),
     "model": (

@@ -3,11 +3,11 @@
 Each check evaluates both sides of one implemented relation through the
 quantity algebra, pulling real values from the loaded constant registry, and
 compares the resulting dimensions.  The side that names a relation runs the
-code that computes it, a public model function or a plain-value kernel of
-``model``, so a dimensional slip in that code fails its check.  Because the
-registry quantities carry the dimensions parsed from the data file, a
-constant recorded with a wrong unit fails every relation whose two sides it
-enters differently.
+code that computes it, a public model function (the light-speed closure runs
+``maxwell_closure``) or a plain-value kernel of ``model``, so a dimensional
+slip in that code fails its check.  Because the registry quantities carry
+the dimensions parsed from the data file, a constant recorded with a wrong
+unit fails every relation whose two sides it enters differently.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .model import (
     effective_volume,
     fine_structure_form,
     induced_vortex_field,
+    maxwell_closure,
     mean_square_orbit_radius,
     pair_magnetic_moment,
     probe_response,
@@ -74,7 +75,7 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
     B = Quantity(1.0, _dim("T"))
     Bdot = Quantity(1.0, _dim("T/s"))
 
-    response = vacuum_response(cube, reg)
+    response = maxwell_closure(cube, reg)
     r, eps_t, mu_t = response.radius, response.eps_tilde, response.mu_tilde
     sphere_response = vacuum_response(sphere, reg)
     volume = effective_volume(cube, reg)

@@ -39,6 +39,8 @@ GAUSSIAN_NOTE = (
     "and lengths are in cm"
 )
 
+# These two notes quote figures of the bundled constants, so they print only
+# when no --constants file is given.
 DEVIATION_NOTE = (
     "note: the cubic-model deviation factor is 0.0917 per unit gap ratio: "
     "about one-tenth at gap ratio 1, but 0.1834 at gap ratio 2"
@@ -153,9 +155,10 @@ def cmd_estimate(
 
     if args.units == "gaussian":
         print(GAUSSIAN_NOTE, file=sys.stderr)
-    if conv is not VolumeConvention.SPHERE:
-        print(DEVIATION_NOTE, file=sys.stderr)
-    print(COUNT_NOTE, file=sys.stderr)
+    if args.constants is None:
+        if conv is not VolumeConvention.SPHERE:
+            print(DEVIATION_NOTE, file=sys.stderr)
+        print(COUNT_NOTE, file=sys.stderr)
 
     if args.format == "text":
         return 0, _row_text(row, extra, args.units)
@@ -229,7 +232,8 @@ def cmd_species(
 
     if weight == 0:
         print("warning: NoSpecies: the table contains no charged species", file=sys.stderr)
-    print(COUNT_NOTE, file=sys.stderr)
+    if args.constants is None:
+        print(COUNT_NOTE, file=sys.stderr)
 
     lines: list[str] = []
     # The bundled table is named, not located, so stdout is the same in every checkout.

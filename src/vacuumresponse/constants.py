@@ -9,8 +9,9 @@ finite in SI units.
 
 Three derived records are appended at load time: the fine-structure
 constant, the electron's reduced Compton wavelength, and the critical
-(Schwinger) field strength.  A file that gives one of their keys, or any
-key twice, is refused with the line at fault.
+(Schwinger) field strength, read by key (``alpha``, ``lambda_c``, ``E_S``)
+like any other record.  A file that gives one of their keys, or any key
+twice, is refused with the line at fault.
 
 This module alone decides whether a file's units give each required key the
 dimension ``REQUIRED_DIMENSIONS`` names.  A registry records each key that
@@ -54,10 +55,6 @@ class MalformedLineError(ValueError):
     def __init__(self, line_number: int, reason: str) -> None:
         self.line_number = line_number
         super().__init__(f"malformed constants line {line_number}: {reason}")
-
-
-class NonPositiveMassError(ValueError):
-    """Mass argument was zero or negative."""
 
 
 # Every key the model needs and its SI dimension: the electromagnetic base
@@ -217,18 +214,3 @@ def bundled_constants_path() -> Path:
 @lru_cache(maxsize=1)
 def default_registry() -> ConstantRegistry:
     return load_constants(bundled_constants_path())
-
-
-def schwinger_field(registry: ConstantRegistry) -> Quantity:
-    """Critical field strength above which the linear weak-field treatment fails."""
-    return registry.quantity("E_S")
-
-
-def compton_wavelength(mass: Quantity, registry: ConstantRegistry | None = None) -> Quantity:
-    """Reduced Compton wavelength hbar/(m c) of a particle of the given mass."""
-    reg = registry or default_registry()
-    if mass.dimension != MASS:
-        raise NonPositiveMassError(f"expected a mass, got dimension [{mass.dimension}]")
-    if mass.magnitude <= 0:
-        raise NonPositiveMassError(f"mass must be positive, got {mass.magnitude!r}")
-    return _compton(mass, reg.quantity("hbar"), reg.quantity("c"))

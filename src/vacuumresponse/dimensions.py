@@ -242,10 +242,6 @@ class Dimension:
     def inverse(self) -> Dimension:
         return _reduced(_key_pow(self._key, -1, 1))
 
-    @property
-    def is_dimensionless(self) -> bool:
-        return self == DIMENSIONLESS
-
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={a!r}" for f, a in zip(_BASE_FIELDS, self.as_tuple()))
         return f"Dimension({fields})"

@@ -39,7 +39,6 @@ from .dimensions import (
     DimensionMismatchError,
     Quantity,
     _checked_make,
-    _quantity_power,
 )
 
 # The paired antiparticle responds with the same sign as the particle, so the
@@ -169,11 +168,6 @@ class VacuumResponse(namedtuple("VacuumResponse", "eps_tilde mu_tilde radius eps
         if self.eps_ratio <= 0 or self.mu_ratio <= 0:
             raise ValueError("deviation ratios must be positive")
         return self
-
-    @property
-    def implied_light_speed(self) -> Quantity:
-        """1/sqrt(eps mu): the registry's light speed once the radius is closed."""
-        return _quantity_power(self.eps_tilde * self.mu_tilde, -1, 2)
 
 
 # The model on plain values.  These formulas touch their operands only with
@@ -335,15 +329,6 @@ def probe_response(
     return displacement, dipole, dipole / _volume(conv, radius)
 
 
-def oscillator_displacement(
-    p: OscillatorParams,
-    field: Quantity,
-    registry: ConstantRegistry | None = None,
-) -> Quantity:
-    """Static displacement x = q E / (m w0^2) of the bound charge."""
-    return _probe(p, field, registry or default_registry())[1]
-
-
 def effective_radius(p: OscillatorParams, registry: ConstantRegistry | None = None) -> Quantity:
     """Radius selected by the volume convention.
 
@@ -364,7 +349,7 @@ def effective_volume(p: OscillatorParams, registry: ConstantRegistry | None = No
 
 def _check_orbit_radius(radius: Quantity) -> None:
     if radius.dimension != LENGTH or radius.magnitude <= 0:
-        raise ValueError("radius must be a positive length")
+        raise ValueError("orbit radius must be a positive length")
 
 
 def mean_square_orbit_radius(radius: Quantity) -> Quantity:
@@ -375,8 +360,7 @@ def mean_square_orbit_radius(radius: Quantity) -> Quantity:
 
 def induced_vortex_field(radius: Quantity, b_rate: Quantity) -> Quantity:
     """Azimuthal electric field -(r/2) dB/dt on a circular orbit (signed)."""
-    if radius.dimension != LENGTH or radius.magnitude <= 0:
-        raise ValueError("orbit radius must be a positive length")
+    _check_orbit_radius(radius)
     if b_rate.dimension != MAGNETIC_FIELD / TIME:
         raise DimensionMismatchError(
             f"expected a magnetic-field rate of change, got [{b_rate.dimension}]"

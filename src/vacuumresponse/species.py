@@ -11,8 +11,9 @@ yields either the species count needed at a given gap ratio, or the gap
 ratio matching a given table.
 
 ``SpeciesModel`` and ``required_species_count`` live in ``model``, beside
-the count kernels they run; they are re-exported here.  The count and ``load_species`` require the registry's
-dimensions; ``total_permittivity`` derives its own.
+the count kernels they run; they are re-exported here.  The count and
+``load_species`` require the registry's dimensions; ``total_permittivity``
+derives its own.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from vacuumresponse.checks import run_dimension_checks
-from vacuumresponse.constants import default_registry, schwinger_field
+from vacuumresponse.constants import default_registry
 from vacuumresponse.dimensions import (
     DIMENSIONLESS,
     LENGTH,
@@ -28,7 +28,7 @@ from vacuumresponse.model import (
     fine_structure_form,
     maxwell_closure,
     mean_square_orbit_radius,
-    oscillator_displacement,
+    probe_response,
 )
 from vacuumresponse.species import (
     SpeciesModel,
@@ -172,18 +172,18 @@ def test_criterion_07_uniform_sphere_geometry():
 
 
 def test_criterion_08_schwinger_field_and_guard(reg):
-    field = schwinger_field(reg)
+    field = reg.quantity("E_S")
     value_ok = abs(field.magnitude - 1.32e18) <= 0.005e18
     magnitude_ok = 1e18 <= field.magnitude < 1e19
     dim_ok = field.dimension == parse_unit("V/m")[1]
     params = OscillatorParams.for_electron(2.0, registry=reg)
     try:
-        oscillator_displacement(params, field, registry=reg)
+        probe_response(params, field, registry=reg)[0]
         guard_ok = False
     except FieldTooStrongError:
         guard_ok = True
     with pytest.warns(WeakFieldWarning):
-        oscillator_displacement(params, 0.5 * field, registry=reg)
+        probe_response(params, 0.5 * field, registry=reg)[0]
     ok = value_ok and magnitude_ok and dim_ok and guard_ok
     report(8, "critical field derives to 1.32e18 V/m and the weak-field guard "
               "rejects fields at or above it", ok, f"computed {field.magnitude:.4e}")

@@ -39,8 +39,8 @@ def test_a_stray_factor_of_c_fails_the_check_that_names_the_code(
 
 def test_every_caller_runs_the_constants_kernels(monkeypatch, registry):
     # The Compton length and the critical field are written once, in
-    # constants; a slip there reaches the derived records, the public
-    # functions and the pinned cube radii alike.
+    # constants; a slip there reaches the derived records, the pinned cube
+    # radii and the critical field alike.
     c = registry.quantity("c")
     for name in ("_compton", "_critical_field"):
         original = getattr(constants, name)
@@ -50,8 +50,6 @@ def test_every_caller_runs_the_constants_kernels(monkeypatch, registry):
     slipped = constants.load_constants(constants.bundled_constants_path())
     assert slipped.quantity("lambda_c").dimension == LENGTH * SPEED
     assert slipped.quantity("E_S").dimension == ELECTRIC_FIELD * SPEED
-    electron = registry.quantity("m_e")
-    assert constants.compton_wavelength(electron, registry).dimension == LENGTH * SPEED
     for conv in (VolumeConvention.CUBE_COMPTON, VolumeConvention.CUBE_HALF_COMPTON):
         params = OscillatorParams.for_electron(2.0, 2.0, conv, registry)
         assert model.effective_radius(params, registry).dimension == LENGTH * SPEED

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import vacuumresponse
-from vacuumresponse.cli import DEVIATION_NOTE, GAUSSIAN_NOTE, main
+from vacuumresponse.cli import COUNT_NOTE, DEVIATION_NOTE, GAUSSIAN_NOTE, main
 from vacuumresponse.constants import bundled_constants_path
 from vacuumresponse.species import bundled_species_path
 from vacuumresponse.model import WeakFieldWarning
@@ -339,6 +339,17 @@ def test_gaussian_estimate_labels_every_value_in_cgs(capsys):
     assert "implied_light_speed  2.99792458000e+10 cm / s" in lines
 
 
+@pytest.mark.parametrize(
+    ("units", "light_speed"),
+    [("si", "2.99792458000e+08 m / s"), ("gaussian", "2.99792458000e+10 cm / s")],
+    ids=["si", "gaussian"],
+)
+@pytest.mark.parametrize("convention", ["cube", "cube-compton", "cube-half-compton", "sphere"])
+def test_every_convention_closes_on_the_light_speed(capsys, convention, units, light_speed):
+    assert main(["estimate", "--convention", convention, "--units", units]) == 0
+    assert f"implied_light_speed  {light_speed}" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize(("fmt", "noted"), [("csv", True), ("svg", False)])
 def test_gaussian_sweep_note_only_for_dimensioned_payloads(capsys, fmt, noted):
     # The SVG plots only eps_ratio, a pure number in every unit system.
@@ -417,13 +428,60 @@ def test_a_failed_closure_row_names_the_requested_convention(capsys):
     )
 
 
+@pytest.fixture(scope="module")
+def eps0_doubled(tmp_path_factory):
+    """The bundled constants with eps0 doubled, which halves alpha."""
+    text = bundled_constants_path().read_text(encoding="utf-8")
+    path = tmp_path_factory.mktemp("eps0") / "constants.tsv"
+    doubled = text.replace("eps0\t8.8541878128e-12", "eps0\t1.77083756256e-11")
+    path.write_text(doubled, encoding="utf-8")
+    return path
+
+
 @pytest.mark.parametrize(
-    ("convention", "noted"),
-    [("cube", True), ("cube-compton", True), ("cube-half-compton", True), ("sphere", False)],
+    ("convention", "constants", "noted"),
+    [
+        pytest.param("cube", None, True, id="cube-True"),
+        pytest.param("cube-compton", None, True, id="cube-compton-True"),
+        pytest.param("cube-half-compton", None, True, id="cube-half-compton-True"),
+        pytest.param("sphere", None, False, id="sphere-False"),
+        # The note quotes the bundled constants' figures, which another file changes.
+        pytest.param("cube", "eps0_doubled", False, id="cube-eps0-doubled-False"),
+    ],
 )
-def test_deviation_note_only_for_cube_conventions(capsys, convention, noted):
-    assert main(["estimate", "--convention", convention]) == 0
+def test_deviation_note_only_for_cube_conventions(request, capsys, convention, constants, noted):
+    flags = [] if constants is None else ["--constants", str(request.getfixturevalue(constants))]
+    assert main(["estimate", "--convention", convention, *flags]) == 0
     assert (DEVIATION_NOTE in capsys.readouterr().err) is noted
+
+
+@pytest.mark.parametrize(
+    ("argv", "name", "value"),
+    [
+        (["estimate", "--gap-ratio", "1"], "deviation_factor", "4.58506184444e-02"),
+        (["species", "--gap-ratio", "1"], "count_simple", "2.18099566359e+01"),
+    ],
+    ids=["estimate", "species"],
+)
+def test_a_constants_file_mutes_the_notes_that_quote_the_bundled_figures(
+    capsys, eps0_doubled, argv, name, value
+):
+    assert main([*argv, "--constants", str(eps0_doubled)]) == 0
+    captured = capsys.readouterr()
+    assert [name, value] in (line.split() for line in captured.out.splitlines())
+    assert DEVIATION_NOTE not in captured.err
+    assert COUNT_NOTE not in captured.err
+    # The bundled file named by path prints the same payload, without the notes.
+    assert main(argv) == 0
+    bundled = capsys.readouterr()
+    assert main([*argv, "--constants", str(bundled_constants_path())]) == 0
+    named = capsys.readouterr()
+    assert named.out == bundled.out
+    assert COUNT_NOTE in bundled.err
+    muted = bundled.err
+    for note in (DEVIATION_NOTE, COUNT_NOTE):
+        muted = muted.replace(note + "\n", "")
+    assert named.err == muted
 
 
 @pytest.mark.parametrize(

@@ -7,13 +7,11 @@ from vacuumresponse.constants import (
     REQUIRED_DIMENSIONS,
     MalformedLineError,
     MissingConstantError,
-    NonPositiveMassError,
     bundled_constants_path,
-    compton_wavelength,
     load_constants,
-    schwinger_field,
 )
 from vacuumresponse.dimensions import DIMENSIONLESS, LENGTH, DimensionMismatchError, Quantity
+from vacuumresponse.model import OscillatorParams, VolumeConvention, effective_radius
 from vacuumresponse.units import UnitParseError, parse_unit, render_quantity
 
 
@@ -62,12 +60,12 @@ class TestLoad:
         product = (
             registry.quantity("eps0") * registry.quantity("mu0") * registry.quantity("c") ** 2
         )
-        assert product.dimension.is_dimensionless
+        assert product.dimension == DIMENSIONLESS
         assert product.magnitude == pytest.approx(1.0, rel=1e-9)
 
     def test_fine_structure_constant(self, registry):
         alpha = registry.quantity("alpha")
-        assert alpha.dimension.is_dimensionless
+        assert alpha.dimension == DIMENSIONLESS
         assert alpha.magnitude == pytest.approx(7.2974e-3, rel=1e-4)
         assert 1 / alpha.magnitude == pytest.approx(137.036, rel=1e-5)
 
@@ -164,7 +162,7 @@ class TestLoad:
 
 class TestSchwingerField:
     def test_value_and_dimension(self, registry):
-        field = schwinger_field(registry)
+        field = registry.quantity("E_S")
         assert field.magnitude == pytest.approx(1.32328547413e18, rel=1e-9)
         assert field.magnitude == pytest.approx(1.32e18, rel=5e-3)
         assert field.dimension == parse_unit("V/m")[1]
@@ -175,24 +173,20 @@ class TestSchwingerField:
         )
         scratch = load_constants(write_registry(tmp_path, doubled))
         base = load_constants(bundled_constants_path())
-        ratio = schwinger_field(scratch).magnitude / schwinger_field(base).magnitude
+        ratio = scratch.value("E_S") / base.value("E_S")
         assert ratio == pytest.approx(4.0, rel=1e-9)
 
 
 class TestComptonWavelength:
     def test_electron_value(self, registry):
-        lam = compton_wavelength(registry.quantity("m_e"), registry)
+        lam = registry.quantity("lambda_c")
         assert lam.magnitude == pytest.approx(3.86159267962e-13, rel=1e-10)
         assert lam.dimension == LENGTH
 
     def test_inverse_mass_scaling(self, registry):
-        m = registry.quantity("m_e")
-        assert compton_wavelength(2 * m, registry).magnitude == pytest.approx(
-            compton_wavelength(m, registry).magnitude / 2, rel=1e-15
+        # The half-Compton cube pins its radius to the Compton wavelength of twice the mass.
+        compton, half = (
+            effective_radius(OscillatorParams.for_electron(2.0, 2.0, conv, registry), registry)
+            for conv in (VolumeConvention.CUBE_COMPTON, VolumeConvention.CUBE_HALF_COMPTON)
         )
-
-    def test_rejects_non_positive_mass(self, registry):
-        with pytest.raises(NonPositiveMassError):
-            compton_wavelength(0 * registry.quantity("m_e"), registry)
-        with pytest.raises(NonPositiveMassError):
-            compton_wavelength(Quantity(1.0, LENGTH), registry)
+        assert half.magnitude == pytest.approx(compton.magnitude / 2, rel=1e-15)

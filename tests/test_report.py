@@ -18,7 +18,14 @@ from vacuumresponse import report
 from vacuumresponse import units as units_module
 from vacuumresponse.cli import main
 from vacuumresponse.constants import default_registry
-from vacuumresponse.dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Dimension, Quantity
+from vacuumresponse.dimensions import (
+    DIMENSIONLESS,
+    LENGTH,
+    PERMEABILITY,
+    PERMITTIVITY,
+    Dimension,
+    Quantity,
+)
 from vacuumresponse.model import (
     OscillatorParams,
     SpeciesModel,
@@ -143,8 +150,8 @@ class TestRows:
         response = vacuum_response(params, registry)
         columns = (response.eps_tilde, response.mu_tilde, response.radius)
         assert tuple(q.dimension for q in columns) == COLUMN_DIMENSIONS
-        assert (response.eps_tilde / registry.quantity("eps0")).dimension.is_dimensionless
-        assert (response.mu_tilde / registry.quantity("mu0")).dimension.is_dimensionless
+        assert (response.eps_tilde / registry.quantity("eps0")).dimension == DIMENSIONLESS
+        assert (response.mu_tilde / registry.quantity("mu0")).dimension == DIMENSIONLESS
 
     @pytest.mark.parametrize("convention", CONVENTION_TOKENS)
     def test_row_evaluates_omega0_once(self, registry, omega0_calls, convention):
