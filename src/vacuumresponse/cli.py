@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: estimate | sweep | species | check-dimensions | constants.
-Exit codes: 0 success, 1 runtime or model error, 2 usage error.  Warnings
-and advisory notes go to stderr; CSV/JSON/SVG payloads stay clean.
+Exit codes: 0 success, 1 runtime or model error, 2 usage error.  ``_run`` alone
+writes: the payload, and then, only if that succeeded, every warning and note
+on stderr; a run that fails writes one ``error:`` line and nothing else.
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ def _parse_quantity_flag(parser: argparse.ArgumentParser, flag: str, text: str) 
     value = magnitude * scale
     if not math.isfinite(value):
         parser.error(f"{flag}: {text.strip()!r} is not a finite value")
-    # float() reads a nonzero literal such as 1e-400 as 0.0 too, so the
-    # literal's mantissa, not its float, tells a zero from an underflow.
+    # float() reads a nonzero literal such as 1e-400 as 0.0 too, so the float of
+    # the literal's mantissa, in any script's digits, tells a zero from an underflow.
     mantissa = parts[0].lower().partition("e")[0]
-    if value == 0.0 and mantissa.strip("+-0._"):
+    if value == 0.0 and float(mantissa) != 0.0:
         parser.error(f"{flag}: {text.strip()!r} underflows to zero")
     return Quantity(value, dimension)
 
@@ -115,7 +116,7 @@ def _row_text(row: ReportRow, extra: list[tuple[str, str]], units: str) -> str:
 
 def cmd_estimate(
     args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> tuple[int, str]:
+) -> tuple[int, str, list[str]]:
     kappa = _positive_float(parser, "--gap-ratio", args.gap_ratio)
     g = _positive_float(parser, "--g-factor", args.g_factor)
     convention = args.convention
@@ -153,23 +154,22 @@ def cmd_estimate(
         responses = (field, *probe_response(params, field, registry=registry))
         extra.extend((name, _qty_text(value, args.units)) for name, value in zip(names, responses))
 
-    if args.units == "gaussian":
-        print(GAUSSIAN_NOTE, file=sys.stderr)
+    notes = [GAUSSIAN_NOTE] if args.units == "gaussian" else []
     if args.constants is None:
         if conv is not VolumeConvention.SPHERE:
-            print(DEVIATION_NOTE, file=sys.stderr)
-        print(COUNT_NOTE, file=sys.stderr)
+            notes.append(DEVIATION_NOTE)
+        notes.append(COUNT_NOTE)
 
     if args.format == "text":
-        return 0, _row_text(row, extra, args.units)
+        return 0, _row_text(row, extra, args.units), notes
     if args.format == "csv":
-        return 0, rows_to_csv([row], args.units)
-    return 0, rows_to_json([row], args.units)
+        return 0, rows_to_csv([row], args.units), notes
+    return 0, rows_to_json([row], args.units), notes
 
 
 def cmd_sweep(
     args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> tuple[int, str]:
+) -> tuple[int, str, list[str]]:
     conventions = tuple(t for t in (s.strip() for s in args.conventions.split(",")) if t)
     g_factors = []
     for piece in args.g_factors.split(","):
@@ -193,8 +193,7 @@ def cmd_sweep(
 
     rows = sweep_rows(config, registry)
     # The chart plots the pure-number eps_ratio, which no unit system scales.
-    if args.units == "gaussian" and args.format != "svg":
-        print(GAUSSIAN_NOTE, file=sys.stderr)
+    notes = [GAUSSIAN_NOTE] if args.units == "gaussian" and args.format != "svg" else []
 
     if args.format == "svg":
         # Imported on use, so that csv/json and other subcommands start faster.
@@ -213,12 +212,12 @@ def cmd_sweep(
         payload = rows_to_json(rows, args.units)
     else:
         payload = rows_to_csv(rows, args.units)
-    return 0, payload
+    return 0, payload, notes
 
 
 def cmd_species(
     args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> tuple[int, str]:
+) -> tuple[int, str, list[str]]:
     # Imported on use: only this subcommand reads a species table.
     from .species import (
         SpeciesModel, bundled_species_path, charge_weighted_sum, gap_for_exact_match,
@@ -230,10 +229,9 @@ def cmd_species(
     table = load_species(path, registry)
     weight = charge_weighted_sum(table)
 
-    if weight == 0:
-        print("warning: NoSpecies: the table contains no charged species", file=sys.stderr)
+    notes = ["warning: NoSpecies: the table contains no charged species"] if weight == 0 else []
     if args.constants is None:
-        print(COUNT_NOTE, file=sys.stderr)
+        notes.append(COUNT_NOTE)
 
     lines: list[str] = []
     # The bundled table is named, not located, so stdout is the same in every checkout.
@@ -244,7 +242,7 @@ def cmd_species(
     lines.append(f"charge_weighted_sum {weight} ({format_float(float(weight))})")
     total = total_permittivity(table, kappa, registry)
     if args.units == "gaussian":
-        print(GAUSSIAN_NOTE, file=sys.stderr)
+        notes.append(GAUSSIAN_NOTE)
     lines.append(f"gap_ratio           {kappa:g}")
     lines.append(f"total_permittivity  {_qty_text(total, args.units)}")
     lines.append(
@@ -260,12 +258,12 @@ def cmd_species(
                 f"match_gap_{model.value:<9} ratio {format_float(match.gap_ratio)}  "
                 f"energy {_qty_text(match.gap_energy, args.units)}"
             )
-    return 0, "\n".join(lines) + "\n"
+    return 0, "\n".join(lines) + "\n", notes
 
 
 def cmd_check_dimensions(
     args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> tuple[int, str]:
+) -> tuple[int, str, list[str]]:
     # Imported on use, so that the other subcommands start faster.
     from .checks import render_report, run_dimension_checks
 
@@ -277,14 +275,13 @@ def cmd_check_dimensions(
         if registry.mismatches:
             raise DimensionMismatchError(f"the constants give {'; '.join(registry.mismatches)}")
         raise
-    return (0 if all(r.ok for r in results) else 1), render_report(results) + "\n"
+    return (0 if all(r.ok for r in results) else 1), render_report(results) + "\n", []
 
 
 def cmd_constants(
     args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> tuple[int, str]:
+) -> tuple[int, str, list[str]]:
     release = registry.codata_release or "unspecified"
-    print(f"# codata release: {release}", file=sys.stderr)
     lines: list[str] = []
     for record in registry.records():
         if record.source == "derived" and not args.derived:
@@ -293,11 +290,11 @@ def cmd_constants(
         if record.definition:
             line += f"\t{record.definition}"
         lines.append(line + "\n")
-    return 0, "".join(lines)
+    return 0, "".join(lines), [f"# codata release: {release}"]
 
 
 # Each subcommand's function and the summary that top-level help lists.  A
-# function returns its exit code and payload; only ``_run`` writes a payload.
+# function returns its exit code, payload and notes; only ``_run`` writes them.
 _COMMANDS = {
     "estimate": (cmd_estimate, "single-point model estimate"),
     "sweep": (cmd_sweep, "parameter sweep over the gap ratio"),
@@ -366,16 +363,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # argparse ends a usage error (exit 2) and --help (exit 0) with
     # SystemExit; in-process callers get that code as the return value.
-    # Warnings print as one line without their source location, for the
-    # length of this call only (catch_warnings does not restore the format).
-    format_warning = warnings.formatwarning
-    warnings.formatwarning = lambda msg, category, *_: f"warning: {category.__name__}: {msg}\n"
     try:
         return _run(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else exc.code
-    finally:
-        warnings.formatwarning = format_warning
 
 
 def _run(argv: list[str] | None) -> int:
@@ -388,9 +379,9 @@ def _run(argv: list[str] | None) -> int:
     if unknown:
         args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
 
-    # Every model guard warning is shown, but only for the length of this
+    # Every model guard warning is recorded, and only for the length of this
     # call: in-process callers keep their own warning filters.
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             registry = (
@@ -402,13 +393,12 @@ def _run(argv: list[str] | None) -> int:
             return 1
 
         try:
-            code, payload = args.func(args, args.parser, registry)
+            code, payload, notes = args.func(args, args.parser, registry)
             if args.out is None:
                 sys.stdout.write(payload)
                 sys.stdout.flush()
             else:
                 Path(args.out).write_text(payload, encoding="utf-8")
-            return code
         except OSError as exc:
             # An OSError with a filename already names it in its message.
             suffix = "" if exc.filename else f" ({args.out or '<stdout>'})"
@@ -426,6 +416,12 @@ def _run(argv: list[str] | None) -> int:
             # strong, convention mismatch, malformed rows, unit parse failures).
             print(f"error: {exc}", file=sys.stderr)
             return 1
+    # Warnings print as one line without their source location.
+    for w in caught:
+        print(f"warning: {w.category.__name__}: {w.message}", file=sys.stderr)
+    for note in notes:
+        print(note, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -2,17 +2,19 @@
 
 ``cli.main`` runs in process on argvs drawn from the five subcommand names,
 each parser's own flags and choices, the flags of the other subcommands, and
-hostile values: extreme and non-finite floats, empty strings, digits of other
-scripts, and the unit expressions of ``tests/data/unit_parse_corpus.json``.
-An argv that ends in a traceback, writes a payload and then fails, or leaves
-on stderr a line that is not a diagnostic or usage breaks the contract, and
-so does an empty PATH of the subcommand's own flags that is not a usage
-error.  A corrupt copy of a bundled table passed as ``--constants`` or
-``--species`` (a unit cell from ``tests/data/unit_parse_errors.json``, a
-magnitude of ``nan``, ``1e999`` or ``''``, a species charge ratio of
-``1e999``, ``1e-999`` or ``1e200``, a required constant deleted, a row given
-twice, a constant the loader derives, a byte that is not UTF-8) must fail
-with exit 1, one ``error:`` line and nothing on stdout.
+hostile values: extreme and non-finite floats, empty strings, digits of
+other scripts, and the unit expressions of
+``tests/data/unit_parse_corpus.json``.  An argv that ends in a traceback,
+writes a payload and then fails, exits 1 with more on stderr than one
+``error:`` line, or leaves on stderr a line that is not a diagnostic or
+usage breaks the contract, and so does an empty PATH of the subcommand's own
+flags that is not a usage error.  A corrupt copy of a bundled table passed
+as ``--constants`` or ``--species`` (a unit cell from
+``tests/data/unit_parse_errors.json``, a magnitude of ``nan``, ``1e999`` or
+``''``, a species charge ratio of ``1e999``, ``1e-999`` or ``1e200``, a
+required constant deleted, a row given twice, a constant the loader derives,
+a byte that is not UTF-8) must fail with exit 1, one ``error:`` line and
+nothing on stdout.
 """
 
 import contextlib
@@ -156,6 +158,9 @@ def test_every_argv_ends_in_a_clean_exit(out_dir, argv):
     assert code in (0, 1, 2), (code, err)
     if code != 0:
         assert out == "", err
+    # A failed run writes its error line alone: no warning or note before it.
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
     assert "Traceback" not in err
     strays = [line for line in err.splitlines() if not STDERR_LINE.match(line)]
     assert not strays, err

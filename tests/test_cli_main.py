@@ -14,7 +14,6 @@ import vacuumresponse
 from vacuumresponse.cli import COUNT_NOTE, DEVIATION_NOTE, GAUSSIAN_NOTE, main
 from vacuumresponse.constants import bundled_constants_path
 from vacuumresponse.species import bundled_species_path
-from vacuumresponse.model import WeakFieldWarning
 
 from conftest import CLI
 
@@ -67,8 +66,8 @@ def test_a_failed_write_to_stdout_names_stdout(monkeypatch, argv):
     monkeypatch.setattr(sys, "stdout", _FullStdout())
     monkeypatch.setattr(sys, "stderr", stderr)
     assert main(argv) == 1
-    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
-    assert errors == ["error: [Errno 28] No space left on device (<stdout>)"]
+    # A failed run writes its error line and none of its notes.
+    assert stderr.getvalue() == "error: [Errno 28] No space left on device (<stdout>)\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -84,9 +83,8 @@ def test_a_full_device_on_a_buffered_stdout_is_one_error_line(command):
             [*CLI, command], stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120
         )
     assert result.returncode == 1, result.stderr
-    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
-    assert errors == ["error: [Errno 28] No space left on device (<stdout>)"]
-    assert "Exception ignored" not in result.stderr
+    # No note, no codata comment and no "Exception ignored" at exit.
+    assert result.stderr == "error: [Errno 28] No space left on device (<stdout>)\n"
 
 
 def test_check_dimensions_out_keeps_failure_exit(tmp_path, capsys, corrupted_constants):
@@ -209,37 +207,79 @@ def test_a_table_that_cannot_be_used_is_one_error_line(
         assert captured.err.startswith(expected) and captured.err.count("\n") == 1, captured.err
 
 
-def test_main_leaves_warning_filters_unchanged():
+WEAK_FIELD_LINE = (
+    "warning: WeakFieldWarning: field 1.000e+17 V/m exceeds 0.01 of the critical field; "
+    "linear response is marginal"
+)
+
+
+def test_main_leaves_warning_filters_unchanged(monkeypatch):
     argv = ["estimate", "--probe-field", "1e17 V/m"]
-    # record=True captures what main warns without adding a filter itself.
-    with warnings.catch_warnings(record=True) as caught:
-        before = list(warnings.filters)
-        assert main(argv) == 0
-        assert warnings.filters == before
-    assert any(issubclass(w.category, WeakFieldWarning) for w in caught)
+    # main records its guard warnings itself and prints them on its stderr,
+    # in process as in a subprocess.
+    stderr = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    before = list(warnings.filters)
+    assert main(argv) == 0
+    assert warnings.filters == before
+    assert WEAK_FIELD_LINE in stderr.getvalue().splitlines()
 
     result = subprocess.run([*CLI, *argv], capture_output=True, text=True, timeout=120)
     assert result.returncode == 0
     assert "WeakFieldWarning: field 1.000e+17 V/m exceeds 0.01 of the critical field" in result.stderr
 
 
-def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
-    # pytest records warnings instead of printing them; this handler prints
-    # each one the way Python's default handler does.
-    def show(message, category, filename, lineno, file=None, line=None):
-        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
-
-    monkeypatch.setattr(warnings, "showwarning", show)
+def test_warning_prints_as_one_line_without_source(capsys):
     before = warnings.formatwarning
     assert main(["estimate", "--probe-field", "1e17 V/m"]) == 0
     err = capsys.readouterr().err
     warned = [line for line in err.splitlines() if line.startswith("warning: ")]
-    assert warned == [
-        "warning: WeakFieldWarning: field 1.000e+17 V/m exceeds 0.01 of the critical field; "
-        "linear response is marginal"
-    ]
+    assert warned == [WEAK_FIELD_LINE]
     assert ".py:" not in err
     assert warnings.formatwarning is before
+
+
+def test_stderr_follows_the_payload_warnings_before_notes():
+    # With stderr merged into stdout, the order of the two streams shows.
+    argv = ["estimate", "--units", "gaussian", "--probe-field", "5e16 V/m"]
+    result = subprocess.run(
+        [*CLI, *argv], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stdout
+    lines = result.stdout.splitlines()
+    assert lines[-5].startswith("probe_polarization ")
+    assert lines[-4:] == [
+        "warning: WeakFieldWarning: field 5.000e+16 V/m exceeds 0.01 of the critical field; "
+        "linear response is marginal",
+        GAUSSIAN_NOTE,
+        DEVIATION_NOTE,
+        COUNT_NOTE,
+    ]
+
+
+@pytest.mark.parametrize(
+    ("argv", "error"),
+    [
+        (
+            ["species", "--gap-ratio", "1e-322"],
+            "error: gap ratio 1e-322 takes the total permittivity out of the float range",
+        ),
+        (
+            ["species", "--gap-ratio", "1e-322", "--units", "gaussian"],
+            "error: gap ratio 1e-322 takes the total permittivity out of the float range",
+        ),
+        (["estimate", "--out", "{dir}"], "error: [Errno 21] Is a directory: '{dir}'"),
+        (["constants", "--out", "{dir}"], "error: [Errno 21] Is a directory: '{dir}'"),
+    ],
+    ids=["species", "species-gaussian", "estimate-out-dir", "constants-out-dir"],
+)
+def test_a_failed_run_writes_one_error_line_and_no_note(tmp_path, capsys, argv, error):
+    # Each of these runs decides its notes before it fails.
+    argv = [word.format(dir=tmp_path) for word in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == error.format(dir=tmp_path) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -262,6 +302,10 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
         (["estimate", "--probe-field", "1e300 YV/m"], "is not a finite value"),
         (["estimate", "--probe-field", "1e-300 yV/Ym"], "'1e-300 yV/Ym' underflows to zero"),
         (["estimate", "--probe-field", "1e-400 V/m"], "--probe-field: '1e-400 V/m' underflows to zero"),
+        (
+            ["estimate", "--probe-field", "\u0661e-400 V/m"],
+            "--probe-field: '\u0661e-400 V/m' underflows to zero",
+        ),
         (["estimate", "--probe-field", "x V/m"], "--probe-field: bad magnitude 'x'"),
         (
             ["estimate", "--probe-field", "1 " + "(" * 400 + "V/m" + ")" * 400],
@@ -285,7 +329,8 @@ def test_warning_prints_as_one_line_without_source(capsys, monkeypatch):
     ids=[
         "g-factors", "too-many-rows", "probe-field", "scale-overflow", "scale-underflow",
         "superscript-digit", "long-exponent-numerator", "long-exponent-denominator",
-        "non-finite-field", "underflowing-field", "underflowing-literal", "bad-magnitude",
+        "non-finite-field", "underflowing-field", "underflowing-literal",
+        "underflowing-arabic-indic-literal", "bad-magnitude",
         "deep-groups", "negative-field",
         "field-before-model", "species-on-estimate", "units-on-constants",
         "units-on-check-dimensions", "repeated-convention", "repeated-g-factor",
@@ -298,6 +343,20 @@ def test_usage_error_returns_two(capsys, argv, message):
     assert captured.out == ""
     assert message in captured.err
     assert sum(line.startswith("usage:") for line in captured.err.splitlines()) == 1
+
+
+# float() reads digits of every script; each of these literals is a zero.
+@pytest.mark.parametrize(
+    "field",
+    ["0 V/m", "-0 V/m", "0e5 V/m", "\u0660 V/m", "\uff10 V/m", "-\u0660 V/m", "\u0660e5 V/m"],
+    ids=["zero", "minus-zero", "zero-e5", "arabic-indic", "fullwidth", "minus-arabic-indic",
+         "arabic-indic-e5"],
+)
+def test_a_zero_probe_field_in_any_digits_is_accepted(capsys, field):
+    assert main(["estimate", "--probe-field", field]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    probe = next(line.split() for line in lines if line.startswith("probe_field "))
+    assert float(probe[1]) == 0.0
 
 
 @pytest.mark.parametrize(
