@@ -5,9 +5,10 @@ quantity algebra, pulling real values from the loaded constant registry, and
 compares the resulting dimensions.  The side that names a relation runs the
 code that computes it, a public model function (the light-speed closure runs
 ``maxwell_closure``) or a plain-value kernel of ``model``, so a dimensional
-slip in that code fails its check.  Because the registry quantities carry
-the dimensions parsed from the data file, a constant recorded with a wrong
-unit fails every relation whose two sides it enters differently.
+slip in that code fails its check.  The registry quantities carry the
+dimensions parsed from the data file, and a file whose unit gives a required
+constant the wrong dimension is refused when it is loaded, so a FAIL line
+names a slip in the code, not in the data.
 """
 
 from __future__ import annotations

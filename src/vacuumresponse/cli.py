@@ -15,8 +15,8 @@ import sys
 import warnings
 from pathlib import Path
 
-from .constants import ConstantRegistry, MissingConstantError, default_registry, load_constants
-from .dimensions import ELECTRIC_FIELD, DimensionMismatchError, Quantity, _quantity_power
+from .constants import ConstantRegistry, default_registry, load_constants
+from .dimensions import ELECTRIC_FIELD, Quantity, _quantity_power
 from .model import OscillatorParams, VolumeConvention, fine_structure_form, probe_response
 from .report import (
     COLUMN_DIMENSIONS,
@@ -267,14 +267,7 @@ def cmd_check_dimensions(
     # Imported on use, so that the other subcommands start faster.
     from .checks import render_report, run_dimension_checks
 
-    try:
-        results = run_dimension_checks(registry)
-    except ValueError:
-        # A constant of the wrong dimension can trip a model guard before any
-        # relation is compared; name the constant rather than the guard.
-        if registry.mismatches:
-            raise DimensionMismatchError(f"the constants give {'; '.join(registry.mismatches)}")
-        raise
+    results = run_dimension_checks(registry)
     return (0 if all(r.ok for r in results) else 1), render_report(results) + "\n", []
 
 
@@ -387,7 +380,7 @@ def _run(argv: list[str] | None) -> int:
             registry = (
                 default_registry() if args.constants is None else load_constants(args.constants)
             )
-        except (OSError, ValueError, MissingConstantError) as exc:
+        except (OSError, ValueError) as exc:
             target = "bundled constants" if args.constants is None else args.constants
             print(f"error: cannot load constants from {target}: {exc}", file=sys.stderr)
             return 1
@@ -411,7 +404,7 @@ def _run(argv: list[str] | None) -> int:
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)
             return 1
-        except (ValueError, MissingConstantError) as exc:
+        except ValueError as exc:
             # Every model and table error derives from ValueError (field too
             # strong, convention mismatch, malformed rows, unit parse failures).
             print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,7 @@ Constants are read from a tab-separated text file (one record per line:
 hard-coded, so the pinned CODATA release can be audited or swapped without
 touching code.  The bundled file pins CODATA 2018; its release string is
 carried in a ``#codata <release>`` header line.  Each magnitude must be
-finite in SI units.
+finite in SI units, and each required one positive.
 
 Three derived records are appended at load time: the fine-structure
 constant, the electron's reduced Compton wavelength, and the critical
@@ -14,10 +14,9 @@ like any other record.  A file that gives one of their keys, or any key
 twice, is refused with the line at fault.
 
 This module alone decides whether a file's units give each required key the
-dimension ``REQUIRED_DIMENSIONS`` names.  A registry records each key that
-fails; ``require_dimensions`` raises them as one ``DimensionMismatchError``
-for code that computes on the magnitudes, while ``check-dimensions`` and
-``constants`` can still show such a file.
+dimension ``REQUIRED_DIMENSIONS`` names.  A registry is never built from a
+file that fails: its constructor raises one ``DimensionMismatchError`` naming
+every key at fault, so code that reads a registry needs no check of its own.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .dimensions import (
 from .units import UnitParseError, format_dimension, parse_unit
 
 
-class MissingConstantError(KeyError):
+class MissingConstantError(KeyError, ValueError):
     def __init__(self, key: str) -> None:
         self.key = key
         super().__init__(f"required constant {key!r} not found")
@@ -85,25 +84,22 @@ class ConstantRecord(
 
 
 class ConstantRegistry:
-    """Immutable mapping of constant keys to records."""
+    """Immutable mapping of constant keys to records, among them every required key.
+
+    Raises ``DimensionMismatchError``, naming every key at fault, where a
+    required key has another dimension than ``REQUIRED_DIMENSIONS`` gives.
+    """
 
     def __init__(self, records: dict[str, ConstantRecord], codata_release: str | None) -> None:
-        self._records = dict(records)
-        self.codata_release = codata_release
-        # Each required key whose dimension is not the one REQUIRED_DIMENSIONS gives.
-        self.mismatches = tuple(
+        wrong = [
             f"{key} [{records[key].quantity.dimension}], not [{want}]"
             for key, want in REQUIRED_DIMENSIONS.items()
-            if key in records and records[key].quantity.dimension != want
-        )
-
-    def require_dimensions(self) -> None:
-        """Raise one ``DimensionMismatchError`` naming every mismatch, if any."""
-        if self.mismatches:
-            raise DimensionMismatchError(
-                f"the constants give {'; '.join(self.mismatches)}; "
-                "run check-dimensions to find the unit at fault"
-            )
+            if records[key].quantity.dimension != want
+        ]
+        if wrong:
+            raise DimensionMismatchError(f"the constants give {'; '.join(wrong)}")
+        self._records = dict(records)
+        self.codata_release = codata_release
 
     def __contains__(self, key: str) -> bool:
         return key in self._records
@@ -156,6 +152,9 @@ def _parse_lines(lines: list[str]) -> ConstantRegistry:
         value = magnitude * scale
         if not math.isfinite(value):
             raise MalformedLineError(number, f"{magnitude_text} {unit_text} is not a finite value")
+        # A required constant is a positive magnitude; zero includes an underflowing literal.
+        if key in REQUIRED_DIMENSIONS and not value > 0:
+            raise MalformedLineError(number, f"{magnitude_text} {unit_text} is not positive")
         records[key] = ConstantRecord(
             key=key,
             quantity=Quantity(value, dimension),

@@ -266,7 +266,6 @@ def required_species_count(
     if gap_ratio <= 0:
         raise ValueError("gap ratio must be positive")
     reg = registry or default_registry()
-    reg.require_dimensions()
     count_kernel = _count_simple if model is SpeciesModel.SIMPLE else _count_sphere
     try:
         count = count_kernel(reg.value("alpha"), gap_ratio)

@@ -135,8 +135,7 @@ def _chain(kappa, g, conv, m, q, c, hbar, eps0, mu0, alpha):
 
 
 def _constants(convention: str, reg: ConstantRegistry) -> tuple:
-    """The arguments of ``_chain`` after (kappa, g); the dimensions are required once, here."""
-    reg.require_dimensions()
+    """The arguments of ``_chain`` after (kappa, g), read once per sweep or row."""
     return (_convention(convention), *[reg.value(key) for key in _READS])
 
 

@@ -11,9 +11,9 @@ yields either the species count needed at a given gap ratio, or the gap
 ratio matching a given table.
 
 ``SpeciesModel`` and ``required_species_count`` live in ``model``, beside
-the count kernels they run; they are re-exported here.  The count and
-``load_species`` require the registry's dimensions; ``total_permittivity``
-derives its own.
+the count kernels they run; they are re-exported here.  A registry holds
+the required dimensions from the moment it is built, so no function here
+checks them; ``total_permittivity`` derives the dimension of its sum.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ def load_species(path: str | Path, registry: ConstantRegistry | None = None) -> 
     import hashlib
 
     reg = registry or default_registry()
-    reg.require_dimensions()
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")

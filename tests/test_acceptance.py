@@ -262,7 +262,12 @@ def test_criterion_11_dimensional_soundness(reg, tmp_path):
         encoding="utf-8",
     )
     fault = run_cli("check-dimensions", "--constants", str(corrupted))
-    fault_ok = fault.returncode == 1 and "FAIL" in fault.stdout
+    fault_ok = (
+        fault.returncode == 1
+        and fault.stdout == ""
+        and len(fault.stderr.splitlines()) == 1
+        and "the constants give eps0 [" in fault.stderr
+    )
     ok = names_ok and all_ok and cli_ok and fault_ok
     report(11, "every model relation passes the dimension check and a "
                "wrong-unit constant fails the run", ok,

@@ -12,8 +12,8 @@ flags that is not a usage error.  A corrupt copy of a bundled table passed
 as ``--constants`` or ``--species`` (a unit cell from
 ``tests/data/unit_parse_errors.json``, a magnitude of ``nan``, ``1e999`` or
 ``''``, a species charge ratio of ``1e999``, ``1e-999`` or ``1e200``, a
-required constant deleted, a row given twice, a constant the loader derives,
-a byte that is not UTF-8) must fail with exit 1, one ``error:`` line and
+required constant deleted or given a unit of another dimension, a row given
+twice, a constant the loader derives, a byte that is not UTF-8) must fail with exit 1, one ``error:`` line and
 nothing on stdout.
 """
 
@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from vacuumresponse.cli import main
 from vacuumresponse.constants import DERIVED_KEYS, REQUIRED_DIMENSIONS, bundled_constants_path
 from vacuumresponse.species import bundled_species_path
+from vacuumresponse.units import parse_unit
 
 DATA = Path(__file__).resolve().parent / "data"
 UNITS = [text for text, _, _ in json.loads((DATA / "unit_parse_corpus.json").read_text("utf-8"))]
@@ -175,6 +176,8 @@ def test_every_argv_ends_in_a_clean_exit(out_dir, argv):
 
 
 BAD_UNITS = [row[0] for row in json.loads((DATA / "unit_parse_errors.json").read_text("utf-8"))]
+# Units that parse; each required constant is given one whose dimension is not its own.
+OTHER_UNITS = ("V/m", "J", "J s", "A", "C", "m", "m/s", "kg", "1", "H/m")
 # Each bundled table: its flag, the subcommands that take the flag, and the
 # bad values of each corruptible field, by index: a magnitude, and a species
 # charge ratio whose float, or whose square, is zero or infinite.  A species
@@ -195,11 +198,19 @@ def corrupt_tables(draw):
     argv = [draw(st.sampled_from(commands)), flag]
     lines = path.read_text("utf-8").splitlines(keepends=True)
     rows = [i for i, line in enumerate(lines) if line.strip() and not line.startswith("#")]
-    kinds = ["field", "byte", "repeat"] + (["unit", "required"] if flag == "--constants" else [])
+    kinds = ["field", "byte", "repeat"]
+    if flag == "--constants":
+        kinds += ["unit", "required", "dimension"]
     kind = draw(st.sampled_from(kinds))
+    required = [i for i in rows if lines[i].split("\t")[0] in REQUIRED_DIMENSIONS]
     if kind == "required":
-        required = [i for i in rows if lines[i].split("\t")[0] in REQUIRED_DIMENSIONS]
         del lines[draw(st.sampled_from(required))]
+    elif kind == "dimension":
+        row = draw(st.sampled_from(required))
+        fields = lines[row].split("\t")
+        want = REQUIRED_DIMENSIONS[fields[0]]
+        fields[2] = draw(st.sampled_from([u for u in OTHER_UNITS if parse_unit(u)[1] != want]))
+        lines[row] = "\t".join(fields)
     elif kind == "repeat":
         # A row given again, or given as a constant that the loader derives.
         fields = lines[draw(st.sampled_from(rows))].split("\t")
@@ -223,12 +234,15 @@ def corrupt_tables(draw):
 
 
 BUNDLED_CONSTANTS = bundled_constants_path().read_bytes()
+EPS0_IN_V_PER_M = BUNDLED_CONSTANTS.replace(b"A s / (V m)", b"V/m")
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=corrupt_tables())
 @example(case=(["constants", "--constants"], BUNDLED_CONSTANTS + b"c\t3e8\tm/s\ttest\n"))
 @example(case=(["constants", "--constants"], BUNDLED_CONSTANTS + b"alpha\t0.5\t1\ttest\n"))
+@example(case=(["check-dimensions", "--constants"], EPS0_IN_V_PER_M))
+@example(case=(["constants", "--constants"], EPS0_IN_V_PER_M))
 def test_a_corrupt_table_fails_with_one_error_line(out_dir, case):
     argv, data = case
     table = out_dir / "corrupt.tsv"

@@ -2,15 +2,14 @@
 
 The digests in ``tests/data/cli_goldens.json`` were recorded before the model
 API was narrowed to ``vacuum_response``/``probe_response``; they pin every
-estimate format, convention and unit system, and the dimension-check report
-with the bundled and with corrupted constants.  The sweep digests were
+estimate format, convention and unit system, and ``check-dimensions`` with
+the bundled and with corrupted constants.  The sweep digests were
 recorded before the serializers wrote each row with one format string: the
 Gaussian CSV and JSON of all four conventions, and an SI JSON sweep over six
 decades of the gap ratio.  The ``species`` digests were recorded before the
-counts and the summed permittivity ran on the model's kernels.  The
-eps0-in-V/m report was re-pinned when ``total_permittivity`` began to derive
-its dimension: ``charge-weighted-total`` now passes, as alpha eps0 has the
-permittivity dimension whatever unit eps0 has.
+counts and the summed permittivity ran on the model's kernels.  With eps0
+in V/m the constants file is refused at load, before any check runs, so that
+entry pins exit 1 and an empty stdout.
 """
 
 import hashlib

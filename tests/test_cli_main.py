@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import vacuumresponse
+from vacuumresponse import checks, model
 from vacuumresponse.cli import COUNT_NOTE, DEVIATION_NOTE, GAUSSIAN_NOTE, main
 from vacuumresponse.constants import bundled_constants_path
 from vacuumresponse.species import bundled_species_path
@@ -87,8 +88,12 @@ def test_a_full_device_on_a_buffered_stdout_is_one_error_line(command):
     assert result.stderr == "error: [Errno 28] No space left on device (<stdout>)\n"
 
 
-def test_check_dimensions_out_keeps_failure_exit(tmp_path, capsys, corrupted_constants):
-    argv = ["check-dimensions", "--constants", str(corrupted_constants)]
+def test_check_dimensions_out_keeps_failure_exit(tmp_path, capsys, monkeypatch, registry):
+    # A dimensional slip in a kernel, as in test_checks: a stray factor of c.
+    original, c = model._gyromagnetic_ratio, registry.quantity("c")
+    for module in (model, checks):
+        monkeypatch.setattr(module, "_gyromagnetic_ratio", lambda *args: original(*args) * c)
+    argv = ["check-dimensions"]
     assert main(argv) == 1
     printed = capsys.readouterr().out
 
@@ -96,7 +101,7 @@ def test_check_dimensions_out_keeps_failure_exit(tmp_path, capsys, corrupted_con
     assert main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().out == ""
     assert out.read_text(encoding="utf-8") == printed
-    assert "FAIL electric-displacement" in printed
+    assert "FAIL gyromagnetic-relation" in printed
 
 
 @pytest.fixture(scope="module")
@@ -127,23 +132,27 @@ def test_constants_of_wrong_dimension_are_rejected_before_output(
         ["estimate"],
         ["estimate", "--format", "csv"],
         ["species"],
+        ["check-dimensions"],
+        ["constants"],
     ):
         assert main([*argv, "--constants", path]) == 1, argv
         captured = capsys.readouterr()
         assert captured.out == "", argv
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), argv
-        assert named in lines[0] and "check-dimensions" in lines[0], argv
-    assert main(["check-dimensions", "--constants", path]) == 1
+        assert captured.err == (
+            f"error: cannot load constants from {path}: the constants give {named}\n"
+        ), argv
 
 
 def test_check_dimensions_names_the_constant_that_stops_its_relations(capsys, hbar_in_joules):
-    # With hbar in J the radius is no length, so a model guard refuses it
-    # before any relation is compared.
+    # With hbar in J the radius is no length, and a model guard would refuse
+    # it before any relation is compared; the load names the constant first.
     assert main(["check-dimensions", "--constants", str(hbar_in_joules)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: the constants give hbar [kg m^2 / s^2], not [kg m^2 / s]\n"
+    assert captured.err == (
+        f"error: cannot load constants from {hbar_in_joules}: "
+        "the constants give hbar [kg m^2 / s^2], not [kg m^2 / s]\n"
+    )
 
 
 def _replace_field(text, key, column, value):
@@ -166,8 +175,13 @@ def _replace_field(text, key, column, value):
         ("constants", "c", 1, "inf", "malformed constants line {line}: inf m / s is not a finite value"),
         ("constants", "c", 1, "1e400", "malformed constants line {line}: 1e400 m / s is not a finite"),
         ("constants", "c", 2, "foo", "malformed constants line {line}: unknown unit 'foo' at position 0"),
-        ("constants", "hbar", 1, "0", "cannot derive alpha, lambda_c, E_S: quantity magnitude divided"),
+        ("constants", "hbar", 1, "0", "malformed constants line {line}: 0 J s is not positive"),
         ("constants", "e", 1, "1e200", "cannot derive alpha, lambda_c, E_S: quantity magnitude overflow"),
+        (
+            "constants", "eps0", 1, "-8.8541878128e-12",
+            "malformed constants line {line}: -8.8541878128e-12 A s / (V m) is not positive",
+        ),
+        ("constants", "m_e", 1, "1e-400", "malformed constants line {line}: 1e-400 kg is not positive"),
         ("species", None, None, None, "cannot load species from {path}: 'utf-8' codec can't decode byte 0xff"),
         ("species", "electron", 3, "nan", "malformed species row at line {line}: mass must be positive"),
         ("species", "electron", 3, "inf", "malformed species row at line {line}: mass must be positive"),
@@ -178,7 +192,7 @@ def _replace_field(text, key, column, value):
     ],
     ids=[
         "constants-not-utf8", "constants-nan", "constants-inf", "constants-1e400", "constants-bad-unit",
-        "hbar-zero", "e-overflows-alpha", "species-not-utf8", "species-mass-nan", "species-mass-inf",
+        "hbar-zero", "e-overflows-alpha", "eps0-negative", "m_e-underflows", "species-not-utf8", "species-mass-nan", "species-mass-inf",
         "constants-empty-key", "species-empty-name", "species-bad-multiplicity", "species-bad-mass",
     ],
 )

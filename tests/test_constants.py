@@ -35,21 +35,13 @@ class TestLoad:
     def test_bundled_file_has_the_required_dimensions(self, registry):
         for key, dimension in REQUIRED_DIMENSIONS.items():
             assert registry.quantity(key).dimension == dimension, key
-        assert registry.mismatches == ()
-        registry.require_dimensions()
 
-    def test_a_wrong_dimension_is_recorded_and_required_as_one_error(self, tmp_path, bundled_text):
+    def test_a_wrong_dimension_is_refused_at_load_as_one_error(self, tmp_path, bundled_text):
         text = bundled_text.replace("\tJ s\t", "\tJ\t").replace("\tC\t", "\tA\t")
-        registry = load_constants(write_registry(tmp_path, text))
-        assert registry.mismatches == (
-            "hbar [kg m^2 / s^2], not [kg m^2 / s]",
-            "e [A], not [A s]",
-        )
         with pytest.raises(DimensionMismatchError) as err:
-            registry.require_dimensions()
+            load_constants(write_registry(tmp_path, text))
         assert str(err.value) == (
-            "the constants give hbar [kg m^2 / s^2], not [kg m^2 / s]; e [A], not [A s]; "
-            "run check-dimensions to find the unit at fault"
+            "the constants give hbar [kg m^2 / s^2], not [kg m^2 / s]; e [A], not [A s]"
         )
 
     def test_eps0_value_to_five_digits(self, registry):
