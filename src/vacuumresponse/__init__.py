@@ -9,8 +9,9 @@ _EXPORTS = {
         "ConstantRecord", "ConstantRegistry", "default_registry", "load_constants",
     ),
     "dimensions": ("Dimension", "Quantity"),
+    "kernels": ("VolumeConvention",),
     "model": (
-        "OscillatorParams", "SpeciesModel", "VacuumResponse", "VolumeConvention",
+        "OscillatorParams", "SpeciesModel", "VacuumResponse",
         "effective_radius", "effective_volume", "fine_structure_form", "maxwell_closure",
         "mean_square_orbit_radius", "pair_magnetic_moment", "probe_response",
         "required_species_count", "vacuum_response",

@@ -4,7 +4,7 @@ Each check evaluates both sides of one implemented relation through the
 quantity algebra, pulling real values from the loaded constant registry, and
 compares the resulting dimensions.  The side that names a relation runs the
 code that computes it, a public model function (the light-speed closure runs
-``maxwell_closure``) or a plain-value kernel of ``model``, so a dimensional
+``maxwell_closure``) or a plain-value kernel of ``kernels``, so a dimensional
 slip in that code fails its check.  The registry quantities carry the
 dimensions parsed from the data file, and a file whose unit gives a required
 constant the wrong dimension is refused when it is loaded, so a FAIL line
@@ -18,13 +18,15 @@ from fractions import Fraction
 
 from .constants import ConstantRegistry, default_registry
 from .dimensions import Dimension, Quantity
-from .model import (
-    OscillatorParams,
+from .kernels import (
     VolumeConvention,
     _count_simple,
     _count_sphere,
     _deviation,
     _gyromagnetic_ratio,
+)
+from .model import (
+    OscillatorParams,
     angular_momentum_kick,
     critical_field,
     effective_volume,

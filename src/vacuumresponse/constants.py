@@ -38,6 +38,7 @@ from .dimensions import (
     NonFiniteError,
     Quantity,
 )
+from .kernels import _compton, _critical_field
 from .units import UnitParseError, format_dimension, parse_unit
 
 
@@ -84,10 +85,12 @@ class ConstantRecord(
 
 
 class ConstantRegistry:
-    """Immutable mapping of constant keys to records, among them every required key.
+    """Immutable mapping of constant keys to records: those read, then the derived ones.
 
-    Raises ``DimensionMismatchError``, naming every key at fault, where a
-    required key has another dimension than ``REQUIRED_DIMENSIONS`` gives.
+    ``records`` holds every required key.  Raises ``DimensionMismatchError``,
+    naming every key at fault, where a required key has another dimension
+    than ``REQUIRED_DIMENSIONS`` gives; this check comes before the derived
+    records are computed, so an error names the key whose unit is at fault.
     """
 
     def __init__(self, records: dict[str, ConstantRecord], codata_release: str | None) -> None:
@@ -99,6 +102,7 @@ class ConstantRegistry:
         if wrong:
             raise DimensionMismatchError(f"the constants give {'; '.join(wrong)}")
         self._records = dict(records)
+        _append_derived(self._records)
         self.codata_release = codata_release
 
     def __contains__(self, key: str) -> bool:
@@ -164,19 +168,7 @@ def _parse_lines(lines: list[str]) -> ConstantRegistry:
     for key in REQUIRED_DIMENSIONS:
         if key not in records:
             raise MissingConstantError(key)
-    _append_derived(records)
     return ConstantRegistry(records, release)
-
-
-# Two relations that the model and the derived records share, on Quantities or floats.
-def _compton(mass, hbar, c):
-    """Reduced Compton wavelength hbar / (m c)."""
-    return hbar / (mass * c)
-
-
-def _critical_field(mass, charge, hbar, c):
-    """Critical field m^2 c^3 / (q hbar) of a particle of charge magnitude ``q``."""
-    return mass**2 * c**3 / (charge * hbar)
 
 
 def _append_derived(records: dict[str, ConstantRecord]) -> None:

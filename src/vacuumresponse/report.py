@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from .constants import ConstantRegistry, default_registry
 from .dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Quantity, _checked_make
-from .model import VolumeConvention, _count_simple, _count_sphere, _gap, _pair
+from .kernels import VolumeConvention, _count_simple, _count_sphere, _gap, _pair
 from .units import render_quantity
 
 # CLI-facing convention tokens: the values of the VolumeConvention members.

@@ -10,8 +10,8 @@ Inverting the requirement that the total reproduce the measured permittivity
 yields either the species count needed at a given gap ratio, or the gap
 ratio matching a given table.
 
-``SpeciesModel`` and ``required_species_count`` live in ``model``, beside
-the count kernels they run; they are re-exported here.  A registry holds
+``SpeciesModel`` and ``required_species_count`` live in ``model``, which
+runs the count kernels of ``kernels``; they are re-exported here.  A registry holds
 the required dimensions from the moment it is built, so no function here
 checks them; ``total_permittivity`` derives the dimension of its sum.
 """
@@ -26,7 +26,8 @@ from pathlib import Path
 
 from .constants import ConstantRegistry, default_registry
 from .dimensions import NonFiniteError, Quantity, _checked_make
-from .model import SpeciesModel, _deviation, _gap, required_species_count
+from .kernels import _deviation, _gap
+from .model import SpeciesModel, required_species_count
 from .units import quantity
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from vacuumresponse import model
+from vacuumresponse import kernels, model
 from vacuumresponse.constants import bundled_constants_path, default_registry
 
 CLI = [sys.executable, "-m", "vacuumresponse"]
@@ -32,16 +32,17 @@ def corrupted_constants(tmp_path_factory):
 def omega0_calls(monkeypatch):
     """The energy gap of every w0 the model computes during the test.
 
-    ``OscillatorParams.omega0`` and the model kernel, on Quantities and on
-    floats alike, compute w0 in ``model._omega0``, so the count does not
-    depend on which path a report row takes.
+    ``OscillatorParams.omega0`` and the pair kernel, on Quantities and on
+    floats alike, compute w0 in ``kernels._omega0``, which ``model`` holds
+    too, so the count does not depend on which path a report row takes.
     """
     calls = []
-    real = model._omega0
+    real = kernels._omega0
 
     def counting(gap, hbar):
         calls.append(gap)
         return real(gap, hbar)
 
-    monkeypatch.setattr(model, "_omega0", counting)
+    for module in (kernels, model):
+        monkeypatch.setattr(module, "_omega0", counting)
     return calls

@@ -2,7 +2,7 @@
 
 import pytest
 
-from vacuumresponse import checks, constants, model, species
+from vacuumresponse import checks, constants, kernels, model, species
 from vacuumresponse.checks import run_dimension_checks
 from vacuumresponse.dimensions import ELECTRIC_FIELD, LENGTH, SPEED
 from vacuumresponse.model import OscillatorParams, VolumeConvention
@@ -30,7 +30,7 @@ def test_a_stray_factor_of_c_fails_the_check_that_names_the_code(
     def slipped(*args):
         return original(*args) * c
 
-    for module in (constants, model, species, checks):
+    for module in (kernels, constants, model, species, checks):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, slipped)
     failed = {result.name for result in run_dimension_checks(registry) if not result.ok}
@@ -39,12 +39,12 @@ def test_a_stray_factor_of_c_fails_the_check_that_names_the_code(
 
 def test_every_caller_runs_the_constants_kernels(monkeypatch, registry):
     # The Compton length and the critical field are written once, in
-    # constants; a slip there reaches the derived records, the pinned cube
+    # kernels; a slip there reaches the derived records, the pinned cube
     # radii and the critical field alike.
     c = registry.quantity("c")
     for name in ("_compton", "_critical_field"):
         original = getattr(constants, name)
-        for module in (constants, model):
+        for module in (kernels, constants, model):
             monkeypatch.setattr(module, name, lambda *args, f=original: f(*args) * c)
 
     slipped = constants.load_constants(constants.bundled_constants_path())

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import vacuumresponse
-from vacuumresponse import checks, model
-from vacuumresponse.cli import COUNT_NOTE, DEVIATION_NOTE, GAUSSIAN_NOTE, main
+from vacuumresponse import checks, kernels, model
+from vacuumresponse.cli import COUNT_NOTE, GAUSSIAN_NOTE, main
+from vacuumresponse.commands.estimate import DEVIATION_NOTE
 from vacuumresponse.constants import bundled_constants_path
 from vacuumresponse.species import bundled_species_path
 
@@ -91,7 +92,7 @@ def test_a_full_device_on_a_buffered_stdout_is_one_error_line(command):
 def test_check_dimensions_out_keeps_failure_exit(tmp_path, capsys, monkeypatch, registry):
     # A dimensional slip in a kernel, as in test_checks: a stray factor of c.
     original, c = model._gyromagnetic_ratio, registry.quantity("c")
-    for module in (model, checks):
+    for module in (kernels, model, checks):
         monkeypatch.setattr(module, "_gyromagnetic_ratio", lambda *args: original(*args) * c)
     argv = ["check-dimensions"]
     assert main(argv) == 1

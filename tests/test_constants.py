@@ -44,6 +44,16 @@ class TestLoad:
             "the constants give hbar [kg m^2 / s^2], not [kg m^2 / s]; e [A], not [A s]"
         )
 
+    def test_a_wrong_dimension_is_named_before_the_derived_records_are_computed(
+        self, tmp_path, bundled_text
+    ):
+        # C Ym^12 scales e by 1e288, so deriving alpha from it overflows: the
+        # error must still name the unit at fault, not the derivation.
+        text = bundled_text.replace("\tC\t", "\tC Ym^12\t")
+        with pytest.raises(DimensionMismatchError) as err:
+            load_constants(write_registry(tmp_path, text))
+        assert str(err.value) == "the constants give e [A s m^12], not [A s]"
+
     def test_eps0_value_to_five_digits(self, registry):
         assert f"{registry.value('eps0'):.4e}" == "8.8542e-12"
         assert registry["eps0"].quantity.dimension == parse_unit("A s / (V m)")[1]

@@ -93,6 +93,43 @@ def test_check_dimensions_reads_no_species_file():
     assert "hashlib" not in loaded_modules(_run_statement(["check-dimensions"]))
 
 
+# What every subcommand's start loads of the package: the CLI, the constants
+# and the paper's kernels, on which report rows are computed.
+PACKAGE_ON_EVERY_START = {
+    "vacuumresponse", "vacuumresponse.cli", "vacuumresponse.commands",
+    "vacuumresponse.constants", "vacuumresponse.dimensions", "vacuumresponse.kernels",
+    "vacuumresponse.report", "vacuumresponse.units",
+}
+# What each subcommand adds: its own command module, and no other one, and
+# the modules that module runs.  A sweep computes its rows on floats with the
+# kernels, so in no format does it load the Quantity-level ``model``.
+PACKAGE_BY_SUBCOMMAND = [
+    (["estimate"], {"commands.estimate", "model"}),
+    (["estimate", "--probe-field", "1 V/m", "--format", "json"], {"commands.estimate", "model"}),
+    (["sweep", "--points", "4"], {"commands.sweep"}),
+    (["sweep", "--points", "4", "--format", "json"], {"commands.sweep"}),
+    (["sweep", "--points", "4", "--format", "svg"], {"commands.sweep", "svgchart"}),
+    (["species"], {"commands.species", "species", "model"}),
+    (["check-dimensions"], {"commands.check_dimensions", "checks", "species", "model"}),
+    (["constants", "--derived"], {"commands.constants"}),
+]
+
+
+@pytest.mark.parametrize(
+    ("argv", "added"), PACKAGE_BY_SUBCOMMAND, ids=[" ".join(a) for a, _ in PACKAGE_BY_SUBCOMMAND]
+)
+def test_each_subcommand_loads_only_its_own_package_modules(argv, added):
+    loaded = {
+        name for name in loaded_modules(_run_statement(argv))
+        if name == "vacuumresponse" or name.startswith("vacuumresponse.")
+    }
+    expected = PACKAGE_ON_EVERY_START | {f"vacuumresponse.{name}" for name in added}
+    assert loaded == expected, (
+        f"{' '.join(argv)} also loads {sorted(loaded - expected)} "
+        f"and does not load {sorted(expected - loaded)}"
+    )
+
+
 # What estimate, sweep and constants never use: exact rationals (fractions
 # loads decimal and numbers), the species tables, and hashlib, which only
 # reading a species file needs.

@@ -1,8 +1,8 @@
-"""Every public call of ``model`` and ``constants`` is reached by some run.
+"""Every public call of ``model``, ``constants`` and ``kernels`` is reached by some run.
 
 A fixed list of argvs runs through ``cli.main`` in process under
 ``sys.setprofile``, which records the code object of every Python call.  A
-function, method or property of these two modules that none of the runs
+function, method or property of these three modules that none of the runs
 calls is a second entry point to a value the program computes another way,
 or surface that nothing reads.  Dunders and exception classes are left out.
 """
@@ -12,14 +12,14 @@ import inspect
 import io
 import sys
 
-from vacuumresponse import constants, model
+from vacuumresponse import constants, kernels, model
 from vacuumresponse.cli import main
-from vacuumresponse.model import VolumeConvention
+from vacuumresponse.kernels import VolumeConvention
 
 CLASSES = (
     model.OscillatorParams,
     model.VacuumResponse,
-    model.VolumeConvention,
+    kernels.VolumeConvention,
     constants.ConstantRegistry,
     constants.ConstantRecord,
 )
@@ -48,7 +48,7 @@ ARGVS = [
 def _targets():
     """Each module-level function and public method or property, by qualified name."""
     targets = {}
-    for module in (model, constants):
+    for module in (model, constants, kernels):
         for name, obj in vars(module).items():
             if getattr(obj, "__module__", None) != module.__name__:
                 continue
