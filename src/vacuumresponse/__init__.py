@@ -11,14 +11,14 @@ _EXPORTS = {
     "dimensions": ("Dimension", "Quantity"),
     "kernels": ("VolumeConvention",),
     "model": (
-        "OscillatorParams", "SpeciesModel", "VacuumResponse",
+        "OscillatorParams", "VacuumResponse",
         "effective_radius", "effective_volume", "fine_structure_form", "maxwell_closure",
-        "mean_square_orbit_radius", "pair_magnetic_moment", "probe_response",
-        "required_species_count", "vacuum_response",
+        "mean_square_orbit_radius", "pair_magnetic_moment", "probe_response", "vacuum_response",
     ),
     "species": (
-        "ParticleSpecies", "SpeciesTable", "charge_weighted_sum", "default_species_table",
-        "gap_for_exact_match", "load_species", "total_permittivity",
+        "ParticleSpecies", "SpeciesModel", "SpeciesTable", "charge_weighted_sum",
+        "default_species_table", "gap_for_exact_match", "load_species",
+        "required_species_count", "total_permittivity",
     ),
     "units": ("format_dimension", "parse_unit", "quantity", "render_quantity"),
 }

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .constants import ConstantRegistry, default_registry
+from .constants import ConstantRegistry
 from .dimensions import Dimension, Quantity
 from .kernels import (
     VolumeConvention,
@@ -59,32 +59,31 @@ def _dim(unit: str) -> Dimension:
     return parse_unit(unit)[1]
 
 
-def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[CheckResult]:
+def run_dimension_checks(registry: ConstantRegistry) -> list[CheckResult]:
     """Evaluate every implemented relation and compare left/right dimensions."""
-    reg = registry or default_registry()
-    c = reg.quantity("c")
-    e = reg.quantity("e")
-    m = reg.quantity("m_e")
-    eps0 = reg.quantity("eps0")
-    mu0 = reg.quantity("mu0")
-    alpha = reg.quantity("alpha")
+    c = registry.quantity("c")
+    e = registry.quantity("e")
+    m = registry.quantity("m_e")
+    eps0 = registry.quantity("eps0")
+    mu0 = registry.quantity("mu0")
+    alpha = registry.quantity("alpha")
 
-    cube = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.CUBE, reg)
-    sphere = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.SPHERE, reg)
-    w0 = cube.omega0(reg)
+    cube = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.CUBE, registry)
+    sphere = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.SPHERE, registry)
+    w0 = cube.omega0(registry)
     kappa = cube.energy_gap / (m * c**2)
 
     E = Quantity(1.0, _dim("V/m"))
     B = Quantity(1.0, _dim("T"))
     Bdot = Quantity(1.0, _dim("T/s"))
 
-    response = maxwell_closure(cube, reg)
+    response = maxwell_closure(cube, registry)
     r, eps_t, mu_t = response.radius, response.eps_tilde, response.mu_tilde
-    sphere_response = vacuum_response(sphere, reg)
-    volume = effective_volume(cube, reg)
-    x, dipole, pol = probe_response(cube, E, registry=reg)
-    kick = angular_momentum_kick(cube, B, reg)
-    moment = pair_magnetic_moment(cube, B, reg)
+    sphere_response = vacuum_response(sphere, registry)
+    volume = effective_volume(cube, registry)
+    x, dipole, pol = probe_response(cube, E, registry=registry)
+    kick = angular_momentum_kick(cube, B, registry)
+    moment = pair_magnetic_moment(cube, B, registry)
     magnetization = moment / volume
 
     one = Quantity(1.0).dimension
@@ -183,7 +182,7 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
         CheckResult(
             "gap-scaled-permittivity",
             "kappa q^2 / (hbar c) matches the permittivity estimate",
-            fine_structure_form(cube, reg)[0].dimension,
+            fine_structure_form(cube, registry)[0].dimension,
             eps_t.dimension,
         ),
         CheckResult(
@@ -195,7 +194,7 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
         CheckResult(
             "charge-weighted-total",
             "the summed species estimate matches the oscillator permittivity",
-            total_permittivity(_ELECTRON_ONLY, 2.0, reg).dimension,
+            total_permittivity(_ELECTRON_ONLY, 2.0, registry).dimension,
             eps_t.dimension,
         ),
         CheckResult(
@@ -231,7 +230,7 @@ def run_dimension_checks(registry: ConstantRegistry | None = None) -> list[Check
         CheckResult(
             "critical-field",
             "m^2 c^3 / (q hbar) is an electric field",
-            critical_field(cube, reg).dimension,
+            critical_field(cube, registry).dimension,
             _dim("V/m"),
         ),
     ]

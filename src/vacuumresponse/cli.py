@@ -158,7 +158,7 @@ def _run(argv: list[str] | None) -> int:
             return 1
 
         try:
-            code, payload, notes = module.run(args, args.parser, registry)
+            code, payload, notes = module.run(args, registry)
             if args.out is None:
                 sys.stdout.write(payload)
                 sys.stdout.flush()

@@ -8,8 +8,6 @@ from ..checks import render_report, run_dimension_checks
 from ..constants import ConstantRegistry
 
 
-def run(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> tuple[int, str, list[str]]:
+def run(args: argparse.Namespace, registry: ConstantRegistry) -> tuple[int, str, list[str]]:
     results = run_dimension_checks(registry)
     return (0 if all(r.ok for r in results) else 1), render_report(results) + "\n", []

@@ -8,9 +8,7 @@ from ..constants import ConstantRegistry
 from ..report import format_float
 
 
-def run(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> tuple[int, str, list[str]]:
+def run(args: argparse.Namespace, registry: ConstantRegistry) -> tuple[int, str, list[str]]:
     release = registry.codata_release or "unspecified"
     lines: list[str] = []
     for record in registry.records():

@@ -72,19 +72,17 @@ def _row_text(row: ReportRow, extra: list[tuple[str, str]], units: str) -> str:
     return "".join(f"{name:<{width}}  {value}\n" for name, value in pairs)
 
 
-def run(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> tuple[int, str, list[str]]:
-    kappa = _positive_float(parser, "--gap-ratio", args.gap_ratio)
-    g = _positive_float(parser, "--g-factor", args.g_factor)
+def run(args: argparse.Namespace, registry: ConstantRegistry) -> tuple[int, str, list[str]]:
+    kappa = _positive_float(args.parser, "--gap-ratio", args.gap_ratio)
+    g = _positive_float(args.parser, "--g-factor", args.g_factor)
     convention = args.convention
     field = None
     if args.probe_field is not None:
-        field = _parse_quantity_flag(parser, "--probe-field", args.probe_field)
+        field = _parse_quantity_flag(args.parser, "--probe-field", args.probe_field)
         if field.dimension != ELECTRIC_FIELD:
-            parser.error("--probe-field must be an electric field (V/m)")
+            args.parser.error("--probe-field must be an electric field (V/m)")
         if field.magnitude < 0:
-            parser.error("--probe-field must be non-negative")
+            args.parser.error("--probe-field must be non-negative")
 
     row = build_row(kappa, convention, g, registry)
     conv = VolumeConvention(convention)

@@ -18,10 +18,8 @@ from ..species import (
 )
 
 
-def run(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> tuple[int, str, list[str]]:
-    kappa = _positive_float(parser, "--gap-ratio", args.gap_ratio)
+def run(args: argparse.Namespace, registry: ConstantRegistry) -> tuple[int, str, list[str]]:
+    kappa = _positive_float(args.parser, "--gap-ratio", args.gap_ratio)
     path = bundled_species_path() if args.species is None else args.species
     table = load_species(path, registry)
     weight = charge_weighted_sum(table)

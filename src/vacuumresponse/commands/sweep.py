@@ -9,9 +9,7 @@ from ..constants import ConstantRegistry
 from ..report import SweepConfig, rows_to_csv, rows_to_json, sweep_rows
 
 
-def run(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, registry: ConstantRegistry
-) -> tuple[int, str, list[str]]:
+def run(args: argparse.Namespace, registry: ConstantRegistry) -> tuple[int, str, list[str]]:
     conventions = tuple(t for t in (s.strip() for s in args.conventions.split(",")) if t)
     g_factors = []
     for piece in args.g_factors.split(","):
@@ -21,7 +19,7 @@ def run(
         try:
             g_factors.append(float(piece))
         except ValueError:
-            parser.error(f"--g-factors: bad value {piece!r}")
+            args.parser.error(f"--g-factors: bad value {piece!r}")
     try:
         config = SweepConfig(
             kappa_min=args.kappa_min,
@@ -31,7 +29,7 @@ def run(
             g_factors=tuple(g_factors),
         )
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
 
     rows = sweep_rows(config, registry)
     # The chart plots the pure-number eps_ratio, which no unit system scales.

@@ -25,9 +25,8 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from enum import Enum
 
-from .constants import ConstantRegistry, default_registry
+from .constants import ConstantRegistry
 from .dimensions import (
     CHARGE,
     ELECTRIC_FIELD,
@@ -40,14 +39,8 @@ from .dimensions import (
     Quantity,
     _checked_make,
 )
-# Re-exported: ``model`` names every relation of the model, and the convention type.
-from .kernels import (  # noqa: F401
-    _BALL_MEAN_SQUARE,
-    _SPHERE_GEOMETRY,
+from .kernels import (
     VolumeConvention,
-    _compton,
-    _count_simple,
-    _count_sphere,
     _critical_field,
     _deviation,
     _gap,
@@ -115,14 +108,12 @@ class OscillatorParams(
             )
         return self
 
-    def omega0(self, registry: ConstantRegistry | None = None) -> Quantity:
-        reg = registry or default_registry()
-        return _omega0(self.energy_gap, reg.quantity("hbar"))
+    def omega0(self, registry: ConstantRegistry) -> Quantity:
+        return _omega0(self.energy_gap, registry.quantity("hbar"))
 
-    def gap_ratio(self, registry: ConstantRegistry | None = None) -> float:
+    def gap_ratio(self, registry: ConstantRegistry) -> float:
         """Gap energy in units of the particle's rest energy."""
-        reg = registry or default_registry()
-        rest = self.mass * reg.quantity("c") ** 2
+        rest = self.mass * registry.quantity("c") ** 2
         return (self.energy_gap / rest).magnitude
 
     @classmethod
@@ -131,26 +122,23 @@ class OscillatorParams(
         gap_ratio: float,
         mass: Quantity,
         charge: Quantity,
-        g_factor: float = 2.0,
-        volume_convention: VolumeConvention = VolumeConvention.CUBE,
-        registry: ConstantRegistry | None = None,
+        g_factor: float,
+        volume_convention: VolumeConvention,
+        registry: ConstantRegistry,
     ) -> OscillatorParams:
-        reg = registry or default_registry()
-        gap = _gap(gap_ratio, mass, reg.quantity("c"))
+        gap = _gap(gap_ratio, mass, registry.quantity("c"))
         return cls(mass, charge, gap, g_factor, volume_convention)
 
     @classmethod
     def for_electron(
         cls,
-        gap_ratio: float = 2.0,
-        g_factor: float = 2.0,
-        volume_convention: VolumeConvention = VolumeConvention.CUBE,
-        registry: ConstantRegistry | None = None,
+        gap_ratio: float,
+        g_factor: float,
+        volume_convention: VolumeConvention,
+        registry: ConstantRegistry,
     ) -> OscillatorParams:
-        reg = registry or default_registry()
-        return cls.from_gap_ratio(
-            gap_ratio, reg.quantity("m_e"), reg.quantity("e"), g_factor, volume_convention, reg
-        )
+        m_e, e = registry.quantity("m_e"), registry.quantity("e")
+        return cls.from_gap_ratio(gap_ratio, m_e, e, g_factor, volume_convention, registry)
 
 
 class VacuumResponse(namedtuple("VacuumResponse", "eps_tilde mu_tilde radius eps_ratio mu_ratio")):
@@ -169,38 +157,9 @@ class VacuumResponse(namedtuple("VacuumResponse", "eps_tilde mu_tilde radius eps
         return self
 
 
-class SpeciesModel(Enum):
-    SIMPLE = "simple"
-    SPHERE = "sphere"
-
-
-def required_species_count(
-    gap_ratio: float,
-    model: SpeciesModel = SpeciesModel.SIMPLE,
-    registry: ConstantRegistry | None = None,
-) -> float:
-    """Charge-weighted species count that makes the total match eps0 exactly.
-
-    Raises ``ValueError`` where the gap ratio takes the count out of the
-    float range (a tiny ratio takes the denominator to 0 or the count to inf).
-    """
-    if gap_ratio <= 0:
-        raise ValueError("gap ratio must be positive")
-    reg = registry or default_registry()
-    count_kernel = _count_simple if model is SpeciesModel.SIMPLE else _count_sphere
-    try:
-        count = count_kernel(reg.value("alpha"), gap_ratio)
-    except ZeroDivisionError:
-        count = math.inf
-    if not 0.0 < count < math.inf:
-        raise ValueError(f"gap ratio {gap_ratio!r} takes the species count out of the float range")
-    return count
-
-
-def critical_field(p: OscillatorParams, registry: ConstantRegistry | None = None) -> Quantity:
+def critical_field(p: OscillatorParams, registry: ConstantRegistry) -> Quantity:
     """Critical field m^2 c^3 / (|q| hbar) for the params' own species."""
-    reg = registry or default_registry()
-    return _critical_field(p.mass, abs(p.charge), reg.quantity("hbar"), reg.quantity("c"))
+    return _critical_field(p.mass, abs(p.charge), registry.quantity("hbar"), registry.quantity("c"))
 
 
 def _probe(
@@ -236,33 +195,33 @@ def _probe(
 def probe_response(
     p: OscillatorParams,
     field: Quantity,
-    registry: ConstantRegistry | None = None,
+    registry: ConstantRegistry,
 ) -> tuple[Quantity, Quantity, Quantity]:
     """Response to one probe field: displacement x, dipole moment q x, polarization q x / V.
 
     The guard runs once, so each warning it raises is shown once.
     """
-    reg = registry or default_registry()
-    w0, displacement, dipole = _probe(p, field, reg)
+    w0, displacement, dipole = _probe(p, field, registry)
     conv = p.volume_convention
-    radius = _radius(conv, p.mass, p.g_factor, w0, reg.quantity("hbar"), reg.quantity("c"))
+    hbar, c = registry.quantity("hbar"), registry.quantity("c")
+    radius = _radius(conv, p.mass, p.g_factor, w0, hbar, c)
     return displacement, dipole, dipole / _volume(conv, radius)
 
 
-def effective_radius(p: OscillatorParams, registry: ConstantRegistry | None = None) -> Quantity:
+def effective_radius(p: OscillatorParams, registry: ConstantRegistry) -> Quantity:
     """Radius selected by the volume convention.
 
     The consistent rule solves the light-speed closure for the radius:
     sqrt(2/g) c/w0 for the cube and sqrt(5/g) c/w0 for the sphere, which
     reduce to c/w0 and sqrt(5/2) c/w0 at the default spin response g = 2.
     """
-    reg = registry or default_registry()
     conv = p.volume_convention
-    w0 = p.omega0(reg) if conv is conv.closed else None
-    return _radius(conv, p.mass, p.g_factor, w0, reg.quantity("hbar"), reg.quantity("c"))
+    w0 = p.omega0(registry) if conv is conv.closed else None
+    hbar, c = registry.quantity("hbar"), registry.quantity("c")
+    return _radius(conv, p.mass, p.g_factor, w0, hbar, c)
 
 
-def effective_volume(p: OscillatorParams, registry: ConstantRegistry | None = None) -> Quantity:
+def effective_volume(p: OscillatorParams, registry: ConstantRegistry) -> Quantity:
     """Volume per pair: r^3 for the cube, 4/3 pi R^3 for the uniform sphere."""
     return _volume(p.volume_convention, effective_radius(p, registry))
 
@@ -289,7 +248,7 @@ def induced_vortex_field(radius: Quantity, b_rate: Quantity) -> Quantity:
 
 
 def angular_momentum_kick(
-    p: OscillatorParams, b_field: Quantity, registry: ConstantRegistry | None = None
+    p: OscillatorParams, b_field: Quantity, registry: ConstantRegistry
 ) -> Quantity:
     """Angular momentum q <rho^2> B / 2 gained while the field is switched on."""
     if b_field.dimension != MAGNETIC_FIELD or b_field.magnitude < 0:
@@ -302,7 +261,7 @@ def angular_momentum_kick(
 
 
 def pair_magnetic_moment(
-    p: OscillatorParams, b_field: Quantity, registry: ConstantRegistry | None = None
+    p: OscillatorParams, b_field: Quantity, registry: ConstantRegistry
 ) -> Quantity:
     """Induced magnetic moment of the pair.
 
@@ -310,13 +269,12 @@ def pair_magnetic_moment(
     kick, doubled for the antiparticle; at g = 2 and the cubic convention
     this reduces exactly to q^2 r^2 B / m.
     """
-    reg = registry or default_registry()
-    kick = angular_momentum_kick(p, b_field, reg)
+    kick = angular_momentum_kick(p, b_field, registry)
     return PAIR_FACTOR * _gyromagnetic_ratio(p.g_factor, abs(p.charge), p.mass) * kick
 
 
 def vacuum_response(
-    p: OscillatorParams, registry: ConstantRegistry | None = None
+    p: OscillatorParams, registry: ConstantRegistry
 ) -> VacuumResponse:
     """Evaluate the model once for the params' own convention.
 
@@ -326,11 +284,9 @@ def vacuum_response(
     gives 2 m V / (g q^2 <rho^2>), which is m r / q^2 for the cube at g = 2.
     w0, the radius and the volume are each computed once.
     """
-    reg = registry or default_registry()
     conv = p.volume_convention
-    _, radius, _, _, eps, mu = _pair(
-        p.mass, p.charge, p.energy_gap, p.g_factor, conv, reg.quantity("hbar"), reg.quantity("c")
-    )
+    hbar, c = registry.quantity("hbar"), registry.quantity("c")
+    _, radius, _, _, eps, mu = _pair(p.mass, p.charge, p.energy_gap, p.g_factor, conv, hbar, c)
     # The kernel also runs on floats, so the sphere's radius is checked here,
     # as mean_square_orbit_radius checks it.
     if conv is VolumeConvention.SPHERE:
@@ -339,13 +295,13 @@ def vacuum_response(
         eps_tilde=eps,
         mu_tilde=mu,
         radius=radius,
-        eps_ratio=(eps / reg.quantity("eps0")).magnitude,
-        mu_ratio=(mu / reg.quantity("mu0")).magnitude,
+        eps_ratio=(eps / registry.quantity("eps0")).magnitude,
+        mu_ratio=(mu / registry.quantity("mu0")).magnitude,
     )
 
 
 def maxwell_closure(
-    p: OscillatorParams, registry: ConstantRegistry | None = None
+    p: OscillatorParams, registry: ConstantRegistry
 ) -> VacuumResponse:
     """Close the model on the light-speed constraint and return all outputs.
 
@@ -357,7 +313,7 @@ def maxwell_closure(
 
 
 def fine_structure_form(
-    p: OscillatorParams, registry: ConstantRegistry | None = None
+    p: OscillatorParams, registry: ConstantRegistry
 ) -> tuple[Quantity, float]:
     """Gap-ratio form of the closed cubic estimate.
 
@@ -366,7 +322,6 @@ def fine_structure_form(
     gap ratio.  Only defined for the cube with the consistent radius at the
     spin response g = 2, the regime in which the closure takes this form.
     """
-    reg = registry or default_registry()
     conv = p.volume_convention
     if conv is VolumeConvention.SPHERE:
         raise ConventionMismatchError("the gap-ratio form is defined for the cubic convention")
@@ -374,6 +329,6 @@ def fine_structure_form(
         raise ConventionMismatchError("the gap-ratio form requires the consistent radius rule")
     if p.g_factor != 2.0:
         raise ConventionMismatchError("the gap-ratio form is derived for the spin response g = 2")
-    kappa = p.gap_ratio(reg)
-    eps = kappa * p.charge**2 / (reg.quantity("hbar") * reg.quantity("c"))
-    return eps, _deviation(reg.value("alpha"), kappa)
+    kappa = p.gap_ratio(registry)
+    eps = kappa * p.charge**2 / (registry.quantity("hbar") * registry.quantity("c"))
+    return eps, _deviation(registry.value("alpha"), kappa)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .constants import ConstantRegistry, default_registry
+from .constants import ConstantRegistry
 from .dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Quantity, _checked_make
 from .kernels import VolumeConvention, _count_simple, _count_sphere, _gap, _pair
 from .units import render_quantity
@@ -159,7 +159,7 @@ def build_row(
     kappa: float,
     convention: str,
     g: float,
-    registry: ConstantRegistry | None = None,
+    registry: ConstantRegistry,
 ) -> ReportRow:
     """Compute one grid point with electron-scale oscillator parameters.
 
@@ -167,16 +167,15 @@ def build_row(
     ``ValueError`` naming the grid point; one that is not an int or a float
     raises ``TypeError``.
     """
-    constants = _constants(convention, registry or default_registry())
+    constants = _constants(convention, registry)
     return ReportRow(kappa, convention, g, *_checked(kappa, convention, g, constants)[4:])
 
 
-def sweep_rows(config: SweepConfig, registry: ConstantRegistry | None = None) -> list[ReportRow]:
+def sweep_rows(config: SweepConfig, registry: ConstantRegistry) -> list[ReportRow]:
     """Evaluate the full grid in deterministic row order.
 
     A grid that leaves the float range raises before any row is computed.
     """
-    reg = registry or default_registry()
     kappas, gs = config.kappas(), config.g_factors
     # The corners decide the grid.  Every value of the chain is a product,
     # quotient, power or square root of positive floats in kappa and g, each
@@ -189,7 +188,7 @@ def sweep_rows(config: SweepConfig, registry: ConstantRegistry | None = None) ->
     corners = [(k, g) for k in (kappas[0], kappas[-1]) for g in (min(gs), max(gs))]
     plans = []
     for convention in config.conventions:
-        constants = _constants(convention, reg)
+        constants = _constants(convention, registry)
         for k, g in corners:
             _checked(k, convention, g, constants)
         plans.append((convention, constants))

@@ -10,24 +10,23 @@ Inverting the requirement that the total reproduce the measured permittivity
 yields either the species count needed at a given gap ratio, or the gap
 ratio matching a given table.
 
-``SpeciesModel`` and ``required_species_count`` live in ``model``, which
-runs the count kernels of ``kernels``; they are re-exported here.  A registry holds
-the required dimensions from the moment it is built, so no function here
-checks them; ``total_permittivity`` derives the dimension of its sum.
+A registry holds the required dimensions from the moment it is built, so no
+function here checks them; ``total_permittivity`` derives the dimension of
+its sum.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
 from .constants import ConstantRegistry, default_registry
 from .dimensions import NonFiniteError, Quantity, _checked_make
-from .kernels import _deviation, _gap
-from .model import SpeciesModel, required_species_count
+from .kernels import _count_simple, _count_sphere, _deviation, _gap
 from .units import quantity
 
 
@@ -77,9 +76,8 @@ class SpeciesTable(namedtuple("SpeciesTable", "species path sha256", defaults=(N
 
     def __new__(cls, *args, **kwargs) -> SpeciesTable:
         self = super().__new__(cls, *args, **kwargs)
-        names = [s.name for s in self.species]
-        for name in names:
-            if names.count(name) > 1:
+        for name, count in Counter(s.name for s in self.species).items():
+            if count > 1:
                 raise DuplicateNameError(name)
         return self
 
@@ -96,7 +94,7 @@ def _is_float(value: Fraction) -> bool:
         return False
 
 
-def load_species(path: str | Path, registry: ConstantRegistry | None = None) -> SpeciesTable:
+def load_species(path: str | Path, registry: ConstantRegistry) -> SpeciesTable:
     """Load a tab-separated species table.
 
     Row format: ``name<TAB>charge_ratio<TAB>multiplicity[<TAB>mass_MeV]``
@@ -107,13 +105,12 @@ def load_species(path: str | Path, registry: ConstantRegistry | None = None) -> 
     # CLI start that never reads a species table.
     import hashlib
 
-    reg = registry or default_registry()
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot load species from {path}: {exc}") from None
-    mev_to_kg = quantity(1.0, "MeV") / reg.quantity("c") ** 2
+    mev_to_kg = quantity(1.0, "MeV") / registry.quantity("c") ** 2
 
     rows: list[ParticleSpecies] = []
     seen: set[str] = set()
@@ -175,7 +172,7 @@ def bundled_species_path() -> Path:
 
 @lru_cache(maxsize=1)
 def default_species_table() -> SpeciesTable:
-    return load_species(bundled_species_path())
+    return load_species(bundled_species_path(), default_registry())
 
 
 def charge_weighted_sum(table: SpeciesTable) -> Fraction:
@@ -187,7 +184,7 @@ def charge_weighted_sum(table: SpeciesTable) -> Fraction:
 
 
 def total_permittivity(
-    table: SpeciesTable, gap_ratio: float, registry: ConstantRegistry | None = None
+    table: SpeciesTable, gap_ratio: float, registry: ConstantRegistry
 ) -> Quantity:
     """Summed permittivity estimate 4 pi alpha kappa (sum of (q/e)^2) eps0.
 
@@ -196,9 +193,8 @@ def total_permittivity(
     """
     if gap_ratio <= 0:
         raise ValueError("gap ratio must be positive")
-    reg = registry or default_registry()
     weight = charge_weighted_sum(table)
-    alpha, eps0 = reg.quantity("alpha"), reg.quantity("eps0")
+    alpha, eps0 = registry.quantity("alpha"), registry.quantity("eps0")
     try:
         total = _deviation(alpha, gap_ratio) * float(weight) * eps0
         in_range = total.magnitude > 0.0 or not weight
@@ -211,20 +207,42 @@ def total_permittivity(
     return total
 
 
+class SpeciesModel(Enum):
+    SIMPLE = "simple"
+    SPHERE = "sphere"
+
+
+def required_species_count(
+    gap_ratio: float, model: SpeciesModel, registry: ConstantRegistry
+) -> float:
+    """Charge-weighted species count that makes the total match eps0 exactly.
+
+    Raises ``ValueError`` where the gap ratio takes the count out of the
+    float range (a tiny ratio takes the denominator to 0 or the count to inf).
+    """
+    if gap_ratio <= 0:
+        raise ValueError("gap ratio must be positive")
+    count_kernel = _count_simple if model is SpeciesModel.SIMPLE else _count_sphere
+    try:
+        count = count_kernel(registry.value("alpha"), gap_ratio)
+    except ZeroDivisionError:
+        count = math.inf
+    if not 0.0 < count < math.inf:
+        raise ValueError(f"gap ratio {gap_ratio!r} takes the species count out of the float range")
+    return count
+
+
 # ``gap_energy`` is the transition energy for electron-scale oscillators.
 GapMatch = namedtuple("GapMatch", "gap_ratio gap_energy")
 
 
 def gap_for_exact_match(
-    table: SpeciesTable,
-    model: SpeciesModel = SpeciesModel.SIMPLE,
-    registry: ConstantRegistry | None = None,
+    table: SpeciesTable, model: SpeciesModel, registry: ConstantRegistry
 ) -> GapMatch:
     """Gap ratio (and electron-scale gap energy) at which the total equals eps0."""
-    reg = registry or default_registry()
     weight = charge_weighted_sum(table)
     if weight == 0:
         raise EmptyTableError("cannot match the measured permittivity with no charged species")
     # The count formula with the weight in place of the gap ratio.
-    kappa = required_species_count(float(weight), model, reg)
-    return GapMatch(kappa, _gap(kappa, reg.quantity("m_e"), reg.quantity("c")))
+    kappa = required_species_count(float(weight), model, registry)
+    return GapMatch(kappa, _gap(kappa, registry.quantity("m_e"), registry.quantity("c")))

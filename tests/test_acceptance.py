@@ -61,7 +61,7 @@ def reg():
 
 
 def test_criterion_01_single_pair_permittivity(reg):
-    resp = maxwell_closure(OscillatorParams.for_electron(2.0, registry=reg), reg)
+    resp = maxwell_closure(OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.CUBE, reg), reg)
     value = resp.eps_tilde.magnitude
     closed_form = (2 * reg.quantity("e") ** 2 / (reg.quantity("hbar") * reg.quantity("c"))).magnitude
     ok = abs(value - 1.62e-12) <= 0.01 * 1.62e-12 and math.isclose(
@@ -73,7 +73,9 @@ def test_criterion_01_single_pair_permittivity(reg):
 
 
 def test_criterion_02_deviation_factor(reg):
-    _, ratio = fine_structure_form(OscillatorParams.for_electron(2.0, registry=reg), reg)
+    _, ratio = fine_structure_form(
+        OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.CUBE, reg), reg
+    )
     identity_ok = math.isclose(ratio, 8 * math.pi * reg.value("alpha"), rel_tol=1e-12)
     window_ok = abs(ratio - 0.18344) <= 1e-4
     cli = run_cli("estimate", "--gap-ratio", "2")
@@ -85,7 +87,7 @@ def test_criterion_02_deviation_factor(reg):
 
 
 def test_criterion_03_closure_radius(reg):
-    resp = maxwell_closure(OscillatorParams.for_electron(2.0, registry=reg), reg)
+    resp = maxwell_closure(OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.CUBE, reg), reg)
     half_compton = reg.value("lambda_c") / 2
     rel = abs(resp.radius.magnitude - half_compton) / half_compton
     ok = rel <= 1e-12
@@ -176,7 +178,7 @@ def test_criterion_08_schwinger_field_and_guard(reg):
     value_ok = abs(field.magnitude - 1.32e18) <= 0.005e18
     magnitude_ok = 1e18 <= field.magnitude < 1e19
     dim_ok = field.dimension == parse_unit("V/m")[1]
-    params = OscillatorParams.for_electron(2.0, registry=reg)
+    params = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.CUBE, reg)
     try:
         probe_response(params, field, registry=reg)[0]
         guard_ok = False
@@ -209,7 +211,7 @@ def test_criterion_10_mass_independence(reg):
     ratios = []
     for mass_key in ("m_e", "m_mu"):
         p = OscillatorParams.from_gap_ratio(
-            2.0, reg.quantity(mass_key), reg.quantity("e"), registry=reg
+            2.0, reg.quantity(mass_key), reg.quantity("e"), 2.0, VolumeConvention.CUBE, reg
         )
         ratios.append(maxwell_closure(p, reg).eps_ratio)
     rel = abs(ratios[0] - ratios[1]) / ratios[0]

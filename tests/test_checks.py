@@ -24,15 +24,15 @@ def test_a_stray_factor_of_c_fails_the_check_that_names_the_code(
 ):
     # A dimensional slip in the code itself, as an edit of its source would
     # make it: every module that holds the function sees the slipped one.
-    original = getattr(model, name)
+    holders = [m for m in (kernels, constants, model, species, checks) if hasattr(m, name)]
+    original = getattr(holders[0], name)
     c = registry.quantity("c")
 
     def slipped(*args):
         return original(*args) * c
 
-    for module in (kernels, constants, model, species, checks):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, slipped)
+    for module in holders:
+        monkeypatch.setattr(module, name, slipped)
     failed = {result.name for result in run_dimension_checks(registry) if not result.ok}
     assert check in failed
 
@@ -45,7 +45,8 @@ def test_every_caller_runs_the_constants_kernels(monkeypatch, registry):
     for name in ("_compton", "_critical_field"):
         original = getattr(constants, name)
         for module in (kernels, constants, model):
-            monkeypatch.setattr(module, name, lambda *args, f=original: f(*args) * c)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, f=original: f(*args) * c)
 
     slipped = constants.load_constants(constants.bundled_constants_path())
     assert slipped.quantity("lambda_c").dimension == LENGTH * SPEED

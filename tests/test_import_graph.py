@@ -109,7 +109,7 @@ PACKAGE_BY_SUBCOMMAND = [
     (["sweep", "--points", "4"], {"commands.sweep"}),
     (["sweep", "--points", "4", "--format", "json"], {"commands.sweep"}),
     (["sweep", "--points", "4", "--format", "svg"], {"commands.sweep", "svgchart"}),
-    (["species"], {"commands.species", "species", "model"}),
+    (["species"], {"commands.species", "species"}),
     (["check-dimensions"], {"commands.check_dimensions", "checks", "species", "model"}),
     (["constants", "--derived"], {"commands.constants"}),
 ]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vacuumresponse.constants import default_registry
 from vacuumresponse.dimensions import (
     DIMENSIONLESS,
     LENGTH,
@@ -30,9 +31,9 @@ from vacuumresponse.model import (
     mean_square_orbit_radius,
     pair_magnetic_moment,
     probe_response,
-    required_species_count,
     vacuum_response,
 )
+from vacuumresponse.species import SpeciesModel, required_species_count
 from vacuumresponse.units import parse_unit
 
 V_PER_M = parse_unit("V/m")[1]
@@ -62,7 +63,7 @@ def unit_b(x=1.0):
 class TestParams:
     def test_rejects_nonpositive_gap(self, registry):
         with pytest.raises(ValueError):
-            OscillatorParams.for_electron(0.0, registry=registry)
+            OscillatorParams.for_electron(0.0, 2.0, VolumeConvention.CUBE, registry)
 
     def test_rejects_zero_charge(self, registry):
         with pytest.raises(ValueError):
@@ -92,7 +93,10 @@ class TestParams:
     @pytest.mark.parametrize(
         ("call", "message"),
         [
-            (lambda: required_species_count(0.0), "gap ratio must be positive"),
+            (
+                lambda: required_species_count(0.0, SpeciesModel.SIMPLE, default_registry()),
+                "gap ratio must be positive",
+            ),
             (
                 lambda: induced_vortex_field(Quantity(0.0, LENGTH), Quantity(1.0, TESLA / TIME)),
                 "orbit radius must be a positive length",
@@ -407,7 +411,7 @@ class TestMaxwellClosure:
 
         reg = default_registry()
         p = OscillatorParams.from_gap_ratio(
-            kappa, mass_scale * reg.quantity("m_e"), reg.quantity("e"), g, registry=reg
+            kappa, mass_scale * reg.quantity("m_e"), reg.quantity("e"), g, VolumeConvention.CUBE, reg
         )
         resp = maxwell_closure(p, reg)
         identity = (resp.eps_tilde * resp.mu_tilde * reg.quantity("c") ** 2).magnitude
@@ -465,7 +469,8 @@ class TestFineStructureForm:
     def test_mass_independence(self, registry):
         e_ratio = fine_structure_form(electron(registry=registry), registry)[1]
         muon = OscillatorParams.from_gap_ratio(
-            2.0, registry.quantity("m_mu"), registry.quantity("e"), registry=registry
+            2.0, registry.quantity("m_mu"), registry.quantity("e"), 2.0, VolumeConvention.CUBE,
+            registry,
         )
         mu_ratio = fine_structure_form(muon, registry)[1]
         assert mu_ratio == pytest.approx(e_ratio, rel=1e-12)

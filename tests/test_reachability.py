@@ -12,7 +12,7 @@ import inspect
 import io
 import sys
 
-from vacuumresponse import constants, kernels, model
+from vacuumresponse import constants, kernels, model, species
 from vacuumresponse.cli import main
 from vacuumresponse.kernels import VolumeConvention
 
@@ -89,3 +89,28 @@ def test_every_public_call_of_model_and_constants_is_reached():
     assert codes == [0] * len(ARGVS)
     unreached = sorted(name for name, f in _targets().items() if f.__code__ not in called)
     assert unreached == []
+
+
+def _stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_a_run_with_a_constants_file_reads_no_other_table(monkeypatch):
+    # Each argv with --constants naming the bundled file prints what the
+    # default run prints, while the bundled registry cannot be built: no call
+    # inside the run falls back to a second constants table.
+    defaults = [_stdout(argv) for argv in ARGVS]
+
+    def refused():
+        raise AssertionError("a --constants run read the bundled registry")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "vacuumresponse" and hasattr(module, "default_registry"):
+            monkeypatch.setattr(module, "default_registry", refused)
+    # A cached bundled species table would hide a read of the bundled registry.
+    species.default_species_table.cache_clear()
+    path = str(constants.bundled_constants_path())
+    assert [_stdout([*argv, "--constants", path]) for argv in ARGVS] == defaults

@@ -30,6 +30,7 @@ MASS_Q = Quantity(9.1e-31, MASS)
 CHARGE_Q = Quantity(1.6e-19, CHARGE)
 ENERGY_Q = Quantity(1.6e-13, ENERGY)
 MUON = ParticleSpecies("mu", Fraction(-1), 1, None)
+ELECTRON = ParticleSpecies("e", Fraction(-1))
 
 # class: (field names, one value per field, defaults of the trailing fields,
 #         checks as (fields to change, exception type, message)).
@@ -129,6 +130,9 @@ RECORDS = {
         {"path": None, "sha256": None},
         [
             ({"species": (MUON, ParticleSpecies("e", Fraction(-1)), MUON)}, DuplicateNameError,
+             "duplicate species name 'mu'"),
+            # The first name in table order that repeats, not the first repeat.
+            ({"species": (MUON, ELECTRON, ELECTRON, MUON)}, DuplicateNameError,
              "duplicate species name 'mu'"),
         ],
     ),

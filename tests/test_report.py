@@ -26,13 +26,7 @@ from vacuumresponse.dimensions import (
     Dimension,
     Quantity,
 )
-from vacuumresponse.model import (
-    OscillatorParams,
-    SpeciesModel,
-    VolumeConvention,
-    required_species_count,
-    vacuum_response,
-)
+from vacuumresponse.model import OscillatorParams, VolumeConvention, vacuum_response
 from vacuumresponse.report import (
     COLUMN_DIMENSIONS,
     CONVENTION_TOKENS,
@@ -45,6 +39,7 @@ from vacuumresponse.report import (
     rows_to_json,
     sweep_rows,
 )
+from vacuumresponse.species import SpeciesModel, required_species_count
 from vacuumresponse.svgchart import Series, sweep_chart
 
 FLOAT_CELL = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")

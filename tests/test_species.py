@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vacuumresponse.dimensions import MASS
-from vacuumresponse.model import maxwell_closure, OscillatorParams
+from vacuumresponse.model import maxwell_closure, OscillatorParams, VolumeConvention
 from vacuumresponse.species import (
     DuplicateNameError,
     EmptyTableError,
@@ -56,6 +58,21 @@ class TestLoad:
         text = "electron\t-1\t1\nelectron\t-1\t1\n"
         with pytest.raises(DuplicateNameError):
             load_species(write_table(tmp_path, text), registry)
+
+    def test_a_large_table_loads_in_linear_time(self, tmp_path):
+        # 40 000 unique names load in well under a second; a check that
+        # compares every name with every other takes tens of seconds.
+        path = write_table(tmp_path, "".join(f"s{i}\t1\t1\n" for i in range(40_000)))
+        script = (
+            "import sys\n"
+            "from vacuumresponse.constants import default_registry\n"
+            "from vacuumresponse.species import load_species\n"
+            "print(len(load_species(sys.argv[1], default_registry()).species))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=3
+        )
+        assert done.stdout == "40000\n"
 
     def test_malformed_row_reports_line(self, tmp_path, registry):
         with pytest.raises(MalformedRowError) as err:
@@ -239,7 +256,7 @@ class TestLightSpeedIndependence:
         # only oscillator parameters, so the implied speed cannot depend on
         # how many species contribute.
         for kappa in (0.5, 1.0, 2.0, 7.0):
-            p = OscillatorParams.for_electron(kappa, registry=registry)
+            p = OscillatorParams.for_electron(kappa, 2.0, VolumeConvention.CUBE, registry)
             resp = maxwell_closure(p, registry)
             light_speed = 1 / math.sqrt((resp.eps_tilde * resp.mu_tilde).magnitude)
             assert light_speed == pytest.approx(registry.value("c"), rel=1e-12)
