@@ -113,7 +113,6 @@ def load_species(path: str | Path, registry: ConstantRegistry) -> SpeciesTable:
     mev_to_kg = quantity(1.0, "MeV") / registry.quantity("c") ** 2
 
     rows: list[ParticleSpecies] = []
-    seen: set[str] = set()
     for number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -124,9 +123,6 @@ def load_species(path: str | Path, registry: ConstantRegistry) -> SpeciesTable:
         name = fields[0].strip()
         if not name:
             raise MalformedRowError(number, "empty name")
-        if name in seen:
-            raise DuplicateNameError(name)
-        seen.add(name)
         try:
             charge = _parse_charge(fields[1].strip())
         except (ValueError, ZeroDivisionError):

@@ -59,6 +59,13 @@ class TestLoad:
         with pytest.raises(DuplicateNameError):
             load_species(write_table(tmp_path, text), registry)
 
+    def test_a_file_names_the_first_repeated_name_in_table_order(self, tmp_path, registry):
+        # The loader and a table built directly name the same row.
+        text = "mu\t-1\t1\ne\t-1\t1\ne\t-1\t1\nmu\t-1\t1\n"
+        with pytest.raises(DuplicateNameError) as err:
+            load_species(write_table(tmp_path, text), registry)
+        assert err.value.name == "mu"
+
     def test_a_large_table_loads_in_linear_time(self, tmp_path):
         # 40 000 unique names load in well under a second; a check that
         # compares every name with every other takes tens of seconds.
@@ -70,7 +77,7 @@ class TestLoad:
             "print(len(load_species(sys.argv[1], default_registry()).species))\n"
         )
         done = subprocess.run(
-            [sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=3
+            [sys.executable, "-c", script, str(path)], capture_output=True, text=True, timeout=10
         )
         assert done.stdout == "40000\n"
 
