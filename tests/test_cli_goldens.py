@@ -9,7 +9,10 @@ Gaussian CSV and JSON of all four conventions, and an SI JSON sweep over six
 decades of the gap ratio.  The ``species`` digests were recorded before the
 counts and the summed permittivity ran on the model's kernels.  With eps0
 in V/m the constants file is refused at load, before any check runs, so that
-entry pins exit 1 and an empty stdout.
+entry pins exit 1 and an empty stdout.  The ``constants`` and ``constants
+--derived`` digests were recorded before the constants file required only the
+six electromagnetic keys; the bundled file keeps its optional mass records,
+so their listing must not change.
 """
 
 import hashlib
