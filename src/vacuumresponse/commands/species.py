@@ -25,6 +25,8 @@ def run(args: argparse.Namespace, registry: ConstantRegistry) -> tuple[int, str,
     weight = charge_weighted_sum(table)
 
     notes = ["warning: NoSpecies: the table contains no charged species"] if weight == 0 else []
+    if args.units == "gaussian":
+        notes.append(GAUSSIAN_NOTE)
     if args.constants is None:
         notes.append(COUNT_NOTE)
 
@@ -36,8 +38,6 @@ def run(args: argparse.Namespace, registry: ConstantRegistry) -> tuple[int, str,
     lines.append(f"rows                {len(table.species)}")
     lines.append(f"charge_weighted_sum {weight} ({format_float(float(weight))})")
     total = total_permittivity(table, kappa, registry)
-    if args.units == "gaussian":
-        notes.append(GAUSSIAN_NOTE)
     lines.append(f"gap_ratio           {kappa:g}")
     lines.append(f"total_permittivity  {_qty_text(total, args.units)}")
     lines.append(

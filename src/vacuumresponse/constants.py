@@ -5,7 +5,8 @@ Constants are read from a tab-separated text file (one record per line:
 hard-coded, so the pinned CODATA release can be audited or swapped without
 touching code.  The bundled file pins CODATA 2018; its release string is
 carried in a ``#codata <release>`` header line.  Each magnitude must be
-finite in SI units, and each required one positive.
+finite in SI units, and each required one positive.  Only the keys of
+``REQUIRED_DIMENSIONS`` are required; any other record is kept and listed.
 
 Three derived records are appended at load time: the fine-structure
 constant, the electron's reduced Compton wavelength, and the critical
@@ -57,8 +58,9 @@ class MalformedLineError(ValueError):
         super().__init__(f"malformed constants line {line_number}: {reason}")
 
 
-# Every key the model needs and its SI dimension: the electromagnetic base
-# set plus the rest masses of all species in the bundled species table.
+# Every key the model reads and its SI dimension: the electromagnetic base
+# set.  Any other record, such as the bundled file's lepton and quark masses,
+# is optional: it is parsed and must be finite, but no output reads it.
 REQUIRED_DIMENSIONS = {
     "c": SPEED,
     "hbar": ENERGY * TIME,
@@ -66,9 +68,6 @@ REQUIRED_DIMENSIONS = {
     "m_e": MASS,
     "eps0": PERMITTIVITY,
     "mu0": PERMEABILITY,
-    **dict.fromkeys(
-        ("m_mu", "m_tau", "m_up", "m_down", "m_strange", "m_charm", "m_bottom", "m_top"), MASS
-    ),
 }
 
 DERIVED_KEYS = ("alpha", "lambda_c", "E_S")
@@ -194,7 +193,8 @@ def _append_derived(records: dict[str, ConstantRecord]) -> None:
 
 def load_constants(path: str | Path) -> ConstantRegistry:
     """Load a constants file, append derived records, and validate presence."""
-    text = Path(path).read_text(encoding="utf-8")
+    # utf-8-sig drops a leading byte-order mark, which would hide the first line.
+    text = Path(path).read_text(encoding="utf-8-sig")
     return _parse_lines(text.splitlines())
 
 

@@ -27,7 +27,6 @@ from pathlib import Path
 from .constants import ConstantRegistry, default_registry
 from .dimensions import NonFiniteError, Quantity, _checked_make
 from .kernels import _count_simple, _count_sphere, _deviation, _gap
-from .units import quantity
 
 
 class DuplicateNameError(ValueError):
@@ -51,9 +50,7 @@ class EmptyTableError(ValueError):
     """Operation undefined on a table with no charged species."""
 
 
-class ParticleSpecies(
-    namedtuple("ParticleSpecies", "name charge_ratio multiplicity mass", defaults=(1, None))
-):
+class ParticleSpecies(namedtuple("ParticleSpecies", "name charge_ratio multiplicity", defaults=(1,))):
     """One charged species; ``charge_ratio`` is its charge in units of the elementary charge."""
 
     __slots__ = ()
@@ -98,8 +95,11 @@ def load_species(path: str | Path, registry: ConstantRegistry) -> SpeciesTable:
     """Load a tab-separated species table.
 
     Row format: ``name<TAB>charge_ratio<TAB>multiplicity[<TAB>mass_MeV]``
-    with ``#`` comments.  The optional mass column is in MeV and is converted
-    to a mass quantity via the registry.
+    with ``#`` comments; a leading byte-order mark is dropped, and ``sha256``
+    is the digest of the raw bytes.  The optional mass column must be a
+    positive finite number, but is not stored: at a fixed gap ratio no
+    estimate depends on a mass.  No row reads a constant, so ``registry`` is
+    not read.
     """
     # Imported here, not at the top: hashlib loads OpenSSL, which costs every
     # CLI start that never reads a species table.
@@ -107,10 +107,9 @@ def load_species(path: str | Path, registry: ConstantRegistry) -> SpeciesTable:
 
     raw = Path(path).read_bytes()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot load species from {path}: {exc}") from None
-    mev_to_kg = quantity(1.0, "MeV") / registry.quantity("c") ** 2
 
     rows: list[ParticleSpecies] = []
     for number, line in enumerate(text.splitlines(), start=1):
@@ -140,7 +139,6 @@ def load_species(path: str | Path, registry: ConstantRegistry) -> SpeciesTable:
         if not _is_float(multiplicity * charge**2):
             weight = f"{multiplicity} * ({fields[1].strip()})**2"
             raise MalformedRowError(number, f"weight {weight} is out of the float range")
-        mass = None
         if len(fields) == 4 and fields[3].strip():
             try:
                 mass_mev = float(fields[3].strip())
@@ -148,8 +146,7 @@ def load_species(path: str | Path, registry: ConstantRegistry) -> SpeciesTable:
                 raise MalformedRowError(number, f"bad mass {fields[3]!r}") from None
             if not 0 < mass_mev < math.inf:
                 raise MalformedRowError(number, f"mass must be positive and finite, got {mass_mev}")
-            mass = mass_mev * mev_to_kg
-        rows.append(ParticleSpecies(name, charge, multiplicity, mass))
+        rows.append(ParticleSpecies(name, charge, multiplicity))
 
     table = SpeciesTable(
         species=tuple(rows),

@@ -256,12 +256,14 @@ def test_warning_prints_as_one_line_without_source(capsys):
 
 def test_stderr_follows_the_payload_warnings_before_notes():
     # With stderr merged into stdout, the order of the two streams shows.
-    argv = ["estimate", "--units", "gaussian", "--probe-field", "5e16 V/m"]
-    result = subprocess.run(
-        [*CLI, *argv], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=120
-    )
-    assert result.returncode == 0, result.stdout
-    lines = result.stdout.splitlines()
+    def merged(*argv):
+        result = subprocess.run(
+            [*CLI, *argv], stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stdout
+        return result.stdout.splitlines()
+
+    lines = merged("estimate", "--units", "gaussian", "--probe-field", "5e16 V/m")
     assert lines[-5].startswith("probe_polarization ")
     assert lines[-4:] == [
         "warning: WeakFieldWarning: field 5.000e+16 V/m exceeds 0.01 of the critical field; "
@@ -270,6 +272,8 @@ def test_stderr_follows_the_payload_warnings_before_notes():
         DEVIATION_NOTE,
         COUNT_NOTE,
     ]
+    # species writes its notes in the order estimate writes them.
+    assert merged("species", "--units", "gaussian")[-2:] == [GAUSSIAN_NOTE, COUNT_NOTE]
 
 
 @pytest.mark.parametrize(

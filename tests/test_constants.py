@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from vacuumresponse.cli import main
 from vacuumresponse.constants import (
     DERIVED_KEYS,
     REQUIRED_DIMENSIONS,
@@ -24,6 +25,16 @@ def write_registry(tmp_path, text):
     path = tmp_path / "constants.tsv"
     path.write_text(text, encoding="utf-8")
     return path
+
+
+# The keys the model reads.
+MODEL_KEYS = ("c", "hbar", "e", "m_e", "eps0", "mu0")
+
+
+def with_unit(lines, key, unit):
+    """The lines of a constants file, with ``unit`` in the record of ``key``."""
+    records = (line.split("\t") for line in lines)
+    return "".join("\t".join([*f[:2], unit, *f[3:]] if f[0] == key else f) for f in records)
 
 
 class TestLoad:
@@ -122,6 +133,44 @@ class TestLoad:
             load_constants(write_registry(tmp_path, text))
         assert err.value.key == "m_e"
 
+    @pytest.mark.parametrize("key", MODEL_KEYS)
+    def test_each_key_the_model_reads_is_required_in_its_dimension(
+        self, tmp_path, bundled_text, key
+    ):
+        lines = bundled_text.splitlines(keepends=True)
+        without = "".join(line for line in lines if not line.startswith(f"{key}\t"))
+        with pytest.raises(MissingConstantError) as err:
+            load_constants(write_registry(tmp_path, without))
+        assert str(err.value) == f"required constant {key!r} not found"
+        with pytest.raises(DimensionMismatchError) as err:
+            load_constants(write_registry(tmp_path, with_unit(lines, key, "K")))
+        assert str(err.value) == f"the constants give {key} [K], not [{REQUIRED_DIMENSIONS[key]}]"
+
+    @pytest.mark.parametrize("variant", ["six-keys", "m_top-in-J"])
+    def test_a_record_that_no_output_reads_is_optional(
+        self, tmp_path, capsys, bundled_text, variant
+    ):
+        # Only the six keys the model reads are required: a file without the
+        # lepton and quark masses, or with one of them in another dimension,
+        # loads and changes no payload.
+        lines = bundled_text.splitlines(keepends=True)
+        if variant == "six-keys":
+            text = "".join(line for line in lines if line.split("\t")[0] in MODEL_KEYS
+                           or line.startswith("#"))
+        else:
+            text = with_unit(lines, "m_top", "J")
+        path = write_registry(tmp_path, text)
+        loaded = load_constants(path)
+        assert loaded.codata_release == "2018"
+        assert tuple(REQUIRED_DIMENSIONS) == MODEL_KEYS
+        if variant == "six-keys":
+            assert [r.key for r in loaded.records()] == [*MODEL_KEYS, *DERIVED_KEYS]
+        for argv in (["estimate"], ["sweep"], ["species"], ["check-dimensions"]):
+            assert main(argv) == 0
+            bundled = capsys.readouterr().out
+            assert main([*argv, "--constants", str(path)]) == 0
+            assert capsys.readouterr().out == bundled, argv
+
     def test_malformed_line_reports_line_number(self, tmp_path, bundled_text):
         text = bundled_text + "broken line without tabs\n"
         with pytest.raises(MalformedLineError) as err:
@@ -150,6 +199,11 @@ class TestLoad:
         loaded = load_constants(write_registry(tmp_path, text))
         assert loaded.records() == registry.records()
         assert loaded.codata_release == registry.codata_release
+
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, registry, bundled_text):
+        loaded = load_constants(write_registry(tmp_path, "\ufeff" + bundled_text))
+        assert loaded.codata_release == "2018"
+        assert loaded.records() == registry.records()
 
     def test_bad_magnitude(self, tmp_path, bundled_text):
         text = bundled_text + "zeta\tnot-a-number\tm\ttest\n"

@@ -267,13 +267,31 @@ class TestFieldCompositions:
         h = unit_b(1.0) / registry.quantity("mu0") - m
         assert h.magnitude == 0.0
 
-    def test_h_field_with_model_magnetization(self, registry):
-        p = half_compton(registry)
+    @pytest.mark.parametrize("g", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("convention", list(VolumeConvention), ids=lambda c: c.value)
+    def test_h_field_with_model_magnetization(self, registry, convention, g):
+        # mu_tilde is the applied B over the magnetization that the pair's
+        # moment gives per volume.  Both routes take w0, the radius, the volume
+        # and <rho^2> from the same kernel calls, so they share those bits.
+        # From there, mu_tilde = (2 m) V / ((g q**2) <rho^2>) rounds 6 times
+        # and B / ((2 (g q / (2 m)) ((q <rho^2>) B / 2)) / V) rounds 7 times:
+        # each * and / rounds once, by at most u = 2**-53 relative, except a
+        # scaling by 2, which is exact, and q**2, libm's pow, counts twice,
+        # since it is within one ulp (2u).  n roundings put a value within
+        # gamma_n = n u / (1 - n u) of the real one, so the two routes differ
+        # by at most (gamma_6 + gamma_7) / (1 - gamma_6) of mu_tilde.
+        p = OscillatorParams.for_electron(2.0, g, convention, registry)
+        b = unit_b(0.3)
+        magnetization = pair_magnetic_moment(p, b, registry) / effective_volume(p, registry)
         mu_t = vacuum_response(p, registry).mu_tilde
-        magnetization = pair_magnetic_moment(p, unit_b(), registry) / effective_volume(p, registry)
-        h = unit_b() / registry.quantity("mu0") - magnetization
-        expected = 1 / registry.value("mu0") - 1 / mu_t.magnitude
-        assert h.magnitude == pytest.approx(expected, rel=1e-12)
+        from_chain = b / magnetization
+        assert from_chain.dimension == mu_t.dimension
+        u = 2.0**-53
+        gamma_6, gamma_7 = (n * u / (1 - n * u) for n in (6, 7))
+        bound = (gamma_6 + gamma_7) / (1 - gamma_6)
+        assert abs(from_chain.magnitude - mu_t.magnitude) <= bound * mu_t.magnitude
+        h = b / registry.quantity("mu0") - magnetization
+        assert h.dimension == magnetization.dimension
 
 
 class TestMagneticChain:

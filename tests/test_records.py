@@ -29,7 +29,7 @@ METRE = Quantity(1e-13, LENGTH)
 MASS_Q = Quantity(9.1e-31, MASS)
 CHARGE_Q = Quantity(1.6e-19, CHARGE)
 ENERGY_Q = Quantity(1.6e-13, ENERGY)
-MUON = ParticleSpecies("mu", Fraction(-1), 1, None)
+MUON = ParticleSpecies("mu", Fraction(-1), 1)
 ELECTRON = ParticleSpecies("e", Fraction(-1))
 
 # class: (field names, one value per field, defaults of the trailing fields,
@@ -116,9 +116,9 @@ RECORDS = {
         ],
     ),
     ParticleSpecies: (
-        ("name", "charge_ratio", "multiplicity", "mass"),
-        ("up", Fraction(2, 3), 3, MASS_Q),
-        {"multiplicity": 1, "mass": None},
+        ("name", "charge_ratio", "multiplicity"),
+        ("up", Fraction(2, 3), 3),
+        {"multiplicity": 1},
         [
             ({"charge_ratio": Fraction(0)}, ValueError, "species 'up' must carry charge"),
             ({"multiplicity": 0}, ValueError, "species 'up' multiplicity must be >= 1"),

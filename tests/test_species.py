@@ -1,3 +1,4 @@
+import hashlib
 import math
 import subprocess
 import sys
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vacuumresponse.dimensions import MASS
 from vacuumresponse.model import maxwell_closure, OscillatorParams, VolumeConvention
 from vacuumresponse.species import (
     DuplicateNameError,
@@ -38,12 +38,23 @@ def single_electron_table():
 
 
 class TestLoad:
-    def test_bundled_standard_model_file(self, registry):
+    def test_bundled_standard_model_file(self, tmp_path, registry):
         table = load_species(bundled_species_path(), registry)
         assert len(table.species) == 9
         assert table.sha256 is not None
-        masses = [s.mass for s in table.species]
-        assert all(m is not None and m.dimension == MASS for m in masses)
+        # Its rows give a mass; the same rows without one load to equal records.
+        text = bundled_species_path().read_text(encoding="utf-8")
+        rows = (line.split("\t") for line in text.splitlines())
+        three_columns = "".join("\t".join(fields[:3]) + "\n" for fields in rows)
+        assert load_species(write_table(tmp_path, three_columns), registry).species == table.species
+
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, registry):
+        raw = b"\xef\xbb\xbf" + bundled_species_path().read_bytes()
+        path = tmp_path / "species.tsv"
+        path.write_bytes(raw)
+        table = load_species(path, registry)
+        assert table.species == load_species(bundled_species_path(), registry).species
+        assert table.sha256 == hashlib.sha256(raw).hexdigest()
 
     def test_empty_file_is_a_valid_empty_table(self, tmp_path, registry):
         table = load_species(write_table(tmp_path, "# nothing here\n"), registry)
@@ -110,8 +121,22 @@ class TestLoad:
             load_species(write_table(tmp_path, "thing\t1\t0\n"), registry)
 
     def test_mass_column_optional(self, tmp_path, registry):
-        table = load_species(write_table(tmp_path, "thing\t1\t1\n"), registry)
-        assert table.species[0].mass is None
+        three = load_species(write_table(tmp_path, "thing\t1\t1\n", "three.tsv"), registry)
+        four = load_species(write_table(tmp_path, "thing\t1\t1\t105.7\n", "four.tsv"), registry)
+        assert three.species == four.species == (ParticleSpecies("thing", Fraction(1), 1),)
+
+    @pytest.mark.parametrize("mass, reason", [
+        ("heavy", "bad mass 'heavy'"),
+        ("0", "mass must be positive and finite, got 0.0"),
+        ("-1", "mass must be positive and finite, got -1.0"),
+        ("inf", "mass must be positive and finite, got inf"),
+        ("nan", "mass must be positive and finite, got nan"),
+    ])
+    def test_a_bad_mass_is_refused(self, tmp_path, registry, mass, reason):
+        # The mass is read by no output, but a file that gives one must give a mass.
+        with pytest.raises(MalformedRowError) as err:
+            load_species(write_table(tmp_path, f"# header\nthing\t1\t1\t{mass}\n"), registry)
+        assert str(err.value) == f"malformed species row at line 2: {reason}"
 
 
 class TestChargeWeightedSum:
