@@ -79,10 +79,6 @@ class SpeciesTable(namedtuple("SpeciesTable", "species path sha256", defaults=(N
         return self
 
 
-def _parse_charge(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _is_float(value: Fraction) -> bool:
     """Whether ``value`` converts to a finite nonzero float."""
     try:
@@ -123,7 +119,7 @@ def load_species(path: str | Path, registry: ConstantRegistry) -> SpeciesTable:
         if not name:
             raise MalformedRowError(number, "empty name")
         try:
-            charge = _parse_charge(fields[1].strip())
+            charge = Fraction(fields[1].strip())
         except (ValueError, ZeroDivisionError):
             raise MalformedRowError(number, f"bad charge ratio {fields[1]!r}") from None
         if charge == 0:

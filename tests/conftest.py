@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 from vacuumresponse import kernels, model
-from vacuumresponse.constants import bundled_constants_path, default_registry
+from vacuumresponse.constants import default_registry
+
+from payload_corpus import write_corrupted_constants
 
 CLI = [sys.executable, "-m", "vacuumresponse"]
 
@@ -22,10 +24,7 @@ def registry():
 @pytest.fixture(scope="module")
 def corrupted_constants(tmp_path_factory):
     """The bundled constants with the permittivity unit replaced by V/m."""
-    text = bundled_constants_path().read_text(encoding="utf-8")
-    path = tmp_path_factory.mktemp("bad") / "constants.tsv"
-    path.write_text(text.replace("A s / (V m)", "V/m"), encoding="utf-8")
-    return path
+    return write_corrupted_constants(tmp_path_factory.mktemp("bad") / "constants.tsv")
 
 
 @pytest.fixture

@@ -163,7 +163,7 @@ def argvs(seed: str = SEED, count: int = COUNT) -> list[list[str]]:
 
 def corpus(seed: str = SEED, count: int = COUNT) -> list[list[str]]:
     """The seeded argvs followed by ``FIXED``."""
-    return [*argvs(seed, count), *map(list, FIXED)]
+    return [*argvs(seed, count), *FIXED]
 
 
 def write_corrupted_constants(path: Path) -> Path:

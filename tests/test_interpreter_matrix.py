@@ -5,13 +5,12 @@ under one interpreter.  This test looks for others in named places only:
 three pyenv versions and the ``python3.N`` commands on ``PATH``.  A
 candidate counts if it starts and reports a version >= 3.10 other than the
 running one; each version counts once.  Under each, ``tests/payload_corpus.py
---check`` recomputes the recorded payload digests, and a child that imports
-no pytest replays ``tests/data/cli_usage_goldens.json`` through ``cli.main``
-with ``COLUMNS=80``.  The test is skipped when no candidate is left.
+--check`` recomputes every pinned CLI output, the payload digests of the
+whole corpus and the usage goldens; it imports no pytest.  The test is
+skipped when no candidate is left.
 """
 
 import ast
-import json
 import os
 import subprocess
 import sys
@@ -20,8 +19,6 @@ from pathlib import Path
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src"
-USAGE_GOLDENS = TESTS / "data" / "cli_usage_goldens.json"
 
 _PYENV_VERSIONS = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv") / "versions"
 CANDIDATES = (
@@ -30,26 +27,6 @@ CANDIDATES = (
     "python3.12",
     "python3.13",
 )
-
-# Run as ``python -c REPLAY GOLDENS``: prints the argvs whose exit code,
-# stdout or stderr differ, and exits 1 if any does or pytest was imported.
-REPLAY = """
-import contextlib, io, json, sys
-from vacuumresponse.cli import main
-
-differing = []
-with open(sys.argv[1], encoding="utf-8") as goldens:
-    for golden in json.load(goldens):
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(list(golden["argv"]))
-        got = {"argv": golden["argv"], "exit": code, "stdout": stdout.getvalue(),
-               "stderr": stderr.getvalue()}
-        if got != golden:
-            differing.append(golden["argv"])
-print(len(differing), "usage goldens differ:", differing)
-sys.exit(1 if differing or "pytest" in sys.modules else 0)
-"""
 
 
 def _version(python):
@@ -83,14 +60,12 @@ def test_payloads_and_usage_text_match_under_every_other_interpreter():
     found = _other_interpreters()
     if not found:
         pytest.skip("no other interpreter >= 3.10 among the candidates")
-    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
     failures = []
     for _, python in sorted(found.items()):
-        for check, argv in (
-            ("payload corpus", [python, str(TESTS / "payload_corpus.py"), "--check"]),
-            ("usage goldens", [python, "-c", REPLAY, str(USAGE_GOLDENS)]),
-        ):
-            done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
-            if done.returncode != 0:
-                failures.append((python, check, done.stdout[-2000:], done.stderr[-2000:]))
+        done = subprocess.run(
+            [python, str(TESTS / "payload_corpus.py"), "--check"],
+            capture_output=True, text=True, timeout=600,
+        )
+        if done.returncode != 0:
+            failures.append((python, done.stdout[-2000:], done.stderr[-2000:]))
     assert failures == []
