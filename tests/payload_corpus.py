@@ -184,7 +184,7 @@ def run(argv: list[str]) -> tuple[int, str, str]:
 
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(list(argv))
+        code = main(argv)
     return code, stdout.getvalue(), stderr.getvalue()
 
 
