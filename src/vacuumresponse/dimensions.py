@@ -46,7 +46,8 @@ algebra: Gaussian dimensions are a non-injective image of the SI ones
 (electric and magnetic field collapse onto the same dimension), so a
 conversion is only well defined per physical kind.  ``GAUSSIAN_UNITS`` maps
 the SI dimension of each supported kind to its Gaussian dimension and
-factor, and the unit module renders a quantity through it.
+factor, each derived from the SI exponents by one substitution rule, and
+the unit module renders a quantity through it.
 """
 
 from __future__ import annotations
@@ -467,37 +468,37 @@ _set_dimension = Quantity.dimension.__set__
 GaussianUnit = namedtuple("GaussianUnit", "dimension factor")
 
 
-# The numeral of the defined SI light speed; conversion factors between the
-# systems are exact products of powers of ten and this number.
-_C_NUMERAL = 299792458.0
+# The numeral of the defined SI light speed in m/s.
+_C = 299_792_458
 
 
-def _gauss(length2: int, mass2: int, time2: int) -> Dimension:
-    """The dimension with exponents ``length2/2``, ``mass2/2`` and ``time2/2``.
+def _gaussian(si: Dimension, magnetic: int) -> GaussianUnit:
+    """The Gaussian unit of the kind of SI dimension ``si``, by one substitution.
 
-    Gaussian electromagnetic dimensions have half-integer exponents, so they
-    are given doubled.
+    Jackson, *Classical Electrodynamics*, 3rd ed., Appendix, Tables 3 and 4:
+    m -> 100 cm, kg -> 1000 g and A -> 10 c statA, with statA = g^1/2 cm^3/2
+    s^-2, and a magnetic kind carries ``magnetic`` more powers of c cm/s,
+    where c is ``_C``.  The m, kg, s and A exponents of ``si`` are ints, so
+    the factor 10^tens c^cs is one quotient of ints, which Python rounds
+    correctly, and the Gaussian dimension is one key of doubled exponents.
     """
-    return _reduced((2, length2, mass2, time2, 0, 0, 0, 0))
+    _, length, mass, time, current = si._key[:5]
+    tens, cs = 2 * length + 3 * mass + current + 2 * magnetic, current + magnetic
+    factor = (10 ** max(tens, 0) * _C ** max(cs, 0)) / (10 ** max(-tens, 0) * _C ** max(-cs, 0))
+    doubled = (2, 2 * length + 3 * current + 2 * magnetic, 2 * mass + current,
+               2 * time - 4 * current - 2 * magnetic, 0, 0, 0, 0)
+    return GaussianUnit(_reduced(doubled), factor)
 
 
 # Keyed on the SI dimension, which identifies the physical kind: each kind
 # here has its own SI dimension, while electric and magnetic field (among
-# others) share one Gaussian dimension.
+# others) share one Gaussian dimension.  A magnetic kind cannot be told from
+# its SI dimension alone, so each kind's power of c cm/s is given here.
 GAUSSIAN_UNITS: dict[Dimension, GaussianUnit] = {
-    CHARGE: GaussianUnit(_gauss(3, 1, -2), 10.0 * _C_NUMERAL),
-    ELECTRIC_FIELD: GaussianUnit(_gauss(-1, 1, -2), 1.0 / (1e-4 * _C_NUMERAL)),
-    MAGNETIC_FIELD: GaussianUnit(_gauss(-1, 1, -2), 1e4),
-    ELECTRIC_DIPOLE: GaussianUnit(_gauss(5, 1, -2), 1e3 * _C_NUMERAL),
-    MAGNETIC_DIPOLE: GaussianUnit(_gauss(5, 1, -2), 1e3),
-    POLARIZATION: GaussianUnit(_gauss(-1, 1, -2), 1e-3 * _C_NUMERAL),
-    MAGNETIZATION: GaussianUnit(_gauss(-1, 1, -2), 1e-3),
-    PERMITTIVITY: GaussianUnit(DIMENSIONLESS, 1e-7 * _C_NUMERAL**2),
-    PERMEABILITY: GaussianUnit(_gauss(-4, 0, 4), 1e3 / _C_NUMERAL**2),
-    ENERGY: GaussianUnit(ENERGY, 1e7),
-    LENGTH: GaussianUnit(LENGTH, 1e2),
-    MASS: GaussianUnit(MASS, 1e3),
-    SPEED: GaussianUnit(SPEED, 1e2),
-    FREQUENCY: GaussianUnit(FREQUENCY, 1.0),
-    DIMENSIONLESS: GaussianUnit(DIMENSIONLESS, 1.0),
+    kind: _gaussian(kind, magnetic) for kind, magnetic in (
+        (CHARGE, 0), (ELECTRIC_FIELD, 0), (MAGNETIC_FIELD, 1), (ELECTRIC_DIPOLE, 0),
+        (MAGNETIC_DIPOLE, -1), (POLARIZATION, 0), (MAGNETIZATION, -1), (PERMITTIVITY, 0),
+        (PERMEABILITY, 0), (ENERGY, 0), (LENGTH, 0), (MASS, 0), (SPEED, 0), (FREQUENCY, 0),
+        (DIMENSIONLESS, 0),
+    )
 }

@@ -209,10 +209,9 @@ def format_float(value: float) -> str:
 
 
 def _header(units: str) -> tuple[str, ...]:
-    """``CSV_HEADER`` with the radius column named for the unit it is shown in."""
-    if units == "gaussian":
-        return (*CSV_HEADER[:5], "radius_cm", *CSV_HEADER[6:])
-    return CSV_HEADER
+    """``CSV_HEADER`` with the radius column named for the length unit of ``units``."""
+    return (*CSV_HEADER[:5], "radius_" + render_quantity(Quantity(1.0, LENGTH), units)[1],
+            *CSV_HEADER[6:])
 
 
 def _lines(rows: list[ReportRow], units: str, template: str) -> list[str]:

@@ -14,12 +14,13 @@ four-convention sweeps, and argvs of ``species``, ``check-dimensions`` and
 refused at load, so it pins exit 1 and an empty stdout.
 
 ``tests/data/payload_digests.json`` holds the exit code and the sha256 of
-stdout of every argv of the corpus, and ``tests/data/cli_usage_goldens.json``
-the exit code and full stdout and stderr of every argv of ``USAGE_ARGVS``:
-the top-level help, each subcommand's help and every kind of usage error,
-at a help width of 80 columns.  Both files are goldens: re-record them only
-for a deliberate change of a payload or of the parser's text, and list that
-change with its reason.  Run from the repository root::
+stdout of every argv of the corpus, one argv a line, and
+``tests/data/cli_usage_goldens.json`` the exit code and full stdout and
+stderr of every argv of ``USAGE_ARGVS``: the top-level help, each
+subcommand's help and every kind of usage error, at a help width of 80
+columns.  Both files are goldens: re-record them only for a deliberate
+change of a payload or of the parser's text, and list that change with its
+reason.  Run from the repository root::
 
     python tests/payload_corpus.py                                  # re-record both
     python tests/payload_corpus.py --check
@@ -231,9 +232,19 @@ def _write(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
+def _write_digests(digests: dict) -> None:
+    """Write the digests one case a line, after the header keys, so a re-recording diffs by case."""
+    cases = ",\n".join("  " + json.dumps(case, ensure_ascii=False) for case in digests["cases"])
+    DIGESTS.write_text(
+        f'{{\n "seed": {json.dumps(digests["seed"])},\n "count": {digests["count"]},\n'
+        f' "cases": [\n{cases}\n ]\n}}\n',
+        encoding="utf-8",
+    )
+
+
 def record() -> None:
     digests, usage = _recording()
-    _write(DIGESTS, digests)
+    _write_digests(digests)
     _write(USAGE_GOLDENS, usage)
     print(f"recorded {len(digests['cases'])} argvs in {DIGESTS}")
     print(f"recorded {len(usage)} usage goldens in {USAGE_GOLDENS}")

@@ -422,6 +422,23 @@ class TestConvertSystem:
             assert got == (*want, 0, 0, 0, 0)
             assert [type(e) for e in got[:3]] == [type(e) for e in want]
 
+    def test_each_factor_is_its_exact_value_correctly_rounded(self):
+        # Jackson, Classical Electrodynamics, 3rd ed., Appendix, Table 4,
+        # with c the numeral of the light speed in m/s.
+        c = 299_792_458
+        exact = {
+            CHARGE: 10 * c, ELECTRIC_FIELD: Fraction(10**4, c), MAGNETIC_FIELD: 10**4,
+            ELECTRIC_DIPOLE: 10**3 * c, MAGNETIC_DIPOLE: 10**3, POLARIZATION: Fraction(c, 10**3),
+            MAGNETIZATION: Fraction(1, 10**3), PERMITTIVITY: Fraction(c**2, 10**7),
+            PERMEABILITY: Fraction(10**3, c**2), ENERGY: 10**7, LENGTH: 10**2, MASS: 10**3,
+            SPEED: 10**2, FREQUENCY: 1, DIMENSIONLESS: 1,
+        }
+        assert exact.keys() == GAUSSIAN_UNITS.keys()
+        for si, value in exact.items():
+            factor = GAUSSIAN_UNITS[si].factor
+            assert type(factor) is float
+            assert factor.hex() == float(Fraction(value)).hex(), si
+
     def test_gaussian_dimensions_are_mechanical(self):
         # Gaussian labels are written in cm, g and s alone.
         for entry in GAUSSIAN_UNITS.values():
@@ -439,11 +456,11 @@ class TestConvertSystem:
 # Each budget counts relative errors of U = 2**-53 from the operations on
 # both sides: one U for each rounded *, / and decimal literal, two for each
 # libm ``**``, each times the power with which its value enters the law.
-# The factors count the operations of their definitions in ``dimensions``:
-# charge 1 (10 c), electric field 3 (1 / (1e-4 c)), electric dipole 1,
-# polarization 2, magnetization 1, permittivity 4 (1e-7 c**2), permeability 3
-# (1e3 / c**2), every other row 0; derived here, force 1, current 1 + 1,
-# area 1 and volume 2.
+# Each factor is its exact value rounded once, so it counts one U, or none
+# where the exact value is a float: electric field, polarization,
+# magnetization, permittivity and permeability 1, every other row 0 (10 c and
+# 1e3 c are ints below 2**53); derived here, force 1, current 0 + 1, area 1
+# and volume 2.
 U = 2.0**-53
 FORCE, AREA, VOLUME = ENERGY / LENGTH, LENGTH**2, LENGTH**3
 
@@ -463,21 +480,21 @@ def _gaussian_kinds():
 # (law, kind of the result, kinds of the inputs, SI form, Gaussian form,
 #  budget); each form takes the light speed first.
 GAUSSIAN_LAWS = (
-    # SI q E: 1, times the force factor: 1 + 1; q: 1 + 1, E: 1 + 3, q E: 1.
+    # SI q E: 1, times the force factor: 1 + 1; q: 1 + 0, E: 1 + 1, q E: 1.
     ("F = q E", FORCE, (CHARGE, ELECTRIC_FIELD),
-     lambda c, q, e: q * e, lambda c, q, e: q * e, 10),
-    # SI q v B: 2, times the force factor: 2; q: 2, v: 1, B: 1, c: 1, q v B / c: 3.
+     lambda c, q, e: q * e, lambda c, q, e: q * e, 7),
+    # SI q v B: 2, times the force factor: 2; q: 1, v: 1, B: 1, c: 1, q v B / c: 3.
     ("F = q v B, q v B / c", FORCE, (CHARGE, SPEED, MAGNETIC_FIELD),
-     lambda c, q, v, b: q * v * b, lambda c, q, v, b: q * v * b / c, 12),
-    # SI q d: 1, times the dipole factor: 1 + 1; q: 2, d: 1, q d: 1.
+     lambda c, q, v, b: q * v * b, lambda c, q, v, b: q * v * b / c, 11),
+    # SI q d: 1, times the dipole factor: 1 + 0; q: 1, d: 1, q d: 1.
     ("p = q d", ELECTRIC_DIPOLE, (CHARGE, LENGTH),
-     lambda c, q, d: q * d, lambda c, q, d: q * d, 7),
-    # SI p / V: 1, times the polarization factor: 1 + 2; p: 2, V: 1 + 2, p / V: 1.
+     lambda c, q, d: q * d, lambda c, q, d: q * d, 5),
+    # SI p / V: 1, times the polarization factor: 1 + 1; p: 1, V: 1 + 2, p / V: 1.
     ("P = p / V", POLARIZATION, (ELECTRIC_DIPOLE, VOLUME),
-     lambda c, p, v: p / v, lambda c, p, v: p / v, 10),
-    # SI I A: 1, times the moment factor: 1; I: 1 + 2, A: 1 + 1, c: 1, I A / c: 2.
+     lambda c, p, v: p / v, lambda c, p, v: p / v, 8),
+    # SI I A: 1, times the moment factor: 1; I: 1 + 1, A: 1 + 1, c: 1, I A / c: 2.
     ("m = I A, I A / c", MAGNETIC_DIPOLE, (CURRENT, AREA),
-     lambda c, i, a: i * a, lambda c, i, a: i * a / c, 10),
+     lambda c, i, a: i * a, lambda c, i, a: i * a / c, 9),
     # SI m / V: 1, times the magnetization factor: 1 + 1; m: 1, V: 3, m / V: 1.
     ("M = m / V", MAGNETIZATION, (MAGNETIC_DIPOLE, VOLUME),
      lambda c, m, v: m / v, lambda c, m, v: m / v, 8),
@@ -486,9 +503,9 @@ GAUSSIAN_LAWS = (
      lambda c, f, l: f * l, lambda c, f, l: f * l, 6),
     # The product is the same number in both systems, so it is 1 in one when
     # it is 1 in the other.  SI: c**2 2, two products 2, times the factor 1;
-    # eps: 1 + 4, mu: 1 + 3, c: 1 to the power 2, c**2: 2, two products: 2.
+    # eps: 1 + 1, mu: 1 + 1, c: 1 to the power 2, c**2: 2, two products: 2.
     ("eps mu c**2 = 1", DIMENSIONLESS, (PERMITTIVITY, PERMEABILITY),
-     lambda c, eps, mu: eps * mu * c**2, lambda c, eps, mu: eps * mu * c**2, 20),
+     lambda c, eps, mu: eps * mu * c**2, lambda c, eps, mu: eps * mu * c**2, 15),
 )
 
 
@@ -517,13 +534,13 @@ def test_gaussian_coulomb_law_is_off_by_the_measured_eps0(registry):
     # by 4 pi 1e-7 eps0 c**2 - 1, which is 0 for the defined SI before 2019
     # and a few 1e-10 for the measured eps0.  Budget: SI pi 1, 4 pi eps0 1,
     # r**2 2, the product 1, q1 q2 1, the quotient 1, times the force factor
-    # 1 + 1; q1 and q2 1 + 1 each, r 1 to the power 2, r**2 2, q1 q2 1, the
+    # 1 + 1; q1 and q2 1 + 0 each, r 1 to the power 2, r**2 2, q1 q2 1, the
     # quotient 1; the deviation itself: pi, 1e-7, c**2 2, three products 3.
     kinds = _gaussian_kinds()
     eps0, c = registry.quantity("eps0"), registry.quantity("c")
     deviation = abs(4 * math.pi * 1e-7 * eps0.magnitude * c.magnitude**2 - 1)
     assert deviation < 1e-9
-    bound = deviation + 26 * U
+    bound = deviation + 24 * U
     f_charge, d_charge = kinds[CHARGE]
     f_length, d_length = kinds[LENGTH]
     f_force, d_force = kinds[FORCE]
