@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .constants import default_registry, load_constants
 from .dimensions import Quantity
-from .report import CONVENTION_TOKENS, format_float
-from .units import UNIT_SYSTEMS, render_quantity
+from .kernels import CONVENTION_TOKENS
+from .units import UNIT_SYSTEMS, format_float, render_quantity
 
 GAUSSIAN_NOTE = (
     "note: gaussian output selected; permittivity-like values are dimensionless "
@@ -96,7 +96,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command == "estimate":
         p.add_argument("--gap-ratio", type=float, default=2.0, help="transition energy / rest energy")
         p.add_argument(
-            "--convention", choices=tuple(CONVENTION_TOKENS), default="cube", help="volume convention"
+            "--convention", choices=CONVENTION_TOKENS, default="cube", help="volume convention"
         )
         p.add_argument("--g-factor", type=float, default=2.0, help="gyromagnetic response factor")
         p.add_argument(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 
 from ..constants import ConstantRegistry
-from ..report import format_float
+from ..units import format_float
 
 
 def run(args: argparse.Namespace, registry: ConstantRegistry) -> tuple[int, str, list[str]]:

@@ -10,15 +10,8 @@ from ..constants import ConstantRegistry
 from ..dimensions import ELECTRIC_FIELD, Quantity, _quantity_power
 from ..kernels import VolumeConvention
 from ..model import OscillatorParams, fine_structure_form, probe_response
-from ..report import (
-    COLUMN_DIMENSIONS,
-    ReportRow,
-    build_row,
-    format_float,
-    rows_to_csv,
-    rows_to_json,
-)
-from ..units import UnitParseError, parse_unit
+from ..report import COLUMN_DIMENSIONS, ReportRow, build_row, rows_to_csv, rows_to_json
+from ..units import UnitParseError, format_float, parse_unit
 
 # Report rows hold SI floats; text output labels them by the schema's dimensions.
 _EPS, _MU, _RADIUS = COLUMN_DIMENSIONS

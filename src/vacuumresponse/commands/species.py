@@ -6,7 +6,6 @@ import argparse
 
 from ..cli import COUNT_NOTE, GAUSSIAN_NOTE, _positive_float, _qty_text
 from ..constants import ConstantRegistry
-from ..report import format_float
 from ..species import (
     SpeciesModel,
     bundled_species_path,
@@ -16,6 +15,7 @@ from ..species import (
     required_species_count,
     total_permittivity,
 )
+from ..units import format_float
 
 
 def run(args: argparse.Namespace, registry: ConstantRegistry) -> tuple[int, str, list[str]]:

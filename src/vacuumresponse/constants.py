@@ -193,8 +193,9 @@ def _append_derived(records: dict[str, ConstantRecord]) -> None:
 
 def load_constants(path: str | Path) -> ConstantRegistry:
     """Load a constants file, append derived records, and validate presence."""
-    # utf-8-sig drops a leading byte-order mark, which would hide the first line.
-    text = Path(path).read_text(encoding="utf-8-sig")
+    # A leading byte-order mark would hide the first line.  It is dropped
+    # after decoding, so that an error's offset counts it.
+    text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     return _parse_lines(text.splitlines())
 
 

@@ -40,6 +40,10 @@ class VolumeConvention(Enum):
         return self if self is VolumeConvention.SPHERE else VolumeConvention.CUBE
 
 
+# CLI-facing convention tokens: the values of the VolumeConvention members.
+CONVENTION_TOKENS = tuple(c.value for c in VolumeConvention)
+
+
 def _compton(mass, hbar, c):
     """Reduced Compton wavelength hbar / (m c)."""
     return hbar / (mass * c)

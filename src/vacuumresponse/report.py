@@ -25,11 +25,8 @@ from collections import namedtuple
 
 from .constants import ConstantRegistry
 from .dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Quantity, _checked_make
-from .kernels import VolumeConvention, _count_simple, _count_sphere, _gap, _pair
-from .units import render_quantity
-
-# CLI-facing convention tokens: the values of the VolumeConvention members.
-CONVENTION_TOKENS = tuple(c.value for c in VolumeConvention)
+from .kernels import CONVENTION_TOKENS, VolumeConvention, _count_simple, _count_sphere, _gap, _pair
+from .units import _FLOAT, render_quantity
 
 
 def _convention(token: str) -> VolumeConvention:
@@ -198,14 +195,8 @@ def sweep_rows(config: SweepConfig, registry: ConstantRegistry) -> list[ReportRo
     ]
 
 
-# The one float format, and the format of each cell in CSV_HEADER order.
-_FLOAT = "%.11e"
+# The format of each cell in CSV_HEADER order; every float cell has the one float format.
 _CELLS = (_FLOAT, "%s", "%g", *(_FLOAT,) * 7)
-
-
-def format_float(value: float) -> str:
-    """Scientific notation with 12 significant digits; the one float format."""
-    return _FLOAT % value
 
 
 def _header(units: str) -> tuple[str, ...]:

@@ -65,8 +65,8 @@ class ParticleSpecies(namedtuple("ParticleSpecies", "name charge_ratio multiplic
         return self
 
 
-class SpeciesTable(namedtuple("SpeciesTable", "species path sha256", defaults=(None, None))):
-    """A tuple of species with unique names, and the file and digest it was loaded from."""
+class SpeciesTable(namedtuple("SpeciesTable", "species path raw", defaults=(None, None))):
+    """A tuple of species with unique names, and the file and bytes it was loaded from."""
 
     __slots__ = ()
     _make = _checked_make
@@ -77,6 +77,17 @@ class SpeciesTable(namedtuple("SpeciesTable", "species path sha256", defaults=(N
             if count > 1:
                 raise DuplicateNameError(name)
         return self
+
+    @property
+    def sha256(self) -> str | None:
+        """The hex sha256 of ``raw``, the bytes that were parsed; None for a table not loaded."""
+        if self.raw is None:
+            return None
+        # Imported here, not at the top: hashlib loads OpenSSL, which costs
+        # every start that loads a table and prints no digest.
+        import hashlib
+
+        return hashlib.sha256(self.raw).hexdigest()
 
 
 def _is_float(value: Fraction) -> bool:
@@ -91,19 +102,16 @@ def load_species(path: str | Path, registry: ConstantRegistry) -> SpeciesTable:
     """Load a tab-separated species table.
 
     Row format: ``name<TAB>charge_ratio<TAB>multiplicity[<TAB>mass_MeV]``
-    with ``#`` comments; a leading byte-order mark is dropped, and ``sha256``
-    is the digest of the raw bytes.  The optional mass column must be a
-    positive finite number, but is not stored: at a fixed gap ratio no
-    estimate depends on a mass.  No row reads a constant, so ``registry`` is
-    not read.
+    with ``#`` comments; a leading byte-order mark is dropped, and the table
+    keeps the raw bytes, whose digest is its ``sha256``.  The optional mass
+    column must be a positive finite number, but is not stored: at a fixed
+    gap ratio no estimate depends on a mass.  No row reads a constant, so
+    ``registry`` is not read.
     """
-    # Imported here, not at the top: hashlib loads OpenSSL, which costs every
-    # CLI start that never reads a species table.
-    import hashlib
-
     raw = Path(path).read_bytes()
     try:
-        text = raw.decode("utf-8-sig")
+        # The mark is dropped after decoding, so that an error's offset counts it.
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot load species from {path}: {exc}") from None
 
@@ -144,11 +152,7 @@ def load_species(path: str | Path, registry: ConstantRegistry) -> SpeciesTable:
                 raise MalformedRowError(number, f"mass must be positive and finite, got {mass_mev}")
         rows.append(ParticleSpecies(name, charge, multiplicity))
 
-    table = SpeciesTable(
-        species=tuple(rows),
-        path=str(path),
-        sha256=hashlib.sha256(raw).hexdigest(),
-    )
+    table = SpeciesTable(species=tuple(rows), path=str(path), raw=raw)
     weight = charge_weighted_sum(table)
     if weight and not _is_float(weight):
         raise ValueError(f"cannot load species from {path}: its charge-weighted sum overflows a float")

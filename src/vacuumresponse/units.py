@@ -33,6 +33,7 @@ raised, so a text that parses pays for none.
 Every quantity is computed in SI units.  :func:`render_quantity` is the one
 place that decides how a value is shown in a unit system: as it is, with an
 SI label, or scaled by its kind's Gaussian factor, with a cm/g/s label.
+:func:`format_float` writes every printed float in the one float format.
 """
 
 from __future__ import annotations
@@ -389,3 +390,12 @@ def render_quantity(q: Quantity, units: str) -> tuple[float, str]:
     """
     factor, label = _unit(q.dimension, units)
     return q.magnitude * factor, label
+
+
+# The one float format: scientific notation with 12 significant digits.
+_FLOAT = "%.11e"
+
+
+def format_float(value: float) -> str:
+    """Scientific notation with 12 significant digits; the one float format."""
+    return _FLOAT % value

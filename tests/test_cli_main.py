@@ -168,10 +168,19 @@ def _replace_field(text, key, column, value):
     raise AssertionError(f"no row {key!r}")
 
 
+# A byte-order mark, a comment line and a byte that is not UTF-8, at offset 13.
+BOM_THEN_BAD_BYTE = b"\xef\xbb\xbf#codata x\n\xff"
+
+
 @pytest.mark.parametrize(
     ("table", "key", "column", "value", "reason"),
     [
-        ("constants", None, None, None, "'utf-8' codec can't decode byte 0xff"),
+        ("constants", None, None, b"\xff", "'utf-8' codec can't decode byte 0xff"),
+        # The position is the bad byte's offset in the file, byte-order mark included.
+        (
+            "constants", None, None, BOM_THEN_BAD_BYTE,
+            "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte",
+        ),
         ("constants", "c", 1, "nan", "malformed constants line {line}: nan m / s is not a finite value"),
         ("constants", "c", 1, "inf", "malformed constants line {line}: inf m / s is not a finite value"),
         ("constants", "c", 1, "1e400", "malformed constants line {line}: 1e400 m / s is not a finite"),
@@ -183,7 +192,12 @@ def _replace_field(text, key, column, value):
             "malformed constants line {line}: -8.8541878128e-12 A s / (V m) is not positive",
         ),
         ("constants", "m_e", 1, "1e-400", "malformed constants line {line}: 1e-400 kg is not positive"),
-        ("species", None, None, None, "cannot load species from {path}: 'utf-8' codec can't decode byte 0xff"),
+        ("species", None, None, b"\xff", "cannot load species from {path}: 'utf-8' codec can't decode byte 0xff"),
+        (
+            "species", None, None, BOM_THEN_BAD_BYTE,
+            "cannot load species from {path}: 'utf-8' codec can't decode byte 0xff in position 13: "
+            "invalid start byte",
+        ),
         ("species", "electron", 3, "nan", "malformed species row at line {line}: mass must be positive"),
         ("species", "electron", 3, "inf", "malformed species row at line {line}: mass must be positive"),
         ("constants", "c", 0, "", "malformed constants line {line}: empty key"),
@@ -192,8 +206,10 @@ def _replace_field(text, key, column, value):
         ("species", "electron", 3, "heavy", "malformed species row at line {line}: bad mass 'heavy'"),
     ],
     ids=[
-        "constants-not-utf8", "constants-nan", "constants-inf", "constants-1e400", "constants-bad-unit",
-        "hbar-zero", "e-overflows-alpha", "eps0-negative", "m_e-underflows", "species-not-utf8", "species-mass-nan", "species-mass-inf",
+        "constants-not-utf8", "constants-bom-not-utf8", "constants-nan", "constants-inf",
+        "constants-1e400", "constants-bad-unit", "hbar-zero", "e-overflows-alpha", "eps0-negative",
+        "m_e-underflows", "species-not-utf8", "species-bom-not-utf8", "species-mass-nan",
+        "species-mass-inf",
         "constants-empty-key", "species-empty-name", "species-bad-multiplicity", "species-bad-mass",
     ],
 )
@@ -208,7 +224,7 @@ def test_a_table_that_cannot_be_used_is_one_error_line(
         text = bundled_species_path().read_text(encoding="utf-8")
         argvs, prefix = (["species"],), "error: "
     if key is None:
-        data, line = b"\xff" + text.encode("utf-8"), None
+        data, line = value + text.encode("utf-8"), None
     else:
         text, line = _replace_field(text, key, column, value)
         data = text.encode("utf-8")

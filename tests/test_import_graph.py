@@ -7,6 +7,7 @@ modules that site hooks import in both are left out.  Under ``python -S``
 nothing is pre-loaded, so a run there shows every module it needs.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # Stdlib packages that pull in the network and email stack.
 FORBIDDEN_PACKAGES = ("xml", "http", "email", "ssl", "socket")
@@ -25,6 +27,7 @@ FORBIDDEN_MODULES = {
     "urllib.request",
     "hashlib",
     "vacuumresponse.checks",
+    "vacuumresponse.report",
     "vacuumresponse.svgchart",
     *SLOW_STDLIB,
 }
@@ -89,26 +92,57 @@ def test_running_every_subcommand_skips_dataclasses_and_inspect():
 
 
 def test_check_dimensions_reads_no_species_file():
-    # Loading a species file is what imports hashlib in this package.
+    # Printing a species table's digest is what imports hashlib in this package.
     assert "hashlib" not in loaded_modules(_run_statement(["check-dimensions"]))
 
 
-# What every subcommand's start loads of the package: the CLI, the constants
-# and the paper's kernels, on which report rows are computed.
+def test_species_prints_its_digest_with_hashlib():
+    assert "hashlib" in loaded_modules(_run_statement(["species"]))
+
+
+def _setup_code():
+    """``SETUP_CODE`` of ``perfbench/run.py``: the start that the benchmark times."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "SETUP_CODE" for t in targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py assigns no SETUP_CODE")
+
+
+# Loading both bundled tables reads no digest, builds no report row and
+# decodes no byte-order mark with a codec of its own.
+NOT_ON_A_TABLE_LOAD = {"hashlib", "vacuumresponse.report", "encodings.utf_8_sig"}
+
+
+@pytest.mark.parametrize("options", [(), ("-S",)], ids=["site", "no-site"])
+def test_loading_the_bundled_tables_skips_hashlib_and_report(options):
+    added = loaded_modules(_setup_code(), *options) - loaded_modules("pass", *options)
+    assert "vacuumresponse.cli" in added
+    loaded = added & NOT_ON_A_TABLE_LOAD
+    assert not loaded, f"the benchmark's set-up loads {sorted(loaded)}"
+
+
+# What every subcommand's start loads of the package: the CLI, the constants,
+# the units that show each value and the paper's kernels.
 PACKAGE_ON_EVERY_START = {
     "vacuumresponse", "vacuumresponse.cli", "vacuumresponse.commands",
     "vacuumresponse.constants", "vacuumresponse.dimensions", "vacuumresponse.kernels",
-    "vacuumresponse.report", "vacuumresponse.units",
+    "vacuumresponse.units",
 }
 # What each subcommand adds: its own command module, and no other one, and
-# the modules that module runs.  A sweep computes its rows on floats with the
-# kernels, so in no format does it load the Quantity-level ``model``.
+# the modules that module runs.  Only estimate and sweep build report rows.
+# A sweep computes them on floats with the kernels, so in no format does it
+# load the Quantity-level ``model``.
 PACKAGE_BY_SUBCOMMAND = [
-    (["estimate"], {"commands.estimate", "model"}),
-    (["estimate", "--probe-field", "1 V/m", "--format", "json"], {"commands.estimate", "model"}),
-    (["sweep", "--points", "4"], {"commands.sweep"}),
-    (["sweep", "--points", "4", "--format", "json"], {"commands.sweep"}),
-    (["sweep", "--points", "4", "--format", "svg"], {"commands.sweep", "svgchart"}),
+    (["estimate"], {"commands.estimate", "model", "report"}),
+    (
+        ["estimate", "--probe-field", "1 V/m", "--format", "json"],
+        {"commands.estimate", "model", "report"},
+    ),
+    (["sweep", "--points", "4"], {"commands.sweep", "report"}),
+    (["sweep", "--points", "4", "--format", "json"], {"commands.sweep", "report"}),
+    (["sweep", "--points", "4", "--format", "svg"], {"commands.sweep", "report", "svgchart"}),
     (["species"], {"commands.species", "species"}),
     (["check-dimensions"], {"commands.check_dimensions", "checks", "species", "model"}),
     (["constants", "--derived"], {"commands.constants"}),

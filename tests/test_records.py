@@ -125,9 +125,9 @@ RECORDS = {
         ],
     ),
     SpeciesTable: (
-        ("species", "path", "sha256"),
-        ((MUON, ParticleSpecies("e", Fraction(-1))), "table.tsv", "0" * 64),
-        {"path": None, "sha256": None},
+        ("species", "path", "raw"),
+        ((MUON, ParticleSpecies("e", Fraction(-1))), "table.tsv", b"mu\t-1\t1\ne\t-1\t1\n"),
+        {"path": None, "raw": None},
         [
             ({"species": (MUON, ParticleSpecies("e", Fraction(-1)), MUON)}, DuplicateNameError,
              "duplicate species name 'mu'"),

@@ -56,6 +56,32 @@ class TestLoad:
         assert table.species == load_species(bundled_species_path(), registry).species
         assert table.sha256 == hashlib.sha256(raw).hexdigest()
 
+    def test_the_digest_is_of_the_bytes_that_were_parsed(self, tmp_path, registry):
+        path = write_table(tmp_path, "electron\t-1\t1\n")
+        parsed = path.read_bytes()
+        table = load_species(path, registry)
+        # The file changes after the load; the digest does not.
+        path.write_text("muon\t-1\t1\n", encoding="utf-8")
+        assert table.sha256 == hashlib.sha256(parsed).hexdigest()
+        # A table that was not loaded has no bytes and no digest.
+        assert single_electron_table().sha256 is None
+
+    def test_loading_imports_hashlib_only_when_the_digest_is_read(self):
+        # -S starts without site, so nothing is pre-loaded that the load could reuse.
+        script = (
+            "import sys\n"
+            "from vacuumresponse.constants import default_registry\n"
+            "from vacuumresponse.species import bundled_species_path, load_species\n"
+            "table = load_species(bundled_species_path(), default_registry())\n"
+            "print('hashlib' in sys.modules)\n"
+            "table.sha256\n"
+            "print('hashlib' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=10
+        )
+        assert done.stdout == "False\nTrue\n", done.stderr
+
     def test_empty_file_is_a_valid_empty_table(self, tmp_path, registry):
         table = load_species(write_table(tmp_path, "# nothing here\n"), registry)
         assert len(table.species) == 0
