@@ -49,8 +49,9 @@ def loaded_modules(statement, *options):
     code = f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))"
     result = subprocess.run(
         [sys.executable, *options, "-c", code], env=env, capture_output=True, text=True,
-        timeout=60, check=True,
+        timeout=60,
     )
+    assert result.returncode == 0, result.stderr
     return set(result.stdout.split())
 
 
@@ -92,12 +93,33 @@ def test_running_every_subcommand_skips_dataclasses_and_inspect():
 
 
 def test_check_dimensions_reads_no_species_file():
-    # Printing a species table's digest is what imports hashlib in this package.
-    assert "hashlib" not in loaded_modules(_run_statement(["check-dimensions"]))
+    # Every species file is read by load_species, which the child replaces
+    # with a recorder before the run, so a module that imports the name
+    # after that point gets the recorder too.
+    statement = (
+        "import vacuumresponse.species as species\n"
+        "reads = []\n"
+        "species.load_species = lambda *args, **kwargs: reads.append(args)\n"
+        + _run_statement(["check-dimensions"])
+        + "\nassert not reads, f'check-dimensions loads species from {reads}'"
+    )
+    # Nor does it print a digest, the one use of hashlib in this package.
+    assert "hashlib" not in loaded_modules(statement)
 
 
 def test_species_prints_its_digest_with_hashlib():
     assert "hashlib" in loaded_modules(_run_statement(["species"]))
+
+
+def test_reading_a_loaded_tables_digest_imports_hashlib():
+    # With test_loading_the_bundled_tables_skips_hashlib_and_report[no-site]:
+    # a load imports hashlib only when its digest is read.
+    statement = (
+        "from vacuumresponse.constants import default_registry\n"
+        "from vacuumresponse.species import bundled_species_path, load_species\n"
+        "load_species(bundled_species_path(), default_registry()).sha256"
+    )
+    assert "hashlib" in loaded_modules(statement, "-S")
 
 
 def _setup_code():

@@ -66,22 +66,6 @@ class TestLoad:
         # A table that was not loaded has no bytes and no digest.
         assert single_electron_table().sha256 is None
 
-    def test_loading_imports_hashlib_only_when_the_digest_is_read(self):
-        # -S starts without site, so nothing is pre-loaded that the load could reuse.
-        script = (
-            "import sys\n"
-            "from vacuumresponse.constants import default_registry\n"
-            "from vacuumresponse.species import bundled_species_path, load_species\n"
-            "table = load_species(bundled_species_path(), default_registry())\n"
-            "print('hashlib' in sys.modules)\n"
-            "table.sha256\n"
-            "print('hashlib' in sys.modules)\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=10
-        )
-        assert done.stdout == "False\nTrue\n", done.stderr
-
     def test_empty_file_is_a_valid_empty_table(self, tmp_path, registry):
         table = load_species(write_table(tmp_path, "# nothing here\n"), registry)
         assert len(table.species) == 0
