@@ -8,8 +8,7 @@ import math
 from ..cli import COUNT_NOTE, GAUSSIAN_NOTE, _positive_float, _qty_text
 from ..constants import ConstantRegistry
 from ..dimensions import ELECTRIC_FIELD, Quantity, _quantity_power
-from ..kernels import VolumeConvention
-from ..model import OscillatorParams, fine_structure_form, probe_response
+from ..kernels import VolumeConvention, _deviation, _gap
 from ..report import COLUMN_DIMENSIONS, ReportRow, build_row, rows_to_csv, rows_to_json
 from ..units import UnitParseError, format_float, parse_unit
 
@@ -44,7 +43,8 @@ def _parse_quantity_flag(parser: argparse.ArgumentParser, flag: str, text: str) 
     mantissa = parts[0].lower().partition("e")[0]
     if value == 0.0 and float(mantissa) != 0.0:
         parser.error(f"{flag}: {text.strip()!r} underflows to zero")
-    return Quantity(value, dimension)
+    # A zero is +0.0, so that "-0" prints as "0" does, with no sign.
+    return Quantity(value or 0.0, dimension)
 
 
 def _row_text(row: ReportRow, extra: list[tuple[str, str]], units: str) -> str:
@@ -79,7 +79,6 @@ def run(args: argparse.Namespace, registry: ConstantRegistry) -> tuple[int, str,
 
     row = build_row(kappa, convention, g, registry)
     conv = VolumeConvention(convention)
-    params = OscillatorParams.for_electron(kappa, g, conv, registry)
     # A closed convention's row is its own light-speed closure; a pinned
     # radius (a cube) is closed by the closed cube's row at the same point.
     closed = row
@@ -95,10 +94,16 @@ def run(args: argparse.Namespace, registry: ConstantRegistry) -> tuple[int, str,
 
     extra: list[tuple[str, str]] = [("implied_light_speed", _qty_text(light_speed, args.units))]
     if conv is VolumeConvention.CUBE and g == 2.0:
-        _, deviation = fine_structure_form(params, registry)
+        # model.fine_structure_form's float operations, in its order: the
+        # gap ratio is recomputed from the gap, as the model does.
+        m_e, c = registry.value("m_e"), registry.value("c")
+        deviation = _deviation(registry.value("alpha"), _gap(kappa, m_e, c) / (m_e * c**2))
         extra.append(("deviation_factor", format_float(deviation)))
 
     if field is not None:
+        from ..model import OscillatorParams, probe_response
+
+        params = OscillatorParams.for_electron(kappa, g, conv, registry)
         names = ("probe_field", "probe_displacement", "probe_dipole_moment", "probe_polarization")
         responses = (field, *probe_response(params, field, registry=registry))
         extra.extend((name, _qty_text(value, args.units)) for name, value in zip(names, responses))

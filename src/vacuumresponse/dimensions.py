@@ -15,14 +15,14 @@ common denominator of this one dimension (not a fixed global one, which
 would cap the powers it can hold) and the key is divided by ``gcd(den, n_1,
 ..., n_7)``.  So the key is exact and unique per vector, and the arithmetic
 that makes a new dimension adds, multiplies and hashes small ints at C
-speed, with no :class:`~fractions.Fraction` on the way.  Each rule on keys
-is written once: ``_key_mul``, ``_key_div`` and ``_key_pow`` are the
-product, the quotient (``math.lcm`` when denominators differ) and the power
-``n/k`` (numerators times ``n``, denominator times ``k``), and all three
-leave the key unreduced.  ``_reduced`` is the only function that makes a
-key canonical: ``*``, ``/`` and ``**`` call it at once, the unit parser
-once per text.  :func:`format_dimension` reduces each ``n_i/den`` with
-``gcd`` as it writes it.  ``Fraction`` appears only at the public edge:
+speed, with no :class:`~fractions.Fraction` on the way.  Keys combine by
+one rule, written once: ``_key_mul_pow(a, b, n, k)`` is the key of
+a·b^(n/k), not reduced.  A product is ``(1, 1)``, a quotient ``(-1, 1)``,
+and the power ``n/k`` of a key is the rule on the dimensionless key
+``_ONE``.  ``_reduced`` is the only function that makes a key canonical:
+``*``, ``/`` and ``**`` call it at once, the unit parser once per text.
+:func:`format_dimension` reduces each ``n_i/den`` with ``gcd`` as it
+writes it.  ``Fraction`` appears only at the public edge:
 ``Dimension(...)`` and ``**`` accept one, and the public exponents
 (:meth:`Dimension.as_tuple`, ``.length`` and the other components) are
 ``int`` when integral and a reduced ``Fraction`` otherwise, built from the
@@ -131,39 +131,25 @@ def _reduced(key: _Key) -> Dimension:
     return _make(key)
 
 
-def _power(d: Dimension, numerator: int, denominator: int) -> Dimension:
-    """``d`` to the power ``numerator / denominator``, for ints and ``denominator >= 1``."""
-    return _reduced(_key_pow(d._key, numerator, denominator))
+# The key of the dimensionless vector: the start of every power.
+_ONE: _Key = (1, 0, 0, 0, 0, 0, 0, 0)
 
 
-def _key_mul(a: _Key, b: _Key) -> _Key:
-    """The key of the product of keys ``a`` and ``b``, not reduced."""
-    den = a[0]
-    if den == b[0]:
-        return (den, a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4], a[5] + b[5],
-                a[6] + b[6], a[7] + b[7])
-    den = lcm(den, b[0])
-    f, g = den // a[0], den // b[0]
+def _key_mul_pow(a: _Key, b: _Key, n: int, k: int) -> _Key:
+    """The key of ``a`` times ``b`` to the power ``n / k``, for ``k >= 1``, not reduced."""
+    den, bk = a[0], b[0] * k
+    if den == bk:
+        return (den, a[1] + b[1] * n, a[2] + b[2] * n, a[3] + b[3] * n, a[4] + b[4] * n,
+                a[5] + b[5] * n, a[6] + b[6] * n, a[7] + b[7] * n)
+    den = lcm(den, bk)
+    f, g = den // a[0], den // bk * n
     return (den, a[1] * f + b[1] * g, a[2] * f + b[2] * g, a[3] * f + b[3] * g,
             a[4] * f + b[4] * g, a[5] * f + b[5] * g, a[6] * f + b[6] * g, a[7] * f + b[7] * g)
 
 
-def _key_div(a: _Key, b: _Key) -> _Key:
-    """The key of the quotient of keys ``a`` and ``b``, not reduced."""
-    den = a[0]
-    if den == b[0]:
-        return (den, a[1] - b[1], a[2] - b[2], a[3] - b[3], a[4] - b[4], a[5] - b[5],
-                a[6] - b[6], a[7] - b[7])
-    den = lcm(den, b[0])
-    f, g = den // a[0], den // b[0]
-    return (den, a[1] * f - b[1] * g, a[2] * f - b[2] * g, a[3] * f - b[3] * g,
-            a[4] * f - b[4] * g, a[5] * f - b[5] * g, a[6] * f - b[6] * g, a[7] * f - b[7] * g)
-
-
-def _key_pow(key: _Key, n: int, k: int) -> _Key:
-    """The key of ``key`` to the power ``n / k``, for ``k >= 1``, not reduced."""
-    return (key[0] * k, key[1] * n, key[2] * n, key[3] * n, key[4] * n, key[5] * n,
-            key[6] * n, key[7] * n)
+def _power(d: Dimension, numerator: int, denominator: int) -> Dimension:
+    """``d`` to the power ``numerator / denominator``, for ints and ``denominator >= 1``."""
+    return _reduced(_key_mul_pow(_ONE, d._key, numerator, denominator))
 
 
 def _ratio(numerator: int, den: int) -> Rational:
@@ -229,19 +215,19 @@ class Dimension:
     def __mul__(self, other: Dimension) -> Dimension:
         if not isinstance(other, Dimension):
             return NotImplemented
-        return _reduced(_key_mul(self._key, other._key))
+        return _reduced(_key_mul_pow(self._key, other._key, 1, 1))
 
     def __truediv__(self, other: Dimension) -> Dimension:
         if not isinstance(other, Dimension):
             return NotImplemented
-        return _reduced(_key_div(self._key, other._key))
+        return _reduced(_key_mul_pow(self._key, other._key, -1, 1))
 
     def __pow__(self, exponent: Rational) -> Dimension:
         p = _exponent(exponent, "power")
         return _power(self, p.numerator, p.denominator)
 
     def inverse(self) -> Dimension:
-        return _reduced(_key_pow(self._key, -1, 1))
+        return _power(self, -1, 1)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={a!r}" for f, a in zip(_BASE_FIELDS, self.as_tuple()))

@@ -17,18 +17,21 @@ kilogram, not kilo-gram) and the longest prefix first ("da" before "d").
 ``_parse`` builds no syntax tree.  One ``findall`` of one compiled pattern
 cuts a text into items, one per factor: its operator, its primary and its
 power; a "(" or ")" is a primary, and an open group waits on a stack.  The
-walk over the items keeps each scale as a (mantissa, exponent) pair with
-its dimension as an int key, not reduced.  Products and quotients combine
-left to right as they are read, on mantissas kept normal floats, so each
-rounds as it would in a float range without bounds, and a scale in the
-float range is accepted whatever the order of its factors.  The first
-unknown unit or power beyond the float range is raised only once the text
-has parsed to its end, so a syntax error anywhere wins over it.  Keys
-combine by the key rules of :mod:`.dimensions`, and the key is reduced
-once, into the one :class:`Dimension` a parse builds.  Groups nest at most
-``_MAX_GROUPS`` deep.  ``findall`` gives strings, not positions: an error's
-position is read from ``finditer`` of the same pattern, only when it is
-raised, so a text that parses pays for none.
+walk keeps a scale as a (mantissa, exponent) pair and a dimension as an int
+key, not reduced.  Each group, like the whole text, starts at (1.0, 0) and
+the dimensionless key, and every factor, the first included, folds in by
+one step as it is read, left to right.  Its mantissa multiplies or divides,
+on mantissas kept normal floats, so each product rounds as it would in a
+float range without bounds, and a scale in the float range is accepted
+whatever the order of its factors.  Its key joins by the one key rule of
+:mod:`.dimensions`, ``_key_mul_pow``, with the factor's power n/k and n
+negated after "/".  The first unknown unit or power beyond the float
+range is raised only once the text has parsed to its end, so a syntax
+error anywhere wins over it.  The key is reduced once, into the one
+:class:`Dimension` a parse builds.  Groups nest at most ``_MAX_GROUPS``
+deep.  ``findall`` gives strings, not positions: an error's position is
+read from ``finditer`` of the same pattern, only when it is raised, so a
+text that parses pays for none.
 
 Every quantity is computed in SI units.  :func:`render_quantity` is the one
 place that decides how a value is shown in a unit system: as it is, with an
@@ -48,7 +51,6 @@ from .dimensions import (
     AMOUNT,
     CHARGE,
     CURRENT,
-    DIMENSIONLESS,
     ELECTRIC_FIELD,
     ENERGY,
     FREQUENCY,
@@ -63,10 +65,9 @@ from .dimensions import (
     Dimension,
     Quantity,
     UnsupportedKindError,
+    _ONE,
     _Key,
-    _key_div,
-    _key_mul,
-    _key_pow,
+    _key_mul_pow,
     _reduced,
     format_dimension,
 )
@@ -274,12 +275,13 @@ def _parse(text: str) -> tuple[float, int, Dimension]:
     if not items:
         raise EmptyInputError()
     groups: list[tuple[float, int, _Key, str, bool]] = []
-    mantissa, exponent, key, fresh = 1.0, 0, DIMENSIONLESS._key, True
+    mantissa, exponent, key, fresh = 1.0, 0, _ONE, True
     deferred: tuple[tuple[str, ...], str | None] | None = None
     for item in items:
         op, primary, sign, numerator, denominator, _ = item
         if op and fresh:
             raise _syntax_error(text, items, item, fresh, len(groups))
+        n = d = 1
         if numerator:
             try:
                 n = int(numerator)
@@ -295,7 +297,7 @@ def _parse(text: str) -> tuple[float, int, Dimension]:
             if numerator or len(groups) == _MAX_GROUPS:
                 raise _syntax_error(text, items, item, fresh, len(groups))
             groups.append((mantissa, exponent, key, op, fresh))
-            mantissa, exponent, key, fresh = 1.0, 0, DIMENSIONLESS._key, True
+            mantissa, exponent, key, fresh = 1.0, 0, _ONE, True
             continue
         elif primary == ")":
             if fresh or op or not groups:
@@ -303,16 +305,15 @@ def _parse(text: str) -> tuple[float, int, Dimension]:
             m, e, k = mantissa, exponent, key
             mantissa, exponent, key, op, fresh = groups.pop()
         elif primary == "1":
-            m, e, k = 1.0, 0, DIMENSIONLESS._key
+            m, e, k = 1.0, 0, _ONE
         elif primary.isalpha():
-            m, e, k = 1.0, 0, DIMENSIONLESS._key
+            m, e, k = 1.0, 0, _ONE
             deferred = deferred or (item, primary)
         else:  # a stray character, or a letter run holding a non-letter
             raise _syntax_error(text, items, item, fresh, len(groups))
         if numerator:
             if sign == "-":
                 n = -n
-            k = _key_pow(k, n, d)
             try:
                 power = n / d  # even for a unit scale: an n / d beyond floats is a scale error
                 scale = math.ldexp(m, e) ** power if m != 1.0 or e else 1.0
@@ -325,13 +326,11 @@ def _parse(text: str) -> tuple[float, int, Dimension]:
             else:
                 m, e = 1.0, 0
                 deferred = deferred or (item, None)
-        if fresh:
-            mantissa, exponent, key, fresh = m, e, k, False
-            continue
         if op == "/":
-            mantissa, exponent, key = mantissa / m, exponent - e, _key_div(key, k)
+            mantissa, exponent, n = mantissa / m, exponent - e, -n
         else:
-            mantissa, exponent, key = mantissa * m, exponent + e, _key_mul(key, k)
+            mantissa, exponent = mantissa * m, exponent + e
+        key, fresh = _key_mul_pow(key, k, n, d), False
         if not _LOW < mantissa < _HIGH:
             mantissa, shift = math.frexp(mantissa)
             exponent += shift

@@ -16,6 +16,7 @@ from vacuumresponse.cli import COUNT_NOTE, GAUSSIAN_NOTE, main
 from vacuumresponse.commands.estimate import DEVIATION_NOTE
 from vacuumresponse.constants import bundled_constants_path
 from vacuumresponse.species import bundled_species_path
+from vacuumresponse.units import UNIT_SYSTEMS
 
 from conftest import CLI
 
@@ -388,10 +389,15 @@ def test_usage_error_returns_two(capsys, argv, message):
          "arabic-indic-e5"],
 )
 def test_a_zero_probe_field_in_any_digits_is_accepted(capsys, field):
-    assert main(["estimate", "--probe-field", field]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    probe = next(line.split() for line in lines if line.startswith("probe_field "))
-    assert float(probe[1]) == 0.0
+    # Byte for byte as "0 V/m" prints: a "-0" prints no sign on any probe line.
+    for units in UNIT_SYSTEMS:
+        printed = []
+        for text in (field, "0 V/m"):
+            assert main(["estimate", "--units", units, "--probe-field", text]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            printed.append([line for line in lines if line.startswith("probe_")])
+        assert len(printed[0]) == 4
+        assert printed[0] == printed[1], units
 
 
 @pytest.mark.parametrize(

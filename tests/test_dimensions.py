@@ -38,7 +38,8 @@ from vacuumresponse.dimensions import (
     NonFiniteError,
     Quantity,
     UnsupportedKindError,
-    _key_mul,
+    _ONE,
+    _key_mul_pow,
     _power,
     _reduced,
 )
@@ -222,26 +223,60 @@ class TestRepresentation:
         assert got.as_tuple() == tuple(Fraction(e) * Fraction(n, k) for e in d.as_tuple())
 
 
-# Keys as the key rules leave them: any den >= 1, not reduced.
+# Keys as the key rule leaves them: any den >= 1, not reduced.
 unreduced_keys = st.tuples(st.integers(1, 12), *[st.integers(-60, 60)] * 7)
 
 
 class TestKeyAlgebra:
-    def test_every_power_runs_the_one_power_rule(self, monkeypatch):
-        # A slip in the power rule, as an edit of its source would make it,
-        # reaches the parser, both ** operators and inverse alike.
-        original = dimensions._key_pow
+    def test_every_product_quotient_and_power_runs_the_one_key_rule(self, monkeypatch):
+        # A slip in the key rule, as an edit of its source would make it: each
+        # call also multiplies by one time dimension.  It reaches the parser
+        # once per factor, the first included, and every operator once.
+        original = dimensions._key_mul_pow
 
-        def slipped(key, n, k):
-            return _key_mul(original(key, n, k), TIME._key)
+        def slipped(a, b, n, k):
+            return original(original(a, b, n, k), TIME._key, 1, 1)
 
         for module in (dimensions, units):
-            monkeypatch.setattr(module, "_key_pow", slipped)
-        squared = Dimension(length=2, time=1)
-        assert parse_unit("m^2")[1] == squared
-        assert LENGTH**2 == squared
-        assert (Quantity(1.0, LENGTH) ** 2).dimension == squared
+            monkeypatch.setattr(module, "_key_mul_pow", slipped)
+        parsed = {
+            "m^2": Dimension(length=2, time=1),
+            "m s": Dimension(length=1, time=3),
+            "m / s": Dimension(length=1, time=1),
+            "(m s)^2": Dimension(length=2, time=7),
+        }
+        for text, slip in parsed.items():
+            assert parse_unit(text)[1] == slip, text
+        assert LENGTH * LENGTH == Dimension(length=2, time=1)
+        assert LENGTH / TIME == LENGTH
+        assert LENGTH**2 == Dimension(length=2, time=1)
         assert LENGTH.inverse() == Dimension(length=-1, time=1)
+        assert (Quantity(1.0, LENGTH) ** 2).dimension == Dimension(length=2, time=1)
+
+    @given(
+        a=unreduced_keys,
+        b=unreduced_keys,
+        n=st.integers(min_value=-6, max_value=6),
+        k=st.integers(min_value=1, max_value=6),
+    )
+    # The equal-denominator branch: a's den is b's times k.
+    @example(a=(6, 1, -2, 0, 0, 0, 0, 5), b=(3, 2, 0, -1, 0, 0, 0, 0), n=-5, k=2)
+    @example(a=_ONE, b=(1, 1, 0, 0, 0, 0, 0, 0), n=1, k=1)
+    # The lcm branch, with n = +-1 and with n beyond them.
+    @example(a=(4, 1, 0, 0, 0, 0, 0, 3), b=(3, 0, 2, 0, 0, 0, 0, 1), n=-1, k=1)
+    @example(a=(4, 1, 0, 0, 0, 0, 0, 3), b=(3, 0, 2, 0, 0, 0, 0, 1), n=5, k=2)
+    @example(a=_ONE, b=(12, 7, -60, 0, 0, 0, 0, 60), n=-6, k=6)
+    # n = 0 in either branch leaves a's exponents.
+    @example(a=(2, 1, 0, 0, 0, 0, 0, -3), b=(5, 4, 0, 0, 0, 0, 0, 0), n=0, k=3)
+    @example(a=(6, 1, 0, 0, 0, 0, 0, -3), b=(2, 4, 0, 0, 0, 0, 0, 0), n=0, k=3)
+    def test_the_key_rule_is_the_product_with_a_rational_power(self, a, b, n, k):
+        got = _key_mul_pow(a, b, n, k)
+        assert got[0] >= 1
+        if a[0] == b[0] * k:
+            assert got[0] == a[0]
+        power = Fraction(n, k)
+        oracle = [Fraction(x, a[0]) + Fraction(y, b[0]) * power for x, y in zip(a[1:], b[1:])]
+        assert [Fraction(x, got[0]) for x in got[1:]] == oracle
 
     @given(key=unreduced_keys)
     @example(key=(1, 0, 0, 0, 0, 0, 0, 0))

@@ -154,10 +154,10 @@ PACKAGE_ON_EVERY_START = {
 }
 # What each subcommand adds: its own command module, and no other one, and
 # the modules that module runs.  Only estimate and sweep build report rows.
-# A sweep computes them on floats with the kernels, so in no format does it
-# load the Quantity-level ``model``.
+# Both compute them on floats with the kernels, so only an estimate's probe
+# loads the Quantity-level ``model``.
 PACKAGE_BY_SUBCOMMAND = [
-    (["estimate"], {"commands.estimate", "model", "report"}),
+    (["estimate"], {"commands.estimate", "report"}),
     (
         ["estimate", "--probe-field", "1 V/m", "--format", "json"],
         {"commands.estimate", "model", "report"},
