@@ -3,10 +3,12 @@
 Constants are read from a tab-separated text file (one record per line:
 ``key<TAB>magnitude<TAB>unit-expression<TAB>source``) rather than being
 hard-coded, so the pinned CODATA release can be audited or swapped without
-touching code.  The bundled file pins CODATA 2018; its release string is
-carried in a ``#codata <release>`` header line.  Each magnitude must be
-finite in SI units, and each required one positive.  Only the keys of
-``REQUIRED_DIMENSIONS`` are required; any other record is kept and listed.
+touching code.  A blank line, or one whose first non-blank character is
+``#``, is skipped, as in a species table.  The bundled file pins CODATA
+2018; its release string is carried in a ``#codata <release>`` comment.
+Each magnitude must be finite in SI units, and each required one
+positive.  Only the keys of ``REQUIRED_DIMENSIONS`` are required; any other
+record is kept and listed.
 
 Three derived records are appended at load time: the fine-structure
 constant, the electron's reduced Compton wavelength, and the critical
@@ -126,13 +128,11 @@ class ConstantRegistry:
 def _parse_lines(lines: list[str]) -> ConstantRegistry:
     records: dict[str, ConstantRecord] = {}
     release: str | None = None
-    for number, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            if line.startswith("#codata"):
-                release = line[len("#codata"):].strip() or None
+    for number, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            if stripped.startswith("#codata"):
+                release = stripped[len("#codata"):].strip() or None
             continue
         fields = line.split("\t")
         if len(fields) != 4:

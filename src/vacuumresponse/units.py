@@ -209,50 +209,32 @@ def _matches(text: str, items: list[tuple[str, ...]], item: tuple[str, ...]) -> 
     return list(itertools.islice(_ITEM.finditer(text), i + 1))
 
 
-def _syntax_error(
-    text: str, items: list[tuple[str, ...]], item: tuple[str, ...] | None, fresh: bool, depth: int
-) -> UnitSyntaxError:
-    """The error of a walk that stopped at ``item``, or at the end if ``item`` is None.
-
-    ``fresh`` and ``depth`` are the walk's state before that item: whether
-    its group has no factor yet, and how many groups are open.  The first
-    character that cannot start a token is reported before anything else.
-    """
+def _error(text: str, position: int, expected: tuple[str, ...]) -> UnitSyntaxError:
+    """The error at ``position``, unless a character that cannot start a token
+    is in ``text``: the first of those is reported before anything else."""
     for odd in _ODD.finditer(text):
         if not odd.group().isalpha():
             return UnitSyntaxError(odd.start(), ("unit symbol", "operator"))
-    if item is None:
-        return UnitSyntaxError(len(text), _SYMBOL_OR_GROUP if fresh else (")",))
+    return UnitSyntaxError(position, expected)
+
+
+def _stray_error(
+    text: str, items: list[tuple[str, ...]], item: tuple[str, ...], fresh: bool, depth: int
+) -> UnitSyntaxError:
+    """The error at ``item``, a stray character, ``depth`` groups deep and in a group
+    with no factor yet if ``fresh``; or at a letter run's non-letter, by the ``_ODD`` rule."""
     *_, previous, match = [None, *_matches(text, items, item)]
-    op, primary, _, numerator, denominator, stray = match.groups()
-    if op and fresh:
-        return UnitSyntaxError(match.start(1), _SYMBOL_OR_GROUP)
-    if primary == "(":
-        if depth == _MAX_GROUPS:
-            return UnitSyntaxError(match.start(2), (f"at most {_MAX_GROUPS} nested groups",))
-        return UnitSyntaxError(_token(text, match.end(2)), _SYMBOL_OR_GROUP)
-    if primary == ")":
-        if fresh or op:
-            return UnitSyntaxError(match.start(2), _SYMBOL_OR_GROUP)
-        if not depth:
-            return UnitSyntaxError(match.start(2), ("end of input",))
-    if numerator:
-        limit = sys.get_int_max_str_digits()  # the most digits ``int`` reads; 0 for no limit
-        for group in (4, 5):
-            if limit and len(match.group(group) or "") > limit:
-                return UnitSyntaxError(match.start(group), (f"exponent of at most {limit} digits",))
-        return UnitSyntaxError(match.start(5), ("nonzero exponent denominator",))
-    position = match.start(6)
-    if stray in "*/·":  # an operator with no factor after it
-        return UnitSyntaxError(position if fresh else _token(text, position + 1), _SYMBOL_OR_GROUP)
-    if stray in "^+-" and not fresh:
+    position, stray = match.start(6), match.group(6)
+    if stray in ("*", "/", "·"):  # an operator with no factor after it
+        return _error(text, position if fresh else _token(text, position + 1), _SYMBOL_OR_GROUP)
+    if stray in ("^", "+", "-") and not fresh:
         if stray == "^" and not previous.group(4):  # a power with no integer after "^" [sign]
             position = _token(text, position + 1)
             if text.startswith(("+", "-"), position):
                 position = _token(text, position + 1)
-            return UnitSyntaxError(position, ("integer exponent",))
-        return UnitSyntaxError(position, (")",) if depth else ("end of input",))
-    return UnitSyntaxError(position, _SYMBOL_OR_GROUP)
+            return _error(text, position, ("integer exponent",))
+        return _error(text, position, (")",) if depth else ("end of input",))
+    return _error(text, position, _SYMBOL_OR_GROUP)
 
 
 def _parse(text: str) -> tuple[float, int, Dimension]:
@@ -268,8 +250,9 @@ def _parse(text: str) -> tuple[float, int, Dimension]:
     every power of 1.0 is 1.0.  An open group waits on a stack.  The
     first unknown unit or power out of the float range is raised only once
     the text has parsed to its end.  Items are strings without positions:
-    ``_syntax_error`` finds the position of the one error raised, so a text
-    that parses pays for none.
+    each syntax error is built where the walk stops, and only then reads
+    its position from the ``finditer`` matches, so a text that parses pays
+    for none.  A "(" or ")" error wins over an error in that item's power.
     """
     items = _ITEM.findall(text, 0, len(text.rstrip()))
     if not items:
@@ -280,28 +263,25 @@ def _parse(text: str) -> tuple[float, int, Dimension]:
     for item in items:
         op, primary, sign, numerator, denominator, _ = item
         if op and fresh:
-            raise _syntax_error(text, items, item, fresh, len(groups))
-        n = d = 1
-        if numerator:
-            try:
-                n = int(numerator)
-                d = int(denominator) if denominator else 1
-            except ValueError:  # too many digits; ``_syntax_error`` says which
-                d = 0
-            if not d:
-                raise _syntax_error(text, items, item, fresh, len(groups))
+            raise _error(text, _matches(text, items, item)[-1].start(1), _SYMBOL_OR_GROUP)
         symbol = _SYMBOLS.get(primary)
         if symbol is not None:
             (m, k), e = symbol, 0
         elif primary == "(":
-            if numerator or len(groups) == _MAX_GROUPS:
-                raise _syntax_error(text, items, item, fresh, len(groups))
+            if len(groups) == _MAX_GROUPS:
+                where = _matches(text, items, item)[-1].start(2)
+                raise _error(text, where, (f"at most {_MAX_GROUPS} nested groups",))
+            if numerator:  # a power of "(" is a stray "^" where a factor must start
+                where = _token(text, _matches(text, items, item)[-1].end(2))
+                raise _error(text, where, _SYMBOL_OR_GROUP)
             groups.append((mantissa, exponent, key, op, fresh))
             mantissa, exponent, key, fresh = 1.0, 0, _ONE, True
             continue
         elif primary == ")":
-            if fresh or op or not groups:
-                raise _syntax_error(text, items, item, fresh, len(groups))
+            if fresh or op:
+                raise _error(text, _matches(text, items, item)[-1].start(2), _SYMBOL_OR_GROUP)
+            if not groups:
+                raise _error(text, _matches(text, items, item)[-1].start(2), ("end of input",))
             m, e, k = mantissa, exponent, key
             mantissa, exponent, key, op, fresh = groups.pop()
         elif primary == "1":
@@ -310,8 +290,19 @@ def _parse(text: str) -> tuple[float, int, Dimension]:
             m, e, k = 1.0, 0, _ONE
             deferred = deferred or (item, primary)
         else:  # a stray character, or a letter run holding a non-letter
-            raise _syntax_error(text, items, item, fresh, len(groups))
+            raise _stray_error(text, items, item, fresh, len(groups))
+        n = d = 1
         if numerator:
+            try:
+                n = int(numerator)
+                d = int(denominator) if denominator else 1
+            except ValueError:  # more digits than ``int`` reads; there is a limit
+                limit = sys.get_int_max_str_digits()
+                where = _matches(text, items, item)[-1].start(4 if len(numerator) > limit else 5)
+                raise _error(text, where, (f"exponent of at most {limit} digits",)) from None
+            if not d:
+                where = _matches(text, items, item)[-1].start(5)
+                raise _error(text, where, ("nonzero exponent denominator",))
             if sign == "-":
                 n = -n
             try:
@@ -334,8 +325,10 @@ def _parse(text: str) -> tuple[float, int, Dimension]:
         if not _LOW < mantissa < _HIGH:
             mantissa, shift = math.frexp(mantissa)
             exponent += shift
-    if fresh or groups:
-        raise _syntax_error(text, items, None, fresh, len(groups))
+    if fresh:
+        raise _error(text, len(text), _SYMBOL_OR_GROUP)
+    if groups:
+        raise _error(text, len(text), (")",))
     if deferred is not None:
         item, symbol = deferred
         if symbol is None:

@@ -190,7 +190,9 @@ class TestLoad:
         assert err.value.line_number == number
         assert str(err.value) == f"malformed constants line {number}: {reason}"
 
-    @pytest.mark.parametrize("line", ["", "   ", "# note"], ids=["empty", "blank", "comment"])
+    @pytest.mark.parametrize(
+        "line", ["", "   ", "# note", "  # note"], ids=["empty", "blank", "comment", "indented"]
+    )
     def test_a_blank_or_comment_line_among_the_rows_is_skipped(
         self, tmp_path, registry, bundled_text, line
     ):
@@ -199,6 +201,12 @@ class TestLoad:
         loaded = load_constants(write_registry(tmp_path, text))
         assert loaded.records() == registry.records()
         assert loaded.codata_release == registry.codata_release
+
+    def test_an_indented_release_line_is_read(self, tmp_path, bundled_text):
+        # A comment is a line whose first non-blank character is "#", as in a species table.
+        text = bundled_text.replace("#codata", "\t #codata", 1)
+        assert text != bundled_text
+        assert load_constants(write_registry(tmp_path, text)).codata_release == "2018"
 
     def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, registry, bundled_text):
         loaded = load_constants(write_registry(tmp_path, "\ufeff" + bundled_text))

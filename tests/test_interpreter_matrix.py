@@ -1,4 +1,4 @@
-"""The payload corpus and the parser's text under every other interpreter found.
+"""The payload corpus, the parser's text and the unit corpus under every other interpreter found.
 
 ``pyproject.toml`` asks for Python >= 3.10, and the rest of the suite runs
 under one interpreter.  This test looks for others in named places only:
@@ -6,8 +6,9 @@ three pyenv versions and the ``python3.N`` commands on ``PATH``.  A
 candidate counts if it starts and reports a version >= 3.10 other than the
 running one; each version counts once.  Under each, ``tests/payload_corpus.py
 --check`` recomputes every pinned CLI output, the payload digests of the
-whole corpus and the usage goldens; it imports no pytest.  The test is
-skipped when no candidate is left.
+whole corpus and the usage goldens, and ``tests/unit_corpus.py --check``
+the digests of the unit texts, so neither may depend on the version; they
+import no pytest.  The test is skipped when no candidate is left.
 """
 
 import ast
@@ -62,10 +63,11 @@ def test_payloads_and_usage_text_match_under_every_other_interpreter():
         pytest.skip("no other interpreter >= 3.10 among the candidates")
     failures = []
     for _, python in sorted(found.items()):
-        done = subprocess.run(
-            [python, str(TESTS / "payload_corpus.py"), "--check"],
-            capture_output=True, text=True, timeout=600,
-        )
-        if done.returncode != 0:
-            failures.append((python, done.stdout[-2000:], done.stderr[-2000:]))
+        for script in ("payload_corpus.py", "unit_corpus.py"):
+            done = subprocess.run(
+                [python, str(TESTS / script), "--check"],
+                capture_output=True, text=True, timeout=600,
+            )
+            if done.returncode != 0:
+                failures.append((python, script, done.stdout[-2000:], done.stderr[-2000:]))
     assert failures == []

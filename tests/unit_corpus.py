@@ -179,6 +179,7 @@ def texts(seed: str = SEED, count: int = COUNT):
 
 def lines(seed: str = SEED, count: int = COUNT):
     """One line per text of ``texts(seed, count)``: what ``parse_unit`` returns or raises."""
+    # Imported here: ``--check`` and ``--diff`` parse in children, each with its own ``src/``.
     from vacuumresponse.units import UnitParseError, format_dimension, parse_unit
 
     sys.set_int_max_str_digits(MAX_DIGITS)
@@ -218,24 +219,21 @@ def mismatches(recorded: dict, produced) -> list[str]:
     return reports
 
 
-def _emitted(src: str, seed: str, count: int) -> subprocess.Popen:
-    """A child that imports ``src`` and prints ``lines(seed, count)``, one a line."""
-    return subprocess.Popen(
+def _emitted(src: str, seed: str, count: int):
+    """``lines(seed, count)``, one by one, from a child that imports ``src``."""
+    with subprocess.Popen(
         [sys.executable, __file__, "--emit", "--seed", seed, "--count", str(count)],
         stdout=subprocess.PIPE, text=True, encoding="ascii",
         env={**os.environ, "PYTHONPATH": str(Path(src).resolve())},
-    )
-
-
-def _lines_of(child: subprocess.Popen):
-    for line in child.stdout:
-        yield line.rstrip("\n")
-    if child.wait():
-        raise SystemExit(f"the child that parses the texts exited {child.returncode}")
+    ) as child:
+        for line in child.stdout:
+            yield line.rstrip("\n")
+    if child.returncode:
+        raise SystemExit(f"the child that parses the texts with {src} exited {child.returncode}")
 
 
 def record() -> None:
-    found = digests(_lines_of(_emitted(SRC, SEED, COUNT)))
+    found = digests(_emitted(SRC, SEED, COUNT))
     payload = {"seed": SEED, "count": COUNT, "chunk": CHUNK, "digests": [d for d, _ in found]}
     DIGESTS.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     print(f"recorded {len(found)} chunks of {COUNT} texts in {DIGESTS}")
@@ -244,18 +242,17 @@ def record() -> None:
 def check() -> int:
     """Recompute the digests against ``SRC``: 0 if they match, else 1."""
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    child = _emitted(SRC, recorded["seed"], recorded["count"])
-    reports = mismatches(recorded, _lines_of(child))
-    print(*reports, sep="\n")
+    reports = mismatches(recorded, _emitted(SRC, recorded["seed"], recorded["count"]))
+    for report in reports:
+        print(report)
     print(f"{len(reports)} of {len(recorded['digests'])} chunks differ")
     return 1 if reports else 0
 
 
 def diff(parent: str, seed: str, count: int) -> int:
     """Compare the lines of this checkout's ``src/`` with those of ``parent``: 0 if none differ."""
-    ours, theirs = _emitted(SRC, seed, count), _emitted(parent, seed, count)
     differing = 0
-    for here, there in zip(_lines_of(ours), _lines_of(theirs), strict=True):
+    for here, there in zip(_emitted(SRC, seed, count), _emitted(parent, seed, count), strict=True):
         if here != there:
             differing += 1
             if differing <= 20:
