@@ -23,6 +23,7 @@ from .kernels import (
     _count_simple,
     _count_sphere,
     _deviation,
+    _gap_ratio,
     _gyromagnetic_ratio,
 )
 from .model import (
@@ -71,7 +72,7 @@ def run_dimension_checks(registry: ConstantRegistry) -> list[CheckResult]:
     cube = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.CUBE, registry)
     sphere = OscillatorParams.for_electron(2.0, 2.0, VolumeConvention.SPHERE, registry)
     w0 = cube.omega0(registry)
-    kappa = cube.energy_gap / (m * c**2)
+    kappa = _gap_ratio(cube.energy_gap, m, c)
 
     E = Quantity(1.0, _dim("V/m"))
     B = Quantity(1.0, _dim("T"))

@@ -117,7 +117,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "--species", type=_path, metavar="PATH", help="species table (default: bundled)"
         )
         p.add_argument("--gap-ratio", type=float, default=2.0)
-        p.add_argument("--format", choices=("text",), default="text")
     elif command == "constants":
         p.add_argument("--derived", action="store_true", help="include derived records")
     return parser

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import argparse
 import math
+from itertools import zip_longest
 
 from ..cli import COUNT_NOTE, GAUSSIAN_NOTE, _positive_float, _qty_text
 from ..constants import ConstantRegistry
-from ..dimensions import ELECTRIC_FIELD, Quantity, _quantity_power
-from ..kernels import VolumeConvention, _deviation, _gap
+from ..dimensions import (
+    DIMENSIONLESS, ELECTRIC_FIELD, PERMEABILITY, PERMITTIVITY, Quantity, _quantity_power,
+)
+from ..kernels import VolumeConvention, _deviation, _gap, _gap_ratio
 from ..report import COLUMN_DIMENSIONS, ReportRow, build_row, rows_to_csv, rows_to_json
 from ..units import UnitParseError, format_float, parse_unit
-
-# Report rows hold SI floats; text output labels them by the schema's dimensions.
-_EPS, _MU, _RADIUS = COLUMN_DIMENSIONS
 
 # Quotes figures of the bundled constants, as COUNT_NOTE does, so it prints
 # only when no --constants file is given.
@@ -48,19 +48,14 @@ def _parse_quantity_flag(parser: argparse.ArgumentParser, flag: str, text: str) 
 
 
 def _row_text(row: ReportRow, extra: list[tuple[str, str]], units: str) -> str:
-    pairs: list[tuple[str, str]] = [
-        ("kappa", f"{row.kappa:g}"),
-        ("convention", row.convention),
-        ("g", f"{row.g:g}"),
-        ("eps_tilde", _qty_text(Quantity(row.eps_tilde, _EPS), units)),
-        ("mu_tilde", _qty_text(Quantity(row.mu_tilde, _MU), units)),
-        ("radius", _qty_text(Quantity(row.radius, _RADIUS), units)),
-        ("eps_ratio", format_float(row.eps_ratio)),
-        ("mu_ratio", format_float(row.mu_ratio)),
-        ("count_simple", format_float(row.count_simple)),
-        ("count_sphere", format_float(row.count_sphere)),
-    ]
-    pairs.extend(extra)
+    # The grid point, then the row's SI values: the first ones have the
+    # schema's dimensions, and the others are pure numbers.
+    kappa, convention, g, *values = row
+    cells = [f"{kappa:g}", convention, f"{g:g}", *[
+        _qty_text(Quantity(value, dim), units)
+        for value, dim in zip_longest(values, COLUMN_DIMENSIONS, fillvalue=DIMENSIONLESS)
+    ]]
+    pairs = [*zip(ReportRow._fields, cells), *extra]
     width = max(len(name) for name, _ in pairs)
     return "".join(f"{name:<{width}}  {value}\n" for name, value in pairs)
 
@@ -79,26 +74,26 @@ def run(args: argparse.Namespace, registry: ConstantRegistry) -> tuple[int, str,
 
     row = build_row(kappa, convention, g, registry)
     conv = VolumeConvention(convention)
-    # A closed convention's row is its own light-speed closure; a pinned
-    # radius (a cube) is closed by the closed cube's row at the same point.
-    closed = row
-    if conv is not conv.closed:
-        try:
-            closed = build_row(kappa, conv.closed.value, g, registry)
-        except ValueError as exc:
-            raise ValueError(
-                f"the light-speed closure of convention {convention} failed: {exc}"
-            ) from exc
-    eps_mu = Quantity(closed.eps_tilde, _EPS) * Quantity(closed.mu_tilde, _MU)
-    light_speed = _quantity_power(eps_mu, -1, 2)  # 1/sqrt(eps mu)
-
-    extra: list[tuple[str, str]] = [("implied_light_speed", _qty_text(light_speed, args.units))]
-    if conv is VolumeConvention.CUBE and g == 2.0:
-        # model.fine_structure_form's float operations, in its order: the
-        # gap ratio is recomputed from the gap, as the model does.
-        m_e, c = registry.value("m_e"), registry.value("c")
-        deviation = _deviation(registry.value("alpha"), _gap(kappa, m_e, c) / (m_e * c**2))
-        extra.append(("deviation_factor", format_float(deviation)))
+    # Only text prints the light-speed closure and the deviation factor.
+    extra: list[tuple[str, str]] = []
+    if args.format == "text":
+        # A closed convention's row is its own light-speed closure; a pinned
+        # radius (a cube) is closed by the closed cube's row at the same point.
+        closed = row
+        if conv is not conv.closed:
+            try:
+                closed = build_row(kappa, conv.closed.value, g, registry)
+            except ValueError as exc:
+                raise ValueError(
+                    f"the light-speed closure of convention {convention} failed: {exc}"
+                ) from exc
+        eps_mu = Quantity(closed.eps_tilde, PERMITTIVITY) * Quantity(closed.mu_tilde, PERMEABILITY)
+        light_speed = _quantity_power(eps_mu, -1, 2)  # 1/sqrt(eps mu)
+        extra.append(("implied_light_speed", _qty_text(light_speed, args.units)))
+        if conv is VolumeConvention.CUBE and g == 2.0:
+            m_e, c = registry.value("m_e"), registry.value("c")
+            deviation = _deviation(registry.value("alpha"), _gap_ratio(_gap(kappa, m_e, c), m_e, c))
+            extra.append(("deviation_factor", format_float(deviation)))
 
     if field is not None:
         from ..model import OscillatorParams, probe_response

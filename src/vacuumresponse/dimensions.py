@@ -40,20 +40,11 @@ A :class:`Quantity` binds a finite real magnitude to a dimension; every
 quantity is in SI units.  Arithmetic on quantities enforces dimensional
 consistency and rejects non-finite magnitudes, including overflow, at the
 operation that produced them.
-
-Gaussian units are a way of showing a value, not a second dimensional
-algebra: Gaussian dimensions are a non-injective image of the SI ones
-(electric and magnetic field collapse onto the same dimension), so a
-conversion is only well defined per physical kind.  ``GAUSSIAN_UNITS`` maps
-the SI dimension of each supported kind to its Gaussian dimension and
-factor, each derived from the SI exponents by one substitution rule, and
-the unit module renders a quantity through it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from math import gcd, lcm
 
 # Annotations only: ``typing`` is never loaded at run time, and a Fraction is
@@ -89,10 +80,6 @@ class DivisionByZeroError(NonFiniteError, ZeroDivisionError):
 
 class NegativeBaseError(ValueError):
     """Fractional power of a negative magnitude."""
-
-
-class UnsupportedKindError(ValueError):
-    """No Gaussian conversion exists for the quantity's dimension."""
 
 
 def _exponent(value: Rational, field: str) -> Rational:
@@ -448,43 +435,3 @@ def _quantity_power(q: Quantity, numerator: int, denominator: int) -> Quantity:
 _set_magnitude = Quantity.magnitude.__set__
 _set_dimension = Quantity.dimension.__set__
 
-
-# How a value of one SI dimension is expressed in Gaussian units: the SI
-# magnitude times ``factor`` is the Gaussian magnitude, of ``dimension``.
-GaussianUnit = namedtuple("GaussianUnit", "dimension factor")
-
-
-# The numeral of the defined SI light speed in m/s.
-_C = 299_792_458
-
-
-def _gaussian(si: Dimension, magnetic: int) -> GaussianUnit:
-    """The Gaussian unit of the kind of SI dimension ``si``, by one substitution.
-
-    Jackson, *Classical Electrodynamics*, 3rd ed., Appendix, Tables 3 and 4:
-    m -> 100 cm, kg -> 1000 g and A -> 10 c statA, with statA = g^1/2 cm^3/2
-    s^-2, and a magnetic kind carries ``magnetic`` more powers of c cm/s,
-    where c is ``_C``.  The m, kg, s and A exponents of ``si`` are ints, so
-    the factor 10^tens c^cs is one quotient of ints, which Python rounds
-    correctly, and the Gaussian dimension is one key of doubled exponents.
-    """
-    _, length, mass, time, current = si._key[:5]
-    tens, cs = 2 * length + 3 * mass + current + 2 * magnetic, current + magnetic
-    factor = (10 ** max(tens, 0) * _C ** max(cs, 0)) / (10 ** max(-tens, 0) * _C ** max(-cs, 0))
-    doubled = (2, 2 * length + 3 * current + 2 * magnetic, 2 * mass + current,
-               2 * time - 4 * current - 2 * magnetic, 0, 0, 0, 0)
-    return GaussianUnit(_reduced(doubled), factor)
-
-
-# Keyed on the SI dimension, which identifies the physical kind: each kind
-# here has its own SI dimension, while electric and magnetic field (among
-# others) share one Gaussian dimension.  A magnetic kind cannot be told from
-# its SI dimension alone, so each kind's power of c cm/s is given here.
-GAUSSIAN_UNITS: dict[Dimension, GaussianUnit] = {
-    kind: _gaussian(kind, magnetic) for kind, magnetic in (
-        (CHARGE, 0), (ELECTRIC_FIELD, 0), (MAGNETIC_FIELD, 1), (ELECTRIC_DIPOLE, 0),
-        (MAGNETIC_DIPOLE, -1), (POLARIZATION, 0), (MAGNETIZATION, -1), (PERMITTIVITY, 0),
-        (PERMEABILITY, 0), (ENERGY, 0), (LENGTH, 0), (MASS, 0), (SPEED, 0), (FREQUENCY, 0),
-        (DIMENSIONLESS, 0),
-    )
-}

@@ -1,15 +1,15 @@
 """The paper's relations on plain values, and the volume conventions they dispatch on.
 
-Every formula of the model is written once, here: the transition energy,
-the resonance frequency, each convention's radius, volume and orbital
-mean-square radius, the pair's two estimates, the deviation factor, the
-gyromagnetic ratio, the two species counts, and the two relations that the
-derived constants share with the model (the reduced Compton wavelength and
-the critical field).  These formulas touch their operands only with *, /,
-** and math.sqrt, so they run on Quantities, where every dimension is
-checked, and on the Quantities' float magnitudes, whose results they then
-give bit for bit.  Reusing a value keeps the bits; reordering an operation
-does not.
+Every formula of the model is written once, here: the transition energy
+and the gap ratio, the resonance frequency, each convention's radius,
+volume and orbital mean-square radius, the pair's two estimates, the
+deviation factor, the gyromagnetic ratio, the two species counts, and the
+two relations that the derived constants share with the model (the reduced
+Compton wavelength and the critical field).  These formulas touch their
+operands only with *, /, ** and math.sqrt, so they run on Quantities,
+where every dimension is checked, and on the Quantities' float magnitudes,
+whose results they then give bit for bit.  Reusing a value keeps the bits;
+reordering an operation does not.
 
 This module imports nothing from the package, so a sweep, which runs the
 kernels on floats, starts without the Quantity-level API of ``model``.
@@ -57,6 +57,11 @@ def _critical_field(mass, charge, hbar, c):
 def _gap(gap_ratio, mass, c):
     """Transition energy: the gap ratio times the rest energy m c^2."""
     return gap_ratio * mass * c**2
+
+
+def _gap_ratio(gap, mass, c):
+    """Gap ratio: the transition energy in units of the rest energy m c^2."""
+    return gap / (mass * c**2)
 
 
 def _omega0(gap, hbar):

@@ -44,6 +44,7 @@ from .kernels import (
     _critical_field,
     _deviation,
     _gap,
+    _gap_ratio,
     _gyromagnetic_ratio,
     _omega0,
     _orbit_mean_square,
@@ -113,8 +114,7 @@ class OscillatorParams(
 
     def gap_ratio(self, registry: ConstantRegistry) -> float:
         """Gap energy in units of the particle's rest energy."""
-        rest = self.mass * registry.quantity("c") ** 2
-        return (self.energy_gap / rest).magnitude
+        return _gap_ratio(self.energy_gap, self.mass, registry.quantity("c")).magnitude
 
     @classmethod
     def from_gap_ratio(
@@ -162,12 +162,15 @@ def critical_field(p: OscillatorParams, registry: ConstantRegistry) -> Quantity:
     return _critical_field(p.mass, abs(p.charge), registry.quantity("hbar"), registry.quantity("c"))
 
 
-def _probe(
+def probe_response(
     p: OscillatorParams,
     field: Quantity,
     registry: ConstantRegistry,
 ) -> tuple[Quantity, Quantity, Quantity]:
-    """Guard one probe; return w0, the displacement q E / (m w0^2) and the dipole q x."""
+    """Response to one probe field: displacement x, dipole moment q x, polarization q x / V.
+
+    The guard runs once, so each warning it raises is shown once.
+    """
     if field.dimension != ELECTRIC_FIELD:
         raise DimensionMismatchError(
             f"probe field must have electric-field dimension, got [{field.dimension}]"
@@ -185,23 +188,11 @@ def _probe(
             f"field {field.magnitude:.3e} V/m exceeds {WEAK_FIELD_WARN_FRACTION:g} of the "
             "critical field; linear response is marginal",
             WeakFieldWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     w0 = p.omega0(registry)
     displacement = abs(p.charge) * field / (p.mass * w0**2)
-    return w0, displacement, abs(p.charge) * displacement
-
-
-def probe_response(
-    p: OscillatorParams,
-    field: Quantity,
-    registry: ConstantRegistry,
-) -> tuple[Quantity, Quantity, Quantity]:
-    """Response to one probe field: displacement x, dipole moment q x, polarization q x / V.
-
-    The guard runs once, so each warning it raises is shown once.
-    """
-    w0, displacement, dipole = _probe(p, field, registry)
+    dipole = abs(p.charge) * displacement
     conv = p.volume_convention
     hbar, c = registry.quantity("hbar"), registry.quantity("c")
     radius = _radius(conv, p.mass, p.g_factor, w0, hbar, c)

@@ -13,9 +13,9 @@ it is loaded and each convention requires once.  A row is one float chain
 of the model code on the constants' magnitudes.  Its values are checked
 against (0, inf) once per point of ``build_row``, and once per corner of a
 sweep's grid before any of its rows is computed; a value that leaves the
-range raises one ``ValueError`` naming the point.  The serializers look up
-the render factor of each schema column once per payload and write each
-row with one format string.
+range raises one ``ValueError`` naming the point.  The serializers take
+the factor and label of each schema column from ``units._unit``, the one
+render step, once per payload, and write each row with one format string.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from . import units as _units
 from .constants import ConstantRegistry
-from .dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, Quantity, _checked_make
+from .dimensions import LENGTH, PERMEABILITY, PERMITTIVITY, _checked_make
 from .kernels import CONVENTION_TOKENS, VolumeConvention, _count_simple, _count_sphere, _gap, _pair
-from .units import _FLOAT, render_quantity
 
 
 def _convention(token: str) -> VolumeConvention:
@@ -196,20 +196,19 @@ def sweep_rows(config: SweepConfig, registry: ConstantRegistry) -> list[ReportRo
 
 
 # The format of each cell in CSV_HEADER order; every float cell has the one float format.
-_CELLS = (_FLOAT, "%s", "%g", *(_FLOAT,) * 7)
+_CELLS = (_units._FLOAT, "%s", "%g", *(_units._FLOAT,) * 7)
 
 
+# ``_units._unit`` is read from the module at each call, so a patched render
+# step is the one a payload runs.
 def _header(units: str) -> tuple[str, ...]:
     """``CSV_HEADER`` with the radius column named for the length unit of ``units``."""
-    return (*CSV_HEADER[:5], "radius_" + render_quantity(Quantity(1.0, LENGTH), units)[1],
-            *CSV_HEADER[6:])
+    return (*CSV_HEADER[:5], "radius_" + _units._unit(LENGTH, units)[1], *CSV_HEADER[6:])
 
 
 def _lines(rows: list[ReportRow], units: str, template: str) -> list[str]:
     """Each row as ``template`` filled with its cells, dimensioned ones shown in ``units``."""
-    eps_f, mu_f, radius_f = [
-        render_quantity(Quantity(1.0, dim), units)[0] for dim in COLUMN_DIMENSIONS
-    ]
+    eps_f, mu_f, radius_f = [_units._unit(dim, units)[0] for dim in COLUMN_DIMENSIONS]
     return [
         template % (
             kappa, convention, g, eps * eps_f, mu * mu_f, radius * radius_f,

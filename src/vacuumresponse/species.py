@@ -65,8 +65,8 @@ class ParticleSpecies(namedtuple("ParticleSpecies", "name charge_ratio multiplic
         return self
 
 
-class SpeciesTable(namedtuple("SpeciesTable", "species path raw", defaults=(None, None))):
-    """A tuple of species with unique names, and the file and bytes it was loaded from."""
+class SpeciesTable(namedtuple("SpeciesTable", "species raw", defaults=(None,))):
+    """A tuple of species with unique names, and the bytes it was loaded from."""
 
     __slots__ = ()
     _make = _checked_make
@@ -152,7 +152,7 @@ def load_species(path: str | Path, registry: ConstantRegistry) -> SpeciesTable:
                 raise MalformedRowError(number, f"mass must be positive and finite, got {mass_mev}")
         rows.append(ParticleSpecies(name, charge, multiplicity))
 
-    table = SpeciesTable(species=tuple(rows), path=str(path), raw=raw)
+    table = SpeciesTable(species=tuple(rows), raw=raw)
     weight = charge_weighted_sum(table)
     if weight and not _is_float(weight):
         raise ValueError(f"cannot load species from {path}: its charge-weighted sum overflows a float")

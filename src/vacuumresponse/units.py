@@ -33,10 +33,19 @@ deep.  ``findall`` gives strings, not positions: an error's position is
 read from ``finditer`` of the same pattern, only when it is raised, so a
 text that parses pays for none.
 
-Every quantity is computed in SI units.  :func:`render_quantity` is the one
-place that decides how a value is shown in a unit system: as it is, with an
-SI label, or scaled by its kind's Gaussian factor, with a cm/g/s label.
-:func:`format_float` writes every printed float in the one float format.
+Every quantity is computed in SI units.  ``_unit`` is the one step that
+decides how a value of a dimension is shown in a unit system: as it is,
+with an SI label, or scaled by its kind's Gaussian factor, with a cm/g/s
+label.  :func:`render_quantity` applies it to a quantity, and the report
+serializers resolve it once per column and payload.  :func:`format_float`
+writes every printed float in the one float format.
+
+Gaussian units are a way of showing a value, not a second dimensional
+algebra: Gaussian dimensions are a non-injective image of the SI ones
+(electric and magnetic field collapse onto the same dimension), so a
+conversion is only well defined per physical kind.  ``GAUSSIAN_UNITS`` maps
+the SI dimension of each supported kind to its Gaussian dimension and
+factor, each derived from the SI exponents by one substitution rule.
 """
 
 from __future__ import annotations
@@ -51,20 +60,25 @@ from .dimensions import (
     AMOUNT,
     CHARGE,
     CURRENT,
+    DIMENSIONLESS,
+    ELECTRIC_DIPOLE,
     ELECTRIC_FIELD,
     ENERGY,
     FREQUENCY,
-    GAUSSIAN_UNITS,
     LENGTH,
     LUMINOSITY,
+    MAGNETIC_DIPOLE,
     MAGNETIC_FIELD,
+    MAGNETIZATION,
     MASS,
     PERMEABILITY,
+    PERMITTIVITY,
+    POLARIZATION,
+    SPEED,
     TEMPERATURE,
     TIME,
     Dimension,
     Quantity,
-    UnsupportedKindError,
     _ONE,
     _Key,
     _key_mul_pow,
@@ -357,12 +371,60 @@ def quantity(magnitude: float, unit: str) -> Quantity:
 
 # --- formatting ----------------------------------------------------------
 
+class UnsupportedKindError(ValueError):
+    """No Gaussian conversion exists for the quantity's dimension."""
+
+
+# How a value of one SI dimension is expressed in Gaussian units: the SI
+# magnitude times ``factor`` is the Gaussian magnitude, of ``dimension``.
+GaussianUnit = namedtuple("GaussianUnit", "dimension factor")
+
+
+# The numeral of the defined SI light speed in m/s.
+_C = 299_792_458
+
+
+def _gaussian(si: Dimension, magnetic: int) -> GaussianUnit:
+    """The Gaussian unit of the kind of SI dimension ``si``, by one substitution.
+
+    Jackson, *Classical Electrodynamics*, 3rd ed., Appendix, Tables 3 and 4:
+    m -> 100 cm, kg -> 1000 g and A -> 10 c statA, with statA = g^1/2 cm^3/2
+    s^-2, and a magnetic kind carries ``magnetic`` more powers of c cm/s,
+    where c is ``_C``.  The m, kg, s and A exponents of ``si`` are ints, so
+    the factor 10^tens c^cs is one quotient of ints, which Python rounds
+    correctly, and the Gaussian dimension is one key of doubled exponents.
+    """
+    _, length, mass, time, current = si._key[:5]
+    tens, cs = 2 * length + 3 * mass + current + 2 * magnetic, current + magnetic
+    factor = (10 ** max(tens, 0) * _C ** max(cs, 0)) / (10 ** max(-tens, 0) * _C ** max(-cs, 0))
+    doubled = (2, 2 * length + 3 * current + 2 * magnetic, 2 * mass + current,
+               2 * time - 4 * current - 2 * magnetic, 0, 0, 0, 0)
+    return GaussianUnit(_reduced(doubled), factor)
+
+
+# Keyed on the SI dimension, which identifies the physical kind: each kind
+# here has its own SI dimension, while electric and magnetic field (among
+# others) share one Gaussian dimension.  A magnetic kind cannot be told from
+# its SI dimension alone, so each kind's power of c cm/s is given here.
+GAUSSIAN_UNITS: dict[Dimension, GaussianUnit] = {
+    kind: _gaussian(kind, magnetic) for kind, magnetic in (
+        (CHARGE, 0), (ELECTRIC_FIELD, 0), (MAGNETIC_FIELD, 1), (ELECTRIC_DIPOLE, 0),
+        (MAGNETIC_DIPOLE, -1), (POLARIZATION, 0), (MAGNETIZATION, -1), (PERMITTIVITY, 0),
+        (PERMEABILITY, 0), (ENERGY, 0), (LENGTH, 0), (MASS, 0), (SPEED, 0), (FREQUENCY, 0),
+        (DIMENSIONLESS, 0),
+    )
+}
+
+
 # ``format_dimension``'s order in cgs symbols; Gaussian dimensions have only these three.
 _GAUSSIAN_ORDER = (("time", "s"), ("mass", "g"), ("length", "cm"))
 
 
 def _unit(dimension: Dimension, units: str) -> tuple[float, str]:
-    """The factor and label that show an SI value of ``dimension`` in ``units``."""
+    """The factor and label that show an SI value of ``dimension`` in ``units``.
+
+    Every printed value is shown through this one step.
+    """
     if units == "si":
         return 1.0, format_dimension(dimension)
     if units != "gaussian":

@@ -109,7 +109,7 @@ OWN_FLAGS = {
         *COMMON, "--units", "--kappa-min", "--kappa-max", "--points", "--conventions",
         "--g-factors", "--format",
     ),
-    "species": (*COMMON, "--units", "--species", "--gap-ratio", "--format"),
+    "species": (*COMMON, "--units", "--species", "--gap-ratio"),
     "check-dimensions": COMMON,
     "constants": (*COMMON, "--derived"),
 }

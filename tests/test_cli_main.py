@@ -45,6 +45,27 @@ def test_out_writes_what_stdout_would_show(tmp_path, capsys, argv):
     assert out.read_bytes() == printed.encode("utf-8")
 
 
+# A csv estimate prints its row without the light-speed closure, so it
+# succeeds wherever the sweep's row does: kappa 1e100 is beyond the closed
+# cube's range, but not beyond the pinned cubes'.
+@pytest.mark.parametrize("units", UNIT_SYSTEMS)
+@pytest.mark.parametrize("convention", kernels.CONVENTION_TOKENS)
+def test_estimate_csv_row_is_the_sweep_row(capsys, convention, units):
+    for kappa in ("0.5", "2", "1e100"):
+        point = ["--units", units, "--kappa-min", kappa, "--kappa-max", kappa, "--points", "2"]
+        code = main(["sweep", "--conventions", convention, *point])
+        swept = capsys.readouterr().out
+        estimate = ["estimate", "--convention", convention, "--gap-ratio", kappa, "--units", units]
+        assert main([*estimate, "--format", "csv"]) == code, kappa
+        printed = capsys.readouterr().out
+        if code:
+            assert printed == swept == "", kappa
+            continue
+        header, row, same, end = swept.split("\r\n")
+        assert (same, end) == (row, "")
+        assert printed == f"{header}\r\n{row}\r\n", kappa
+
+
 def test_unwritable_out_names_its_path_once(tmp_path, capsys):
     out = str(tmp_path / "missing" / "sweep.csv")
     assert main(["sweep", "--points", "2", "--out", out]) == 1

@@ -33,17 +33,15 @@ from vacuumresponse.dimensions import (
     TIME,
     Dimension,
     DimensionMismatchError,
-    GAUSSIAN_UNITS,
     NegativeBaseError,
     NonFiniteError,
     Quantity,
-    UnsupportedKindError,
     _ONE,
     _key_mul_pow,
     _power,
     _reduced,
 )
-from vacuumresponse.units import parse_unit, render_quantity
+from vacuumresponse.units import GAUSSIAN_UNITS, UnsupportedKindError, parse_unit, render_quantity
 
 exponents = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 dims = st.builds(Dimension, *[exponents] * 7)

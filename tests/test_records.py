@@ -125,9 +125,9 @@ RECORDS = {
         ],
     ),
     SpeciesTable: (
-        ("species", "path", "raw"),
-        ((MUON, ParticleSpecies("e", Fraction(-1))), "table.tsv", b"mu\t-1\t1\ne\t-1\t1\n"),
-        {"path": None, "raw": None},
+        ("species", "raw"),
+        ((MUON, ParticleSpecies("e", Fraction(-1))), b"mu\t-1\t1\ne\t-1\t1\n"),
+        {"raw": None},
         [
             ({"species": (MUON, ParticleSpecies("e", Fraction(-1)), MUON)}, DuplicateNameError,
              "duplicate species name 'mu'"),
